@@ -25,7 +25,9 @@ from .ingest import (
     WordMapping,
     parse_annotations,
     parse_graph,
+    parse_pairs,
     parse_rated_pairs,
+    parse_weight_scheme,
     parse_word_mapping,
     serialize_graph,
 )
@@ -43,7 +45,6 @@ from .specificity import (
     class_usage,
     connotation_weight,
     depth_theta,
-    eval_theta,
     idf_theta,
     nonlinear_depth_theta,
     resnik_extrinsic_ic,

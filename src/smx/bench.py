@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import IO, Mapping, Sequence
 
@@ -61,7 +60,6 @@ def score_pairs(
     mapping: Mapping[str, frozenset[NodeId]],
     spec: PairwiseMeasureSpec,
     taxonomy: TaxonomyView,
-    threads: int = 1,
     allow_unreduced: bool = False,
 ) -> list[ScoredPair]:
     """Score every rated pair; the best class-pair score wins per word pair.
@@ -91,15 +89,7 @@ def score_pairs(
                 scores.append(mv.value)
         return max(scores)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(lambda p: best(p[0], p[1]), dataset.pairs))
-    else:
-        values = [best(a, b) for a, b, _ in dataset.pairs]
-    return [
-        ScoredPair(a, b, rating, value)
-        for (a, b, rating), value in zip(dataset.pairs, values)
-    ]
+    return [ScoredPair(a, b, rating, best(a, b)) for a, b, rating in dataset.pairs]
 
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -166,15 +156,12 @@ def run_benchmark(
     mapping: Mapping[str, frozenset[NodeId]],
     measures: Sequence[tuple[str, PairwiseMeasureSpec]],
     taxonomy: TaxonomyView,
-    threads: int = 1,
     allow_unreduced: bool = False,
 ) -> BenchmarkRun:
     """Score the dataset under every configured measure and correlate."""
     rows = []
     for label, spec in measures:
-        scored = score_pairs(
-            dataset, mapping, spec, taxonomy, threads=threads, allow_unreduced=allow_unreduced
-        )
+        scored = score_pairs(dataset, mapping, spec, taxonomy, allow_unreduced=allow_unreduced)
         kept = [(p.score, p.rating) for p in scored if p.score is not None]
         n_scored = len(kept)
         n_skipped = len(scored) - n_scored

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import os
 import sys
 from contextlib import contextmanager
 
@@ -165,16 +164,6 @@ def _pairwise_spec(args, token, taxonomy, graph):
     return pairwise_measure(name, theta=theta, usage=usage, **params)
 
 
-def _read_pairs(path):
-    pairs = []
-    for lineno, line in ingest._lines(path):
-        fields = line.split("\t")
-        if len(fields) < 2:
-            raise ingest.ParseError("expected two tab-separated identifiers", lineno)
-        pairs.append((fields[0].strip(), fields[1].strip()))
-    return pairs
-
-
 @contextmanager
 def _open_out(path):
     if path in (None, "-"):
@@ -243,7 +232,7 @@ def _cmd_sim(args) -> int:
     taxonomy = _taxonomy(graph)
     spec = _pairwise_spec(args, args.measure, taxonomy, graph)
     with _open_out(args.out) as out:
-        for label_a, label_b in _read_pairs(args.pairs):
+        for label_a, label_b in ingest.parse_pairs(args.pairs):
             u = taxonomy.node(label_a)
             v = taxonomy.node(label_b)
             mv = eval_pairwise(spec, taxonomy, u, v, allow_unreduced=args.allow_unreduced)
@@ -282,7 +271,7 @@ def _cmd_groupsim(args) -> int:
         )
 
     with _open_out(args.out) as out:
-        for inst_a, inst_b in _read_pairs(args.pairs):
+        for inst_a, inst_b in ingest.parse_pairs(args.pairs):
             for inst in (inst_a, inst_b):
                 if inst not in reduced.assignments:
                     raise ingest.ResolutionError(f"unknown instance {inst!r}")
@@ -327,7 +316,7 @@ def _cmd_abstract(args) -> int:
     form = form.with_theta(theta)
 
     with _open_out(args.out) as out:
-        for label_a, label_b in _read_pairs(args.pairs):
+        for label_a, label_b in ingest.parse_pairs(args.pairs):
             u = taxonomy.node(label_a)
             v = taxonomy.node(label_b)
             mv = unify.eval_abstract(form, taxonomy, u, v)
@@ -335,29 +324,11 @@ def _cmd_abstract(args) -> int:
     return 0
 
 
-def _load_scheme(path) -> relatedness.PredicateWeightScheme:
-    if path is None:
-        return relatedness.UNIFORM
-    weights = {}
-    default = 1.0
-    for lineno, line in ingest._lines(path):
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise ingest.ParseError("expected predicate<TAB>weight", lineno)
-        try:
-            value = float(fields[1])
-        except ValueError:
-            raise ingest.ParseError(f"weight {fields[1]!r} is not a number", lineno) from None
-        if fields[0].strip() == "*":
-            default = value
-        else:
-            weights[fields[0].strip()] = value
-    return relatedness.PredicateWeightScheme(weights=weights, default=default)
-
-
 def _cmd_rel(args) -> int:
     graph = _load_graph(args)
-    scheme = _load_scheme(args.weights)
+    scheme = relatedness.UNIFORM
+    if args.weights is not None:
+        scheme = ingest.parse_weight_scheme(args.weights)
     method = args.method
 
     scores = None
@@ -374,7 +345,7 @@ def _cmd_rel(args) -> int:
         )
 
     with _open_out(args.out) as out:
-        for label_a, label_b in _read_pairs(args.pairs):
+        for label_a, label_b in ingest.parse_pairs(args.pairs):
             u = graph.node(label_a)
             v = graph.node(label_b)
             if method == "wsp":
@@ -406,7 +377,6 @@ def _cmd_bench(args) -> int:
         mapping.words,
         measures,
         taxonomy,
-        threads=args.threads,
         allow_unreduced=args.allow_unreduced,
     )
     with _open_out(args.out) as out:
@@ -435,16 +405,6 @@ def _add_common(sub, graph=True, out=True, unreduced=False, annotations=False):
         "--smooth",
         action="store_true",
         help="add-one smoothing for extrinsic information content",
-    )
-    try:
-        default_threads = int(os.environ.get("SMX_THREADS", "1"))
-    except ValueError:
-        default_threads = 1
-    sub.add_argument(
-        "--threads",
-        type=int,
-        default=default_threads,
-        help="worker cap for parallel sections (default SMX_THREADS or 1)",
     )
 
 
@@ -516,8 +476,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "threads", 1) < 1:
-            raise CommandLineError("--threads must be >= 1")
         return args.func(args)
     except CommandLineError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

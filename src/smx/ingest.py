@@ -7,6 +7,8 @@ comments and blank lines are ignored.
   annotation  instance <TAB> class[,class...]
   benchmark   wordA <TAB> wordB <TAB> rating
   mapping     word <TAB> classId[;classId...]
+  pairs       idA <TAB> idB [<TAB> ignored...]
+  weights     predicate <TAB> weight  (predicate * sets the default)
 
 subClassOf (class to class) and isA (instance to class) are the two
 reserved predicates; every other predicate token is free-form relational
@@ -24,6 +26,7 @@ from typing import IO, Iterator, Mapping
 
 from .errors import ClassificationError, ParseError, ResolutionError
 from .graph import IS_A, NodeId, SemanticGraph, SUBCLASS_OF
+from .relatedness import PredicateWeightScheme
 
 
 @dataclass(frozen=True)
@@ -263,3 +266,31 @@ def parse_word_mapping(source, graph: SemanticGraph) -> WordMapping:
     return WordMapping(
         words={k: frozenset(v) for k, v in words.items()}, warnings=warnings
     )
+
+
+def parse_pairs(source) -> list[tuple[str, str]]:
+    """Load an identifier pair list; columns after the second are ignored."""
+    pairs = []
+    for lineno, line in _lines(source):
+        fields = line.split("\t")
+        if len(fields) < 2:
+            raise ParseError("expected two tab-separated identifiers", lineno)
+        pairs.append((fields[0].strip(), fields[1].strip()))
+    return pairs
+
+
+def parse_weight_scheme(source) -> PredicateWeightScheme:
+    """Load per-predicate cost multipliers; the predicate * sets the default."""
+    weights = {}
+    default = 1.0
+    for lineno, line in _lines(source):
+        fields = line.split("\t")
+        if len(fields) != 2:
+            raise ParseError("expected predicate<TAB>weight", lineno)
+        predicate = fields[0].strip()
+        value = _parse_weight(fields[1], lineno)
+        if predicate == "*":
+            default = value
+        else:
+            weights[predicate] = value
+    return PredicateWeightScheme(weights=weights, default=default)

@@ -2,7 +2,11 @@
 
 Each measure is declared in the MEASURES catalog together with the flags
 (polarity, normalization, symmetry, identity of the indiscernibles) that
-the axiom audit verifies. Measures that count shortest paths refuse a
+the axiom audit verifies. Most rows are data: an abstract form of
+unify.py applied to a feature triple (theta at the MICA, summed theta
+over the ancestor sets, or ancestor counts), with polarity and
+normalization taken from the form. The remaining rows, where no form
+fits, name a bespoke evaluator. Measures that count shortest paths refuse a
 taxonomy with redundant edges because those shortcuts silently
 underestimate distances; pass allow_unreduced=True to study that effect.
 
@@ -20,8 +24,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
-from typing import Mapping
+from dataclasses import dataclass, field
+from typing import Callable, Mapping
 
 from .errors import (
     ContractError,
@@ -32,11 +36,7 @@ from .errors import (
 )
 from .graph import NodeId, TaxonomyView
 from .specificity import ClassUsage, ThetaEstimator
-
-
-class Polarity(enum.Enum):
-    SIMILARITY = "similarity"
-    DISTANCE = "distance"
+from .unify import FORMS, MeasureValue, Polarity, abstract_form, mica_feature, salience_feature
 
 
 class ConversionRule(enum.Enum):
@@ -44,14 +44,6 @@ class ConversionRule(enum.Enum):
     RATIO = "ratio"
     NEG_LOG = "neg_log"
     RECIPROCAL = "reciprocal"
-
-
-@dataclass(frozen=True)
-class MeasureValue:
-    value: float
-    polarity: Polarity
-    normalized: bool
-    degenerate: bool = False
 
 
 @dataclass(frozen=True)
@@ -77,6 +69,13 @@ class MeasureInfo:
     # or (name, pivot) making it asymmetric when params[name] != pivot
     asym_when_differ: tuple[tuple[str, str], ...] = ()
     asym_when_not: tuple[tuple[str, float], ...] = ()
+    # a bespoke row: evaluate(spec, taxonomy, u, v)
+    evaluate: Callable[..., MeasureValue] | None = None
+    # a form row: feature(theta, taxonomy, u, v) gives (f_u, f_v, f_shared),
+    # bind maps the measure's parameters to the form's
+    feature: Callable | None = None
+    form: str | None = None
+    bind: Callable[[Mapping[str, float]], Mapping[str, float]] | None = None
 
     def is_symmetric(self, params: Mapping[str, float]) -> bool:
         for a, b in self.asym_when_differ:
@@ -88,142 +87,30 @@ class MeasureInfo:
         return True
 
 
-MEASURES: dict[str, MeasureInfo] = {
-    # structural
-    "rada": MeasureInfo(Polarity.DISTANCE, False, path_based=True, ioi=True),
-    "rada_sim": MeasureInfo(Polarity.SIMILARITY, True, path_based=True, ioi=True),
-    "resnik_edge": MeasureInfo(Polarity.SIMILARITY, False, path_based=True, ioi=True),
-    "leacock_chodorow": MeasureInfo(Polarity.SIMILARITY, False, path_based=True, ioi=True),
-    "wu_palmer": MeasureInfo(
-        Polarity.SIMILARITY, True, path_based=True, ioi=True, root_degenerate=True
-    ),
-    "pekar_staab": MeasureInfo(
-        Polarity.SIMILARITY, True, path_based=True, ioi=True, root_degenerate=True
-    ),
-    "zhong": MeasureInfo(
-        Polarity.DISTANCE, True, params={"k": ParamSpec(2.0, lo=1.0)}, ioi=True
-    ),
-    "li": MeasureInfo(
-        Polarity.SIMILARITY,
-        True,
-        params={"alpha": ParamSpec(0.2, lo=0.0), "beta": ParamSpec(0.6)},
-        path_based=True,
-    ),
-    "slimani": MeasureInfo(
-        Polarity.SIMILARITY,
-        False,
-        params={"lam": ParamSpec(1.0, choices=(0.0, 1.0))},
-        path_based=True,
-        root_degenerate=True,
-    ),
-    "shenoy": MeasureInfo(
-        Polarity.SIMILARITY,
-        False,
-        params={"lam": ParamSpec(1.0)},
-        path_based=True,
-        root_degenerate=True,
-    ),
-    # information theoretical
-    "resnik": MeasureInfo(Polarity.SIMILARITY, False, needs_theta=True),
-    "lin": MeasureInfo(
-        Polarity.SIMILARITY, True, needs_theta=True, ioi=True, root_degenerate=True
-    ),
-    "jiang_conrath": MeasureInfo(Polarity.DISTANCE, False, needs_theta=True, ioi=True),
-    "nunivers": MeasureInfo(
-        Polarity.SIMILARITY, True, needs_theta=True, ioi=True, root_degenerate=True
-    ),
-    "psec": MeasureInfo(Polarity.SIMILARITY, False, needs_theta=True),
-    "faith": MeasureInfo(
-        Polarity.SIMILARITY, True, needs_theta=True, ioi=True, root_degenerate=True
-    ),
-    "rel_schlicker": MeasureInfo(Polarity.SIMILARITY, True, needs_theta=True),
-    "sim_dic": MeasureInfo(
-        Polarity.SIMILARITY, True, needs_theta=True, ioi=True, root_degenerate=True
-    ),
-    "jac_anc": MeasureInfo(
-        Polarity.SIMILARITY, True, needs_theta=True, ioi=True, root_degenerate=True
-    ),
-    "lin_grasm": MeasureInfo(
-        Polarity.SIMILARITY, True, needs_theta=True, ioi=True, root_degenerate=True
-    ),
-    "wang_dca": MeasureInfo(
-        Polarity.SIMILARITY,
-        False,
-        params={"path_cap": ParamSpec(100_000.0, lo=1.0)},
-        path_based=True,
-        root_degenerate=True,
-    ),
-    # feature based
-    "cmatch": MeasureInfo(Polarity.SIMILARITY, True, ioi=True),
-    "dice_anc": MeasureInfo(Polarity.SIMILARITY, True, ioi=True),
-    "bulskov": MeasureInfo(
-        Polarity.SIMILARITY,
-        True,
-        params={"alpha": ParamSpec(0.5, lo=0.0, hi=1.0)},
-        ioi=True,
-        asym_when_not=(("alpha", 0.5),),
-    ),
-    "rodriguez_egenhofer": MeasureInfo(
-        Polarity.SIMILARITY,
-        True,
-        params={"gamma": ParamSpec(0.5, lo=0.0, hi=1.0)},
-        ioi=True,
-        asym_when_not=(("gamma", 0.5),),
-    ),
-    "sanchez": MeasureInfo(Polarity.DISTANCE, True, ioi=True),
-    "tversky_ratio": MeasureInfo(
-        Polarity.SIMILARITY,
-        True,
-        params={"alpha": ParamSpec(1.0, lo=0.0), "beta": ParamSpec(1.0, lo=0.0)},
-        ioi=True,
-        asym_when_differ=(("alpha", "beta"),),
-    ),
-    "tversky_contrast": MeasureInfo(
-        Polarity.SIMILARITY,
-        False,
-        params={
-            "gamma": ParamSpec(1.0, lo=0.0),
-            "alpha": ParamSpec(1.0, lo=0.0),
-            "beta": ParamSpec(1.0, lo=0.0),
-        },
-        asym_when_differ=(("alpha", "beta"),),
-    ),
-    "jaccard_ext": MeasureInfo(Polarity.SIMILARITY, True, needs_usage=True, ioi=True),
-    "damato_ext": MeasureInfo(Polarity.SIMILARITY, True, needs_usage=True),
-    # hybrid
-    "jc_hybrid": MeasureInfo(
-        Polarity.DISTANCE,
-        False,
-        params={
-            "alpha": ParamSpec(0.0, lo=0.0),
-            "beta": ParamSpec(1.0, lo=0.0, hi=1.0),
-            "predicate_weight": ParamSpec(1.0, lo=0.0),
-        },
-        needs_theta=True,
-        path_based=True,
-        ioi=True,
-    ),
-}
-
-
 @dataclass(frozen=True)
 class PairwiseMeasureSpec:
     name: str
     params: tuple[tuple[str, float], ...] = ()
     theta: ThetaEstimator | None = None
     usage: ClassUsage | None = None
+    # dispatch resolved once here, so evaluation looks nothing up: a form
+    # row's kernel and its arguments, or a bespoke row's parameters in
+    # catalog order
+    info: MeasureInfo = field(init=False, repr=False, compare=False)
+    kernel: Callable[..., MeasureValue] | None = field(init=False, repr=False, compare=False)
+    args: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
-    def param(self, key: str) -> float:
-        return dict(self.params)[key]
-
-    @property
-    def info(self) -> MeasureInfo:
-        return MEASURES[self.name]
-
-    def with_bindings(self, theta=None, usage=None) -> "PairwiseMeasureSpec":
-        return replace(
-            self, theta=theta or self.theta, usage=usage or self.usage
-        )
+    def __post_init__(self):
+        info = MEASURES[self.name]
+        values = dict(self.params)
+        if info.form is None:
+            kernel, args = None, tuple(values[key] for key in info.params)
+        else:
+            form = abstract_form(info.form, **info.bind(values))
+            kernel, args = form.kernel, form.args
+        object.__setattr__(self, "info", info)
+        object.__setattr__(self, "kernel", kernel)
+        object.__setattr__(self, "args", args)
 
 
 def pairwise_measure(
@@ -272,19 +159,25 @@ def is_symmetric(spec: PairwiseMeasureSpec) -> bool:
 
 # -- evaluation helpers ------------------------------------------------------
 
+SIM, DIST = Polarity.SIMILARITY, Polarity.DISTANCE
+
 
 def _sim(value, normalized=True, degenerate=False):
-    return MeasureValue(value, Polarity.SIMILARITY, normalized, degenerate)
+    return MeasureValue(value, SIM, normalized, degenerate)
 
 
 def _dist(value, normalized=False, degenerate=False):
-    return MeasureValue(value, Polarity.DISTANCE, normalized, degenerate)
+    return MeasureValue(value, DIST, normalized, degenerate)
 
 
-def _theta_triple(spec, t, u, v):
-    theta = spec.theta
-    a = t.mica(theta, u, v)
-    return theta(u), theta(v), theta(a), a
+def _ancestor_counts(theta, t, u, v):
+    """|A(u)|, |A(v)| and |A(u) & A(v)|; theta is not used."""
+    au, av = t.ancestors(u), t.ancestors(v)
+    return len(au), len(av), len(au & av)
+
+
+_general_dice = FORMS["general_dice"].kernel
+_sigma_beta = FORMS["sigma_beta"].kernel
 
 
 def _instances(spec, t, c):
@@ -317,40 +210,38 @@ def _eval_leacock_chodorow(spec, t, u, v):
     return _sim(-math.log(n_nodes / (2.0 * t.max_depth)), normalized=False)
 
 
-def _eval_wu_palmer(spec, t, u, v):
+def _depth_triple(t, u, v):
+    """Longest root paths of u and v through their deepest common ancestor,
+    and the depth of that ancestor."""
     a = t.deepest_common_ancestor(u, v)
-    shared = 2.0 * t.depth(a)
-    den = shared + t.longest_up_distance(u, a) + t.longest_up_distance(v, a)
-    if den == 0:
-        return _sim(0.0, degenerate=True)
-    return _sim(shared / den)
+    d = t.depth(a)
+    return d + t.longest_up_distance(u, a), d + t.longest_up_distance(v, a), d
+
+
+def _eval_wu_palmer(spec, t, u, v):
+    return _general_dice(*_depth_triple(t, u, v))
 
 
 def _eval_pekar_staab(spec, t, u, v):
-    a = t.deepest_common_ancestor(u, v)
-    shared = float(t.depth(a))
-    den = t.longest_up_distance(u, a) + t.longest_up_distance(v, a) + shared
-    if den == 0:
-        return _sim(0.0, degenerate=True)
-    return _sim(shared / den)
+    return _sigma_beta(*_depth_triple(t, u, v), 1.0)
 
 
 def _eval_zhong(spec, t, u, v):
-    k = spec.param("k")
+    (k,) = spec.args
     milestone = lambda c: 0.5 * k ** (-t.depth(c))
     a = t.deepest_common_ancestor(u, v)
     return _dist(2.0 * milestone(a) - milestone(u) - milestone(v), normalized=True)
 
 
 def _eval_li(spec, t, u, v):
-    alpha, beta = spec.param("alpha"), spec.param("beta")
+    alpha, beta = spec.args
     a = t.deepest_common_ancestor(u, v)
     sp = t.shortest_path(u, v)
     return _sim(math.exp(-alpha * sp) * math.tanh(beta * t.depth(a)))
 
 
 def _eval_slimani(spec, t, u, v):
-    lam = spec.param("lam")
+    (lam,) = spec.args
     wp = _eval_wu_palmer(spec, t, u, v)
     pf = (1.0 - lam) * (min(t.depth(u), t.depth(v)) - t.max_depth) + lam / (
         t.depth(u) + t.depth(v) + 1.0
@@ -359,7 +250,7 @@ def _eval_slimani(spec, t, u, v):
 
 
 def _eval_shenoy(spec, t, u, v):
-    lam = spec.param("lam")
+    (lam,) = spec.args
     depth_sum = t.depth(u) + t.depth(v)
     if depth_sum == 0:
         return _sim(0.0, normalized=False, degenerate=True)
@@ -369,81 +260,25 @@ def _eval_shenoy(spec, t, u, v):
 
 
 def _eval_resnik(spec, t, u, v):
-    _, _, shared, _ = _theta_triple(spec, t, u, v)
+    _, _, shared = mica_feature(spec.theta, t, u, v)
     return _sim(shared, normalized=False)
 
 
-def _eval_lin(spec, t, u, v):
-    iu, iv, shared, _ = _theta_triple(spec, t, u, v)
-    if iu + iv == 0:
-        return _sim(0.0, degenerate=True)
-    return _sim(2.0 * shared / (iu + iv))
-
-
-def _eval_jiang_conrath(spec, t, u, v):
-    iu, iv, shared, _ = _theta_triple(spec, t, u, v)
-    return _dist(iu + iv - 2.0 * shared)
-
-
-def _eval_nunivers(spec, t, u, v):
-    iu, iv, shared, _ = _theta_triple(spec, t, u, v)
-    top = max(iu, iv)
-    if top == 0:
-        return _sim(0.0, degenerate=True)
-    return _sim(shared / top)
-
-
-def _eval_psec(spec, t, u, v):
-    iu, iv, shared, _ = _theta_triple(spec, t, u, v)
-    return _sim(3.0 * shared - iu - iv, normalized=False)
-
-
-def _eval_faith(spec, t, u, v):
-    iu, iv, shared, _ = _theta_triple(spec, t, u, v)
-    den = iu + iv - shared
-    if den == 0:
-        return _sim(0.0, degenerate=True)
-    return _sim(shared / den)
-
-
 def _eval_rel_schlicker(spec, t, u, v):
-    iu, iv, shared, _ = _theta_triple(spec, t, u, v)
-    if iu + iv == 0:
-        return _sim(0.0, degenerate=True)
-    lin = 2.0 * shared / (iu + iv)
-    return _sim(lin * (1.0 - math.exp(-shared)))
-
-
-def _eval_sim_dic(spec, t, u, v):
-    theta = spec.theta
-    common = sum(theta(c) for c in t.common_ancestors(u, v))
-    den = sum(theta(c) for c in t.ancestors(u)) + sum(theta(c) for c in t.ancestors(v))
-    if den == 0:
-        return _sim(0.0, degenerate=True)
-    return _sim(2.0 * common / den)
-
-
-def _eval_jac_anc(spec, t, u, v):
-    theta = spec.theta
-    common = sum(theta(c) for c in t.common_ancestors(u, v))
-    union = sum(theta(c) for c in t.ancestors(u) | t.ancestors(v))
-    if union == 0:
-        return _sim(0.0, degenerate=True)
-    return _sim(common / union)
+    iu, iv, shared = mica_feature(spec.theta, t, u, v)
+    lin = _general_dice(iu, iv, shared)
+    return _sim(lin.value * (1.0 - math.exp(-shared)), degenerate=lin.degenerate)
 
 
 def _eval_lin_grasm(spec, t, u, v):
+    # Lin with the mean theta over the disjunctive common ancestors
     theta = spec.theta
-    iu, iv = theta(u), theta(v)
     dcas = t.ncca(u, v)
-    avg = sum(theta(c) for c in dcas) / len(dcas)
-    if iu + iv == 0:
-        return _sim(0.0, degenerate=True)
-    return _sim(2.0 * avg / (iu + iv))
+    return _general_dice(theta(u), theta(v), sum(map(theta, dcas)) / len(dcas))
 
 
 def _eval_wang_dca(spec, t, u, v):
-    cap = int(spec.param("path_cap"))
+    cap = int(spec.args[0])
     stats_u = t.up_path_stats(u, cap)
     stats_v = t.up_path_stats(v, cap)
     dcas = t.ncca(u, v)
@@ -459,29 +294,11 @@ def _eval_wang_dca(spec, t, u, v):
     return _sim(total / len(dcas), normalized=False)
 
 
-def _eval_cmatch(spec, t, u, v):
-    au, av = t.ancestors(u), t.ancestors(v)
-    return _sim(len(au & av) / len(au | av))
-
-
-def _eval_dice_anc(spec, t, u, v):
-    au, av = t.ancestors(u), t.ancestors(v)
-    return _sim(2.0 * len(au & av) / (len(au) + len(av)))
-
-
 def _eval_bulskov(spec, t, u, v):
-    alpha = spec.param("alpha")
+    (alpha,) = spec.args
     au, av = t.ancestors(u), t.ancestors(v)
     common = len(au & av)
     return _sim(alpha * common / len(au) + (1.0 - alpha) * common / len(av))
-
-
-def _eval_rodriguez_egenhofer(spec, t, u, v):
-    gamma = spec.param("gamma")
-    au, av = t.ancestors(u), t.ancestors(v)
-    common = len(au & av)
-    den = gamma * len(au - av) + (1.0 - gamma) * len(av - au) + common
-    return _sim(common / den)
 
 
 def _eval_sanchez_dist(spec, t, u, v):
@@ -489,27 +306,6 @@ def _eval_sanchez_dist(spec, t, u, v):
     distinct = len(au - av) + len(av - au)
     # base-2 log is part of the published normalization, not the global flag
     return _dist(math.log2(1.0 + distinct / (distinct + len(au & av))), normalized=True)
-
-
-def _eval_tversky_ratio(spec, t, u, v):
-    alpha, beta = spec.param("alpha"), spec.param("beta")
-    au, av = t.ancestors(u), t.ancestors(v)
-    common = len(au & av)
-    den = alpha * len(au - av) + beta * len(av - au) + common
-    if den == 0:
-        return _sim(0.0, degenerate=True)
-    return _sim(common / den)
-
-
-def _eval_tversky_contrast(spec, t, u, v):
-    gamma, alpha, beta = (
-        spec.param("gamma"),
-        spec.param("alpha"),
-        spec.param("beta"),
-    )
-    au, av = t.ancestors(u), t.ancestors(v)
-    value = gamma * len(au & av) - alpha * len(au - av) - beta * len(av - au)
-    return _sim(value, normalized=False)
 
 
 def _eval_jaccard_ext(spec, t, u, v):
@@ -531,8 +327,7 @@ def _eval_damato_ext(spec, t, u, v):
 
 
 def _eval_jc_hybrid(spec, t, u, v):
-    alpha, beta = spec.param("alpha"), spec.param("beta")
-    predicate_weight = spec.param("predicate_weight")
+    alpha, beta, predicate_weight = spec.args
     theta = spec.theta
     a = t.mica(theta, u, v)
     mean_density = len(t.edges) / len(t.class_ids)
@@ -547,38 +342,144 @@ def _eval_jc_hybrid(spec, t, u, v):
     return _dist(total)
 
 
-_EVALUATORS = {
-    "rada": _eval_rada,
-    "rada_sim": _eval_rada_sim,
-    "resnik_edge": _eval_resnik_edge,
-    "leacock_chodorow": _eval_leacock_chodorow,
-    "wu_palmer": _eval_wu_palmer,
-    "pekar_staab": _eval_pekar_staab,
-    "zhong": _eval_zhong,
-    "li": _eval_li,
-    "slimani": _eval_slimani,
-    "shenoy": _eval_shenoy,
-    "resnik": _eval_resnik,
-    "lin": _eval_lin,
-    "jiang_conrath": _eval_jiang_conrath,
-    "nunivers": _eval_nunivers,
-    "psec": _eval_psec,
-    "faith": _eval_faith,
-    "rel_schlicker": _eval_rel_schlicker,
-    "sim_dic": _eval_sim_dic,
-    "jac_anc": _eval_jac_anc,
-    "lin_grasm": _eval_lin_grasm,
-    "wang_dca": _eval_wang_dca,
-    "cmatch": _eval_cmatch,
-    "dice_anc": _eval_dice_anc,
-    "bulskov": _eval_bulskov,
-    "rodriguez_egenhofer": _eval_rodriguez_egenhofer,
-    "sanchez": _eval_sanchez_dist,
-    "tversky_ratio": _eval_tversky_ratio,
-    "tversky_contrast": _eval_tversky_contrast,
-    "jaccard_ext": _eval_jaccard_ext,
-    "damato_ext": _eval_damato_ext,
-    "jc_hybrid": _eval_jc_hybrid,
+def _form_row(feature, form, bind=lambda p: {}, **flags) -> MeasureInfo:
+    """A row that is the abstract form `form` applied to `feature`; its
+    polarity and normalization are the form's own."""
+    return MeasureInfo(
+        FORMS[form].polarity,
+        FORMS[form].normalized,
+        needs_theta=feature is not _ancestor_counts,
+        feature=feature,
+        form=form,
+        bind=bind,
+        **flags,
+    )
+
+
+MEASURES: dict[str, MeasureInfo] = {
+    # structural
+    "rada": MeasureInfo(DIST, False, path_based=True, ioi=True, evaluate=_eval_rada),
+    "rada_sim": MeasureInfo(SIM, True, path_based=True, ioi=True, evaluate=_eval_rada_sim),
+    "resnik_edge": MeasureInfo(SIM, False, path_based=True, ioi=True, evaluate=_eval_resnik_edge),
+    "leacock_chodorow": MeasureInfo(
+        SIM, False, path_based=True, ioi=True, evaluate=_eval_leacock_chodorow
+    ),
+    "wu_palmer": MeasureInfo(
+        SIM, True, path_based=True, ioi=True, root_degenerate=True, evaluate=_eval_wu_palmer
+    ),
+    "pekar_staab": MeasureInfo(
+        SIM, True, path_based=True, ioi=True, root_degenerate=True, evaluate=_eval_pekar_staab
+    ),
+    "zhong": MeasureInfo(
+        DIST, True, params={"k": ParamSpec(2.0, lo=1.0)}, ioi=True, evaluate=_eval_zhong
+    ),
+    "li": MeasureInfo(
+        SIM,
+        True,
+        params={"alpha": ParamSpec(0.2, lo=0.0), "beta": ParamSpec(0.6)},
+        path_based=True,
+        evaluate=_eval_li,
+    ),
+    "slimani": MeasureInfo(
+        SIM,
+        False,
+        params={"lam": ParamSpec(1.0, choices=(0.0, 1.0))},
+        path_based=True,
+        root_degenerate=True,
+        evaluate=_eval_slimani,
+    ),
+    "shenoy": MeasureInfo(
+        SIM,
+        False,
+        params={"lam": ParamSpec(1.0)},
+        path_based=True,
+        root_degenerate=True,
+        evaluate=_eval_shenoy,
+    ),
+    # information theoretical
+    "resnik": MeasureInfo(SIM, False, needs_theta=True, evaluate=_eval_resnik),
+    "lin": _form_row(mica_feature, "general_dice", ioi=True, root_degenerate=True),
+    "jiang_conrath": _form_row(mica_feature, "abstract_dist", ioi=True),
+    "nunivers": _form_row(
+        mica_feature, "sigma_alpha", lambda p: {"alpha": math.inf}, ioi=True, root_degenerate=True
+    ),
+    "psec": _form_row(
+        mica_feature, "contrast", lambda p: {"gamma": 1.0, "alpha": 1.0, "beta": 1.0}
+    ),
+    "faith": _form_row(
+        mica_feature, "ratio", lambda p: {"alpha": 1.0, "beta": 1.0}, ioi=True, root_degenerate=True
+    ),
+    "rel_schlicker": MeasureInfo(SIM, True, needs_theta=True, evaluate=_eval_rel_schlicker),
+    "sim_dic": _form_row(salience_feature, "general_dice", ioi=True, root_degenerate=True),
+    "jac_anc": _form_row(
+        salience_feature, "sigma_beta", lambda p: {"beta": 1.0}, ioi=True, root_degenerate=True
+    ),
+    "lin_grasm": MeasureInfo(
+        SIM, True, needs_theta=True, ioi=True, root_degenerate=True, evaluate=_eval_lin_grasm
+    ),
+    "wang_dca": MeasureInfo(
+        SIM,
+        False,
+        params={"path_cap": ParamSpec(100_000.0, lo=1.0)},
+        path_based=True,
+        root_degenerate=True,
+        evaluate=_eval_wang_dca,
+    ),
+    # feature based
+    "cmatch": _form_row(_ancestor_counts, "sigma_beta", lambda p: {"beta": 1.0}, ioi=True),
+    "dice_anc": _form_row(_ancestor_counts, "general_dice", ioi=True),
+    "bulskov": MeasureInfo(
+        SIM,
+        True,
+        params={"alpha": ParamSpec(0.5, lo=0.0, hi=1.0)},
+        ioi=True,
+        asym_when_not=(("alpha", 0.5),),
+        evaluate=_eval_bulskov,
+    ),
+    "rodriguez_egenhofer": _form_row(
+        _ancestor_counts,
+        "ratio",
+        lambda p: {"alpha": p["gamma"], "beta": 1.0 - p["gamma"]},
+        params={"gamma": ParamSpec(0.5, lo=0.0, hi=1.0)},
+        ioi=True,
+        asym_when_not=(("gamma", 0.5),),
+    ),
+    "sanchez": MeasureInfo(DIST, True, ioi=True, evaluate=_eval_sanchez_dist),
+    "tversky_ratio": _form_row(
+        _ancestor_counts,
+        "ratio",
+        lambda p: p,
+        params={"alpha": ParamSpec(1.0, lo=0.0), "beta": ParamSpec(1.0, lo=0.0)},
+        ioi=True,
+        asym_when_differ=(("alpha", "beta"),),
+    ),
+    "tversky_contrast": _form_row(
+        _ancestor_counts,
+        "contrast",
+        lambda p: p,
+        params={
+            "gamma": ParamSpec(1.0, lo=0.0),
+            "alpha": ParamSpec(1.0, lo=0.0),
+            "beta": ParamSpec(1.0, lo=0.0),
+        },
+        asym_when_differ=(("alpha", "beta"),),
+    ),
+    "jaccard_ext": MeasureInfo(SIM, True, needs_usage=True, ioi=True, evaluate=_eval_jaccard_ext),
+    "damato_ext": MeasureInfo(SIM, True, needs_usage=True, evaluate=_eval_damato_ext),
+    # hybrid
+    "jc_hybrid": MeasureInfo(
+        DIST,
+        False,
+        params={
+            "alpha": ParamSpec(0.0, lo=0.0),
+            "beta": ParamSpec(1.0, lo=0.0, hi=1.0),
+            "predicate_weight": ParamSpec(1.0, lo=0.0),
+        },
+        needs_theta=True,
+        path_based=True,
+        ioi=True,
+        evaluate=_eval_jc_hybrid,
+    ),
 }
 
 
@@ -605,7 +506,10 @@ def eval_pairwise(
         )
     taxonomy._check(u)
     taxonomy._check(v)
-    return _EVALUATORS[spec.name](spec, taxonomy, u, v)
+    feature = info.feature
+    if feature is None:
+        return info.evaluate(spec, taxonomy, u, v)
+    return spec.kernel(*feature(spec.theta, taxonomy, u, v), *spec.args)
 
 
 def convert(mv: MeasureValue, target: Polarity, rule: ConversionRule) -> MeasureValue:

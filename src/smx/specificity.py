@@ -109,10 +109,6 @@ class ThetaEstimator:
         return cls(kind, taxonomy, table)
 
 
-def eval_theta(estimator: ThetaEstimator, c: NodeId) -> float:
-    return estimator.value(c)
-
-
 def _log(x: float, base: float | None) -> float:
     return math.log(x) if base is None else math.log(x, base)
 

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).parent))
+# the tests import helpers.py and the scripts' synthetic DAG generator
+sys.path[:0] = [str(Path(__file__).parent), str(Path(__file__).parent.parent / "scripts")]
 
 import smx
 

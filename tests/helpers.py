@@ -158,32 +158,39 @@ def brute_redundant_edges(pairs):
     return redundant
 
 
-def synth_scale_graph_lines(n_classes, rng, max_children=8, max_depth=15):
-    """Large synthetic DAG for the performance floor check."""
-    lines = []
-    depth = {0: 0}
-    open_slots = [0]
-    child_count = {0: 0}
-    for node in range(1, n_classes):
-        while True:
-            parent = rng.choice(open_slots)
-            if depth[parent] < max_depth - 1 and child_count[parent] < max_children:
-                break
-            open_slots.remove(parent)
-        depth[node] = depth[parent] + 1
-        child_count[parent] += 1
-        child_count[node] = 0
-        open_slots.append(node)
-        lines.append(f"c{node}\tsubClassOf\tc{parent}")
-        # occasional second parent, kept at most as deep as the first so
-        # neither the depth cap nor the branching cap can be exceeded
-        if rng.random() < 0.05 and parent != 0:
-            second = rng.randrange(parent)
-            if (
-                second != parent
-                and depth[second] <= depth[parent]
-                and child_count[second] < max_children
-            ):
-                child_count[second] += 1
-                lines.append(f"c{node}\tsubClassOf\tc{second}")
-    return lines
+# -- published formulas of the catalog rows that are abstract forms ------
+
+
+def form_row_oracle(name, t, theta, u, v, params):
+    """(value, degenerate) of a form-backed catalog measure, computed
+    straight from its published formula over the ancestor sets and theta.
+
+    theta(MICA) is taken as the largest theta over the common ancestors; a
+    vanishing denominator gives (0.0, True).
+    """
+    au, av = t.ancestors(u), t.ancestors(v)
+    both, only_u, only_v = au & av, au - av, av - au
+    mass = lambda nodes: sum(theta(c) for c in nodes)
+    iu, iv, ia = theta(u), theta(v), max(theta(c) for c in both)
+    n, nu, nv = len(both), len(only_u), len(only_v)
+    alpha, beta, gamma = (params.get(k, 0.0) for k in ("alpha", "beta", "gamma"))
+    ratios = {
+        "lin": (2.0 * ia, iu + iv),
+        "faith": (ia, iu + iv - ia),
+        "nunivers": (ia, max(iu, iv)),
+        "sim_dic": (2.0 * mass(both), mass(au) + mass(av)),
+        "jac_anc": (mass(both), mass(au | av)),
+        "cmatch": (n, len(au | av)),
+        "dice_anc": (2.0 * n, len(au) + len(av)),
+        "tversky_ratio": (n, alpha * nu + beta * nv + n),
+        "rodriguez_egenhofer": (n, gamma * nu + (1.0 - gamma) * nv + n),
+    }
+    if name in ratios:
+        num, den = ratios[name]
+        return (0.0, True) if den == 0 else (num / den, False)
+    differences = {
+        "jiang_conrath": iu + iv - 2.0 * ia,
+        "psec": 3.0 * ia - iu - iv,
+        "tversky_contrast": gamma * n - alpha * nu - beta * nv,
+    }
+    return differences[name], False

@@ -19,9 +19,9 @@ from helpers import (
     brute_redundant_edges,
     brute_via_lca,
     random_taxonomy,
-    synth_scale_graph_lines,
     taxonomy_from_pairs,
 )
+from scale_smoke import synth_graph_lines
 
 GOLDEN_TOLERANCE = 1e-3
 
@@ -453,8 +453,7 @@ def test_criterion_10_scale_smoke():
     """100k lin evaluations on a 50k-class DAG in under 10 s once the
     closures and the estimator are precomputed."""
     rng = random.Random(20240210)
-    lines = synth_scale_graph_lines(50_000, rng)
-    graph = smx.parse_graph(("\n".join(lines) + "\n").encode())
+    graph = smx.parse_graph(synth_graph_lines(50_000, rng).encode())
     taxonomy = smx.taxonomic_reduction(graph)
     assert len(taxonomy.class_ids) == 50_000
     assert taxonomy.max_depth <= 15

@@ -149,12 +149,6 @@ class TestRunBenchmark:
         assert outputs[0] == outputs[1]
         assert outputs[0].splitlines()[0] == "measure,n_scored,n_skipped,pearson,spearman"
 
-    def test_threads_do_not_change_results(self, toy, toy_graph, toy_seco):
-        dataset, mapping, spec = self._setup(toy, toy_graph, toy_seco, ratings_from_lin=False)
-        single = smx.run_benchmark(dataset, mapping, [("lin", spec)], toy, threads=1)
-        pooled = smx.run_benchmark(dataset, mapping, [("lin", spec)], toy, threads=4)
-        assert single == pooled
-
     def test_mc30_sized_dataset_fully_scored(self, toy, toy_graph, toy_seco):
         names = ["E", "D", "F", "C", "B", "A"]
         mapping = smx.parse_word_mapping(

@@ -213,6 +213,21 @@ class TestRel:
         assert code == 0
         assert out.strip() == "Cat\tMouse\t2"
 
+    @pytest.mark.parametrize("weight", ["nan", "-1", "inf"])
+    def test_bad_scheme_weight_is_line_numbered_data_error(self, tmp_path, capsys, weight):
+        graph = tmp_path / "g.tsv"
+        graph.write_text("a\tpartOf\tb\n")
+        scheme = tmp_path / "weights.tsv"
+        scheme.write_text(f"# costs\npartOf\t{weight}\n")
+        pairs = tmp_path / "p.tsv"
+        pairs.write_text("a\tb\n")
+        code = main(
+            ["rel", "--method", "wsp", "--graph", str(graph),
+             "--weights", str(scheme), "--pairs", str(pairs)]
+        )
+        assert code == 2
+        assert "line 2: weight must be finite and >= 0" in capsys.readouterr().err
+
     def test_simrank(self, tmp_path, capsys):
         graph = tmp_path / "g.tsv"
         graph.write_text("p\tfeeds\tx\np\tfeeds\ty\n")

@@ -156,3 +156,22 @@ class TestWordMapping:
     def test_unresolvable_class(self, toy_graph):
         with pytest.raises(ResolutionError, match="Nope"):
             smx.parse_word_mapping(stream("w\tNope\n"), toy_graph)
+
+
+class TestPairsAndWeights:
+    def test_pairs_keep_two_columns_and_ignore_the_rest(self):
+        pairs = smx.parse_pairs(stream("# header\na\t b\textra\tcols\nc\td\n"))
+        assert pairs == [("a", "b"), ("c", "d")]
+
+    def test_pairs_need_two_columns(self):
+        with pytest.raises(ParseError, match="line 1"):
+            smx.parse_pairs(stream("lonely\n"))
+
+    def test_weight_scheme_with_default(self):
+        scheme = smx.parse_weight_scheme(stream("hunts\t5\n*\t2\n"))
+        assert scheme.cost("hunts") == 5.0
+        assert scheme.cost("other") == 2.0
+
+    def test_weight_scheme_rejects_non_numbers(self):
+        with pytest.raises(ParseError, match="line 1: weight 'heavy' is not a number"):
+            smx.parse_weight_scheme(stream("hunts\theavy\n"))

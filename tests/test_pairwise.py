@@ -9,11 +9,16 @@ import smx
 from smx.errors import ContractError, InfinityError, RedundancyError, UsageError
 from smx.pairwise import MEASURES
 
-from helpers import random_taxonomy, taxonomy_from_pairs
+from helpers import form_row_oracle, random_taxonomy, taxonomy_from_pairs
 
 SIM = smx.Polarity.SIMILARITY
 DIST = smx.Polarity.DISTANCE
 APPROX = lambda x: pytest.approx(x, abs=1e-9)
+# catalog rows that are one abstract form applied to a feature triple
+FORM_ROWS = (
+    "lin", "sim_dic", "dice_anc", "jiang_conrath", "faith", "tversky_ratio",
+    "rodriguez_egenhofer", "jac_anc", "cmatch", "psec", "tversky_contrast", "nunivers",
+)
 
 
 def ev(name, t, a, b, theta=None, usage=None, allow_unreduced=False, **params):
@@ -388,3 +393,37 @@ class TestProperties:
                 except UsageError:
                     continue
                 assert a == pytest.approx(b, abs=1e-9), name
+
+
+class TestFormRowOracles:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        alpha=st.floats(0.0, 3.0),
+        beta=st.floats(0.0, 3.0),
+        gamma=st.floats(0.0, 1.0),
+    )
+    def test_form_rows_match_published_formulas(self, seed, alpha, beta, gamma):
+        rng = random.Random(seed)
+        t, _ = random_taxonomy(rng, max_nodes=40)
+        theta = smx.seco_ic(t)
+        nodes = sorted(t.class_ids)
+        pairs = [(rng.choice(nodes), rng.choice(nodes)) for _ in range(12)]
+        pairs += [(t.root, t.root), (pairs[0][0], pairs[0][0])]
+        configs = [(name, {}) for name in FORM_ROWS] + [
+            ("tversky_ratio", {"alpha": alpha, "beta": beta}),
+            ("rodriguez_egenhofer", {"gamma": gamma}),
+            ("tversky_contrast", {"gamma": gamma, "alpha": alpha, "beta": beta}),
+        ]
+        for name, params in configs:
+            info = MEASURES[name]
+            spec = smx.pairwise_measure(
+                name, theta=theta if info.needs_theta else None, **params
+            )
+            for u, v in pairs:
+                got = smx.eval_pairwise(spec, t, u, v)
+                value, degenerate = form_row_oracle(
+                    name, t, theta, u, v, dict(spec.params)
+                )
+                assert abs(got.value - value) <= 1e-12, (name, params)
+                assert got.degenerate == degenerate, (name, params)

@@ -54,6 +54,24 @@ class TestInstantiate:
         assert smx.instantiate("lin").kind == "general_dice"
         assert smx.instantiate("jiang_conrath").kind == "abstract_dist"
 
+    def test_aliases_match_their_canonical_rows(self):
+        hints = {
+            "lin": "ic", "wu_palmer_tree": "depth", "wupalmertree": "depth",
+            "faith": "ic", "jiang_conrath": "ic", "jiangconrathdist": "ic",
+            "jaccard": None, "dice": None, "sokal_sneath": None, "sokalsneath": None,
+            "simpson": None, "ochiai": None,
+        }
+        aliases = {
+            "wupalmertree": "wu_palmer_tree",
+            "jiangconrathdist": "jiang_conrath",
+            "sokalsneath": "sokal_sneath",
+        }
+        for name, hint in hints.items():
+            assert smx.instantiate(name).theta_hint == hint, name
+            assert smx.instantiate(name.upper()) == smx.instantiate(name), name
+        for alias, name in aliases.items():
+            assert smx.instantiate(alias) == smx.instantiate(name), alias
+
     def test_unknown_name(self):
         with pytest.raises(ContractError):
             smx.instantiate("nope")
