@@ -2,16 +2,26 @@
 """Performance floor check: build a 50k-class DAG (branching <= 8,
 depth <= 15, occasional multi-inheritance) and time 100k Lin evaluations
 after precomputation. Mirrors the scale criterion in the acceptance
-suite but runnable standalone.
+suite but runnable standalone. Also prints the wall time of each build
+stage (parse, taxonomic reduction, transitive reduction, seco bind) and
+the peak resident set size of the process.
 
 Usage: python scripts/scale_smoke.py [n_classes] [n_evals]
 """
 
 import random
+import resource
 import sys
 import time
 
-from smx import parse_graph, taxonomic_reduction, seco_ic, pairwise_measure, eval_pairwise
+from smx import (
+    eval_pairwise,
+    pairwise_measure,
+    parse_graph,
+    seco_ic,
+    taxonomic_reduction,
+    transitive_reduction,
+)
 
 
 def synth_graph_lines(n_classes, rng, max_children=8, max_depth=15):
@@ -49,14 +59,25 @@ def main():
     n_evals = int(sys.argv[2]) if len(sys.argv) > 2 else 100_000
     rng = random.Random(20240210)
 
-    t0 = time.perf_counter()
-    graph = parse_graph(synth_graph_lines(n_classes, rng).encode())
-    taxonomy = taxonomic_reduction(graph)
-    theta = seco_ic(taxonomy)
+    text = synth_graph_lines(n_classes, rng).encode()
+    stages = {}
+
+    def stage(name, fn, *args):
+        t0 = time.perf_counter()
+        result = fn(*args)
+        stages[name] = time.perf_counter() - t0
+        return result
+
+    graph = stage("parse", parse_graph, text)
+    taxonomy = stage("taxonomic_reduction", taxonomic_reduction, graph)
+    taxonomy, report = stage("transitive_reduction", transitive_reduction, taxonomy)
+    theta = stage("seco_bind", seco_ic, taxonomy)
     spec = pairwise_measure("lin", theta=theta)
-    build_s = time.perf_counter() - t0
-    print(f"built {len(taxonomy.class_ids)} classes, max depth "
-          f"{taxonomy.max_depth}, precomputation {build_s:.2f}s")
+    print(f"built {len(taxonomy.class_ids)} classes, max depth {taxonomy.max_depth}, "
+          f"{len(report.removed_edges)} redundant edges removed")
+    for name, seconds in stages.items():
+        print(f"  {name:<21} {seconds:6.2f}s")
+    print(f"  {'total':<21} {sum(stages.values()):6.2f}s")
 
     classes = sorted(taxonomy.class_ids)
     pairs = [
@@ -69,6 +90,8 @@ def main():
     eval_s = time.perf_counter() - t0
     print(f"{n_evals} lin evaluations in {eval_s:.2f}s "
           f"({n_evals / eval_s:,.0f}/s), checksum {total:.3f}")
+    # ru_maxrss is in KiB on Linux
+    print(f"peak RSS {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.0f} MB")
     if eval_s >= 10.0:
         print("FAIL: expected under 10s")
         return 1

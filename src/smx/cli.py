@@ -12,6 +12,7 @@ li:alpha=0.2,beta=0.6.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import sys
 from contextlib import contextmanager
@@ -117,22 +118,37 @@ def _taxonomy(graph: SemanticGraph) -> TaxonomyView:
     return preprocess.taxonomic_reduction(graph)
 
 
-def _usage_from(args, graph, taxonomy):
-    if not getattr(args, "annotations", None):
-        return None
-    annotations = ingest.parse_annotations(args.annotations, graph)
-    return class_usage(taxonomy, annotations)
+def _usage_loader(args, graph, taxonomy, annotations=None):
+    """A callable giving class usage, built on its first call only.
+
+    That call parses --annotations unless annotations are given; the
+    callable returns None when there are none. Call it only where a measure
+    or estimator needs usage."""
+
+    @functools.cache
+    def load():
+        parsed = annotations
+        if parsed is None:
+            if not getattr(args, "annotations", None):
+                return None
+            parsed = ingest.parse_annotations(args.annotations, graph)
+        return class_usage(taxonomy, parsed)
+
+    return load
 
 
-def _estimator(args, token, taxonomy, usage):
+def _estimator(args, token, taxonomy, usage_loader):
     kind, raw = parse_selector(token)
     if kind not in ESTIMATOR_KINDS:
         raise CommandLineError(
             f"unknown estimator {kind!r}; valid estimators: {', '.join(ESTIMATOR_KINDS)}"
         )
     params = _float_params(raw, f"estimator {kind}")
-    if kind in ("resnik", "idf") and usage is None:
-        raise DataUsageError(f"estimator {kind!r} needs --annotations")
+    usage = None
+    if kind in ("resnik", "idf"):
+        usage = usage_loader()
+        if usage is None:
+            raise DataUsageError(f"estimator {kind!r} needs --annotations")
     return build_estimator(
         kind,
         taxonomy,
@@ -143,22 +159,20 @@ def _estimator(args, token, taxonomy, usage):
     )
 
 
-def _pairwise_spec(args, token, taxonomy, graph):
+def _pairwise_spec(args, token, taxonomy, usage_loader):
     name, raw = parse_selector(token)
     name = resolve_measure_name(name)
     info = MEASURES[name]
     ic_token = raw.pop("ic", None)
     params = _float_params(raw, f"measure {name}")
     theta = None
-    usage = None
-    if info.needs_theta or info.needs_usage:
-        usage = _usage_from(args, graph, taxonomy)
+    usage = usage_loader() if info.needs_usage else None
     if info.needs_theta:
         token = ic_token or getattr(args, "ic", None)
         if token is None:
             log.info("measure %s: no estimator selected, defaulting to seco", name)
             token = "seco"
-        theta = _estimator(args, token, taxonomy, usage)
+        theta = _estimator(args, token, taxonomy, usage_loader)
     if info.needs_usage and usage is None:
         raise DataUsageError(f"measure {name!r} needs --annotations")
     return pairwise_measure(name, theta=theta, usage=usage, **params)
@@ -219,7 +233,7 @@ def _cmd_preprocess(args) -> int:
 def _cmd_ic(args) -> int:
     graph = _load_graph(args)
     taxonomy = _taxonomy(graph)
-    usage = _usage_from(args, graph, taxonomy)
+    usage = _usage_loader(args, graph, taxonomy)
     estimator = _estimator(args, args.estimator, taxonomy, usage)
     with _open_out(args.out) as out:
         for c in taxonomy.sorted_classes():
@@ -230,7 +244,8 @@ def _cmd_ic(args) -> int:
 def _cmd_sim(args) -> int:
     graph = _load_graph(args)
     taxonomy = _taxonomy(graph)
-    spec = _pairwise_spec(args, args.measure, taxonomy, graph)
+    usage = _usage_loader(args, graph, taxonomy)
+    spec = _pairwise_spec(args, args.measure, taxonomy, usage)
     with _open_out(args.out) as out:
         for label_a, label_b in ingest.parse_pairs(args.pairs):
             u = taxonomy.node(label_a)
@@ -245,7 +260,7 @@ def _cmd_groupsim(args) -> int:
     taxonomy = _taxonomy(graph)
     annotations = ingest.parse_annotations(args.annotations, graph)
     reduced, _ = preprocess.reduce_annotations(taxonomy, annotations)
-    usage = class_usage(taxonomy, annotations)
+    usage = _usage_loader(args, graph, taxonomy, annotations)
 
     # grammar: direct name, or strategy:inner[,key=value...]
     name, _, inner_token = args.measure.partition(":")
@@ -262,7 +277,7 @@ def _cmd_groupsim(args) -> int:
             raise CommandLineError(
                 f"aggregation {name!r} needs an inner measure, e.g. {name}:lin"
             )
-        inner_spec = _pairwise_spec(args, inner_token, taxonomy, graph)
+        inner_spec = _pairwise_spec(args, inner_token, taxonomy, usage)
         spec = groupwise_measure(name, inner=inner_spec)
     else:
         raise CommandLineError(
@@ -289,7 +304,7 @@ def _cmd_groupsim(args) -> int:
 def _cmd_abstract(args) -> int:
     graph = _load_graph(args)
     taxonomy = _taxonomy(graph)
-    usage = _usage_from(args, graph, taxonomy)
+    usage = _usage_loader(args, graph, taxonomy)
 
     theta_token = args.theta
     family, _, rest = theta_token.partition(":")
@@ -366,9 +381,10 @@ def _cmd_bench(args) -> int:
     taxonomy = _taxonomy(graph)
     mapping = ingest.parse_word_mapping(args.mapping, graph)
     dataset = bench_mod.load_rated_pairs(args.dataset, kind=args.dataset_kind)
+    usage = _usage_loader(args, graph, taxonomy)
     measures = []
     for token in split_measure_list(args.measures):
-        spec = _pairwise_spec(args, token, taxonomy, graph)
+        spec = _pairwise_spec(args, token, taxonomy, usage)
         measures.append((token, spec))
     if not measures:
         raise CommandLineError("no measures selected")

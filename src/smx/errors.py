@@ -10,7 +10,7 @@ class SmxError(Exception):
 
 
 class ParseError(SmxError):
-    """Malformed input file."""
+    """Malformed or unreadable input file."""
 
     def __init__(self, message, line=None):
         if line is not None:

@@ -157,7 +157,6 @@ class TaxonomyView:
         "_anc",
         "_desc",
         "_depth",
-        "_order",
         "_path_stats",
     )
 
@@ -215,7 +214,6 @@ class TaxonomyView:
         if len(order) != len(t.class_ids):
             leftover = set(t.class_ids) - set(order)
             raise CycleError(t._trace_cycle(parents, leftover))
-        t._order = tuple(order)
 
         anc: dict[NodeId, frozenset] = {}
         depth: dict[NodeId, int] = {}
@@ -249,6 +247,28 @@ class TaxonomyView:
             if any(q != p and p in anc[q] for q in parents[u])
         )
         t.is_reduced = not t.redundant_edges
+        return t
+
+    def _without_redundant_edges(self) -> "TaxonomyView":
+        """This view minus its redundant edges, sharing the closure tables.
+
+        Dropping an edge that a longer path implies keeps reachability and
+        every longest root path, so A(u), D(u), depth, root and leaves are
+        unchanged; only the edge set and the parent and child tables are
+        patched. Path statistics depend on the edges and start empty.
+        """
+        t = object.__new__(TaxonomyView)
+        for slot in TaxonomyView.__slots__:
+            setattr(t, slot, getattr(self, slot))
+        t._parents = dict(self._parents)
+        t._children = dict(self._children)
+        for child, parent in self.redundant_edges:
+            t._parents[child] -= {parent}
+            t._children[parent] -= {child}
+        t.edges = self.edges - self.redundant_edges
+        t.redundant_edges = frozenset()
+        t.is_reduced = True
+        t._path_stats = {}
         return t
 
     def _trace_cycle(self, parents, leftover):

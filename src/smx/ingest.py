@@ -66,7 +66,11 @@ class WordMapping:
 def _lines(source) -> Iterator[tuple[int, str]]:
     """Yield (line number, stripped content) skipping comments and blanks."""
     if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8") as handle:
+        try:
+            handle = open(source, "r", encoding="utf-8")
+        except OSError as exc:
+            raise ParseError(f"cannot read {os.fsdecode(source)}: {exc.strerror}") from None
+        with handle:
             yield from _lines(handle)
         return
     if isinstance(source, bytes):

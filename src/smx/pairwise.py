@@ -260,8 +260,8 @@ def _eval_shenoy(spec, t, u, v):
 
 
 def _eval_resnik(spec, t, u, v):
-    _, _, shared = mica_feature(spec.theta, t, u, v)
-    return _sim(shared, normalized=False)
+    # theta at the MICA only: u or v may have an undefined (zero-usage) IC
+    return _sim(spec.theta(t.mica(spec.theta, u, v)), normalized=False)
 
 
 def _eval_rel_schlicker(spec, t, u, v):

@@ -48,7 +48,8 @@ def transitive_reduction(taxonomy: TaxonomyView) -> tuple[TaxonomyView, Reductio
     """Drop every subClassOf edge that a length >= 2 path already implies.
 
     Reachability is unchanged and the result is idempotent; on a DAG the
-    reduction is unique.
+    reduction is unique. The result shares the input's closure, depth and
+    label tables, so no closure is computed again.
     """
     removed = sorted(
         taxonomy.redundant_edges,
@@ -67,15 +68,7 @@ def transitive_reduction(taxonomy: TaxonomyView) -> tuple[TaxonomyView, Reductio
     )
     if not removed:
         return taxonomy, report
-    kept = taxonomy.edges - taxonomy.redundant_edges
-    reduced = TaxonomyView.build(
-        taxonomy.graph,
-        taxonomy.class_ids,
-        kept,
-        {c: taxonomy.label(c) for c in taxonomy.class_ids},
-        inserted_root=taxonomy.inserted_root,
-    )
-    return reduced, report
+    return taxonomy._without_redundant_edges(), report
 
 
 def reduce_annotations(

@@ -95,6 +95,31 @@ class TestSim:
     def test_missing_pairs_flag_is_usage_error(self, toy_file, capsys):
         assert main(["sim", "--measure", "lin", "--graph", toy_file]) == 1
 
+    @pytest.mark.parametrize("missing", ["--graph", "--pairs"])
+    def test_missing_file_is_data_error(self, toy_file, pairs_file, tmp_path, capsys, missing):
+        files = {"--graph": toy_file, "--pairs": pairs_file}
+        files[missing] = str(tmp_path / "missing.tsv")
+        code = main(["sim", "--measure", "lin", *(x for kv in files.items() for x in kv)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.splitlines() == [
+            f"error: cannot read {files[missing]}: No such file or directory"
+        ]
+
+    def test_resnik_with_zero_usage_class(self, tmp_path, capsys):
+        graph = tmp_path / "g.tsv"
+        graph.write_text("A\tsubClassOf\troot\nB\tsubClassOf\troot\n")
+        ann = tmp_path / "ann.tsv"
+        ann.write_text("g1\tA\n")
+        pairs = tmp_path / "p.tsv"
+        pairs.write_text("A\tB\n")
+        argv = ["sim", "--ic", "resnik", "--graph", str(graph),
+                "--annotations", str(ann), "--pairs", str(pairs)]
+        assert main([*argv, "--measure", "resnik"]) == 0
+        assert capsys.readouterr().out == "A\tB\t0\n"
+        assert main([*argv, "--measure", "lin"]) == 2
+        assert "class B has zero usage" in capsys.readouterr().err
+
 
 class TestIc:
     def test_dump_values(self, toy_file, capsys):
@@ -150,6 +175,32 @@ class TestGroupsim:
         out = capsys.readouterr().out
         assert code == 0
         assert float(out.strip().split("\t")[2]) == pytest.approx(0.6594, abs=1e-3)
+
+    @pytest.mark.parametrize("ic, usage_builds", [("seco", 0), ("resnik", 1)])
+    def test_annotations_read_once(self, toy_file, tmp_path, capsys, monkeypatch, ic, usage_builds):
+        calls = {"parse": 0, "usage": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            smx.ingest, "parse_annotations", counted("parse", smx.ingest.parse_annotations)
+        )
+        monkeypatch.setattr(smx.cli, "class_usage", counted("usage", smx.cli.class_usage))
+        ann = tmp_path / "ann.tsv"
+        ann.write_text("g1\tC,D\ng2\tE\n")
+        pairs = tmp_path / "ipairs.tsv"
+        pairs.write_text("g1\tg2\n")
+        code = main(
+            ["groupsim", "--measure", "bma:lin", "--ic", ic,
+             "--graph", toy_file, "--annotations", str(ann), "--pairs", str(pairs)]
+        )
+        assert code == 0
+        assert calls == {"parse": 1, "usage": usage_builds}
 
     def test_direct_simui(self, toy_file, tmp_path, capsys):
         ann = tmp_path / "ann.tsv"

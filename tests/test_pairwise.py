@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import smx
-from smx.errors import ContractError, InfinityError, RedundancyError, UsageError
+from smx.errors import (
+    ContractError,
+    InfiniteICError,
+    InfinityError,
+    RedundancyError,
+    UsageError,
+)
 from smx.pairwise import MEASURES
 
 from helpers import form_row_oracle, random_taxonomy, taxonomy_from_pairs
@@ -83,6 +89,15 @@ class TestInformationTheoretic:
     def test_resnik(self, toy, toy_seco):
         assert ev("resnik", toy, "E", "D", toy_seco).value == APPROX(0.2875856258)
         assert ev("resnik", toy, "E", "F", toy_seco).value == 0.0
+
+    def test_resnik_reads_theta_at_the_mica_only(self):
+        # B has zero usage, so its IC is undefined, but theta(root) = 0 is not
+        t = taxonomy_from_pairs([("A", "root"), ("B", "root")])
+        usage = smx.class_usage(t, smx.AnnotationSet(assignments={"g1": frozenset({t.node("A")})}))
+        theta = smx.resnik_extrinsic_ic(t, usage)
+        assert ev("resnik", t, "A", "B", theta).value == 0.0
+        with pytest.raises(InfiniteICError):
+            ev("lin", t, "A", "B", theta)
 
     def test_lin(self, toy, toy_seco):
         assert ev("lin", toy, "E", "D", toy_seco).value == APPROX(0.2875856258)

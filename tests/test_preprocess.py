@@ -2,7 +2,7 @@ import io
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import smx
 from smx.errors import CycleError
@@ -84,6 +84,48 @@ class TestTransitiveReduction:
             )
         again, second = smx.transitive_reduction(reduced)
         assert not second.removed_edges
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), forest=st.booleans())
+    def test_derived_view_equals_rebuild(self, seed, forest):
+        rng = random.Random(seed)
+        _, pairs = random_taxonomy(rng, max_nodes=25)
+        if forest:
+            # a second tree makes two roots, so a virtual root is inserted
+            _, more = random_taxonomy(rng, max_nodes=25)
+            pairs += [("m" + c[1:], "m" + p[1:]) for c, p in more]
+        for child in {c for c, _ in pairs}:
+            implied = brute_ancestors(pairs, child) - {child} - {
+                p for c, p in pairs if c == child
+            }
+            if implied and rng.random() < 0.3:
+                pairs.append((child, rng.choice(sorted(implied))))
+        t = taxonomy_from_pairs(pairs)
+        assume(t.redundant_edges)
+        classes = t.sorted_classes()
+        sample = [(rng.choice(classes), rng.choice(classes)) for _ in range(10)]
+        for c in {c for pair in sample for c in pair}:
+            t.up_path_stats(c)  # fill the input's path memo first
+
+        reduced, _ = smx.transitive_reduction(t)
+        rebuilt = smx.TaxonomyView.build(
+            t.graph,
+            t.class_ids,
+            t.edges - t.redundant_edges,
+            {c: t.label(c) for c in t.class_ids},
+            inserted_root=t.inserted_root,
+        )
+        assert (t.inserted_root is not None) == forest
+        for slot in smx.TaxonomyView.__slots__:
+            assert getattr(reduced, slot) == getattr(rebuilt, slot), slot
+        for c in classes:
+            assert reduced.ancestors(c) is t.ancestors(c)
+            assert reduced.descendants(c) is t.descendants(c)
+        wang = smx.pairwise_measure("wang_dca")
+        for u, v in sample:
+            assert smx.eval_pairwise(wang, reduced, u, v) == smx.eval_pairwise(
+                wang, rebuilt, u, v
+            )
 
 
 class TestAnnotationCleaning:
