@@ -72,10 +72,12 @@ def parse_selector(token: str) -> tuple[str, dict[str, str]]:
 
 def split_measure_list(text: str) -> list[str]:
     """Split a comma-separated measure list, keeping key=value fragments
-    attached to the measure they belong to."""
+    attached to the measure they belong to. A fragment with a ':' before
+    its '=' (lin:ic=seco) starts a measure of its own."""
     tokens: list[str] = []
     for fragment in text.split(","):
-        if "=" in fragment and tokens:
+        key, eq, _ = fragment.partition("=")
+        if eq and ":" not in key and tokens:
             tokens[-1] += "," + fragment
         else:
             tokens.append(fragment)
@@ -137,29 +139,36 @@ def _usage_loader(args, graph, taxonomy, annotations=None):
     return load
 
 
-def _estimator(args, token, taxonomy, usage_loader):
-    kind, raw = parse_selector(token)
-    if kind not in ESTIMATOR_KINDS:
-        raise CommandLineError(
-            f"unknown estimator {kind!r}; valid estimators: {', '.join(ESTIMATOR_KINDS)}"
+def _estimators(args, taxonomy, usage_loader):
+    """A callable binding the estimator of a selector token, once per
+    distinct token."""
+
+    @functools.cache
+    def bind(token):
+        kind, raw = parse_selector(token)
+        if kind not in ESTIMATOR_KINDS:
+            raise CommandLineError(
+                f"unknown estimator {kind!r}; valid estimators: {', '.join(ESTIMATOR_KINDS)}"
+            )
+        params = _float_params(raw, f"estimator {kind}")
+        usage = None
+        if kind in ("resnik", "idf"):
+            usage = usage_loader()
+            if usage is None:
+                raise DataUsageError(f"estimator {kind!r} needs --annotations")
+        return build_estimator(
+            kind,
+            taxonomy,
+            usage=usage,
+            base=_log_base(args),
+            smooth=getattr(args, "smooth", False),
+            **params,
         )
-    params = _float_params(raw, f"estimator {kind}")
-    usage = None
-    if kind in ("resnik", "idf"):
-        usage = usage_loader()
-        if usage is None:
-            raise DataUsageError(f"estimator {kind!r} needs --annotations")
-    return build_estimator(
-        kind,
-        taxonomy,
-        usage=usage,
-        base=_log_base(args),
-        smooth=getattr(args, "smooth", False),
-        **params,
-    )
+
+    return bind
 
 
-def _pairwise_spec(args, token, taxonomy, usage_loader):
+def _pairwise_spec(args, token, estimators, usage_loader):
     name, raw = parse_selector(token)
     name = resolve_measure_name(name)
     info = MEASURES[name]
@@ -172,7 +181,7 @@ def _pairwise_spec(args, token, taxonomy, usage_loader):
         if token is None:
             log.info("measure %s: no estimator selected, defaulting to seco", name)
             token = "seco"
-        theta = _estimator(args, token, taxonomy, usage_loader)
+        theta = estimators(token)
     if info.needs_usage and usage is None:
         raise DataUsageError(f"measure {name!r} needs --annotations")
     return pairwise_measure(name, theta=theta, usage=usage, **params)
@@ -183,7 +192,11 @@ def _open_out(path):
     if path in (None, "-"):
         yield sys.stdout
     else:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
+        try:
+            handle = open(path, "w", encoding="utf-8", newline="")
+        except OSError as exc:
+            raise SmxError(f"cannot write {path}: {exc.strerror}") from None
+        with handle:
             yield handle
 
 
@@ -234,7 +247,7 @@ def _cmd_ic(args) -> int:
     graph = _load_graph(args)
     taxonomy = _taxonomy(graph)
     usage = _usage_loader(args, graph, taxonomy)
-    estimator = _estimator(args, args.estimator, taxonomy, usage)
+    estimator = _estimators(args, taxonomy, usage)(args.estimator)
     with _open_out(args.out) as out:
         for c in taxonomy.sorted_classes():
             out.write(f"{taxonomy.label(c)}\t{_fmt(estimator.raw(c))}\n")
@@ -245,7 +258,7 @@ def _cmd_sim(args) -> int:
     graph = _load_graph(args)
     taxonomy = _taxonomy(graph)
     usage = _usage_loader(args, graph, taxonomy)
-    spec = _pairwise_spec(args, args.measure, taxonomy, usage)
+    spec = _pairwise_spec(args, args.measure, _estimators(args, taxonomy, usage), usage)
     with _open_out(args.out) as out:
         for label_a, label_b in ingest.parse_pairs(args.pairs):
             u = taxonomy.node(label_a)
@@ -261,6 +274,7 @@ def _cmd_groupsim(args) -> int:
     annotations = ingest.parse_annotations(args.annotations, graph)
     reduced, _ = preprocess.reduce_annotations(taxonomy, annotations)
     usage = _usage_loader(args, graph, taxonomy, annotations)
+    estimators = _estimators(args, taxonomy, usage)
 
     # grammar: direct name, or strategy:inner[,key=value...]
     name, _, inner_token = args.measure.partition(":")
@@ -270,14 +284,14 @@ def _cmd_groupsim(args) -> int:
             raise CommandLineError(f"direct measure {name!r} takes no inner measure")
         theta = None
         if name == "simgic":
-            theta = _estimator(args, getattr(args, "ic", None) or "seco", taxonomy, usage)
+            theta = estimators(getattr(args, "ic", None) or "seco")
         spec = groupwise_measure(name, theta=theta)
     elif name in STRATEGIES:
         if not inner_token.strip():
             raise CommandLineError(
                 f"aggregation {name!r} needs an inner measure, e.g. {name}:lin"
             )
-        inner_spec = _pairwise_spec(args, inner_token, taxonomy, usage)
+        inner_spec = _pairwise_spec(args, inner_token, estimators, usage)
         spec = groupwise_measure(name, inner=inner_spec)
     else:
         raise CommandLineError(
@@ -311,7 +325,7 @@ def _cmd_abstract(args) -> int:
     if family == "ic":
         if not rest:
             raise CommandLineError("--theta ic:<estimator> needs an estimator name")
-        theta = _estimator(args, rest, taxonomy, usage)
+        theta = _estimators(args, taxonomy, usage)(rest)
     elif family in ("depth", "depth_raw"):
         theta = build_estimator("depth_raw", taxonomy)
     elif family == "depth_norm":
@@ -382,9 +396,10 @@ def _cmd_bench(args) -> int:
     mapping = ingest.parse_word_mapping(args.mapping, graph)
     dataset = bench_mod.load_rated_pairs(args.dataset, kind=args.dataset_kind)
     usage = _usage_loader(args, graph, taxonomy)
+    estimators = _estimators(args, taxonomy, usage)
     measures = []
     for token in split_measure_list(args.measures):
-        spec = _pairwise_spec(args, token, taxonomy, usage)
+        spec = _pairwise_spec(args, token, estimators, usage)
         measures.append((token, spec))
     if not measures:
         raise CommandLineError("no measures selected")

@@ -64,23 +64,31 @@ class WordMapping:
 
 
 def _lines(source) -> Iterator[tuple[int, str]]:
-    """Yield (line number, stripped content) skipping comments and blanks."""
+    """Yield (line number, stripped content) skipping comments and blanks.
+
+    Bytes are decoded as UTF-8; an invalid byte is a ParseError on its line.
+    """
     if isinstance(source, (str, os.PathLike)):
         try:
-            handle = open(source, "r", encoding="utf-8")
+            handle = open(source, "r", encoding="utf-8", errors="surrogateescape")
         except OSError as exc:
             raise ParseError(f"cannot read {os.fsdecode(source)}: {exc.strerror}") from None
         with handle:
             yield from _lines(handle)
         return
     if isinstance(source, bytes):
-        source = io.StringIO(source.decode("utf-8"))
+        source = io.StringIO(source.decode("utf-8", "surrogateescape"))
     elif isinstance(source, io.IOBase) and not isinstance(source, io.TextIOBase):
-        source = io.TextIOWrapper(source, encoding="utf-8")
+        source = io.TextIOWrapper(source, encoding="utf-8", errors="surrogateescape")
     elif hasattr(source, "read") and isinstance(source.read(0), bytes):
-        source = io.TextIOWrapper(source, encoding="utf-8")
+        source = io.TextIOWrapper(source, encoding="utf-8", errors="surrogateescape")
     for lineno, raw in enumerate(source, start=1):
         line = raw.rstrip("\n").rstrip("\r")
+        if not line.isascii():
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ParseError("not valid UTF-8 text", lineno) from None
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         yield lineno, line

@@ -49,46 +49,76 @@ def weighted_shortest_path(
     in both directions (every relationship implies its inverse).
 
     Returns None when v is unreachable, which is distinct from any cost.
+    Dijkstra's algorithm: O(E log V) per query.
     """
     if not (0 <= u < graph.n_nodes and 0 <= v < graph.n_nodes):
         raise UnknownNodeError("endpoint is not a node of the graph")
     if u == v:
         return 0.0
+    costs = {p: scheme.cost(p) for p in graph.predicates}
+    weights = graph.edge_weights
     dist = {u: 0.0}
+    done = set()
     heap = [(0.0, u)]
     while heap:
         d, node = heapq.heappop(heap)
         if node == v:
             return d
-        if d > dist.get(node, math.inf):
+        if node in done:
             continue
-        neighbors = [
-            (p, o, (node, p, o)) for p, o in graph.out_edges(node)
-        ] + [(p, s, (s, p, node)) for p, s in graph.in_edges(node)]
-        for predicate, other, edge in neighbors:
-            cost = scheme.cost(predicate) * graph.weight(edge)
-            nd = d + cost
-            if nd < dist.get(other, math.inf):
-                dist[other] = nd
-                heapq.heappush(heap, (nd, other))
+        done.add(node)
+        for predicate, other in graph.out_edges(node):
+            if other not in done:
+                cost = costs[predicate]
+                nd = d + (cost if weights is None else cost * weights[node, predicate, other])
+                if nd < dist.get(other, math.inf):
+                    dist[other] = nd
+                    heapq.heappush(heap, (nd, other))
+        for predicate, other in graph.in_edges(node):
+            if other not in done:
+                cost = costs[predicate]
+                nd = d + (cost if weights is None else cost * weights[other, predicate, node])
+                if nd < dist.get(other, math.inf):
+                    dist[other] = nd
+                    heapq.heappush(heap, (nd, other))
     return None
 
 
 class TransitionModel:
-    """Row-stochastic random-walk transitions over the directed graph."""
+    """Row-stochastic random-walk transitions over the directed graph.
 
-    __slots__ = ("graph", "_out_probs")
+    Zero-probability entries are dropped: they are not steps of the walk.
+    Construction stores the reverse adjacency of the walk. When the walk is
+    irreducible (at least two nodes, strongly connected) it also stores the
+    stationary vector pi and a fundamental matrix (see _factorize): one
+    O(n^3) inverse and n^2 floats, after which every hitting time is a
+    lookup.
+    """
+
+    __slots__ = ("graph", "_out_probs", "_sources", "_pi", "_fundamental")
 
     def __init__(self, graph: SemanticGraph, out_probs):
         self.graph = graph
-        self._out_probs = out_probs
+        n = graph.n_nodes
+        self._out_probs = {node: [] for node in range(n)}
+        self._sources = {node: [] for node in range(n)}
         for node, probs in out_probs.items():
             if probs:
                 total = sum(p for _, p in probs)
-                if abs(total - 1.0) > 1e-9:
+                if abs(total - 1.0) > 1e-9 or min(p for _, p in probs) < 0:
                     raise ContractError(
-                        f"outgoing probabilities of {graph.label(node)} sum to {total}"
+                        f"outgoing probabilities of {graph.label(node)} must be >= 0 "
+                        f"and sum to 1, got sum {total}"
                     )
+            steps = [(k, p) for k, p in probs if p > 0]
+            self._out_probs[node] = steps
+            for k, p in steps:
+                self._sources[k].append((node, p))
+        self._pi = self._fundamental = None
+        if n >= 2 and all(
+            len(_closure(0, adjacent)) == n for adjacent in (self._out_probs, self._sources)
+        ):
+            self._pi, self._fundamental = self._factorize()
 
     @classmethod
     def from_graph(
@@ -112,51 +142,73 @@ class TransitionModel:
     def transitions(self, node: NodeId) -> list[tuple[NodeId, float]]:
         return self._out_probs[node]
 
+    @property
+    def irreducible(self) -> bool:
+        """Whether every node reaches every other one, so that hitting
+        times are read from the fundamental matrix."""
+        return self._fundamental is not None
+
+    def _factorize(self):
+        """pi and G = (I - P + 1 w^T)^-1 for the uniform w, one inverse.
+
+        For any w with sum(w) = 1, G is nonsingular when P is irreducible
+        and pi^T = w^T G. With w = pi, G is the fundamental matrix Z of
+        Kemeny and Snell; for other w it differs from Z by a rank-one term
+        1 x^T (Sherman-Morrison), which cancels in G[v, v] - G[u, v], so
+        H(u, v) = (G[v, v] - G[u, v]) / pi[v] holds for either.
+        """
+        n = self.graph.n_nodes
+        matrix = np.full((n, n), 1.0 / n)
+        matrix[np.diag_indices(n)] += 1.0
+        for x, probs in self._out_probs.items():
+            for k, p in probs:
+                matrix[x, k] -= p
+        fundamental = np.linalg.inv(matrix)
+        return fundamental.mean(axis=0), fundamental
+
+
+def _closure(start: NodeId, adjacent, stop: NodeId | None = None) -> set:
+    """Nodes reachable from start over adjacent[x] = [(node, p), ...],
+    not leaving stop."""
+    seen = {start}
+    queue = deque((start,))
+    while queue:
+        x = queue.popleft()
+        if x == stop:
+            continue
+        for k, _ in adjacent[x]:
+            if k not in seen:
+                seen.add(k)
+                queue.append(k)
+    return seen
+
 
 def hitting_time(model: TransitionModel, u: NodeId, v: NodeId) -> float:
     """Expected number of steps for a walker starting at u to first reach v.
 
-    Solved as the linear system H(x, v) = 1 + sum_k p(x, k) H(k, v) with
-    H(v, v) = 0. Raises DivergenceError when absorption at v is not almost
-    sure from u.
+    An irreducible walk reads H(u, v) = (G[v, v] - G[u, v]) / pi[v] from
+    the model's fundamental matrix G. Otherwise H(x, v) = 1 + sum_k p(x, k)
+    H(k, v) with H(v, v) = 0 is solved over the states the walk can visit
+    from u, and DivergenceError is raised when absorption at v is not
+    almost sure from u.
     """
     graph = model.graph
     if not (0 <= u < graph.n_nodes and 0 <= v < graph.n_nodes):
         raise UnknownNodeError("endpoint is not a node of the graph")
     if u == v:
         return 0.0
+    if model.irreducible:
+        g = model._fundamental
+        return float((g[v, v] - g[u, v]) / model._pi[v])
 
-    # states reachable from u before hitting v
-    reach = {u}
-    queue = deque((u,))
-    while queue:
-        x = queue.popleft()
-        if x == v:
-            continue
-        for k, _ in model.transitions(x):
-            if k not in reach:
-                reach.add(k)
-                queue.append(k)
+    reach = _closure(u, model._out_probs, stop=v)
     if v not in reach:
         raise DivergenceError(
             f"{graph.label(v)} is unreachable from {graph.label(u)}"
         )
-
     # every wanderable state must still be able to reach v, otherwise the
     # walk escapes into a closed region and the expectation diverges
-    can_reach_v = {v}
-    backward: dict[NodeId, set] = {}
-    for x in range(graph.n_nodes):
-        for k, _ in model.transitions(x):
-            backward.setdefault(k, set()).add(x)
-    queue = deque((v,))
-    while queue:
-        x = queue.popleft()
-        for prev in backward.get(x, ()):
-            if prev not in can_reach_v:
-                can_reach_v.add(prev)
-                queue.append(prev)
-    stuck = reach - can_reach_v
+    stuck = reach - _closure(v, model._sources)
     if stuck:
         name = graph.label(min(stuck))
         raise DivergenceError(
@@ -210,6 +262,9 @@ def simrank(
     s(u, u) = 1 and s(u, v) averages s over the in-neighbor pairs, scaled
     by the decay; nodes without in-neighbors score 0 against every other
     node. Iterates are non-decreasing and converge for decay in (0, 1).
+
+    Each iteration averages rows over in-neighbors twice, with a transpose
+    between: O(E n) time per iteration and three n x n tables.
     """
     if not 0.0 < decay < 1.0:
         raise ContractError("simrank decay must lie strictly between 0 and 1")
@@ -218,21 +273,56 @@ def simrank(
     if graph.n_nodes == 0:
         raise ContractError("simrank needs a non-empty graph")
     n = graph.n_nodes
-    norm_in = np.zeros((n, n))
-    for node in range(n):
-        sources = {s for _, s in graph.in_edges(node)}
-        if sources:
-            share = 1.0 / len(sources)
-            for s in sources:
-                norm_in[node, s] = share
+    sources = [sorted({s for _, s in graph.in_edges(node)}) for node in range(n)]
+    # Tables are indexed by rank, nodes ordered by decreasing in-degree, so
+    # the nodes with a k-th in-neighbor are a prefix of the rows: slot k
+    # holds the ranks of those k-th in-neighbors.
+    order = sorted(range(n), key=lambda x: len(sources[x]), reverse=True)
+    rank = [0] * n
+    for r, x in enumerate(order):
+        rank[x] = r
+    slots = [[] for _ in sources[order[0]]]
+    for x in order:
+        for slot, s in zip(slots, sources[x]):
+            slot.append(rank[s])
+    slots = [np.array(slot, dtype=np.intp) for slot in slots]
+    degree = np.array([len(sources[x]) for x in order], dtype=float)
+    scale = np.divide(1.0, degree, out=np.zeros(n), where=degree > 0)
+    decayed = decay * scale
+    spare = np.empty((max(1, min(n, _BLOCK // n)), n))
+
     scores = np.eye(n)
+    averaged = np.empty((n, n))
+    work = np.empty((n, n))
     deltas: list[float] = []
     for _ in range(iterations):
-        updated = decay * (norm_in @ scores @ norm_in.T)
-        np.fill_diagonal(updated, 1.0)
-        delta = float(np.max(np.abs(updated - scores)))
+        # scores is symmetric, so W scores W^T = W (W scores)^T
+        _average_in_neighbors(scores, slots, scale, averaged, spare)
+        np.copyto(work, averaged.T)
+        _average_in_neighbors(work, slots, decayed, averaged, spare)
+        np.fill_diagonal(averaged, 1.0)
+        np.subtract(averaged, scores, out=work)
+        delta = float(np.max(np.abs(work, out=work)))
         deltas.append(delta)
-        scores = updated
+        scores, averaged = averaged, scores
         if delta <= tol:
             break
-    return SimRankScores(scores, deltas)
+    del averaged, work, spare  # freed before the reordered copy
+    return SimRankScores(scores[np.ix_(rank, rank)], deltas)
+
+
+_BLOCK = 1 << 18  # floats per gathered block of rows
+
+
+def _average_in_neighbors(table, slots, scale, out, spare):
+    """out[i] = scale[i] * sum of table[j] over the in-neighbors j of row i,
+    gathered one slot at a time in blocks of spare's rows."""
+    out.fill(0.0)
+    rows = len(spare)
+    for slot in slots:
+        for start in range(0, len(slot), rows):
+            chunk = slot[start : start + rows]
+            block = spare[: len(chunk)]
+            np.take(table, chunk, axis=0, out=block, mode="clip")
+            out[start : start + len(chunk)] += block
+    out *= scale[:, None]

@@ -3,8 +3,11 @@ oracles kept deliberately independent of the library's own algorithms."""
 
 from __future__ import annotations
 
+import math
 import random
 from collections import deque
+
+import numpy as np
 
 from smx import parse_graph, taxonomic_reduction
 
@@ -194,3 +197,53 @@ def form_row_oracle(name, t, theta, u, v, params):
         "tversky_contrast": gamma * n - alpha * nu - beta * nv,
     }
     return differences[name], False
+
+
+# -- relatedness oracles -------------------------------------------------
+
+
+def dense_simrank(graph, decay, iterations, tol=0.0):
+    """SimRank by dense products, S <- decay * W S W^T with the unit
+    diagonal restored, W the row-normalized matrix of distinct in-neighbors.
+    Returns the table and the largest change of each iteration."""
+    n = graph.n_nodes
+    norm_in = np.zeros((n, n))
+    for node in range(n):
+        sources = {s for _, s in graph.in_edges(node)}
+        for s in sources:
+            norm_in[node, s] = 1.0 / len(sources)
+    scores = np.eye(n)
+    deltas = []
+    for _ in range(iterations):
+        updated = decay * (norm_in @ scores @ norm_in.T)
+        np.fill_diagonal(updated, 1.0)
+        deltas.append(float(np.max(np.abs(updated - scores))))
+        scores = updated
+        if deltas[-1] <= tol:
+            break
+    return scores, deltas
+
+
+def dense_hitting_time(model, u, v):
+    """Expected first-passage time from u to v, or math.inf when the walk
+    from u may miss v forever. Reachability comes from boolean matrix
+    squaring with v absorbing, then h = 1 + P h is solved densely over the
+    states the walk can visit from u before v."""
+    if u == v:
+        return 0.0
+    n = model.graph.n_nodes
+    p = np.zeros((n, n))
+    for x in range(n):
+        for y, prob in model.transitions(x):
+            p[x, y] += prob
+    step = p > 0
+    step[v] = False
+    reach = step | np.eye(n, dtype=bool)
+    for _ in range(n.bit_length()):
+        reach = (reach.astype(float) @ reach.astype(float)) > 0
+    visited = np.flatnonzero(reach[u])
+    if not reach[visited, v].all():
+        return math.inf
+    states = [s for s in visited if s != v]
+    system = np.eye(len(states)) - p[np.ix_(states, states)]
+    return float(np.linalg.solve(system, np.ones(len(states)))[states.index(u)])

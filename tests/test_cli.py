@@ -42,6 +42,17 @@ class TestGrammar:
             "rada",
         ]
 
+    def test_measure_list_with_parameters_on_every_measure(self):
+        assert split_measure_list("lin:ic=seco,jiang_conrath:ic=seco") == [
+            "lin:ic=seco",
+            "jiang_conrath:ic=seco",
+        ]
+        assert split_measure_list("li:alpha=0.2,beta=0.6,lin:ic=zhou:k=0.5,rada") == [
+            "li:alpha=0.2,beta=0.6",
+            "lin:ic=zhou:k=0.5",
+            "rada",
+        ]
+
     def test_alias_resolution(self):
         assert resolve_measure_name("wupalmer") == "wu_palmer"
         assert resolve_measure_name("lin") == "lin"
@@ -105,6 +116,28 @@ class TestSim:
         assert err.splitlines() == [
             f"error: cannot read {files[missing]}: No such file or directory"
         ]
+
+    @pytest.mark.parametrize(
+        "flag, content, message",
+        [
+            ("--graph", TOY.encode() + b"G\tsubClassOf\t\xff\n", "line 7: not valid UTF-8 text"),
+            ("--pairs", "E\tD\nE\tF\u00e9\n".encode("latin-1"), "line 2: not valid UTF-8 text"),
+            ("--out", None, "cannot write {path}: No such file or directory"),
+        ],
+        ids=["graph-not-utf8", "pairs-not-utf8", "out-in-missing-dir"],
+    )
+    def test_bad_file_is_one_error_line(
+        self, toy_file, pairs_file, tmp_path, capsys, flag, content, message
+    ):
+        files = {"--graph": toy_file, "--pairs": pairs_file, "--out": "-"}
+        path = tmp_path / "missing" / "file.tsv"
+        if content is not None:
+            path = tmp_path / "file.tsv"
+            path.write_bytes(content)
+        files[flag] = str(path)
+        code = main(["sim", "--measure", "lin", *(x for kv in files.items() for x in kv)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == ["error: " + message.format(path=path)]
 
     def test_resnik_with_zero_usage_class(self, tmp_path, capsys):
         graph = tmp_path / "g.tsv"
@@ -322,6 +355,42 @@ class TestBench:
         for line in lines[1:]:
             cells = line.split(",")
             assert cells[1] == "2" and cells[2] == "1"
+
+    def test_parameters_on_every_measure(self, toy_file, tmp_path, capsys):
+        mapping = tmp_path / "map.tsv"
+        mapping.write_text("cat\tE\ndog\tD\nbird\tF\n")
+        dataset = tmp_path / "ratings.tsv"
+        dataset.write_text("cat\tdog\t3.0\ncat\tbird\t1.0\ndog\tbird\t2.0\n")
+        code = main(
+            ["bench", "--graph", toy_file, "--mapping", str(mapping),
+             "--dataset", str(dataset),
+             "--measures", "lin:ic=seco,jiang_conrath:ic=seco"]
+        )
+        rows = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert [row.split(",")[0] for row in rows[1:]] == [
+            "lin:ic=seco", "jiang_conrath:ic=seco"
+        ]
+
+    def test_one_estimator_per_distinct_selector(self, toy_file, tmp_path, capsys, monkeypatch):
+        kinds = []
+
+        def counted(kind, *args, **kwargs):
+            kinds.append(kind)
+            return smx.build_estimator(kind, *args, **kwargs)
+
+        monkeypatch.setattr(smx.cli, "build_estimator", counted)
+        mapping = tmp_path / "map.tsv"
+        mapping.write_text("cat\tE\ndog\tD\nbird\tF\n")
+        dataset = tmp_path / "ratings.tsv"
+        dataset.write_text("cat\tdog\t3.0\ncat\tbird\t1.0\ndog\tbird\t2.0\n")
+        code = main(
+            ["bench", "--graph", toy_file, "--mapping", str(mapping),
+             "--dataset", str(dataset),
+             "--measures", "lin,jiang_conrath,resnik,lin:ic=zhou,faith:ic=zhou"]
+        )
+        assert code == 0
+        assert kinds == ["seco", "zhou"]
 
     def test_dataset_kind_validation(self, toy_file, tmp_path, capsys):
         mapping = tmp_path / "map.tsv"

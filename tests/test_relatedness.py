@@ -1,4 +1,5 @@
 import io
+import math
 import random
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import smx
 from smx.errors import ContractError, DivergenceError
 
-from helpers import brute_unconstrained, random_taxonomy
+from helpers import brute_unconstrained, dense_hitting_time, dense_simrank, random_taxonomy
 
 
 def graph_of(text):
@@ -51,6 +52,37 @@ def random_strongly_connected(rng, max_nodes=15):
         if a != b:
             lines.append(f"v{a}\tlink\tv{b}")
     return graph_of("\n".join(sorted(set(lines))))
+
+
+def random_walk_graph(rng, irreducible, max_nodes=9):
+    """Weighted random digraph. A Hamiltonian cycle makes it strongly
+    connected; otherwise the last node is a sink that some node steps to."""
+    n = rng.randint(2, max_nodes)
+    edges = {}
+    if irreducible:
+        for i in range(n):
+            edges[i, (i + 1) % n] = "next"
+    else:
+        edges[rng.randrange(n - 1), n - 1] = "next"
+    for _ in range(rng.randint(0, 2 * n)):
+        a, b = rng.randrange(n - 1 + irreducible), rng.randrange(n)
+        edges.setdefault((a, b), "link")
+    lines = [f"v{a}\t{p}\tv{b}\t{rng.choice((0.5, 1, 2, 3))}" for (a, b), p in edges.items()]
+    return graph_of("\n".join(sorted(lines)))
+
+
+def random_simrank_graph(rng, max_nodes=12):
+    """Two-predicate digraph that may hold self-loops, parallel edges,
+    isolated nodes and nodes without in-edges."""
+    n = rng.randint(1, max_nodes)
+    edges = {
+        (rng.randrange(n), rng.choice("pq"), rng.randrange(n))
+        for _ in range(rng.randint(0, 3 * n))
+    }
+    return smx.SemanticGraph(
+        labels=[f"v{i}" for i in range(n)], classes=(), instances=range(n),
+        predicates="pq", edges=edges,
+    )
 
 
 class TestWeightedShortestPath:
@@ -141,6 +173,35 @@ class TestHittingTime:
         assert probs[g.node("b")] == pytest.approx(0.75)
         assert probs[g.node("c")] == pytest.approx(0.25)
 
+    def test_zero_probability_step_is_not_taken(self):
+        # the weight-0 edge into sink c is no step of the walk
+        g = graph_of("a\tgoes\tb\t1\na\tgoes\tc\t0\nb\tgoes\ta\t1\n")
+        model = smx.TransitionModel.from_graph(g)
+        assert model.transitions(g.node("a")) == [(g.node("b"), 1.0)]
+        assert smx.hitting_time(model, g.node("a"), g.node("b")) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("irreducible", [True, False])
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_dense_oracle(self, irreducible, seed):
+        g = random_walk_graph(random.Random(seed), irreducible)
+        model = smx.TransitionModel.from_graph(g)
+        assert model.irreducible == irreducible
+        n = g.n_nodes
+        times = {(u, v): dense_hitting_time(model, u, v) for u in range(n) for v in range(n)}
+        for (u, v), expected in times.items():
+            round_trip = expected + times[v, u]
+            if math.isinf(expected):
+                with pytest.raises(DivergenceError):
+                    smx.hitting_time(model, u, v)
+            else:
+                assert smx.hitting_time(model, u, v) == pytest.approx(expected, rel=1e-9)
+            if math.isinf(round_trip):
+                with pytest.raises(DivergenceError):
+                    smx.commute_time(model, u, v)
+            else:
+                assert smx.commute_time(model, u, v) == pytest.approx(round_trip, rel=1e-9)
+
     @settings(max_examples=8, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_matches_monte_carlo_within_five_percent(self, seed):
@@ -169,6 +230,26 @@ class TestSimRank:
         g = graph_of("a\trel\tb\nc\trel\td\n")
         scores = smx.simrank(g, iterations=10)
         assert scores.score(g.node("a"), g.node("c")) == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        decay=st.sampled_from([0.3, 0.6, 0.8, 0.95]),
+        iterations=st.integers(1, 25),
+        tol=st.sampled_from([0.0, 1e-4]),
+    )
+    def test_matches_dense_oracle(self, seed, decay, iterations, tol):
+        g = random_simrank_graph(random.Random(seed))
+        scores = smx.simrank(g, decay=decay, iterations=iterations, tol=tol)
+        expected, deltas = dense_simrank(g, decay, iterations, tol)
+        assert np.max(np.abs(scores.as_array() - expected)) <= 1e-12
+        # at tol 0 the loop stops on an exactly unchanged table, and rounding
+        # decides in which iteration a change of ~1e-17 becomes 0
+        if tol > 0:
+            assert scores.iterations == len(deltas)
+        length = max(scores.iterations, len(deltas))
+        padded = [np.pad(d, (0, length - len(d))) for d in (scores.deltas, deltas)]
+        assert np.max(np.abs(padded[0] - padded[1])) <= 1e-12
 
     def test_decay_contract(self, toy_graph):
         with pytest.raises(ContractError):
