@@ -204,6 +204,18 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
+def _write_scores(path, pairs_path, resolve, score) -> None:
+    """Write idA, idB and score(resolve(idA), resolve(idB)) for each listed
+    pair. Every pair is scored before the output is opened, so a command
+    that fails leaves no partial output and an existing file untouched."""
+    rows = [
+        f"{a}\t{b}\t{score(resolve(a), resolve(b))}\n"
+        for a, b in ingest.parse_pairs(pairs_path)
+    ]
+    with _open_out(path) as out:
+        out.writelines(rows)
+
+
 # -- subcommands -------------------------------------------------------------
 
 
@@ -259,12 +271,11 @@ def _cmd_sim(args) -> int:
     taxonomy = _taxonomy(graph)
     usage = _usage_loader(args, graph, taxonomy)
     spec = _pairwise_spec(args, args.measure, _estimators(args, taxonomy, usage), usage)
-    with _open_out(args.out) as out:
-        for label_a, label_b in ingest.parse_pairs(args.pairs):
-            u = taxonomy.node(label_a)
-            v = taxonomy.node(label_b)
-            mv = eval_pairwise(spec, taxonomy, u, v, allow_unreduced=args.allow_unreduced)
-            out.write(f"{label_a}\t{label_b}\t{_fmt(mv.value)}\n")
+
+    def score(u, v):
+        return _fmt(eval_pairwise(spec, taxonomy, u, v, allow_unreduced=args.allow_unreduced).value)
+
+    _write_scores(args.out, args.pairs, taxonomy.node, score)
     return 0
 
 
@@ -299,19 +310,16 @@ def _cmd_groupsim(args) -> int:
             f"valid: {', '.join(DIRECT + STRATEGIES)}"
         )
 
-    with _open_out(args.out) as out:
-        for inst_a, inst_b in ingest.parse_pairs(args.pairs):
-            for inst in (inst_a, inst_b):
-                if inst not in reduced.assignments:
-                    raise ingest.ResolutionError(f"unknown instance {inst!r}")
-            mv = eval_groupwise(
-                spec,
-                taxonomy,
-                reduced.assignments[inst_a],
-                reduced.assignments[inst_b],
-                allow_unreduced=args.allow_unreduced,
-            )
-            out.write(f"{inst_a}\t{inst_b}\t{_fmt(mv.value)}\n")
+    def classes_of(instance):
+        if instance not in reduced.assignments:
+            raise ingest.ResolutionError(f"unknown instance {instance!r}")
+        return reduced.assignments[instance]
+
+    def score(a, b):
+        mv = eval_groupwise(spec, taxonomy, a, b, allow_unreduced=args.allow_unreduced)
+        return _fmt(mv.value)
+
+    _write_scores(args.out, args.pairs, classes_of, score)
     return 0
 
 
@@ -344,12 +352,8 @@ def _cmd_abstract(args) -> int:
             raise CommandLineError(f"named form {name!r} takes no parameters")
     form = form.with_theta(theta)
 
-    with _open_out(args.out) as out:
-        for label_a, label_b in ingest.parse_pairs(args.pairs):
-            u = taxonomy.node(label_a)
-            v = taxonomy.node(label_b)
-            mv = unify.eval_abstract(form, taxonomy, u, v)
-            out.write(f"{label_a}\t{label_b}\t{_fmt(mv.value)}\n")
+    score = lambda u, v: _fmt(unify.eval_abstract(form, taxonomy, u, v).value)
+    _write_scores(args.out, args.pairs, taxonomy.node, score)
     return 0
 
 
@@ -360,33 +364,27 @@ def _cmd_rel(args) -> int:
         scheme = ingest.parse_weight_scheme(args.weights)
     method = args.method
 
-    scores = None
-    model = None
-    if method == "simrank":
+    if method == "wsp":
+
+        def score(u, v):
+            value = relatedness.weighted_shortest_path(graph, scheme, u, v)
+            return "unreachable" if value is None else _fmt(value)
+
+    elif method in ("hitting", "commute"):
+        model = relatedness.TransitionModel.from_graph(graph, scheme)
+        walk = relatedness.hitting_time if method == "hitting" else relatedness.commute_time
+        score = lambda u, v: _fmt(walk(model, u, v))
+    elif method == "simrank":
         scores = relatedness.simrank(
             graph, decay=args.decay, iterations=args.iterations, tol=1e-12
         )
-    elif method in ("hitting", "commute"):
-        model = relatedness.TransitionModel.from_graph(graph, scheme)
-    elif method != "wsp":
+        score = lambda u, v: _fmt(scores.score(u, v))
+    else:
         raise CommandLineError(
             f"unknown method {method!r}; valid: wsp, hitting, commute, simrank"
         )
 
-    with _open_out(args.out) as out:
-        for label_a, label_b in ingest.parse_pairs(args.pairs):
-            u = graph.node(label_a)
-            v = graph.node(label_b)
-            if method == "wsp":
-                value = relatedness.weighted_shortest_path(graph, scheme, u, v)
-                text = "unreachable" if value is None else _fmt(value)
-            elif method == "hitting":
-                text = _fmt(relatedness.hitting_time(model, u, v))
-            elif method == "commute":
-                text = _fmt(relatedness.commute_time(model, u, v))
-            else:
-                text = _fmt(scores.score(u, v))
-            out.write(f"{label_a}\t{label_b}\t{text}\n")
+    _write_scores(args.out, args.pairs, graph.node, score)
     return 0
 
 

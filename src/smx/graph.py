@@ -1,8 +1,10 @@
 """Semantic graph data model and the taxonomic query kernel.
 
 A loaded graph is immutable. All derived tables (closures, depths) are
-precomputed once at construction, so every query below is a read-only
-lookup or set operation that is safe to run concurrently.
+precomputed once at construction and nothing is written after it, so
+every query below is a read-only lookup, set operation or pass over an
+ancestor set, and is safe to run concurrently. Path queries are exact for
+any DAG: counts are Python ints, so no input is too large to count.
 """
 
 from __future__ import annotations
@@ -157,7 +159,6 @@ class TaxonomyView:
         "_anc",
         "_desc",
         "_depth",
-        "_path_stats",
     )
 
     def __init__(self):
@@ -178,7 +179,6 @@ class TaxonomyView:
         t.inserted_root = inserted_root
         t._labels = dict(labels)
         t._by_label = {lab: nid for nid, lab in t._labels.items()}
-        t._path_stats = {}
         parents: dict[NodeId, set] = {c: set() for c in t.class_ids}
         children: dict[NodeId, set] = {c: set() for c in t.class_ids}
         edge_set = set()
@@ -255,7 +255,7 @@ class TaxonomyView:
         Dropping an edge that a longer path implies keeps reachability and
         every longest root path, so A(u), D(u), depth, root and leaves are
         unchanged; only the edge set and the parent and child tables are
-        patched. Path statistics depend on the edges and start empty.
+        patched.
         """
         t = object.__new__(TaxonomyView)
         for slot in TaxonomyView.__slots__:
@@ -268,7 +268,6 @@ class TaxonomyView:
         t.edges = self.edges - self.redundant_edges
         t.redundant_edges = frozenset()
         t.is_reduced = True
-        t._path_stats = {}
         return t
 
     def _trace_cycle(self, parents, leftover):
@@ -367,6 +366,15 @@ class TaxonomyView:
                     queue.append(p)
         return dist
 
+    def _via_ancestor(self, u: NodeId, v: NodeId, turn: int) -> int:
+        """min over common ancestors a of sp(u, a) + sp(v, a), plus `turn`
+        where the path goes up from both sides and turns down at a."""
+        du = self.up_distances(u)
+        dv = self.up_distances(v)
+        return min(
+            du[a] + dv[a] + (turn if du[a] and dv[a] else 0) for a in du.keys() & dv.keys()
+        )
+
     def shortest_path(
         self,
         u: NodeId,
@@ -383,9 +391,7 @@ class TaxonomyView:
         if u == v:
             return 0
         if constraint is AncestorConstraint.VIA_LCA:
-            du = self.up_distances(u)
-            dv = self.up_distances(v)
-            return min(du[a] + dv[a] for a in du.keys() & dv.keys())
+            return self._via_ancestor(u, v, 0)
         dist = {u: 0}
         queue = deque((u,))
         while queue:
@@ -400,89 +406,68 @@ class TaxonomyView:
 
     def path_length_with_reversal(self, u: NodeId, v: NodeId) -> int:
         """ViaLCA path length where the up/down turn at the ancestor adds 1."""
-        du = self.up_distances(u)
-        dv = self.up_distances(v)
-        return min(
-            du[a] + dv[a] + (1 if du[a] > 0 and dv[a] > 0 else 0)
-            for a in du.keys() & dv.keys()
-        )
+        return self._via_ancestor(u, v, 1)
+
+    def _up_extremes(self, u: NodeId, a: NodeId, pick) -> dict[NodeId, int]:
+        """The shortest (pick=min) or longest (pick=max) edge count from each
+        class of A(u) & D(a) up to a. Every u-to-a path stays inside that
+        slice, and walking it by increasing depth puts parents first."""
+        self._check(u)
+        if a not in self._anc[u]:
+            raise UnknownNodeError(f"{self.label(a)} is not an ancestor of {self._labels[u]}")
+        dist = {a: 0}
+        for x in sorted(self._anc[u] & self._desc[a], key=self._depth.__getitem__):
+            if x != a:
+                dist[x] = 1 + pick([dist[p] for p in self._parents[x] if p in dist])
+        return dist
 
     def longest_up_distance(self, u: NodeId, a: NodeId) -> int:
         """Longest subClassOf path length from u up to its ancestor a."""
-        self._check(u)
-        if a not in self._anc[u]:
-            raise UnknownNodeError(
-                f"{self._labels[a]} is not an ancestor of {self._labels[u]}"
-            )
-        if a == u:
-            return 0
-        # Every u-to-a path stays inside A(u) & D(a); parents come first
-        # when that slice is walked by increasing depth.
-        between = sorted(self._anc[u] & self._desc[a], key=self._depth.__getitem__)
-        longest = {a: 0}
-        for x in between:
-            if x == a:
-                continue
-            longest[x] = 1 + max(longest[p] for p in self._parents[x] if p in longest)
-        return longest[u]
+        return self._up_extremes(u, a, max)[u]
 
     def shortest_up_path_edges(self, u: NodeId, a: NodeId) -> list[tuple[NodeId, NodeId]]:
         """One shortest u-to-a edge chain, deterministic by label order."""
-        if a == u:
-            return []
-        if a not in self._anc[u]:
-            raise UnknownNodeError(
-                f"{self._labels[a]} is not an ancestor of {self._labels[u]}"
-            )
-        # distances measured from a back down toward u
-        dist = {a: 0}
-        queue = deque((a,))
-        while queue:
-            x = queue.popleft()
-            for ch in self._children[x]:
-                if ch in self._anc[u] and ch not in dist:
-                    dist[ch] = dist[x] + 1
-                    queue.append(ch)
+        dist = self._up_extremes(u, a, min)
         edges = []
         x = u
         while x != a:
             step = min(
-                (p for p in self._parents[x] if p in dist and dist[p] == dist[x] - 1),
+                (p for p in self._parents[x] if dist.get(p) == dist[x] - 1),
                 key=self._labels.__getitem__,
             )
             edges.append((x, step))
             x = step
         return edges
 
-    def up_path_stats(self, u: NodeId, cap: int = 100_000) -> dict[NodeId, tuple[int, int]]:
+    def up_path_stats(self, u: NodeId) -> dict[NodeId, tuple[int, int]]:
         """Per ancestor a: (number of u-to-root paths through a, summed length).
 
-        Exhaustive enumeration, exact at desk scale; raises past the cap.
-        Results are memoized on the view.
+        With N and L the number and summed length of the paths between two
+        classes, a lies on N(u, a) N(a, root) root paths whose lengths sum
+        to L(u, a) N(a, root) + N(u, a) L(a, root). One pass over A(u) by
+        increasing depth gives N and L to the root, one by decreasing depth
+        gives them from u: O(edges within A(u)), exact in Python ints.
         """
         self._check(u)
-        cached = self._path_stats.get(u)
-        if cached is not None:
-            return cached
-        stats: dict[NodeId, list[int]] = {}
-        n_paths = 0
-        stack: list[tuple[NodeId, tuple[NodeId, ...]]] = [(u, (u,))]
-        while stack:
-            node, path = stack.pop()
-            if not self._parents[node]:
-                n_paths += 1
-                if n_paths > cap:
-                    raise ContractError(
-                        f"more than {cap} root paths from {self._labels[u]}"
-                    )
-                length = len(path) - 1
-                for member in path:
-                    entry = stats.setdefault(member, [0, 0])
-                    entry[0] += 1
-                    entry[1] += length
-            else:
-                for p in self._parents[node]:
-                    stack.append((p, path + (p,)))
-        result = {a: (n, total) for a, (n, total) in stats.items()}
-        self._path_stats[u] = result
-        return result
+        order = sorted(self._anc[u], key=self._depth.__getitem__)
+        parents = self._parents
+        to_root: dict[NodeId, tuple[int, int]] = {}
+        for x in order:
+            n = length = 0
+            for p in parents[x]:
+                pn, pl = to_root[p]
+                n += pn
+                length += pl + pn
+            to_root[x] = (n, length) if n else (1, 0)
+        stats = {}
+        from_u = {u: (1, 0)}
+        for x in reversed(order):
+            # every child of x within A(u) has pushed its paths from u
+            m, k = from_u[x]
+            n, length = to_root[x]
+            stats[x] = (m * n, k * n + m * length)
+            k += m
+            for p in parents[x]:
+                q = from_u.get(p)
+                from_u[p] = (m, k) if q is None else (q[0] + m, q[1] + k)
+        return stats

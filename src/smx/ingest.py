@@ -1,7 +1,8 @@
 """Parsers and serializers for the toolkit's TSV exchange formats.
 
 All formats are UTF-8, one record per line; lines starting with '#' are
-comments and blank lines are ignored.
+comments and blank lines are ignored, as is one leading byte-order mark.
+A line-numbered ParseError from a file read by path names that path.
 
   graph       subject <TAB> predicate <TAB> object [<TAB> weight]
   annotation  instance <TAB> class[,class...]
@@ -18,6 +19,7 @@ toolkit (the virtual root is named __root__).
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 import os
@@ -84,6 +86,8 @@ def _lines(source) -> Iterator[tuple[int, str]]:
         source = io.TextIOWrapper(source, encoding="utf-8", errors="surrogateescape")
     for lineno, raw in enumerate(source, start=1):
         line = raw.rstrip("\n").rstrip("\r")
+        if lineno == 1:
+            line = line.removeprefix("\ufeff")
         if not line.isascii():
             try:
                 line.encode("utf-8")
@@ -92,6 +96,22 @@ def _lines(source) -> Iterator[tuple[int, str]]:
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         yield lineno, line
+
+
+def _names_its_file(parse):
+    """Prefix the path to the line-numbered ParseErrors of `parse` when its
+    source is a path, so the message says which input is at fault."""
+
+    @functools.wraps(parse)
+    def parse_source(source, *args, **kwargs):
+        try:
+            return parse(source, *args, **kwargs)
+        except ParseError as exc:
+            if exc.line is not None and isinstance(source, (str, os.PathLike)):
+                exc.args = (f"{os.fsdecode(source)}: {exc}",)
+            raise
+
+    return parse_source
 
 
 def _is_reserved(token: str) -> bool:
@@ -108,6 +128,7 @@ def _parse_weight(text: str, lineno: int) -> float:
     return weight
 
 
+@_names_its_file
 def read_triples(source) -> list[TripleRecord]:
     records = []
     for lineno, line in _lines(source):
@@ -195,40 +216,46 @@ def serialize_graph(graph: SemanticGraph, stream: IO[str] | None = None) -> str:
     return text
 
 
-def parse_annotations(source, graph: SemanticGraph) -> AnnotationSet:
-    """Load instance annotations, resolving every class against the graph.
-
-    Duplicate lines for one instance merge by union and bump the warning
-    count.
-    """
-    assignments: dict[str, set[NodeId]] = {}
+@_names_its_file
+def _class_lists(source, graph: SemanticGraph, key: str, sep: str):
+    """Read key<TAB>class list lines, resolving every class against the
+    graph; lines repeating a key merge by union and bump the warning count."""
+    table: dict[str, set[NodeId]] = {}
     warnings = 0
     for lineno, line in _lines(source):
         fields = line.split("\t")
         if len(fields) != 2:
-            raise ParseError("expected instance<TAB>class[,class...]", lineno)
-        instance, classes_text = fields[0].strip(), fields[1].strip()
-        if not instance or not classes_text:
-            raise ParseError("empty instance or class list", lineno)
+            raise ParseError(f"expected {key}<TAB>class[{sep}class...]", lineno)
+        name, classes_text = fields[0].strip(), fields[1].strip()
+        if not name or not classes_text:
+            raise ParseError(f"empty {key} or class list", lineno)
         resolved = set()
-        for token in classes_text.split(","):
+        for token in classes_text.split(sep):
             token = token.strip()
             if not token:
                 raise ParseError("empty class identifier", lineno)
             if not graph.has_node(token) or graph.node(token) not in graph.classes:
                 raise ResolutionError(f"unknown class identifier {token!r}")
             resolved.add(graph.node(token))
-        if instance in assignments:
+        if name in table:
             warnings += 1
-            assignments[instance] |= resolved
+            table[name] |= resolved
         else:
-            assignments[instance] = resolved
-    return AnnotationSet(
-        assignments={k: frozenset(v) for k, v in assignments.items()},
-        warnings=warnings,
-    )
+            table[name] = resolved
+    return {k: frozenset(v) for k, v in table.items()}, warnings
 
 
+def parse_annotations(source, graph: SemanticGraph) -> AnnotationSet:
+    """Load instance annotations, resolving every class against the graph.
+
+    Duplicate lines for one instance merge by union and bump the warning
+    count.
+    """
+    table, warnings = _class_lists(source, graph, "instance", ",")
+    return AnnotationSet(assignments=table, warnings=warnings)
+
+
+@_names_its_file
 def parse_rated_pairs(source, name: str = "rated-pairs") -> RatedPairSet:
     pairs: list[tuple[str, str, float]] = []
     for lineno, line in _lines(source):
@@ -253,33 +280,11 @@ def parse_rated_pairs(source, name: str = "rated-pairs") -> RatedPairSet:
 
 def parse_word_mapping(source, graph: SemanticGraph) -> WordMapping:
     """Load the word to class-set mapping used by the benchmark harness."""
-    words: dict[str, set[NodeId]] = {}
-    warnings = 0
-    for lineno, line in _lines(source):
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise ParseError("expected word<TAB>classId[;classId...]", lineno)
-        word, classes_text = fields[0].strip(), fields[1].strip()
-        if not word or not classes_text:
-            raise ParseError("empty word or class list", lineno)
-        resolved = set()
-        for token in classes_text.split(";"):
-            token = token.strip()
-            if not token:
-                raise ParseError("empty class identifier", lineno)
-            if not graph.has_node(token) or graph.node(token) not in graph.classes:
-                raise ResolutionError(f"unknown class identifier {token!r}")
-            resolved.add(graph.node(token))
-        if word in words:
-            warnings += 1
-            words[word] |= resolved
-        else:
-            words[word] = resolved
-    return WordMapping(
-        words={k: frozenset(v) for k, v in words.items()}, warnings=warnings
-    )
+    table, warnings = _class_lists(source, graph, "word", ";")
+    return WordMapping(words=table, warnings=warnings)
 
 
+@_names_its_file
 def parse_pairs(source) -> list[tuple[str, str]]:
     """Load an identifier pair list; columns after the second are ignored."""
     pairs = []
@@ -291,6 +296,7 @@ def parse_pairs(source) -> list[tuple[str, str]]:
     return pairs
 
 
+@_names_its_file
 def parse_weight_scheme(source) -> PredicateWeightScheme:
     """Load per-predicate cost multipliers; the predicate * sets the default."""
     weights = {}

@@ -278,9 +278,8 @@ def _eval_lin_grasm(spec, t, u, v):
 
 
 def _eval_wang_dca(spec, t, u, v):
-    cap = int(spec.args[0])
-    stats_u = t.up_path_stats(u, cap)
-    stats_v = t.up_path_stats(v, cap)
+    stats_u = t.up_path_stats(u)
+    stats_v = t.up_path_stats(v)
     dcas = t.ncca(u, v)
     total = 0.0
     for a in dcas:
@@ -418,12 +417,7 @@ MEASURES: dict[str, MeasureInfo] = {
         SIM, True, needs_theta=True, ioi=True, root_degenerate=True, evaluate=_eval_lin_grasm
     ),
     "wang_dca": MeasureInfo(
-        SIM,
-        False,
-        params={"path_cap": ParamSpec(100_000.0, lo=1.0)},
-        path_based=True,
-        root_degenerate=True,
-        evaluate=_eval_wang_dca,
+        SIM, False, path_based=True, root_degenerate=True, evaluate=_eval_wang_dca
     ),
     # feature based
     "cmatch": _form_row(_ancestor_counts, "sigma_beta", lambda p: {"beta": 1.0}, ioi=True),

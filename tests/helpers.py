@@ -1,5 +1,6 @@
-"""Shared test utilities: random taxonomy generators and brute-force
-oracles kept deliberately independent of the library's own algorithms."""
+"""Shared test utilities: random taxonomy generators, a fuzz strategy for
+the TSV parsers, and brute-force oracles kept deliberately independent of
+the library's own algorithms."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import random
 from collections import deque
 
 import numpy as np
+from hypothesis import strategies as st
 
 from smx import parse_graph, taxonomic_reduction
 
@@ -57,6 +59,28 @@ def children_of(pairs):
         table.setdefault(parent, set()).add(child)
         table.setdefault(child, set())
     return table
+
+
+# tokens that probe the parsers: reserved names, non-finite and huge
+# numbers, empty and blank fields, separators, a stray byte-order mark
+FUZZ_TOKENS = [
+    "A", "B", "E", "root", "g1", "__root__", "__x__", "subClassOf", "isA", "partOf", "*",
+    "nan", "NaN", "inf", "-inf", "-1", "0", "1e308", "1e400", "0.5", "", " ", "E,F", "E;F",
+    "\u00e9", "\ufeff", "\x00", "#c",
+]
+
+
+@st.composite
+def fuzz_tsv(draw):
+    """TSV bytes of token lines with stray tabs, an optional leading BOM,
+    LF or CRLF endings, and sometimes a byte that is not UTF-8."""
+    lines = draw(st.lists(st.lists(st.sampled_from(FUZZ_TOKENS), min_size=1, max_size=5), max_size=6))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = ("\ufeff" if draw(st.booleans()) else "") + "".join("\t".join(l) + end for l in lines)
+    data = text.encode()
+    if draw(st.booleans()):
+        data += b"x\xff\ty" + end.encode()
+    return data
 
 
 # -- brute-force oracles -------------------------------------------------
@@ -148,6 +172,40 @@ def brute_unconstrained(pairs, u, v):
                 dist[nxt] = dist[x] + 1
                 queue.append(nxt)
     raise AssertionError("disconnected taxonomy in oracle")
+
+
+def brute_up_paths(pairs, node, top):
+    """Every upward path from node to its ancestor top, as label tuples,
+    by exhaustive enumeration."""
+    parents = parents_of(pairs)
+    paths = []
+    stack = [(node,)]
+    while stack:
+        path = stack.pop()
+        if path[-1] == top:
+            paths.append(path)
+        else:
+            stack.extend(path + (p,) for p in parents[path[-1]])
+    return paths
+
+
+def brute_up_path_stats(pairs, node):
+    """Per ancestor label: (number of node-to-root paths through it, summed
+    length of those paths), from the enumeration of every root path."""
+    (root,) = (c for c, ps in parents_of(pairs).items() if not ps)
+    stats: dict[str, list[int]] = {}
+    for path in brute_up_paths(pairs, node, root):
+        for member in path:
+            entry = stats.setdefault(member, [0, 0])
+            entry[0] += 1
+            entry[1] += len(path) - 1
+    return {a: tuple(entry) for a, entry in stats.items()}
+
+
+def brute_shortest_up_path(pairs, node, top):
+    """The label-wise smallest of the shortest node-to-top paths, as edges."""
+    path = min(brute_up_paths(pairs, node, top), key=lambda p: (len(p), p))
+    return list(zip(path, path[1:]))
 
 
 def brute_redundant_edges(pairs):

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import smx
 from smx.cli import main, parse_selector, resolve_measure_name, split_measure_list
+
+from helpers import fuzz_tsv
 
 TOY = (
     "A\tsubClassOf\troot\nB\tsubClassOf\troot\nC\tsubClassOf\tA\n"
@@ -120,8 +125,8 @@ class TestSim:
     @pytest.mark.parametrize(
         "flag, content, message",
         [
-            ("--graph", TOY.encode() + b"G\tsubClassOf\t\xff\n", "line 7: not valid UTF-8 text"),
-            ("--pairs", "E\tD\nE\tF\u00e9\n".encode("latin-1"), "line 2: not valid UTF-8 text"),
+            ("--graph", TOY.encode() + b"G\tsubClassOf\t\xff\n", "{path}: line 7: not valid UTF-8 text"),
+            ("--pairs", "E\tD\nE\tF\u00e9\n".encode("latin-1"), "{path}: line 2: not valid UTF-8 text"),
             ("--out", None, "cannot write {path}: No such file or directory"),
         ],
         ids=["graph-not-utf8", "pairs-not-utf8", "out-in-missing-dir"],
@@ -138,6 +143,15 @@ class TestSim:
         code = main(["sim", "--measure", "lin", *(x for kv in files.items() for x in kv)])
         assert code == 2
         assert capsys.readouterr().err.splitlines() == ["error: " + message.format(path=path)]
+
+    def test_parse_error_names_its_file(self, toy_file, tmp_path, capsys):
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("E\tD\nlonely\n")
+        code = main(["sim", "--measure", "lin", "--graph", toy_file, "--pairs", str(pairs)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {pairs}: line 2: expected two tab-separated identifiers"
+        ]
 
     def test_resnik_with_zero_usage_class(self, tmp_path, capsys):
         graph = tmp_path / "g.tsv"
@@ -188,6 +202,15 @@ class TestPreprocess:
         reduced = out.read_text()
         assert "E\tsubClassOf\troot" not in reduced
         assert "g1\tisA\tE" in reduced  # non-taxonomic edges survive
+
+    def test_byte_order_mark_makes_no_phantom_class(self, tmp_path, capsys):
+        graph = tmp_path / "g.tsv"
+        graph.write_bytes(b"\xef\xbb\xbfA\tsubClassOf\troot\nA2\tsubClassOf\tA\n")
+        report = tmp_path / "report.tsv"
+        code = main(["preprocess", "--graph", str(graph), "--report", str(report)])
+        assert code == 0
+        assert capsys.readouterr().out == "A\tsubClassOf\troot\nA2\tsubClassOf\tA\n"
+        assert report.read_text() == ""
 
     def test_cycle_is_data_error(self, tmp_path, capsys):
         graph = tmp_path / "g.tsv"
@@ -417,3 +440,62 @@ class TestDispatch:
         assert code == 2
         assert captured.out == ""
         assert "cycle" in captured.err
+
+
+class TestFailedCommandOutput:
+    """A command that fails on its second pair writes no --out file."""
+
+    @pytest.fixture()
+    def argvs(self, toy_file, tmp_path):
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("E\tD\nE\tghost\n")
+        ann = tmp_path / "ann.tsv"
+        ann.write_text("E\tE\nD\tD\n")
+        common = ["--graph", toy_file, "--pairs", str(pairs)]
+        return {
+            "sim": ["sim", "--measure", "lin", *common],
+            "groupsim": ["groupsim", "--measure", "simui", "--annotations", str(ann), *common],
+            "abstract": ["abstract", "--form", "dice", "--theta", "depth", *common],
+            "rel": ["rel", "--method", "wsp", *common],
+        }
+
+    @pytest.mark.parametrize("command", ["sim", "groupsim", "abstract", "rel"])
+    @pytest.mark.parametrize("existing", [None, "old results\n"])
+    def test_out_is_not_written(self, argvs, tmp_path, capsys, command, existing):
+        out = tmp_path / "out.tsv"
+        if existing is not None:
+            out.write_text(existing)
+        assert main([*argvs[command], "--out", str(out)]) == 2
+        assert "ghost" in capsys.readouterr().err
+        if existing is None:
+            assert not out.exists()
+        else:
+            assert out.read_text() == existing
+
+
+class TestFuzzedInputs:
+    """Through the CLI every bad input is exit 2 and one error line."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=fuzz_tsv(), role=st.sampled_from(["graph", "pairs", "weights"]))
+    def test_exit_zero_or_one_error_line(self, tmp_path_factory, data, role):
+        tmp = tmp_path_factory.mktemp("cli-fuzz")
+        files = {"graph": "A\tsubClassOf\troot\nB\tsubClassOf\troot\nA\tpartOf\tB\n",
+                 "pairs": "A\tB\n", "weights": "partOf\t2\n"}
+        paths = {}
+        for name, text in files.items():
+            paths[name] = tmp / f"{name}.tsv"
+            paths[name].write_bytes(data if name == role else text.encode())
+        inputs = ["--graph", str(paths["graph"]), "--pairs", str(paths["pairs"])]
+        for argv in (
+            ["preprocess", "--graph", str(paths["graph"])],
+            ["sim", "--measure", "wang_dca", *inputs],
+            ["rel", "--method", "wsp", "--weights", str(paths["weights"]), *inputs],
+        ):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+            assert code in (0, 2)
+            if code == 2:
+                lines = err.getvalue().splitlines()
+                assert len(lines) == 1 and lines[0].startswith("error: "), lines

@@ -11,7 +11,10 @@ from helpers import (
     brute_depth,
     brute_descendants,
     brute_ncca,
+    brute_shortest_up_path,
     brute_unconstrained,
+    brute_up_path_stats,
+    brute_up_paths,
     brute_via_lca,
     random_taxonomy,
     taxonomy_from_pairs,
@@ -192,3 +195,30 @@ class TestInvariants:
         z = t.node("Z")
         assert t.longest_up_distance(z, t.node("root")) == 3
         assert t.longest_up_distance(z, z) == 0
+
+
+class TestUpPathOracles:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), multi=st.sampled_from([0.3, 0.8]))
+    def test_up_path_stats_match_enumeration(self, seed, multi):
+        t, pairs = random_taxonomy(random.Random(seed), max_nodes=20, multi=multi)
+        for u in t.class_ids:
+            got = {t.label(a): stats for a, stats in t.up_path_stats(u).items()}
+            assert got == brute_up_path_stats(pairs, t.label(u))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), multi=st.sampled_from([0.3, 0.8]))
+    def test_longest_and_shortest_up_paths_match_enumeration(self, seed, multi):
+        t, pairs = random_taxonomy(random.Random(seed), max_nodes=20, multi=multi)
+        for u in t.class_ids:
+            for a in t.ancestors(u):
+                paths = brute_up_paths(pairs, t.label(u), t.label(a))
+                assert t.longest_up_distance(u, a) == max(map(len, paths)) - 1
+                edges = [(t.label(x), t.label(y)) for x, y in t.shortest_up_path_edges(u, a)]
+                assert edges == brute_shortest_up_path(pairs, t.label(u), t.label(a))
+
+    def test_non_ancestor_is_rejected(self, toy):
+        e, f = toy.node("E"), toy.node("F")
+        for query in (toy.longest_up_distance, toy.shortest_up_path_edges):
+            with pytest.raises(UnknownNodeError, match="not an ancestor"):
+                query(e, f)

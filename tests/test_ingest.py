@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import smx
-from smx.errors import ClassificationError, ParseError, ResolutionError
+from smx.errors import ClassificationError, ParseError, ResolutionError, SmxError
 
-from helpers import random_taxonomy
+from helpers import fuzz_tsv, random_taxonomy
 
 
 def stream(text):
@@ -175,3 +175,61 @@ class TestPairsAndWeights:
     def test_weight_scheme_rejects_non_numbers(self):
         with pytest.raises(ParseError, match="line 1: weight 'heavy' is not a number"):
             smx.parse_weight_scheme(stream("hunts\theavy\n"))
+
+
+BOM_GRAPH = "\ufeffA\tsubClassOf\troot\nA2\tsubClassOf\tA\n"
+
+
+class TestByteOrderMark:
+    @pytest.mark.parametrize("kind", ["path", "bytes", "binary-stream", "text-stream"])
+    def test_leading_bom_is_dropped(self, tmp_path, kind):
+        path = tmp_path / "g.tsv"
+        path.write_text(BOM_GRAPH, encoding="utf-8")
+        source = {
+            "path": str(path),
+            "bytes": BOM_GRAPH.encode(),
+            "binary-stream": stream(BOM_GRAPH),
+            "text-stream": io.StringIO(BOM_GRAPH),
+        }[kind]
+        g = smx.parse_graph(source)
+        assert sorted(g.label(i) for i in range(g.n_nodes)) == ["A", "A2", "root"]
+        assert smx.taxonomic_reduction(g).inserted_root is None
+
+
+def _toy_parsers(toy_graph):
+    """Every path-reading parser, each with one input whose line 2 is bad."""
+    return [
+        (smx.parse_graph, "A\tsubClassOf\troot\nB\tsubClassOf\n"),
+        (smx.parse_pairs, "E\tD\nlonely\n"),
+        (smx.parse_weight_scheme, "hunts\t5\nhunts\theavy\n"),
+        (smx.parse_rated_pairs, "a\tb\t1\nc\td\thigh\n"),
+        (lambda src: smx.parse_annotations(src, toy_graph), "g1\tE\ng2\n"),
+        (lambda src: smx.parse_word_mapping(src, toy_graph), "w\tE\nv\n"),
+    ]
+
+
+class TestErrorsNameTheirFile:
+    def test_line_numbered_errors_start_with_the_path(self, toy_graph, tmp_path):
+        for i, (parse, text) in enumerate(_toy_parsers(toy_graph)):
+            path = tmp_path / f"bad{i}.tsv"
+            path.write_text(text)
+            with pytest.raises(ParseError) as info:
+                parse(str(path))
+            assert str(info.value).startswith(f"{path}: line 2: ")
+            with pytest.raises(ParseError) as info:
+                parse(stream(text))
+            assert str(info.value).startswith("line 2: ")
+
+
+class TestFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(data=fuzz_tsv())
+    def test_every_failure_is_an_smx_error(self, toy_graph, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("fuzz") / "in.tsv"
+        path.write_bytes(data)
+        for parse, _ in _toy_parsers(toy_graph):
+            for source in (data, str(path)):
+                try:
+                    parse(source)
+                except SmxError:
+                    pass

@@ -160,6 +160,17 @@ class TestInformationTheoretic:
         # single DCA "A": mean root path lengths 3 (E) and 2 (D)
         assert ev("wang_dca", toy, "E", "D").value == APPROX(2 * 1 / (3 * 2))
 
+    @pytest.mark.parametrize("depth", [19, 40])
+    def test_wang_dca_on_a_width_two_lattice(self, depth):
+        # a_i and b_i both sit below a_{i-1} and b_{i-1}: 2^depth root paths
+        # of length depth, and the two DCAs of a_depth, b_depth at depth - 1
+        pairs = [("a1", "root"), ("b1", "root")] + [
+            (f"{c}{i}", f"{p}{i - 1}") for i in range(2, depth + 1) for c in "ab" for p in "ab"
+        ]
+        t = taxonomy_from_pairs(pairs)
+        got = ev("wang_dca", t, f"a{depth}", f"b{depth}").value
+        assert got == 2 * (depth - 1) ** 2 / depth**2
+
 
 class TestFeatureBased:
     def test_cmatch(self, toy):
