@@ -65,6 +65,7 @@ from .pairwise import (
     eval_pairwise,
     is_symmetric,
     pairwise_measure,
+    score_matrix,
 )
 from .groupwise import GroupwiseMeasureSpec, eval_groupwise, groupwise_measure
 from .unify import (

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import logging
+import os
 import sys
 from contextlib import contextmanager
 
@@ -187,16 +188,28 @@ def _pairwise_spec(args, token, estimators, usage_loader):
     return pairwise_measure(name, theta=theta, usage=usage, **params)
 
 
+def _open_file(path, mode):
+    try:
+        return open(path, mode, encoding="utf-8", newline="")
+    except OSError as exc:
+        raise SmxError(f"cannot write {path}: {exc.strerror}") from None
+
+
+def _check_writable(path) -> None:
+    """Raise what _open_out(path) would raise, leaving the file as it was."""
+    if path not in (None, "-"):
+        existed = os.path.exists(path)
+        _open_file(path, "a").close()
+        if not existed:
+            os.remove(path)
+
+
 @contextmanager
 def _open_out(path):
     if path in (None, "-"):
         yield sys.stdout
     else:
-        try:
-            handle = open(path, "w", encoding="utf-8", newline="")
-        except OSError as exc:
-            raise SmxError(f"cannot write {path}: {exc.strerror}") from None
-        with handle:
+        with _open_file(path, "w") as handle:
             yield handle
 
 
@@ -240,13 +253,15 @@ def _cmd_preprocess(args) -> int:
             else None
         ),
     )
-    with _open_out(args.out) as out:
+    # --report is checked before --out is opened, so whichever output cannot
+    # be written, the other is left as it was
+    _check_writable(args.report)
+    with _open_out(args.out) as out, _open_out(args.report) as report_out:
         out.write(ingest.serialize_graph(cleaned))
-    with _open_out(args.report) as out:
         for record in report.removed_edges:
-            out.write(f"removed\t{record.subject}\t{record.predicate}\t{record.object}\n")
+            report_out.write(f"removed\t{record.subject}\t{record.predicate}\t{record.object}\n")
         if report.inserted_root:
-            out.write(f"inserted_root\t{report.inserted_root}\n")
+            report_out.write(f"inserted_root\t{report.inserted_root}\n")
     log.info(
         "removed %d redundant edges%s",
         len(report.removed_edges),

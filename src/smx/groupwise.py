@@ -4,7 +4,9 @@ Direct measures work on the graphs induced by the ancestor closures of
 the two sets, so passing reduced annotation sets is fine (the closure of
 a set and of its true-path reduction coincide). Indirect measures
 aggregate the pairwise score matrix of the sets as given, which is why
-callers should reduce annotation sets first.
+callers should reduce annotation sets first. The matrix is filled by one
+pairwise.score_matrix call, which ranks each class's ancestors and builds
+its longest-up table once per matrix rather than once per cell.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .pairwise import (
     MeasureValue,
     PairwiseMeasureSpec,
     Polarity,
-    eval_pairwise,
+    score_matrix,
 )
 from .specificity import ThetaEstimator
 
@@ -98,8 +100,7 @@ def eval_groupwise(
 
     inner = spec.inner
     matrix = [
-        [eval_pairwise(inner, taxonomy, u, v, allow_unreduced).value for v in vs]
-        for u in us
+        [mv.value for mv in row] for row in score_matrix(inner, taxonomy, us, vs, allow_unreduced)
     ]
     normalized = inner.info.normalized
     polarity = inner.info.polarity

@@ -1,7 +1,9 @@
 """Parsers and serializers for the toolkit's TSV exchange formats.
 
-All formats are UTF-8, one record per line; lines starting with '#' are
-comments and blank lines are ignored, as is one leading byte-order mark.
+All formats are UTF-8, one record per line. A line ends at LF, and one CR
+before the LF is dropped, whatever the source kind: a lone CR is content.
+Lines starting with '#' are comments and blank lines are ignored, as is
+one leading byte-order mark.
 A line-numbered ParseError from a file read by path names that path.
 
   graph       subject <TAB> predicate <TAB> object [<TAB> weight]
@@ -70,9 +72,12 @@ def _lines(source) -> Iterator[tuple[int, str]]:
 
     Bytes are decoded as UTF-8; an invalid byte is a ParseError on its line.
     """
+    # newline="\n" turns off universal newlines, so a path or a binary stream
+    # splits lines as bytes (through StringIO) do
+    decoding = {"encoding": "utf-8", "errors": "surrogateescape", "newline": "\n"}
     if isinstance(source, (str, os.PathLike)):
         try:
-            handle = open(source, "r", encoding="utf-8", errors="surrogateescape")
+            handle = open(source, "r", **decoding)
         except OSError as exc:
             raise ParseError(f"cannot read {os.fsdecode(source)}: {exc.strerror}") from None
         with handle:
@@ -81,11 +86,11 @@ def _lines(source) -> Iterator[tuple[int, str]]:
     if isinstance(source, bytes):
         source = io.StringIO(source.decode("utf-8", "surrogateescape"))
     elif isinstance(source, io.IOBase) and not isinstance(source, io.TextIOBase):
-        source = io.TextIOWrapper(source, encoding="utf-8", errors="surrogateescape")
+        source = io.TextIOWrapper(source, **decoding)
     elif hasattr(source, "read") and isinstance(source.read(0), bytes):
-        source = io.TextIOWrapper(source, encoding="utf-8", errors="surrogateescape")
+        source = io.TextIOWrapper(source, **decoding)
     for lineno, raw in enumerate(source, start=1):
-        line = raw.rstrip("\n").rstrip("\r")
+        line = raw.removesuffix("\n").removesuffix("\r")
         if lineno == 1:
             line = line.removeprefix("\ufeff")
         if not line.isascii():

@@ -9,6 +9,8 @@ normalization taken from the form. The remaining rows, where no form
 fits, name a bespoke evaluator. Measures that count shortest paths refuse a
 taxonomy with redundant edges because those shortcuts silently
 underestimate distances; pass allow_unreduced=True to study that effect.
+score_matrix scores every pair of two class lists in one call and equals
+eval_pairwise cell by cell.
 
 Notes on the few places where published equations needed a decision:
   - slimani and wang_dca follow the equations as published even though
@@ -23,9 +25,10 @@ Notes on the few places where published equations needed a decision:
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import (
     ContractError,
@@ -71,6 +74,10 @@ class MeasureInfo:
     asym_when_not: tuple[tuple[str, float], ...] = ()
     # a bespoke row: evaluate(spec, taxonomy, u, v)
     evaluate: Callable[..., MeasureValue] | None = None
+    # a bespoke row scored at a constraining ancestor: the pair function that
+    # evaluate calls for it, and whose result evaluate also takes as a fifth
+    # argument to skip that call
+    anchor: Callable | None = None
     # a form row: feature(theta, taxonomy, u, v) gives (f_u, f_v, f_shared),
     # bind maps the measure's parameters to the form's
     feature: Callable | None = None
@@ -218,12 +225,12 @@ def _depth_triple(t, u, v):
     return d + t.longest_up_distance(u, a), d + t.longest_up_distance(v, a), d
 
 
-def _eval_wu_palmer(spec, t, u, v):
-    return _general_dice(*_depth_triple(t, u, v))
+def _eval_wu_palmer(spec, t, u, v, triple=None):
+    return _general_dice(*(triple or _depth_triple(t, u, v)))
 
 
-def _eval_pekar_staab(spec, t, u, v):
-    return _sigma_beta(*_depth_triple(t, u, v), 1.0)
+def _eval_pekar_staab(spec, t, u, v, triple=None):
+    return _sigma_beta(*(triple or _depth_triple(t, u, v)), 1.0)
 
 
 def _eval_zhong(spec, t, u, v):
@@ -240,9 +247,9 @@ def _eval_li(spec, t, u, v):
     return _sim(math.exp(-alpha * sp) * math.tanh(beta * t.depth(a)))
 
 
-def _eval_slimani(spec, t, u, v):
+def _eval_slimani(spec, t, u, v, triple=None):
     (lam,) = spec.args
-    wp = _eval_wu_palmer(spec, t, u, v)
+    wp = _eval_wu_palmer(spec, t, u, v, triple)
     pf = (1.0 - lam) * (min(t.depth(u), t.depth(v)) - t.max_depth) + lam / (
         t.depth(u) + t.depth(v) + 1.0
     )
@@ -310,16 +317,20 @@ def _eval_sanchez_dist(spec, t, u, v):
 def _eval_jaccard_ext(spec, t, u, v):
     iu = _instances(spec, t, u)
     iv = _instances(spec, t, v)
-    return _sim(len(iu & iv) / len(iu | iv))
+    # |I(u) | I(v)| by inclusion-exclusion: no union set is built
+    shared = len(iu & iv)
+    return _sim(shared / (len(iu) + len(iv) - shared))
 
 
-def _eval_damato_ext(spec, t, u, v):
+def _least_used_ancestor(spec, t, u, v):
+    """The extensionally most informative common ancestor."""
+    return min(t.common_ancestors(u, v), key=lambda c: (spec.usage.count(c), t.label(c)))
+
+
+def _eval_damato_ext(spec, t, u, v, a=None):
     iu = _instances(spec, t, u)
     iv = _instances(spec, t, v)
-    # the constraining ancestor is the extensionally most informative one
-    common = t.common_ancestors(u, v)
-    a = min(common, key=lambda c: (spec.usage.count(c), t.label(c)))
-    ia = _instances(spec, t, a)
+    ia = _instances(spec, t, _least_used_ancestor(spec, t, u, v) if a is None else a)
     smaller = min(len(iu), len(iv))
     ratio = smaller / len(ia)
     return _sim(ratio * (1.0 - len(ia) / spec.usage.total) * (1.0 - ratio))
@@ -364,10 +375,12 @@ MEASURES: dict[str, MeasureInfo] = {
         SIM, False, path_based=True, ioi=True, evaluate=_eval_leacock_chodorow
     ),
     "wu_palmer": MeasureInfo(
-        SIM, True, path_based=True, ioi=True, root_degenerate=True, evaluate=_eval_wu_palmer
+        SIM, True, path_based=True, ioi=True, root_degenerate=True, evaluate=_eval_wu_palmer,
+        anchor=_depth_triple,
     ),
     "pekar_staab": MeasureInfo(
-        SIM, True, path_based=True, ioi=True, root_degenerate=True, evaluate=_eval_pekar_staab
+        SIM, True, path_based=True, ioi=True, root_degenerate=True, evaluate=_eval_pekar_staab,
+        anchor=_depth_triple,
     ),
     "zhong": MeasureInfo(
         DIST, True, params={"k": ParamSpec(2.0, lo=1.0)}, ioi=True, evaluate=_eval_zhong
@@ -386,6 +399,7 @@ MEASURES: dict[str, MeasureInfo] = {
         path_based=True,
         root_degenerate=True,
         evaluate=_eval_slimani,
+        anchor=_depth_triple,
     ),
     "shenoy": MeasureInfo(
         SIM,
@@ -459,7 +473,9 @@ MEASURES: dict[str, MeasureInfo] = {
         asym_when_differ=(("alpha", "beta"),),
     ),
     "jaccard_ext": MeasureInfo(SIM, True, needs_usage=True, ioi=True, evaluate=_eval_jaccard_ext),
-    "damato_ext": MeasureInfo(SIM, True, needs_usage=True, evaluate=_eval_damato_ext),
+    "damato_ext": MeasureInfo(
+        SIM, True, needs_usage=True, evaluate=_eval_damato_ext, anchor=_least_used_ancestor
+    ),
     # hybrid
     "jc_hybrid": MeasureInfo(
         DIST,
@@ -477,6 +493,16 @@ MEASURES: dict[str, MeasureInfo] = {
 }
 
 
+def _redundancy_error(spec, taxonomy) -> RedundancyError:
+    offender = next(iter(taxonomy.redundant_edges))
+    return RedundancyError(
+        f"taxonomy has redundant subClassOf edges "
+        f"(e.g. {taxonomy.label(offender[0])} < {taxonomy.label(offender[1])}); "
+        f"run the transitive reduction first, {spec.name} would "
+        "underestimate distances"
+    )
+
+
 def eval_pairwise(
     spec: PairwiseMeasureSpec,
     taxonomy: TaxonomyView,
@@ -491,19 +517,117 @@ def eval_pairwise(
     """
     info = spec.info
     if info.path_based and not taxonomy.is_reduced and not allow_unreduced:
-        offender = next(iter(taxonomy.redundant_edges))
-        raise RedundancyError(
-            f"taxonomy has redundant subClassOf edges "
-            f"(e.g. {taxonomy.label(offender[0])} < {taxonomy.label(offender[1])}); "
-            f"run the transitive reduction first, {spec.name} would "
-            "underestimate distances"
-        )
+        raise _redundancy_error(spec, taxonomy)
     taxonomy._check(u)
     taxonomy._check(v)
     feature = info.feature
     if feature is None:
         return info.evaluate(spec, taxonomy, u, v)
     return spec.kernel(*feature(spec.theta, taxonomy, u, v), *spec.args)
+
+
+# -- score matrices ------------------------------------------------------------
+
+
+def _first_common(t, key):
+    """(u, v) -> the common ancestor of u and v that is least under key: the
+    first class of A(u), ranked by key once per u, that lies in A(v)."""
+    anc, ranked = t._anc, {}
+
+    def first(u, v):
+        order = ranked.get(u)
+        if order is None:
+            order = ranked[u] = sorted(anc[u], key=key)
+        av = anc[v]
+        for a in order:
+            if a in av:
+                return a
+
+    return first
+
+
+def _matrix_mica(spec, t):
+    theta, labels = spec.theta, t._labels
+    # an undefined IC ranks first, so theta(mica) raises wherever t.mica does
+    mica = _first_common(t, lambda c: (-theta.raw(c), labels[c]))
+    return lambda u, v: (theta(u), theta(v), theta(mica(u, v)))
+
+
+def _matrix_depth_triple(spec, t):
+    anc, depth, parents, labels, tables = t._anc, t._depth, t._parents, t._labels, {}
+    dca = _first_common(t, lambda c: (-depth[c], labels[c]))
+
+    def longest_up(c):
+        """{a: longest edge count from c up to a} over A(c), in one pass by
+        decreasing depth, which reaches each class after its children."""
+        up = tables.get(c)
+        if up is None:
+            up = tables[c] = {c: 0}
+            for x in sorted(anc[c], key=depth.__getitem__, reverse=True):
+                step = up[x] + 1
+                for p in parents[x]:
+                    if up.get(p, -1) < step:
+                        up[p] = step
+        return up
+
+    def triple(u, v):
+        a = dca(u, v)
+        d = depth[a]
+        return d + longest_up(u)[a], d + longest_up(v)[a], d
+
+    return triple
+
+
+# a pair feature or anchor -> (spec, taxonomy) -> its (u, v) function for one
+# score_matrix call, equal to the scalar one on every pair
+_BATCHED = {
+    mica_feature: _matrix_mica,
+    _depth_triple: _matrix_depth_triple,
+    _least_used_ancestor: lambda spec, t: _first_common(
+        t, lambda c: (spec.usage.count(c), t._labels[c])
+    ),
+}
+
+
+def _cell_scorer(spec, t):
+    """(u, v) -> eval_pairwise(spec, t, u, v) for classes already checked."""
+    info = spec.info
+    if info.feature is not None:
+        batched, kernel, args = _BATCHED.get(info.feature), spec.kernel, spec.args
+        feature = batched(spec, t) if batched else functools.partial(info.feature, spec.theta, t)
+        return lambda u, v: kernel(*feature(u, v), *args)
+    evaluate = info.evaluate
+    if info.anchor is not None:
+        anchor = _BATCHED[info.anchor](spec, t)
+        return lambda u, v: evaluate(spec, t, u, v, anchor(u, v))
+    return lambda u, v: evaluate(spec, t, u, v)
+
+
+def score_matrix(
+    spec: PairwiseMeasureSpec,
+    taxonomy: TaxonomyView,
+    us: Iterable[NodeId],
+    vs: Iterable[NodeId],
+    allow_unreduced: bool = False,
+) -> list[list[MeasureValue]]:
+    """[[eval_pairwise(spec, taxonomy, u, v) for v in vs] for u in us] in one
+    call, raising what the first failing cell raises. Per-class data (ranked
+    ancestors, longest-up tables) is built once per call and then dropped.
+    """
+    info = spec.info
+    if info.path_based and not taxonomy.is_reduced and not allow_unreduced:
+        raise _redundancy_error(spec, taxonomy)
+    check, cell, vs = taxonomy._check, _cell_scorer(spec, taxonomy), list(vs)
+    matrix = []
+    for u in us:
+        check(u)
+        row = []
+        for v in vs:
+            if not matrix:  # the first row checks each v where eval_pairwise would
+                check(v)
+            row.append(cell(u, v))
+        matrix.append(row)
+    return matrix
 
 
 def convert(mv: MeasureValue, target: Polarity, rule: ConversionRule) -> MeasureValue:

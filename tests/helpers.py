@@ -73,13 +73,14 @@ FUZZ_TOKENS = [
 @st.composite
 def fuzz_tsv(draw):
     """TSV bytes of token lines with stray tabs, an optional leading BOM,
-    LF or CRLF endings, and sometimes a byte that is not UTF-8."""
+    each line ended by LF, CRLF or a lone CR, and sometimes a byte that is
+    not UTF-8."""
     lines = draw(st.lists(st.lists(st.sampled_from(FUZZ_TOKENS), min_size=1, max_size=5), max_size=6))
-    end = draw(st.sampled_from(["\n", "\r\n"]))
-    text = ("\ufeff" if draw(st.booleans()) else "") + "".join("\t".join(l) + end for l in lines)
+    ends = st.sampled_from(["\n", "\r\n", "\r"])
+    text = ("\ufeff" if draw(st.booleans()) else "") + "".join("\t".join(l) + draw(ends) for l in lines)
     data = text.encode()
     if draw(st.booleans()):
-        data += b"x\xff\ty" + end.encode()
+        data += b"x\xff\ty" + draw(ends).encode()
     return data
 
 

@@ -217,6 +217,24 @@ class TestPreprocess:
         graph.write_text("A\tsubClassOf\tB\nB\tsubClassOf\tA\n")
         assert main(["preprocess", "--graph", str(graph)]) == 2
 
+    @pytest.mark.parametrize("bad", ["--out", "--report"])
+    @pytest.mark.parametrize("existing", [None, "old results\n"])
+    def test_unwritable_output_leaves_the_other(self, toy_file, tmp_path, capsys, bad, existing):
+        paths = {"--out": tmp_path / "reduced.tsv", "--report": tmp_path / "r.tsv"}
+        paths[bad] = tmp_path / "nodir" / "x.tsv"
+        other = paths["--report" if bad == "--out" else "--out"]
+        if existing is not None:
+            other.write_text(existing)
+        argv = ["preprocess", "--graph", toy_file]
+        code = main(argv + [arg for flag, path in paths.items() for arg in (flag, str(path))])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        if existing is None:
+            assert not other.exists()
+        else:
+            assert other.read_text() == existing
+
 
 class TestGroupsim:
     def test_bma_lin(self, toy_file, tmp_path, capsys):

@@ -196,6 +196,39 @@ class TestByteOrderMark:
         assert smx.taxonomic_reduction(g).inserted_root is None
 
 
+def _read_outcome(source, path):
+    """The triples read from source, or the ParseError's line and message
+    without the path prefix."""
+    try:
+        return smx.ingest.read_triples(source)
+    except ParseError as exc:
+        return exc.line, str(exc).removeprefix(f"{path}: ")
+
+
+class TestLineEnds:
+    """LF ends a line for every source kind, one CR before it is dropped, and
+    a lone CR is content."""
+
+    SOURCES = ("path", "bytes", "binary-stream", "text-stream")
+
+    def _outcomes(self, data, path):
+        path.write_bytes(data)
+        text = data.decode("utf-8", "surrogateescape")
+        sources = (str(path), data, io.BytesIO(data), io.StringIO(text))
+        return [_read_outcome(source, path) for source in sources]
+
+    def test_lone_cr_does_not_end_a_line(self, tmp_path):
+        data = b"A\tsubClassOf\troot\rB\tsubClassOf\troot\r\n"
+        outcomes = self._outcomes(data, tmp_path / "g.tsv")
+        assert outcomes == [(1, "line 1: expected 3 or 4 tab-separated fields, got 5")] * 4
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=fuzz_tsv())
+    def test_every_source_kind_reads_the_same(self, tmp_path_factory, data):
+        outcomes = self._outcomes(data, tmp_path_factory.mktemp("ends") / "in.tsv")
+        assert outcomes == [outcomes[0]] * 4, dict(zip(self.SOURCES, outcomes))
+
+
 def _toy_parsers(toy_graph):
     """Every path-reading parser, each with one input whose line 2 is bad."""
     return [

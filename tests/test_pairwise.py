@@ -11,6 +11,8 @@ from smx.errors import (
     InfiniteICError,
     InfinityError,
     RedundancyError,
+    SmxError,
+    UnknownNodeError,
     UsageError,
 )
 from smx.pairwise import MEASURES
@@ -453,3 +455,117 @@ class TestFormRowOracles:
                 )
                 assert abs(got.value - value) <= 1e-12, (name, params)
                 assert got.degenerate == degenerate, (name, params)
+
+
+def _outcome(fill):
+    """(matrix, None) or (None, the SmxError subclass fill raised)."""
+    try:
+        return fill(), None
+    except SmxError as exc:
+        return None, type(exc)
+
+
+def _cell_fields(mv):
+    value = "nan" if math.isnan(mv.value) else mv.value
+    return value, mv.polarity, mv.normalized, mv.degenerate
+
+
+class TestScoreMatrix:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        reduce=st.booleans(),
+        allow_unreduced=st.booleans(),
+        tied_theta=st.booleans(),
+        unknown=st.booleans(),
+    )
+    def test_equals_eval_pairwise_cell_by_cell(
+        self, seed, reduce, allow_unreduced, tied_theta, unknown
+    ):
+        rng = random.Random(seed)
+        t, _ = random_taxonomy(rng, max_nodes=30, multi=0.6)
+        if reduce:
+            t, _ = smx.transitive_reduction(t)
+        classes = sorted(t.class_ids)
+        # few instances on few classes: tied usage counts, unused classes
+        assignments = {
+            f"i{k}": frozenset(rng.sample(classes, rng.randint(1, 2)))
+            for k in range(rng.randint(1, 4))
+        }
+        usage = smx.class_usage(t, smx.AnnotationSet(assignments))
+        if tied_theta:
+            values = (0.0, 1.0, 2.0, math.inf)
+            theta = smx.ThetaEstimator.from_table(t, {c: rng.choice(values) for c in classes})
+        else:
+            theta = smx.resnik_extrinsic_ic(t, usage)
+        pool = classes + [-1] if unknown else classes
+        us = rng.sample(pool, rng.randint(1, min(6, len(pool))))
+        vs = rng.sample(pool, rng.randint(1, min(6, len(pool))))
+        configs = [(name, {}) for name in sorted(MEASURES)] + [("slimani", {"lam": 0.0})]
+        for name, params in configs:
+            info = MEASURES[name]
+            spec = smx.pairwise_measure(
+                name,
+                theta=theta if info.needs_theta else None,
+                usage=usage if info.needs_usage else None,
+                **params,
+            )
+            got, got_error = _outcome(
+                lambda: smx.score_matrix(spec, t, us, vs, allow_unreduced)
+            )
+            want, want_error = _outcome(
+                lambda: [
+                    [smx.eval_pairwise(spec, t, u, v, allow_unreduced) for v in vs]
+                    for u in us
+                ]
+            )
+            assert got_error is want_error, name
+            if want is not None:
+                assert [[_cell_fields(mv) for mv in row] for row in got] == [
+                    [_cell_fields(mv) for mv in row] for row in want
+                ], name
+
+    def test_tied_deepest_common_ancestors_break_by_label(self):
+        # a1 and a2 are both deepest common ancestors of u and v, but u lies
+        # two edges below a1 and one below a2: a1 gives 2/5, a2 would give 1/2
+        t = taxonomy_from_pairs(
+            [("a1", "root"), ("a2", "root"), ("x", "a1"), ("u", "x"), ("u", "a2"),
+             ("v", "a1"), ("v", "a2")]
+        )
+        u, v = t.node("u"), t.node("v")
+        wu_palmer = smx.pairwise_measure("wu_palmer")
+        assert smx.eval_pairwise(wu_palmer, t, u, v).value == 0.4
+        assert smx.score_matrix(wu_palmer, t, [u, v], [v, u])[0] == [
+            smx.eval_pairwise(wu_palmer, t, u, v),
+            smx.eval_pairwise(wu_palmer, t, u, u),
+        ]
+
+    def test_each_failure_kind_is_raised(self, chain_with_skip):
+        t = chain_with_skip
+        c0, c1, c4 = (t.node(n) for n in ("c0", "c1", "c4"))
+        usage = smx.class_usage(t, smx.AnnotationSet({"i": frozenset({c1})}))
+        wu_palmer = smx.pairwise_measure("wu_palmer")
+        with pytest.raises(RedundancyError):
+            smx.score_matrix(wu_palmer, t, [c0], [c1])
+        assert smx.score_matrix(wu_palmer, t, [c0], [c1], allow_unreduced=True)
+        with pytest.raises(UsageError):
+            smx.score_matrix(smx.pairwise_measure("jaccard_ext", usage=usage), t, [c1], [c0])
+        lin = smx.pairwise_measure("lin", theta=smx.resnik_extrinsic_ic(t, usage))
+        with pytest.raises(InfiniteICError):
+            smx.score_matrix(lin, t, [c4], [c0])
+        with pytest.raises(UnknownNodeError):
+            smx.score_matrix(lin, t, [c1], [c4, -1])
+
+    def test_jaccard_ext_hand_values(self):
+        t = taxonomy_from_pairs([("A", "root"), ("B", "root"), ("C", "root")])
+        a, b, c = (t.node(n) for n in "ABC")
+        # I(A) = {i1..i4} and I(B) = {i2..i5} share 3 of 5; I(C) = {i6}
+        assignments = {"i1": {a}, "i2": {a, b}, "i3": {a, b}, "i4": {a, b}, "i5": {b}, "i6": {c}}
+        usage = smx.class_usage(
+            t, smx.AnnotationSet({k: frozenset(v) for k, v in assignments.items()})
+        )
+        spec = smx.pairwise_measure("jaccard_ext", usage=usage)
+        want = {(a, b): 3 / 5, (a, c): 0.0, (a, a): 1.0, (c, c): 1.0}
+        for (u, v), value in want.items():
+            assert smx.eval_pairwise(spec, t, u, v).value == value
+            assert smx.score_matrix(spec, t, [u], [v])[0][0].value == value
