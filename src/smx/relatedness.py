@@ -4,6 +4,10 @@ and SimRank.
 
 The transition model and the graph are immutable after construction; the
 SimRank iteration double-buffers its score tables.
+
+numpy is imported by the functions that build dense tables, not by the
+module, so importing smx does not load it. Each dense build checks its
+float64 footprint against DENSE_LIMIT_BYTES before it allocates.
 """
 
 from __future__ import annotations
@@ -13,8 +17,6 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Mapping
-
-import numpy as np
 
 from .errors import ContractError, DivergenceError, UnknownNodeError
 from .graph import NodeId, SemanticGraph
@@ -38,6 +40,19 @@ class PredicateWeightScheme:
 
 UNIFORM = PredicateWeightScheme()
 
+DENSE_LIMIT_BYTES = 2 << 30  # largest float64 footprint of one dense build
+
+
+def _check_dense(what: str, tables: int, side: int) -> None:
+    """Raise ContractError when tables float64 side x side tables exceed
+    DENSE_LIMIT_BYTES, before any of them is allocated."""
+    size = 8 * tables * side * side
+    if size > DENSE_LIMIT_BYTES:
+        raise ContractError(
+            f"{what} needs {tables} float64 table(s) of {side} x {side}, "
+            f"{size / 2**30:.1f} GiB, above the {DENSE_LIMIT_BYTES / 2**30:g} GiB limit"
+        )
+
 
 def weighted_shortest_path(
     graph: SemanticGraph,
@@ -49,7 +64,15 @@ def weighted_shortest_path(
     in both directions (every relationship implies its inverse).
 
     Returns None when v is unreachable, which is distinct from any cost.
-    Dijkstra's algorithm: O(E log V) per query.
+    Bidirectional Dijkstra: one search grows from each endpoint, always on
+    the side whose heap top is smaller. mu, the least sum of a node's two
+    labels over the nodes both sides have labelled, is updated whenever a
+    label drops, and is final once the two heap tops sum to at least mu.
+    Costs are >= 0, so that stop is exact, and a settled node's label never
+    drops again. The searches usually meet long before either one settles
+    the other endpoint, but the worst case stays O(E log n) per query. The
+    forward search starts from min(u, v), so wsp(u, v) and wsp(v, u) are
+    the same computation, bit for bit.
     """
     if not (0 <= u < graph.n_nodes and 0 <= v < graph.n_nodes):
         raise UnknownNodeError("endpoint is not a node of the graph")
@@ -57,31 +80,42 @@ def weighted_shortest_path(
         return 0.0
     costs = {p: scheme.cost(p) for p in graph.predicates}
     weights = graph.edge_weights
-    dist = {u: 0.0}
-    done = set()
-    heap = [(0.0, u)]
-    while heap:
-        d, node = heapq.heappop(heap)
-        if node == v:
-            return d
-        if node in done:
+    out_edges, in_edges = graph.out_edges, graph.in_edges
+    heappop, heappush, inf = heapq.heappop, heapq.heappush, math.inf
+    source, target = min(u, v), max(u, v)
+    dist = ({source: 0.0}, {target: 0.0})
+    done = (set(), set())
+    heaps = ([(0.0, source)], [(0.0, target)])
+    best = inf
+    while True:
+        # a stale top still bounds the live keys from below, so the stop
+        # test stays exact without purging settled entries first
+        top_f = heaps[0][0][0] if heaps[0] else inf
+        top_b = heaps[1][0][0] if heaps[1] else inf
+        if top_f + top_b >= best:
+            return None if best == inf else best
+        side = 0 if top_f <= top_b else 1
+        heap, mine, theirs, settled = heaps[side], dist[side], dist[1 - side], done[side]
+        d, node = heappop(heap)
+        if node in settled:
             continue
-        done.add(node)
-        for predicate, other in graph.out_edges(node):
-            if other not in done:
-                cost = costs[predicate]
-                nd = d + (cost if weights is None else cost * weights[node, predicate, other])
-                if nd < dist.get(other, math.inf):
-                    dist[other] = nd
-                    heapq.heappush(heap, (nd, other))
-        for predicate, other in graph.in_edges(node):
-            if other not in done:
-                cost = costs[predicate]
-                nd = d + (cost if weights is None else cost * weights[other, predicate, node])
-                if nd < dist.get(other, math.inf):
-                    dist[other] = nd
-                    heapq.heappush(heap, (nd, other))
-    return None
+        settled.add(node)
+        for predicate, other in out_edges(node):
+            cost = costs[predicate]
+            nd = d + (cost if weights is None else cost * weights[node, predicate, other])
+            if nd < mine.get(other, inf):
+                mine[other] = nd
+                if other in theirs and nd + theirs[other] < best:
+                    best = nd + theirs[other]
+                heappush(heap, (nd, other))
+        for predicate, other in in_edges(node):
+            cost = costs[predicate]
+            nd = d + (cost if weights is None else cost * weights[other, predicate, node])
+            if nd < mine.get(other, inf):
+                mine[other] = nd
+                if other in theirs and nd + theirs[other] < best:
+                    best = nd + theirs[other]
+                heappush(heap, (nd, other))
 
 
 class TransitionModel:
@@ -92,7 +126,8 @@ class TransitionModel:
     irreducible (at least two nodes, strongly connected) it also stores the
     stationary vector pi and a fundamental matrix (see _factorize): one
     O(n^3) inverse and n^2 floats, after which every hitting time is a
-    lookup.
+    lookup. Above DENSE_LIMIT_BYTES for the matrix and its inverse,
+    construction raises ContractError instead.
     """
 
     __slots__ = ("graph", "_out_probs", "_sources", "_pi", "_fundamental")
@@ -158,6 +193,9 @@ class TransitionModel:
         H(u, v) = (G[v, v] - G[u, v]) / pi[v] holds for either.
         """
         n = self.graph.n_nodes
+        _check_dense("the fundamental matrix", 2, n)
+        import numpy as np
+
         matrix = np.full((n, n), 1.0 / n)
         matrix[np.diag_indices(n)] += 1.0
         for x, probs in self._out_probs.items():
@@ -190,7 +228,8 @@ def hitting_time(model: TransitionModel, u: NodeId, v: NodeId) -> float:
     the model's fundamental matrix G. Otherwise H(x, v) = 1 + sum_k p(x, k)
     H(k, v) with H(v, v) = 0 is solved over the states the walk can visit
     from u, and DivergenceError is raised when absorption at v is not
-    almost sure from u.
+    almost sure from u. ContractError is raised when that system exceeds
+    DENSE_LIMIT_BYTES.
     """
     graph = model.graph
     if not (0 <= u < graph.n_nodes and 0 <= v < graph.n_nodes):
@@ -217,6 +256,9 @@ def hitting_time(model: TransitionModel, u: NodeId, v: NodeId) -> float:
         )
 
     states = sorted(reach - {v})
+    _check_dense("the hitting-time system", 1, len(states))
+    import numpy as np
+
     index = {s: i for i, s in enumerate(states)}
     n = len(states)
     matrix = np.eye(n)
@@ -264,7 +306,8 @@ def simrank(
     node. Iterates are non-decreasing and converge for decay in (0, 1).
 
     Each iteration averages rows over in-neighbors twice, with a transpose
-    between: O(E n) time per iteration and three n x n tables.
+    between: O(E n) time per iteration and three n x n tables, which
+    must fit in DENSE_LIMIT_BYTES or ContractError is raised.
     """
     if not 0.0 < decay < 1.0:
         raise ContractError("simrank decay must lie strictly between 0 and 1")
@@ -273,6 +316,9 @@ def simrank(
     if graph.n_nodes == 0:
         raise ContractError("simrank needs a non-empty graph")
     n = graph.n_nodes
+    _check_dense("simrank", 3, n)
+    import numpy as np
+
     sources = [sorted({s for _, s in graph.in_edges(node)}) for node in range(n)]
     # Tables are indexed by rank, nodes ordered by decreasing in-degree, so
     # the nodes with a k-th in-neighbor are a prefix of the rows: slot k
@@ -323,6 +369,6 @@ def _average_in_neighbors(table, slots, scale, out, spare):
         for start in range(0, len(slot), rows):
             chunk = slot[start : start + rows]
             block = spare[: len(chunk)]
-            np.take(table, chunk, axis=0, out=block, mode="clip")
+            table.take(chunk, axis=0, out=block, mode="clip")
             out[start : start + len(chunk)] += block
     out *= scale[:, None]

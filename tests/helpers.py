@@ -4,6 +4,7 @@ the library's own algorithms."""
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from collections import deque
@@ -259,6 +260,41 @@ def form_row_oracle(name, t, theta, u, v, params):
 
 
 # -- relatedness oracles -------------------------------------------------
+
+
+def unidirectional_wsp(graph, scheme, u, v):
+    """Predicate-weighted shortest path cost by one Dijkstra search grown
+    from u until it settles v, edges traversed in both directions; None
+    when v is unreachable."""
+    if u == v:
+        return 0.0
+    costs = {p: scheme.cost(p) for p in graph.predicates}
+    weights = graph.edge_weights
+    dist = {u: 0.0}
+    done = set()
+    heap = [(0.0, u)]
+    while heap:
+        d, node = heapq.heappop(heap)
+        if node == v:
+            return d
+        if node in done:
+            continue
+        done.add(node)
+        for predicate, other in graph.out_edges(node):
+            if other not in done:
+                cost = costs[predicate]
+                nd = d + (cost if weights is None else cost * weights[node, predicate, other])
+                if nd < dist.get(other, math.inf):
+                    dist[other] = nd
+                    heapq.heappush(heap, (nd, other))
+        for predicate, other in graph.in_edges(node):
+            if other not in done:
+                cost = costs[predicate]
+                nd = d + (cost if weights is None else cost * weights[other, predicate, node])
+                if nd < dist.get(other, math.inf):
+                    dist[other] = nd
+                    heapq.heappush(heap, (nd, other))
+    return None
 
 
 def dense_simrank(graph, decay, iterations, tol=0.0):

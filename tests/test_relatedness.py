@@ -1,6 +1,10 @@
 import io
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +13,13 @@ from hypothesis import given, settings, strategies as st
 import smx
 from smx.errors import ContractError, DivergenceError
 
-from helpers import brute_unconstrained, dense_hitting_time, dense_simrank, random_taxonomy
+from helpers import (
+    brute_unconstrained,
+    dense_hitting_time,
+    dense_simrank,
+    random_taxonomy,
+    unidirectional_wsp,
+)
 
 
 def graph_of(text):
@@ -85,6 +95,39 @@ def random_simrank_graph(rng, max_nodes=12):
     )
 
 
+def random_wsp_graph(rng, max_nodes=14):
+    """Three-predicate graph for shortest paths. It may hold self-loops,
+    parallel edges under two predicates, isolated nodes and two components,
+    with no edge weights or with weights that include 0."""
+    n = rng.randint(2, max_nodes)
+    split = rng.randint(1, n) if rng.random() < 0.5 else n
+    isolated = set(rng.sample(range(n), rng.randint(0, 2)))
+    edges = set()
+    for _ in range(rng.randint(0, 3 * n)):
+        a = rng.randrange(n)
+        group = range(split) if a < split else range(split, n)
+        b = a if rng.random() < 0.1 else rng.choice(group)
+        if a in isolated or b in isolated:
+            continue
+        predicates = rng.sample("pqr", 2) if rng.random() < 0.2 else [rng.choice("pqr")]
+        edges.update((a, p, b) for p in predicates)
+    weights = None
+    if rng.random() < 0.6:
+        weights = {e: rng.choice((0.0, 0.1, 0.3, 1.0, 2.7, 7.0)) for e in edges}
+    return smx.SemanticGraph(
+        labels=[f"v{i}" for i in range(n)], classes=(), instances=range(n),
+        predicates="pqr", edges=edges, edge_weights=weights,
+    )
+
+
+def ring(n, closed=True):
+    edges = [(i, "next", (i + 1) % n) for i in range(n if closed else n - 1)]
+    return smx.SemanticGraph(
+        labels=[f"v{i}" for i in range(n)], classes=(), instances=range(n),
+        predicates=("next",), edges=edges,
+    )
+
+
 class TestWeightedShortestPath:
     def test_uniform_matches_taxonomy_distance(self, toy_graph, toy):
         wsp = smx.weighted_shortest_path(
@@ -133,6 +176,92 @@ class TestWeightedShortestPath:
         assert dab == dba
         assert dab <= dac + dcb + 1e-9
         assert dab == brute_unconstrained(pairs, g.label(a), g.label(b))
+
+    def test_reversed_endpoints_agree_bit_for_bit(self):
+        # 0.7 + 0.6 + 0.2 rounds to 1.5 or to 1.4999999999999998 depending
+        # on the node at which the two searches meet
+        weights = {(2, "p", 0): 0.7, (1, "p", 2): 0.6, (1, "p", 3): 0.2, (3, "p", 1): 0.7}
+        g = smx.SemanticGraph(
+            labels=["v0", "v1", "v2", "v3"], classes=(), instances=range(4),
+            predicates="p", edges=weights, edge_weights=weights,
+        )
+        scheme = smx.PredicateWeightScheme()
+        there = smx.weighted_shortest_path(g, scheme, 0, 3)
+        assert there == smx.weighted_shortest_path(g, scheme, 3, 0)
+        assert math.isclose(there, 1.5, rel_tol=1e-15)
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_unidirectional_oracle_and_is_symmetric(self, seed):
+        rng = random.Random(seed)
+        g = random_wsp_graph(rng)
+        scheme = smx.PredicateWeightScheme(
+            weights={p: rng.choice((0.0, 0.25, 1.0, 1.3, 4.0)) for p in "pq"},
+            default=rng.choice((0.0, 1.0, 0.7)),
+        )
+        for u in range(g.n_nodes):
+            for v in range(g.n_nodes):
+                got = smx.weighted_shortest_path(g, scheme, u, v)
+                expected = unidirectional_wsp(g, scheme, u, v)
+                assert (got is None) == (expected is None)
+                if expected is not None:
+                    assert math.isclose(got, expected, rel_tol=1e-12, abs_tol=0.0)
+                back = smx.weighted_shortest_path(g, scheme, v, u)
+                assert got == back
+
+
+class TestDenseSizeGuards:
+    """Each dense build computes its float64 footprint first and raises
+    ContractError above DENSE_LIMIT_BYTES (2 GiB). numpy's constructors
+    are replaced by ones that fail, so a guard that came too late fails
+    the test instead of allocating tens of GiB."""
+
+    N = 100_000
+
+    @pytest.fixture(autouse=True)
+    def refuse_tables(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a numpy array was allocated before the guard")
+
+        for name in ("array", "empty", "eye", "full", "ones", "zeros"):
+            monkeypatch.setattr(np, name, refuse)
+
+    def test_limit_is_two_gib(self):
+        assert smx.relatedness.DENSE_LIMIT_BYTES == 2 * 2**30
+
+    def test_fundamental_matrix_of_large_ring(self):
+        g = ring(self.N)
+        match = r"fundamental matrix needs 2 float64 table\(s\) of 100000 x 100000, 149\.0 GiB"
+        with pytest.raises(ContractError, match=match):
+            smx.TransitionModel.from_graph(g)
+
+    def test_simrank_of_large_ring_and_edgeless_graph(self):
+        edgeless = smx.SemanticGraph(
+            labels=[f"v{i}" for i in range(self.N)], classes=(), instances=range(self.N),
+            predicates=(), edges=(),
+        )
+        match = r"simrank needs 3 float64 table\(s\) of 100000 x 100000, 223\.5 GiB"
+        for g in (ring(self.N), edgeless):
+            with pytest.raises(ContractError, match=match):
+                smx.simrank(g)
+
+    def test_reducible_solve_on_large_chain(self):
+        g = ring(self.N, closed=False)
+        model = smx.TransitionModel.from_graph(g)
+        assert not model.irreducible
+        match = r"hitting-time system needs 1 float64 table\(s\) of 99999 x 99999"
+        with pytest.raises(ContractError, match=match):
+            smx.hitting_time(model, 0, self.N - 1)
+
+
+def test_import_does_not_load_numpy():
+    src = Path(smx.__file__).resolve().parent.parent
+    code = "import sys, smx, smx.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.strip() == "False"
 
 
 class TestHittingTime:
