@@ -225,7 +225,8 @@ def serialize_graph(graph: SemanticGraph, stream: IO[str] | None = None) -> str:
 def _class_lists(source, graph: SemanticGraph, key: str, sep: str):
     """Read key<TAB>class list lines, resolving every class against the
     graph; lines repeating a key merge by union and bump the warning count."""
-    table: dict[str, set[NodeId]] = {}
+    index, class_ids = graph._index, graph.classes
+    table: dict[str, frozenset[NodeId]] = {}
     warnings = 0
     for lineno, line in _lines(source):
         fields = line.split("\t")
@@ -239,15 +240,16 @@ def _class_lists(source, graph: SemanticGraph, key: str, sep: str):
             token = token.strip()
             if not token:
                 raise ParseError("empty class identifier", lineno)
-            if not graph.has_node(token) or graph.node(token) not in graph.classes:
+            node = index.get(token)
+            if node not in class_ids:
                 raise ResolutionError(f"unknown class identifier {token!r}")
-            resolved.add(graph.node(token))
+            resolved.add(node)
         if name in table:
             warnings += 1
-            table[name] |= resolved
+            table[name] = table[name].union(resolved)
         else:
-            table[name] = resolved
-    return {k: frozenset(v) for k, v in table.items()}, warnings
+            table[name] = frozenset(resolved)
+    return table, warnings
 
 
 def parse_annotations(source, graph: SemanticGraph) -> AnnotationSet:

@@ -77,25 +77,28 @@ def reduce_annotations(
     """Remove each annotated class that is a strict ancestor of another one.
 
     The surviving set per instance is an antichain, which is what the
-    direct groupwise measures and usage statistics expect.
+    direct groupwise measures and usage statistics expect. A leaf is never
+    a strict ancestor, so only an instance's inner classes are tested.
     """
+    class_ids = taxonomy.class_ids
+    leaves = taxonomy.leaves
+    anc = taxonomy._anc
     reduced: dict[str, frozenset[NodeId]] = {}
     removed: dict[str, frozenset[str]] = {}
     for instance, classes in annotations.assignments.items():
-        for c in classes:
-            if c not in taxonomy.class_ids:
-                raise UnknownNodeError(
-                    f"annotation class {c} is not part of the taxonomy"
-                )
-        keep = frozenset(
+        if not class_ids.issuperset(classes):
+            c = next(c for c in classes if c not in class_ids)
+            raise UnknownNodeError(f"annotation class {c} is not part of the taxonomy")
+        dropped = [
             c
-            for c in classes
-            if not any(other != c and c in taxonomy.ancestors(other) for other in classes)
-        )
-        reduced[instance] = keep
-        dropped = classes - keep
+            for c in classes - leaves
+            if any(other != c and c in anc[other] for other in classes)
+        ]
         if dropped:
+            reduced[instance] = frozenset(classes.difference(dropped))
             removed[instance] = frozenset(taxonomy.label(c) for c in dropped)
+        else:
+            reduced[instance] = frozenset(classes)
     report = ReductionReport(removed_annotations=removed)
     return AnnotationSet(assignments=reduced, warnings=annotations.warnings), report
 

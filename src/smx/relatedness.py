@@ -126,8 +126,9 @@ class TransitionModel:
     irreducible (at least two nodes, strongly connected) it also stores the
     stationary vector pi and a fundamental matrix (see _factorize): one
     O(n^3) inverse and n^2 floats, after which every hitting time is a
-    lookup. Above DENSE_LIMIT_BYTES for the matrix and its inverse,
-    construction raises ContractError instead.
+    lookup. The factorization holds four n x n tables at its peak (see
+    _factorize); above DENSE_LIMIT_BYTES for those, construction raises
+    ContractError instead.
     """
 
     __slots__ = ("graph", "_out_probs", "_sources", "_pi", "_fundamental")
@@ -191,9 +192,12 @@ class TransitionModel:
         Kemeny and Snell; for other w it differs from Z by a rank-one term
         1 x^T (Sherman-Morrison), which cancels in G[v, v] - G[u, v], so
         H(u, v) = (G[v, v] - G[u, v]) / pi[v] holds for either.
+
+        The peak holds four n x n tables: the matrix, the copy LAPACK
+        factors, the identity right-hand side and the inverse.
         """
         n = self.graph.n_nodes
-        _check_dense("the fundamental matrix", 2, n)
+        _check_dense("the fundamental matrix", 4, n)
         import numpy as np
 
         matrix = np.full((n, n), 1.0 / n)
@@ -228,7 +232,8 @@ def hitting_time(model: TransitionModel, u: NodeId, v: NodeId) -> float:
     the model's fundamental matrix G. Otherwise H(x, v) = 1 + sum_k p(x, k)
     H(k, v) with H(v, v) = 0 is solved over the states the walk can visit
     from u, and DivergenceError is raised when absorption at v is not
-    almost sure from u. ContractError is raised when that system exceeds
+    almost sure from u. ContractError is raised when that system, two
+    tables at its peak (the matrix and the copy LAPACK factors), exceeds
     DENSE_LIMIT_BYTES.
     """
     graph = model.graph
@@ -256,7 +261,7 @@ def hitting_time(model: TransitionModel, u: NodeId, v: NodeId) -> float:
         )
 
     states = sorted(reach - {v})
-    _check_dense("the hitting-time system", 1, len(states))
+    _check_dense("the hitting-time system", 2, len(states))
     import numpy as np
 
     index = {s: i for i, s in enumerate(states)}

@@ -23,6 +23,9 @@ from .graph import NodeId, TaxonomyView
 from .ingest import AnnotationSet
 
 
+_EMPTY: frozenset = frozenset()
+
+
 @dataclass(frozen=True)
 class ClassUsage:
     """Per-class propagated instance sets: an instance counts for a class
@@ -32,29 +35,48 @@ class ClassUsage:
     total: int
 
     def count(self, c: NodeId) -> int:
-        return len(self.members.get(c, frozenset()))
+        return len(self.members.get(c, _EMPTY))
 
     def instances(self, c: NodeId) -> frozenset[str]:
-        return self.members.get(c, frozenset())
+        return self.members.get(c, _EMPTY)
 
 
 def class_usage(taxonomy: TaxonomyView, annotations: AnnotationSet) -> ClassUsage:
-    """Propagate annotations through the taxonomy and count class usage."""
+    """Propagate annotations through the taxonomy and count class usage.
+
+    I(c) is the union of the instances annotated with c and I(x) over the
+    children x of c, so a leaf holds its own instances only. Walking the
+    inner classes by decreasing depth (the longest root path) puts every
+    child before its parents, so each I(c) is built once from finished
+    parts: one union per class rather than one insert per (instance,
+    ancestor) pair. A class with one contributing part shares that part's
+    set, and every zero-usage class shares one empty set. Each other set
+    is frozen from a finished set, which sizes its hash table to its
+    members; a set grown in place keeps a sparser one.
+    """
     if not annotations.assignments:
         raise UsageError("empty annotation set: extrinsic estimators are undefined")
-    members: dict[NodeId, set[str]] = {c: set() for c in taxonomy.class_ids}
+    class_ids = taxonomy.class_ids
+    direct: dict[NodeId, set[str]] = {}
     for instance, classes in annotations.assignments.items():
-        closure: set[NodeId] = set()
+        if not class_ids.issuperset(classes):
+            c = next(c for c in classes if c not in class_ids)
+            raise UnknownNodeError(f"annotation class {c} is not in the taxonomy")
         for c in classes:
-            if c not in taxonomy.class_ids:
-                raise UnknownNodeError(f"annotation class {c} is not in the taxonomy")
-            closure |= taxonomy.ancestors(c)
-        for a in closure:
-            members[a].add(instance)
-    return ClassUsage(
-        members={c: frozenset(s) for c, s in members.items()},
-        total=len(annotations.assignments),
-    )
+            direct.setdefault(c, set()).add(instance)
+    members = dict.fromkeys(class_ids, _EMPTY)
+    for c, instances in direct.items():
+        members[c] = frozenset(instances)
+    children = taxonomy._children
+    inner = sorted(class_ids - taxonomy.leaves, key=taxonomy._depth.__getitem__, reverse=True)
+    for c in inner:
+        parts = [members[x] for x in children[c] if members[x]]
+        if not parts:
+            continue
+        if members[c]:
+            parts.append(members[c])
+        members[c] = parts[0] if len(parts) == 1 else frozenset(set().union(*parts))
+    return ClassUsage(members=members, total=len(annotations.assignments))
 
 
 class ThetaEstimator:

@@ -12,7 +12,14 @@ from collections import deque
 import numpy as np
 from hypothesis import strategies as st
 
-from smx import parse_graph, taxonomic_reduction
+from smx import (
+    AnnotationSet,
+    ClassUsage,
+    ReductionReport,
+    parse_graph,
+    taxonomic_reduction,
+)
+from smx.errors import UnknownNodeError, UsageError
 
 
 def taxonomy_from_lines(lines):
@@ -219,6 +226,75 @@ def brute_redundant_edges(pairs):
         if parent in brute_ancestors(remaining, child):
             redundant.add(edge)
     return redundant
+
+
+# -- random annotations and the annotation oracles -----------------------
+
+
+def random_annotations(rng: random.Random, taxonomy, max_instances=8):
+    """Instance annotations over a taxonomy: single classes, a class with
+    some of its ancestors, a class with the root, loose class sets, and
+    instances that share classes with an earlier one."""
+    classes = sorted(taxonomy.class_ids)
+    assignments = {}
+    for k in range(rng.randint(1, max_instances)):
+        c = rng.choice(classes)
+        kind = rng.randrange(4)
+        if kind == 0:
+            picks = {c}
+        elif kind == 1:
+            above = sorted(taxonomy.ancestors(c))
+            picks = {c, *rng.sample(above, min(2, len(above)))}
+        elif kind == 2:
+            picks = {c, taxonomy.root}
+        else:
+            picks = set(rng.sample(classes, rng.randint(1, min(5, len(classes)))))
+        if assignments and rng.random() < 0.3:
+            picks |= rng.choice(sorted(assignments.values(), key=sorted))
+        assignments[f"i{k}"] = frozenset(picks)
+    return AnnotationSet(assignments=assignments)
+
+
+def brute_class_usage(taxonomy, annotations):
+    """Class usage by adding each instance to every ancestor of each of
+    its classes."""
+    if not annotations.assignments:
+        raise UsageError("empty annotation set: extrinsic estimators are undefined")
+    members = {c: set() for c in taxonomy.class_ids}
+    for instance, classes in annotations.assignments.items():
+        closure = set()
+        for c in classes:
+            if c not in taxonomy.class_ids:
+                raise UnknownNodeError(f"annotation class {c} is not in the taxonomy")
+            closure |= taxonomy.ancestors(c)
+        for a in closure:
+            members[a].add(instance)
+    return ClassUsage(
+        members={c: frozenset(s) for c, s in members.items()},
+        total=len(annotations.assignments),
+    )
+
+
+def brute_reduce_annotations(taxonomy, annotations):
+    """Annotation reduction testing every class against the ancestor set
+    of every other class of the instance."""
+    reduced = {}
+    removed = {}
+    for instance, classes in annotations.assignments.items():
+        for c in classes:
+            if c not in taxonomy.class_ids:
+                raise UnknownNodeError(f"annotation class {c} is not part of the taxonomy")
+        keep = frozenset(
+            c
+            for c in classes
+            if not any(other != c and c in taxonomy.ancestors(other) for other in classes)
+        )
+        reduced[instance] = keep
+        dropped = classes - keep
+        if dropped:
+            removed[instance] = frozenset(taxonomy.label(c) for c in dropped)
+    report = ReductionReport(removed_annotations=removed)
+    return AnnotationSet(assignments=reduced, warnings=annotations.warnings), report
 
 
 # -- published formulas of the catalog rows that are abstract forms ------

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import smx
-from smx.errors import CycleError
+from smx.errors import CycleError, UnknownNodeError
 
 from helpers import (
     brute_ancestors,
+    brute_reduce_annotations,
     brute_redundant_edges,
+    random_annotations,
     random_taxonomy,
     taxonomy_from_pairs,
 )
@@ -181,3 +183,38 @@ class TestAnnotationCleaning:
         for classes_ in expanded.assignments.values():
             for c in classes_:
                 assert t.ancestors(c) <= classes_
+
+
+class TestReduceAnnotationsOracle:
+    """reduce_annotations against the all-pairs oracle, on trees and on
+    DAGs with multiple inheritance, before and after transitive
+    reduction."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), tree=st.booleans())
+    def test_matches_oracle(self, seed, tree):
+        rng = random.Random(seed)
+        t, _ = random_taxonomy(rng, max_nodes=30, tree=tree)
+        ann = random_annotations(rng, t)
+        for view in (t, smx.transitive_reduction(t)[0]):
+            got, got_report = smx.reduce_annotations(view, ann)
+            want, want_report = brute_reduce_annotations(view, ann)
+            assert got.assignments == want.assignments
+            assert got.warnings == want.warnings
+            assert got_report.removed_annotations == want_report.removed_annotations
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_unknown_class_raises_as_oracle(self, seed):
+        rng = random.Random(seed)
+        t, _ = random_taxonomy(rng, max_nodes=30)
+        ann = random_annotations(rng, t)
+        outside = max(t.class_ids) + 1
+        assignments = dict(ann.assignments)
+        assignments["stray"] = frozenset({outside, min(t.class_ids)})
+        bad = smx.AnnotationSet(assignments=assignments)
+        with pytest.raises(UnknownNodeError) as want:
+            brute_reduce_annotations(t, bad)
+        with pytest.raises(UnknownNodeError, match=f"annotation class {outside} is not part"):
+            smx.reduce_annotations(t, bad)
+        assert str(want.value) == f"annotation class {outside} is not part of the taxonomy"

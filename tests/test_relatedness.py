@@ -231,7 +231,7 @@ class TestDenseSizeGuards:
 
     def test_fundamental_matrix_of_large_ring(self):
         g = ring(self.N)
-        match = r"fundamental matrix needs 2 float64 table\(s\) of 100000 x 100000, 149\.0 GiB"
+        match = r"fundamental matrix needs 4 float64 table\(s\) of 100000 x 100000, 298\.0 GiB"
         with pytest.raises(ContractError, match=match):
             smx.TransitionModel.from_graph(g)
 
@@ -249,9 +249,22 @@ class TestDenseSizeGuards:
         g = ring(self.N, closed=False)
         model = smx.TransitionModel.from_graph(g)
         assert not model.irreducible
-        match = r"hitting-time system needs 1 float64 table\(s\) of 99999 x 99999"
+        match = r"hitting-time system needs 2 float64 table\(s\) of 99999 x 99999"
         with pytest.raises(ContractError, match=match):
             smx.hitting_time(model, 0, self.N - 1)
+
+    def test_factorization_counts_its_peak_tables(self, monkeypatch):
+        # 1000 x 1000 float64 is 8 MB a table: 2 tables fit, 4 do not
+        monkeypatch.setattr(smx.relatedness, "DENSE_LIMIT_BYTES", 3 * 8 * 1000**2)
+        with pytest.raises(ContractError, match=r"needs 4 float64 table\(s\) of 1000 x 1000"):
+            smx.TransitionModel.from_graph(ring(1000))
+
+    def test_reducible_solve_counts_its_peak_tables(self, monkeypatch):
+        # an open chain of 1001 nodes solves over 1000 states: 1 table fits, 2 do not
+        monkeypatch.setattr(smx.relatedness, "DENSE_LIMIT_BYTES", 3 * 8 * 1000**2 // 2)
+        model = smx.TransitionModel.from_graph(ring(1001, closed=False))
+        with pytest.raises(ContractError, match=r"needs 2 float64 table\(s\) of 1000 x 1000"):
+            smx.hitting_time(model, 0, 1000)
 
 
 def test_import_does_not_load_numpy():

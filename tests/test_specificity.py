@@ -10,10 +10,11 @@ from smx.errors import (
     DegenerateTaxonomyError,
     InfiniteICError,
     OrderingError,
+    UnknownNodeError,
     UsageError,
 )
 
-from helpers import random_taxonomy
+from helpers import brute_class_usage, random_annotations, random_taxonomy
 
 LN = math.log
 
@@ -172,6 +173,49 @@ class TestMonotonicity:
         estimators.append(smx.resnik_extrinsic_ic(t, usage, smooth=True))
         for est in estimators:
             assert smx.validate_monotonicity(est) == [], est.kind
+
+
+class TestClassUsageOracle:
+    """class_usage against the per-(instance, ancestor) oracle, on trees and
+    on DAGs with multiple inheritance, before and after transitive
+    reduction."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), tree=st.booleans())
+    def test_matches_oracle(self, seed, tree):
+        rng = random.Random(seed)
+        t, _ = random_taxonomy(rng, max_nodes=30, tree=tree)
+        ann = random_annotations(rng, t)
+        for view in (t, smx.transitive_reduction(t)[0]):
+            got = smx.class_usage(view, ann)
+            want = brute_class_usage(view, ann)
+            assert set(got.members) == view.class_ids
+            assert got.members == want.members
+            assert got.total == want.total
+            for c in view.class_ids:
+                assert got.count(c) == len(want.members[c])
+                assert got.instances(c) == want.members[c]
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_unknown_class_raises_as_oracle(self, seed):
+        rng = random.Random(seed)
+        t, _ = random_taxonomy(rng, max_nodes=30)
+        ann = random_annotations(rng, t)
+        outside = max(t.class_ids) + 1
+        assignments = dict(ann.assignments)
+        assignments["stray"] = frozenset({outside, min(t.class_ids)})
+        bad = smx.AnnotationSet(assignments=assignments)
+        with pytest.raises(UnknownNodeError) as want:
+            brute_class_usage(t, bad)
+        with pytest.raises(UnknownNodeError, match=f"annotation class {outside} is not in"):
+            smx.class_usage(t, bad)
+        assert str(want.value) == f"annotation class {outside} is not in the taxonomy"
+
+    def test_misses_count_zero(self, toy, toy_graph):
+        usage = smx.class_usage(toy, annotations(toy_graph, "g1\tE\n"))
+        assert usage.count(-1) == 0
+        assert usage.instances(-1) == frozenset()
 
 
 class TestConnotationWeight:
