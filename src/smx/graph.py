@@ -1,16 +1,20 @@
 """Semantic graph data model and the taxonomic query kernel.
 
-A loaded graph is immutable. All derived tables (closures, depths) are
-precomputed once at construction and nothing is written after it, so
-every query below is a read-only lookup, set operation or pass over an
-ancestor set, and is safe to run concurrently. Path queries are exact for
-any DAG: counts are Python ints, so no input is too large to count.
+A loaded graph is immutable. The derived tables (ancestor closures,
+depths, id-sorted parent and child tuples) are precomputed once at
+construction and nothing is written after it, so every query below is a
+read-only lookup, set operation or pass over an ancestor set or a
+subgraph walk, and is safe to run concurrently. Descendant sets are not
+stored: the estimators need only their sizes, which one pass over the
+ancestor sets gives. Path queries are exact for any DAG: counts are Python
+ints, so no input is too large to count.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import deque
+from collections import Counter, deque
+from itertools import chain
 from typing import Callable, Iterable, Mapping
 
 from .errors import ContractError, CycleError, UnknownNodeError
@@ -134,12 +138,16 @@ class SemanticGraph:
 
 
 class TaxonomyView:
-    """Acyclic subClassOf view with precomputed closures, depths and leaves.
+    """Acyclic subClassOf view with precomputed ancestor closures, depths
+    and leaves.
 
     Ancestor and descendant sets are inclusive: u belongs to both A(u) and
-    D(u). Depth is the longest edge path from the root, which keeps depth
-    monotone under multiple inheritance. Construct through
-    preprocess.taxonomic_reduction rather than directly.
+    D(u). A(u) is stored for every class; D(u) is walked on demand and
+    descendant_counts gives |D(c) & S| for every class in one pass. Parents
+    and children are tuples sorted by node id. Depth is the longest edge
+    path from the root, which keeps depth monotone under multiple
+    inheritance. Construct through preprocess.taxonomic_reduction rather
+    than directly.
     """
 
     __slots__ = (
@@ -157,7 +165,6 @@ class TaxonomyView:
         "_parents",
         "_children",
         "_anc",
-        "_desc",
         "_depth",
     )
 
@@ -179,8 +186,8 @@ class TaxonomyView:
         t.inserted_root = inserted_root
         t._labels = dict(labels)
         t._by_label = {lab: nid for nid, lab in t._labels.items()}
-        parents: dict[NodeId, set] = {c: set() for c in t.class_ids}
-        children: dict[NodeId, set] = {c: set() for c in t.class_ids}
+        parents: dict[NodeId, list] = {c: [] for c in t.class_ids}
+        children: dict[NodeId, list] = {c: [] for c in t.class_ids}
         edge_set = set()
         for child, parent in up_edges:
             if child == parent:
@@ -188,9 +195,11 @@ class TaxonomyView:
             if (child, parent) in edge_set:
                 continue
             edge_set.add((child, parent))
-            parents[child].add(parent)
-            children[parent].add(child)
+            parents[child].append(parent)
+            children[parent].append(child)
         t.edges = frozenset(edge_set)
+        t._parents = parents = {c: tuple(sorted(v)) for c, v in parents.items()}
+        t._children = children = {c: tuple(sorted(v)) for c, v in children.items()}
 
         roots = sorted(c for c in t.class_ids if not parents[c])
         if len(roots) != 1:
@@ -207,7 +216,7 @@ class TaxonomyView:
         while ready:
             c = ready.popleft()
             order.append(c)
-            for ch in sorted(children[c]):
+            for ch in children[c]:
                 indeg[ch] -= 1
                 if indeg[ch] == 0:
                     ready.append(ch)
@@ -227,17 +236,8 @@ class TaxonomyView:
                     acc |= anc[p]
                 anc[c] = frozenset(acc)
                 depth[c] = 1 + max(depth[p] for p in parents[c])
-        desc: dict[NodeId, frozenset] = {}
-        for c in reversed(order):
-            acc = set((c,))
-            for ch in children[c]:
-                acc |= desc[ch]
-            desc[c] = frozenset(acc)
 
-        t._parents = {c: frozenset(v) for c, v in parents.items()}
-        t._children = {c: frozenset(v) for c, v in children.items()}
         t._anc = anc
-        t._desc = desc
         t._depth = depth
         t.max_depth = max(depth.values())
         t.leaves = frozenset(c for c in t.class_ids if not children[c])
@@ -250,21 +250,21 @@ class TaxonomyView:
         return t
 
     def _without_redundant_edges(self) -> "TaxonomyView":
-        """This view minus its redundant edges, sharing the closure tables.
+        """This view minus its redundant edges, sharing the ancestor closures.
 
         Dropping an edge that a longer path implies keeps reachability and
         every longest root path, so A(u), D(u), depth, root and leaves are
-        unchanged; only the edge set and the parent and child tables are
-        patched.
+        unchanged; only the edge set and the parent and child tuples at the
+        endpoints of each dropped edge are filtered, which keeps them sorted.
         """
         t = object.__new__(TaxonomyView)
         for slot in TaxonomyView.__slots__:
             setattr(t, slot, getattr(self, slot))
-        t._parents = dict(self._parents)
-        t._children = dict(self._children)
+        t._parents = parents = dict(self._parents)
+        t._children = children = dict(self._children)
         for child, parent in self.redundant_edges:
-            t._parents[child] -= {parent}
-            t._children[parent] -= {child}
+            parents[child] = tuple(p for p in parents[child] if p != parent)
+            children[parent] = tuple(c for c in children[parent] if c != child)
         t.edges = self.edges - self.redundant_edges
         t.redundant_edges = frozenset()
         t.is_reduced = True
@@ -311,20 +311,38 @@ class TaxonomyView:
         return self._anc[node]
 
     def descendants(self, node: NodeId) -> frozenset:
-        """Inclusive descendant set D(u)."""
+        """Inclusive descendant set D(u), walked down the child tuples in
+        O(|D(u)|); no descendant set is stored."""
         self._check(node)
-        return self._desc[node]
+        children = self._children
+        seen = {node}
+        stack = [node]
+        while stack:
+            for ch in children[stack.pop()]:
+                if ch not in seen:
+                    seen.add(ch)
+                    stack.append(ch)
+        return frozenset(seen)
+
+    def descendant_counts(self, among: Iterable[NodeId] | None = None) -> Counter:
+        """|D(c) & S| for every class c, S being `among` (default: all
+        classes), in one pass over A(u) for u in S: c is counted once for
+        each u in S that it subsumes. A class subsuming no member reads 0."""
+        members = self.class_ids if among is None else among
+        return Counter(chain.from_iterable(map(self._anc.__getitem__, members)))
 
     def depth(self, node: NodeId) -> int:
         """Longest subClassOf edge path from the root down to the class."""
         self._check(node)
         return self._depth[node]
 
-    def parents(self, node: NodeId) -> frozenset:
+    def parents(self, node: NodeId) -> tuple[NodeId, ...]:
+        """Direct parents, sorted by node id."""
         self._check(node)
         return self._parents[node]
 
-    def children(self, node: NodeId) -> frozenset:
+    def children(self, node: NodeId) -> tuple[NodeId, ...]:
+        """Direct children, sorted by node id."""
         self._check(node)
         return self._children[node]
 
@@ -337,10 +355,14 @@ class TaxonomyView:
         """Maximal antichain of common ancestors (the non-comparable ones).
 
         A common ancestor stays iff none of its strict descendants is also
-        a common ancestor, so no member subsumes another member.
+        a common ancestor, so no member subsumes another member. The common
+        set is upward closed, so a common class with a common strict
+        descendant is a parent of some common class, and the members are
+        the common classes that are nobody's parent there.
         """
         common = self.common_ancestors(u, v)
-        return frozenset(a for a in common if len(self._desc[a] & common) == 1)
+        covered = set(chain.from_iterable(map(self._parents.__getitem__, common)))
+        return frozenset(a for a in common if a not in covered)
 
     def mica(self, theta: Callable[[NodeId], float], u: NodeId, v: NodeId) -> NodeId:
         """Common ancestor maximizing theta; ties go to the smallest label."""
@@ -396,7 +418,7 @@ class TaxonomyView:
         queue = deque((u,))
         while queue:
             x = queue.popleft()
-            for nxt in self._parents[x] | self._children[x]:
+            for nxt in self._parents[x] + self._children[x]:
                 if nxt not in dist:
                     if nxt == v:
                         return dist[x] + 1
@@ -411,14 +433,17 @@ class TaxonomyView:
     def _up_extremes(self, u: NodeId, a: NodeId, pick) -> dict[NodeId, int]:
         """The shortest (pick=min) or longest (pick=max) edge count from each
         class of A(u) & D(a) up to a. Every u-to-a path stays inside that
-        slice, and walking it by increasing depth puts parents first."""
+        slice. Walking A(u) by increasing depth puts parents first, and a
+        class other than a lies in D(a) exactly when one of its parents
+        does, so the slice is the classes reached from a on the way."""
         self._check(u)
         if a not in self._anc[u]:
             raise UnknownNodeError(f"{self.label(a)} is not an ancestor of {self._labels[u]}")
         dist = {a: 0}
-        for x in sorted(self._anc[u] & self._desc[a], key=self._depth.__getitem__):
-            if x != a:
-                dist[x] = 1 + pick([dist[p] for p in self._parents[x] if p in dist])
+        for x in sorted(self._anc[u], key=self._depth.__getitem__):
+            up = [dist[p] for p in self._parents[x] if p in dist]
+            if up:
+                dist[x] = 1 + pick(up)
         return dist
 
     def longest_up_distance(self, u: NodeId, a: NodeId) -> int:

@@ -142,14 +142,16 @@ def read_triples(source) -> list[TripleRecord]:
             raise ParseError(
                 f"expected 3 or 4 tab-separated fields, got {len(fields)}", lineno
             )
-        subject, predicate, obj = (f.strip() for f in fields[:3])
+        subject, predicate, obj = map(str.strip, fields[:3])
         if not subject or not predicate or not obj:
             raise ParseError("empty field in triple", lineno)
-        for node in (subject, obj):
-            if _is_reserved(node):
-                raise ParseError(f"identifier {node!r} uses a reserved name", lineno)
-        if _is_reserved(predicate):
-            raise ParseError(f"unknown reserved predicate {predicate!r}", lineno)
+        # a reserved name is a field of the line, so a line without "__" has none
+        if "__" in line:
+            for node in (subject, obj):
+                if _is_reserved(node):
+                    raise ParseError(f"identifier {node!r} uses a reserved name", lineno)
+            if _is_reserved(predicate):
+                raise ParseError(f"unknown reserved predicate {predicate!r}", lineno)
         weight = _parse_weight(fields[3], lineno) if len(fields) == 4 else None
         records.append(TripleRecord(subject, predicate, obj, weight))
     return records

@@ -48,8 +48,8 @@ def transitive_reduction(taxonomy: TaxonomyView) -> tuple[TaxonomyView, Reductio
     """Drop every subClassOf edge that a length >= 2 path already implies.
 
     Reachability is unchanged and the result is idempotent; on a DAG the
-    reduction is unique. The result shares the input's closure, depth and
-    label tables, so no closure is computed again.
+    reduction is unique. The result shares the input's ancestor closure,
+    depth and label tables, so no closure is computed again.
     """
     removed = sorted(
         taxonomy.redundant_edges,

@@ -166,10 +166,8 @@ def seco_ic(taxonomy: TaxonomyView, base: float | None = None) -> ThetaEstimator
     1 - log|D(c)| / log|C|."""
     _require_nondegenerate(taxonomy, "seco")
     log_n = _log(len(taxonomy.class_ids), base)
-    table = {
-        c: 1.0 - _log(len(taxonomy.descendants(c)), base) / log_n
-        for c in taxonomy.class_ids
-    }
+    counts = taxonomy.descendant_counts()
+    table = {c: 1.0 - _log(counts[c], base) / log_n for c in taxonomy.class_ids}
     return ThetaEstimator("seco", taxonomy, table)
 
 
@@ -195,20 +193,16 @@ def resnik_intrinsic_ic(taxonomy: TaxonomyView, base: float | None = None) -> Th
     exactly one direct pseudo-instance, so p(c) = |D(c)| / |C|."""
     _require_nondegenerate(taxonomy, "resnik_intrinsic")
     n = len(taxonomy.class_ids)
-    table = {
-        c: _log(n, base) - _log(len(taxonomy.descendants(c)), base)
-        for c in taxonomy.class_ids
-    }
+    counts = taxonomy.descendant_counts()
+    table = {c: _log(n, base) - _log(counts[c], base) for c in taxonomy.class_ids}
     return ThetaEstimator("resnik_intrinsic", taxonomy, table)
 
 
 def sanchez_leaves_ic(taxonomy: TaxonomyView, base: float | None = None) -> ThetaEstimator:
     """Leaf-count IC: -log(|leaves subsumed by c| / |leaves|)."""
     n_leaves = len(taxonomy.leaves)
-    table = {
-        c: _log(n_leaves, base) - _log(len(taxonomy.descendants(c) & taxonomy.leaves), base)
-        for c in taxonomy.class_ids
-    }
+    counts = taxonomy.descendant_counts(taxonomy.leaves)
+    table = {c: _log(n_leaves, base) - _log(counts[c], base) for c in taxonomy.class_ids}
     return ThetaEstimator("sanchez", taxonomy, table)
 
 
@@ -216,19 +210,21 @@ def sanchez_refined_ic(taxonomy: TaxonomyView, base: float | None = None) -> The
     """Leaf-count IC corrected by the number of subsumers:
     -log((leaves(c)/|A(c)| + 1) / (|leaves| + 1))."""
     n_leaves = len(taxonomy.leaves)
+    counts = taxonomy.descendant_counts(taxonomy.leaves)
     table = {}
     for c in taxonomy.class_ids:
-        leaves_c = len(taxonomy.descendants(c) & taxonomy.leaves)
-        ratio = (leaves_c / len(taxonomy.ancestors(c)) + 1.0) / (n_leaves + 1.0)
+        ratio = (counts[c] / len(taxonomy.ancestors(c)) + 1.0) / (n_leaves + 1.0)
         table[c] = -_log(ratio, base)
     return ThetaEstimator("sanchez_refined", taxonomy, table)
 
 
 def _extrinsic_table(taxonomy, usage, smooth, base):
     total = usage.total + (len(taxonomy.class_ids) if smooth else 0)
+    # smoothing adds one pseudo-instance per class: |D(c)| more for c
+    pseudo = taxonomy.descendant_counts() if smooth else None
     table = {}
     for c in taxonomy.class_ids:
-        count = usage.count(c) + (len(taxonomy.descendants(c)) if smooth else 0)
+        count = usage.count(c) + (pseudo[c] if smooth else 0)
         table[c] = math.inf if count == 0 else _log(total, base) - _log(count, base)
     return table
 

@@ -117,6 +117,15 @@ class TestInvariants:
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
+    def test_adjacency_is_id_sorted_tuples(self, seed):
+        t, _ = random_taxonomy(random.Random(seed))
+        for view in (t, smx.transitive_reduction(t)[0]):
+            for c in view.class_ids:
+                assert view.parents(c) == tuple(sorted(p for x, p in view.edges if x == c))
+                assert view.children(c) == tuple(sorted(x for x, p in view.edges if p == c))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
     def test_depth_and_paths_match_brute_force(self, seed):
         rng = random.Random(seed)
         t, pairs = random_taxonomy(rng, max_nodes=25)

@@ -120,7 +120,7 @@ class TestTransitiveReduction:
             assert getattr(reduced, slot) == getattr(rebuilt, slot), slot
         for c in classes:
             assert reduced.ancestors(c) is t.ancestors(c)
-            assert reduced.descendants(c) is t.descendants(c)
+            assert reduced.descendants(c) == t.descendants(c)
         wang = smx.pairwise_measure("wang_dca")
         for u, v in sample:
             assert smx.eval_pairwise(wang, reduced, u, v) == smx.eval_pairwise(

@@ -14,7 +14,14 @@ from smx.errors import (
     UsageError,
 )
 
-from helpers import brute_class_usage, random_annotations, random_taxonomy
+from helpers import (
+    brute_class_usage,
+    brute_depth,
+    brute_descendants,
+    children_of,
+    random_annotations,
+    random_taxonomy,
+)
 
 LN = math.log
 
@@ -216,6 +223,72 @@ class TestClassUsageOracle:
         usage = smx.class_usage(toy, annotations(toy_graph, "g1\tE\n"))
         assert usage.count(-1) == 0
         assert usage.instances(-1) == frozenset()
+
+
+class TestEstimatorOracle:
+    """Every descendant-count estimator table equals its published formula
+    over brute-force descendant sets, on trees and DAGs, before and after
+    transitive reduction; so does the view's count helper."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), tree=st.booleans(), base=st.sampled_from([None, 2.0]))
+    def test_tables_match_formulas(self, seed, tree, base):
+        rng = random.Random(seed)
+        t, pairs = random_taxonomy(rng, max_nodes=40, tree=tree)
+        ann = random_annotations(rng, t)
+
+        def log(x):
+            return LN(x) if base is None else LN(x, base)
+
+        below = children_of(pairs)
+        leaf_labels = {x for x, kids in below.items() if not kids}
+        n = len(below)
+        depth = {x: brute_depth(pairs, x) for x in below}
+        max_depth = max(depth.values())
+        for view in (t, smx.transitive_reduction(t)[0]):
+            down = {c: brute_descendants(pairs, view.label(c)) for c in view.class_ids}
+            n_desc = {c: len(d) for c, d in down.items()}
+            n_leaves = {c: len(d & leaf_labels) for c, d in down.items()}
+            assert view.descendant_counts() == n_desc
+            assert view.descendant_counts(view.leaves) == n_leaves
+            seco = {c: 1.0 - log(n_desc[c]) / log(n) for c in view.class_ids}
+            depth_part = {
+                c: log(depth[view.label(c)] + 1) / log(max_depth + 1) for c in view.class_ids
+            }
+            usage = brute_class_usage(view, ann)
+            smoothed_total = usage.total + n
+            want = {
+                "seco": seco,
+                "resnik_intrinsic": {c: log(n) - log(n_desc[c]) for c in view.class_ids},
+                "sanchez": {
+                    c: log(len(leaf_labels)) - log(n_leaves[c]) for c in view.class_ids
+                },
+                "sanchez_refined": {
+                    c: -log(
+                        (n_leaves[c] / len(view.ancestors(c)) + 1.0) / (len(leaf_labels) + 1.0)
+                    )
+                    for c in view.class_ids
+                },
+                "zhou": {
+                    c: 0.6 * seco[c] + (1.0 - 0.6) * depth_part[c] for c in view.class_ids
+                },
+                "resnik": {
+                    c: log(smoothed_total) - log(len(usage.members[c]) + n_desc[c])
+                    for c in view.class_ids
+                },
+            }
+            got = {
+                "seco": smx.seco_ic(view, base),
+                "resnik_intrinsic": smx.resnik_intrinsic_ic(view, base),
+                "sanchez": smx.sanchez_leaves_ic(view, base),
+                "sanchez_refined": smx.sanchez_refined_ic(view, base),
+                "zhou": smx.zhou_ic(view, k=0.6, base=base),
+                "resnik": smx.resnik_extrinsic_ic(
+                    view, smx.class_usage(view, ann), smooth=True, base=base
+                ),
+            }
+            for kind, table in want.items():
+                assert {c: got[kind].raw(c) for c in view.class_ids} == table, kind
 
 
 class TestConnotationWeight:
