@@ -1,13 +1,15 @@
 """Semantic graph data model and the taxonomic query kernel.
 
-A loaded graph is immutable. The derived tables (ancestor closures,
-depths, id-sorted parent and child tuples) are precomputed once at
-construction and nothing is written after it, so every query below is a
-read-only lookup, set operation or pass over an ancestor set or a
-subgraph walk, and is safe to run concurrently. Descendant sets are not
-stored: the estimators need only their sizes, which one pass over the
-ancestor sets gives. Path queries are exact for any DAG: counts are Python
-ints, so no input is too large to count.
+A graph's fields and a view's derived tables (ancestor closures, depths,
+id-sorted parent and child tuples) are computed once at construction and
+never written after it, so every query below is a read-only lookup, set
+operation or pass over an ancestor set or a subgraph walk, and is safe to
+run concurrently. The one exception is the graph's relational adjacency,
+which only relatedness reads: it is built on first use (see
+SemanticGraph). Descendant sets are not stored: the estimators need only
+their sizes, which one pass over the ancestor sets gives. Path queries are
+exact for any DAG: counts are Python ints, so no input is too large to
+count.
 """
 
 from __future__ import annotations
@@ -39,6 +41,13 @@ class SemanticGraph:
     Nodes are dense integer handles resolvable back to their text
     identifiers. Classes and instances are disjoint, every edge endpoint is
     a declared node, and edge weights, when present, cover every edge.
+
+    Every field is fixed at construction, where every check runs. The
+    out/in adjacency, each node's (predicate, neighbor) pairs in label
+    order, is built by the first out_edges, in_edges or _adjacent call and
+    then kept: the taxonomic pipeline never reads it. It is a pure function
+    of the immutable edges and labels, so threads racing on a first use
+    build equal tables, and any of them may be the one kept.
     """
 
     __slots__ = (
@@ -49,8 +58,7 @@ class SemanticGraph:
         "predicates",
         "edges",
         "edge_weights",
-        "_out",
-        "_in",
+        "_adjacency",
     )
 
     def __init__(
@@ -88,16 +96,20 @@ class SemanticGraph:
                     raise ContractError("edge weights must be finite and >= 0")
             edge_weights = dict(edge_weights)
         self.edge_weights = edge_weights
-        self._out: dict[NodeId, tuple[tuple[str, NodeId], ...]] = {}
-        self._in: dict[NodeId, tuple[tuple[str, NodeId], ...]] = {}
-        out: dict[NodeId, list] = {i: [] for i in range(n)}
-        inc: dict[NodeId, list] = {i: [] for i in range(n)}
-        for s, p, o in sorted(self.edges, key=self._edge_key):
-            out[s].append((p, o))
-            inc[o].append((p, s))
-        for i in range(n):
-            self._out[i] = tuple(out[i])
-            self._in[i] = tuple(inc[i])
+        self._adjacency = None
+
+    def _adjacent(self) -> tuple[tuple, tuple]:
+        """(out, in): node-indexed tuples of (predicate, neighbor) pairs,
+        each in label-triple order, built on the first call."""
+        adjacency = self._adjacency
+        if adjacency is None:
+            out = [[] for _ in self._labels]
+            inc = [[] for _ in self._labels]
+            for s, p, o in sorted(self.edges, key=self._edge_key):
+                out[s].append((p, o))
+                inc[o].append((p, s))
+            adjacency = self._adjacency = (tuple(map(tuple, out)), tuple(map(tuple, inc)))
+        return adjacency
 
     def _edge_key(self, edge):
         s, p, o = edge
@@ -113,20 +125,22 @@ class SemanticGraph:
         except KeyError:
             raise UnknownNodeError(f"unknown node identifier {label!r}") from None
 
+    def _known(self, node: NodeId) -> NodeId:
+        if not 0 <= node < len(self._labels):
+            raise UnknownNodeError(f"unknown node id {node}")
+        return node
+
     def label(self, node: NodeId) -> str:
-        try:
-            return self._labels[node]
-        except IndexError:
-            raise UnknownNodeError(f"unknown node id {node}") from None
+        return self._labels[self._known(node)]
 
     def has_node(self, label: str) -> bool:
         return label in self._index
 
     def out_edges(self, node: NodeId) -> tuple[tuple[str, NodeId], ...]:
-        return self._out[node]
+        return self._adjacent()[0][self._known(node)]
 
     def in_edges(self, node: NodeId) -> tuple[tuple[str, NodeId], ...]:
-        return self._in[node]
+        return self._adjacent()[1][self._known(node)]
 
     def edges_with(self, predicate: str) -> list[tuple[NodeId, NodeId]]:
         return [(s, o) for (s, p, o) in self.edges if p == predicate]
@@ -186,20 +200,18 @@ class TaxonomyView:
         t.inserted_root = inserted_root
         t._labels = dict(labels)
         t._by_label = {lab: nid for nid, lab in t._labels.items()}
+        t.edges = frozenset(up_edges)
+        # one pass in (child, parent) order appends each class's parents
+        # and children already sorted by node id
         parents: dict[NodeId, list] = {c: [] for c in t.class_ids}
         children: dict[NodeId, list] = {c: [] for c in t.class_ids}
-        edge_set = set()
-        for child, parent in up_edges:
+        for child, parent in sorted(t.edges):
             if child == parent:
                 raise CycleError([t._labels[child], t._labels[child]])
-            if (child, parent) in edge_set:
-                continue
-            edge_set.add((child, parent))
             parents[child].append(parent)
             children[parent].append(child)
-        t.edges = frozenset(edge_set)
-        t._parents = parents = {c: tuple(sorted(v)) for c, v in parents.items()}
-        t._children = children = {c: tuple(sorted(v)) for c, v in children.items()}
+        t._parents = parents = {c: tuple(v) for c, v in parents.items()}
+        t._children = children = {c: tuple(v) for c, v in children.items()}
 
         roots = sorted(c for c in t.class_ids if not parents[c])
         if len(roots) != 1:
@@ -227,15 +239,23 @@ class TaxonomyView:
         anc: dict[NodeId, frozenset] = {}
         depth: dict[NodeId, int] = {}
         for c in order:
-            if not parents[c]:
+            ps = parents[c]
+            if len(ps) == 1:
+                p = ps[0]
+                anc[c] = anc[p] | {c}
+                depth[c] = depth[p] + 1
+            elif not ps:
                 anc[c] = frozenset((c,))
                 depth[c] = 0
             else:
-                acc = set((c,))
-                for p in parents[c]:
+                acc = {c}
+                deepest = 0
+                for p in ps:
                     acc |= anc[p]
+                    if depth[p] > deepest:
+                        deepest = depth[p]
                 anc[c] = frozenset(acc)
-                depth[c] = 1 + max(depth[p] for p in parents[c])
+                depth[c] = deepest + 1
 
         t._anc = anc
         t._depth = depth

@@ -2,8 +2,10 @@
 predicate-weighted shortest paths, random-walk hitting and commute times,
 and SimRank.
 
-The transition model and the graph are immutable after construction; the
-SimRank iteration double-buffers its score tables.
+The transition model and the graph are immutable after construction (the
+graph builds its adjacency on first use, see SemanticGraph); each function
+here fetches the adjacency tables once per call. The SimRank iteration
+double-buffers its score tables.
 
 numpy is imported by the functions that build dense tables, not by the
 module, so importing smx does not load it. Each dense build checks its
@@ -80,7 +82,7 @@ def weighted_shortest_path(
         return 0.0
     costs = {p: scheme.cost(p) for p in graph.predicates}
     weights = graph.edge_weights
-    out_edges, in_edges = graph.out_edges, graph.in_edges
+    out_edges, in_edges = graph._adjacent()
     heappop, heappush, inf = heapq.heappop, heapq.heappush, math.inf
     source, target = min(u, v), max(u, v)
     dist = ({source: 0.0}, {target: 0.0})
@@ -100,7 +102,7 @@ def weighted_shortest_path(
         if node in settled:
             continue
         settled.add(node)
-        for predicate, other in out_edges(node):
+        for predicate, other in out_edges[node]:
             cost = costs[predicate]
             nd = d + (cost if weights is None else cost * weights[node, predicate, other])
             if nd < mine.get(other, inf):
@@ -108,7 +110,7 @@ def weighted_shortest_path(
                 if other in theirs and nd + theirs[other] < best:
                     best = nd + theirs[other]
                 heappush(heap, (nd, other))
-        for predicate, other in in_edges(node):
+        for predicate, other in in_edges[node]:
             cost = costs[predicate]
             nd = d + (cost if weights is None else cost * weights[other, predicate, node])
             if nd < mine.get(other, inf):
@@ -160,10 +162,11 @@ class TransitionModel:
     def from_graph(
         cls, graph: SemanticGraph, scheme: PredicateWeightScheme = UNIFORM
     ) -> "TransitionModel":
+        out_edges = graph._adjacent()[0]
         out_probs: dict[NodeId, list[tuple[NodeId, float]]] = {}
         for node in range(graph.n_nodes):
             weights: dict[NodeId, float] = {}
-            for predicate, other in graph.out_edges(node):
+            for predicate, other in out_edges[node]:
                 w = scheme.cost(predicate) * graph.weight((node, predicate, other))
                 weights[other] = weights.get(other, 0.0) + w
             total = sum(weights.values())
@@ -324,7 +327,7 @@ def simrank(
     _check_dense("simrank", 3, n)
     import numpy as np
 
-    sources = [sorted({s for _, s in graph.in_edges(node)}) for node in range(n)]
+    sources = [sorted({s for _, s in edges}) for edges in graph._adjacent()[1]]
     # Tables are indexed by rank, nodes ordered by decreasing in-degree, so
     # the nodes with a k-th in-neighbor are a prefix of the rows: slot k
     # holds the ranks of those k-th in-neighbors.

@@ -3,7 +3,9 @@ information content, intrinsic and extrinsic.
 
 Every estimator precomputes an immutable per-class table at bind time, so
 evaluation is a lookup and concurrent reads are safe. All shipped
-estimators decrease monotonically from the leaves toward the root.
+estimators decrease monotonically from the leaves toward the root;
+is_monotone checks a table on first use and keeps the answer, which a
+racing first use computes equal.
 """
 
 from __future__ import annotations

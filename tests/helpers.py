@@ -338,6 +338,19 @@ def form_row_oracle(name, t, theta, u, v, params):
 # -- relatedness oracles -------------------------------------------------
 
 
+def brute_adjacency(graph):
+    """(out, in): per node, the list of (predicate, neighbor) pairs of its
+    outgoing and incoming edges, in the order of the edges' label triples
+    (subject label, predicate, object label), read from graph.edges."""
+    labelled = sorted((graph.label(s), p, graph.label(o), s, o) for s, p, o in graph.edges)
+    out = [[] for _ in range(graph.n_nodes)]
+    inc = [[] for _ in range(graph.n_nodes)]
+    for _, p, _, s, o in labelled:
+        out[s].append((p, o))
+        inc[o].append((p, s))
+    return out, inc
+
+
 def unidirectional_wsp(graph, scheme, u, v):
     """Predicate-weighted shortest path cost by one Dijkstra search grown
     from u until it settles v, edges traversed in both directions; None

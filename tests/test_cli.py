@@ -1,6 +1,10 @@
 import contextlib
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -444,6 +448,54 @@ class TestBench:
              "--measures", "rada"]
         )
         assert code == 2
+
+
+class TestDeterminism:
+    """Outputs are byte-identical whatever the interpreter's hash seed."""
+
+    # two roots (a virtual root is inserted), one redundant edge, instances,
+    # and weighted relations under three predicates
+    GRAPH = (
+        "mouse\tsubClassOf\trodent\nrodent\tsubClassOf\tmammal\nmouse\tsubClassOf\tmammal\n"
+        "cat\tsubClassOf\tfelid\nfelid\tsubClassOf\tmammal\nlynx\tsubClassOf\tfelid\n"
+        "mammal\tsubClassOf\tanimal\nfern\tsubClassOf\tplant\nmoss\tsubClassOf\tplant\n"
+        "tom\tisA\tcat\njerry\tisA\tmouse\ncat\thunts\tmouse\t2.5\nlynx\thunts\trodent\t0.5\n"
+        "mouse\teats\tfern\t1.5\nrodent\teats\tmoss\t1\ntom\tchases\tjerry\t3\n"
+    )
+
+    def run_all(self, tmp_path, seed):
+        files = {
+            "g.tsv": self.GRAPH,
+            "pairs.tsv": "mouse\tcat\nlynx\trodent\nfern\tmouse\nplant\tanimal\n",
+            "rel_pairs.tsv": "tom\tjerry\nfern\tlynx\nmoss\tcat\nplant\tmouse\n",
+            "weights.tsv": "hunts\t2\neats\t0.5\nsubClassOf\t1.25\n",
+        }
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        commands = [
+            ["preprocess", "--graph", "g.tsv", "--out", f"reduced{seed}.tsv",
+             "--report", f"report{seed}.tsv"],
+            ["sim", "--graph", f"reduced{seed}.tsv", "--measure", "lin", "--ic", "seco",
+             "--pairs", "pairs.tsv", "--out", f"sim{seed}.tsv"],
+            ["rel", "--method", "wsp", "--graph", "g.tsv", "--weights", "weights.tsv",
+             "--pairs", "rel_pairs.tsv", "--out", f"rel{seed}.tsv"],
+        ]
+        src = Path(smx.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": str(seed)}
+        for argv in commands:
+            subprocess.run(
+                [sys.executable, "-m", "smx.cli", *argv], cwd=tmp_path, env=env,
+                capture_output=True, check=True,
+            )
+        names = ("reduced", "report", "sim", "rel")
+        return {name: (tmp_path / f"{name}{seed}.tsv").read_bytes() for name in names}
+
+    def test_outputs_do_not_depend_on_hash_seed(self, tmp_path):
+        first = self.run_all(tmp_path, 0)
+        assert first == self.run_all(tmp_path, 1)
+        assert b"mouse\tsubClassOf\tmammal" in first["report"]
+        assert b"inserted_root\t__root__" in first["report"]
+        assert first["sim"].count(b"\n") == first["rel"].count(b"\n") == 4
 
 
 class TestDispatch:

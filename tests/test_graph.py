@@ -8,14 +8,18 @@ from smx.errors import UnknownNodeError
 
 from helpers import (
     brute_ancestors,
+    brute_closure_map,
     brute_depth,
     brute_descendants,
     brute_ncca,
+    brute_redundant_edges,
     brute_shortest_up_path,
     brute_unconstrained,
     brute_up_path_stats,
     brute_up_paths,
     brute_via_lca,
+    children_of,
+    parents_of,
     random_taxonomy,
     taxonomy_from_pairs,
 )
@@ -123,6 +127,29 @@ class TestInvariants:
             for c in view.class_ids:
                 assert view.parents(c) == tuple(sorted(p for x, p in view.edges if x == c))
                 assert view.children(c) == tuple(sorted(x for x, p in view.edges if p == c))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), tree=st.booleans())
+    def test_build_from_shuffled_repeated_edges_matches_brute_force(self, seed, tree):
+        rng = random.Random(seed)
+        t, pairs = random_taxonomy(rng, max_nodes=25, tree=tree)
+        edges = sorted(t.edges)
+        edges += rng.choices(edges, k=rng.randint(1, len(edges)))
+        rng.shuffle(edges)
+        view = smx.TaxonomyView.build(
+            t.graph, t.class_ids, edges, {c: t.label(c) for c in t.class_ids}
+        )
+        ids = lambda names: sorted(map(view.node, names))
+        parents, children = parents_of(pairs), children_of(pairs)
+        assert sorted(view._anc) == sorted(view._depth) == ids(parents)
+        for name, ancestors in brute_closure_map(pairs).items():
+            c = view.node(name)
+            assert view._parents[c] == tuple(ids(parents[name]))
+            assert view._children[c] == tuple(ids(children[name]))
+            assert view._anc[c] == frozenset(ids(ancestors))
+            assert view._depth[c] == brute_depth(pairs, name)
+        redundant = {(view.label(u), view.label(p)) for u, p in view.redundant_edges}
+        assert redundant == brute_redundant_edges(pairs)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))

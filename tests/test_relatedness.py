@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -11,9 +12,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import smx
-from smx.errors import ContractError, DivergenceError
+from smx.cli import main
+from smx.errors import ContractError, DivergenceError, UnknownNodeError
 
 from helpers import (
+    brute_adjacency,
     brute_unconstrained,
     dense_hitting_time,
     dense_simrank,
@@ -208,6 +211,106 @@ class TestWeightedShortestPath:
                     assert math.isclose(got, expected, rel_tol=1e-12, abs_tol=0.0)
                 back = smx.weighted_shortest_path(g, scheme, v, u)
                 assert got == back
+
+
+class TestAdjacency:
+    """The graph builds its out/in adjacency on the first relatedness read,
+    in label-triple order; the taxonomic pipeline never builds it."""
+
+    TEXT = (
+        "A\tsubClassOf\troot\nB\tsubClassOf\troot\nC\tsubClassOf\tA\nD\tsubClassOf\tA\n"
+        "E\tsubClassOf\tC\nE\tsubClassOf\troot\nF\tsubClassOf\tB\ng1\tisA\tE\n"
+        "E\tpartOf\tF\n"
+    )
+
+    def test_taxonomic_pipeline_builds_none(self, tmp_path, monkeypatch):
+        g = graph_of(self.TEXT)
+        reduced, _ = smx.transitive_reduction(smx.taxonomic_reduction(g))
+        seco = smx.seco_ic(reduced)
+        specs = [smx.pairwise_measure("lin", theta=seco), smx.pairwise_measure("wu_palmer")]
+        for spec in specs:
+            for u in reduced.class_ids:
+                for v in reduced.class_ids:
+                    smx.eval_pairwise(spec, reduced, u, v)
+        assert g._adjacency is None
+
+        serialized = []
+        serialize = smx.ingest.serialize_graph
+        monkeypatch.setattr(
+            smx.ingest, "serialize_graph",
+            lambda graph, stream=None: serialized.append(graph) or serialize(graph, stream),
+        )
+        path = tmp_path / "g.tsv"
+        path.write_text(self.TEXT)
+        assert main(["preprocess", "--graph", str(path), "--out", str(tmp_path / "r.tsv")]) == 0
+        (cleaned,) = serialized
+        assert cleaned._adjacency is None
+
+    def test_built_once_on_first_query(self):
+        g = graph_of(self.TEXT)
+        scheme = smx.PredicateWeightScheme()
+        assert g._adjacency is None
+        assert smx.weighted_shortest_path(g, scheme, g.node("E"), g.node("F")) == 1.0
+        first = g._adjacency
+        assert first is not None
+        smx.weighted_shortest_path(g, scheme, g.node("D"), g.node("g1"))
+        assert g._adjacency is first
+
+    def test_unknown_node_is_rejected(self):
+        g = graph_of(self.TEXT)
+        for lookup in (g.label, g.out_edges, g.in_edges):
+            for node in (-1, g.n_nodes):
+                with pytest.raises(UnknownNodeError):
+                    lookup(node)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), simrank_graph=st.booleans())
+    def test_matches_label_order_oracle(self, seed, simrank_graph):
+        # labels v0 ... v13 sort v10 before v2, so label order is not id order
+        rng = random.Random(seed)
+        g = random_simrank_graph(rng) if simrank_graph else random_wsp_graph(rng)
+        out, inc = brute_adjacency(g)
+        for node in range(g.n_nodes):
+            assert g.out_edges(node) == tuple(out[node])
+            assert g.in_edges(node) == tuple(inc[node])
+
+    def test_first_use_from_four_threads(self):
+        def graph():
+            rng = random.Random(11)
+            n = 3000
+            edges = {(i, rng.choice("pqr"), rng.randrange(n)) for i in range(n) for _ in range(3)}
+            return smx.SemanticGraph(
+                labels=[f"v{i}" for i in range(n)], classes=(), instances=range(n),
+                predicates="pqr", edges=edges,
+                edge_weights={e: rng.choice((0.1, 0.3, 1.0, 2.7)) for e in sorted(edges)},
+            )
+
+        scheme = smx.PredicateWeightScheme(weights={"p": 0.5, "q": 1.3})
+        rng = random.Random(5)
+        pairs = [(rng.randrange(3000), rng.randrange(3000)) for _ in range(40)]
+        single = graph()
+        expected = [smx.weighted_shortest_path(single, scheme, u, v) for u, v in pairs]
+        shared = graph()
+        start = threading.Barrier(4, timeout=60)
+        results = [None] * 4
+
+        def work(k):
+            start.wait()
+            results[k] = [smx.weighted_shortest_path(shared, scheme, u, v) for u, v in pairs]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [expected] * 4
+        assert shared._adjacency == single._adjacency
 
 
 class TestDenseSizeGuards:
