@@ -387,11 +387,13 @@ class TaxonomyView:
     def mica(self, theta: Callable[[NodeId], float], u: NodeId, v: NodeId) -> NodeId:
         """Common ancestor maximizing theta; ties go to the smallest label."""
         common = self.common_ancestors(u, v)
-        return min(common, key=lambda c: (-theta(c), self._labels[c]))
+        labels = self._labels
+        return min(common, key=lambda c: (-theta(c), labels[c]))
 
     def deepest_common_ancestor(self, u: NodeId, v: NodeId) -> NodeId:
         common = self.common_ancestors(u, v)
-        return min(common, key=lambda c: (-self._depth[c], self._labels[c]))
+        depth, labels = self._depth, self._labels
+        return min(common, key=lambda c: (-depth[c], labels[c]))
 
     # -- paths --------------------------------------------------------------
 
@@ -450,36 +452,88 @@ class TaxonomyView:
         """ViaLCA path length where the up/down turn at the ancestor adds 1."""
         return self._via_ancestor(u, v, 1)
 
-    def _up_extremes(self, u: NodeId, a: NodeId, pick) -> dict[NodeId, int]:
-        """The shortest (pick=min) or longest (pick=max) edge count from each
-        class of A(u) & D(a) up to a. Every u-to-a path stays inside that
-        slice. Walking A(u) by increasing depth puts parents first, and a
-        class other than a lies in D(a) exactly when one of its parents
-        does, so the slice is the classes reached from a on the way."""
+    # Most classes have one parent, so the longest-up, shortest-up and
+    # path-count walks first follow the single-parent chain above their
+    # start (_chain), where every up path runs, and only then pay for a
+    # sorted pass over the ancestors of the chain's top.
+
+    def _chain(self, u: NodeId) -> list[NodeId]:
+        """u, then each next class's only parent, up to the first class with
+        no parent or several: every up path from u starts along this list."""
+        parents = self._parents
+        walk = [u]
+        ps = parents[u]
+        while len(ps) == 1:
+            x = ps[0]
+            walk.append(x)
+            ps = parents[x]
+        return walk
+
+    def _require_ancestor(self, u: NodeId, a: NodeId) -> None:
         self._check(u)
         if a not in self._anc[u]:
             raise UnknownNodeError(f"{self.label(a)} is not an ancestor of {self._labels[u]}")
+
+    def _shortest_down(self, u: NodeId, a: NodeId) -> dict[NodeId, int]:
+        """The shortest edge count from each class of A(u) & D(a) up to a.
+        Every u-to-a path stays inside that slice. Walking A(u) by
+        increasing depth puts parents first, and a class other than a lies
+        in D(a) exactly when one of its parents does, so the slice is the
+        classes reached from a on the way."""
+        parents = self._parents
         dist = {a: 0}
         for x in sorted(self._anc[u], key=self._depth.__getitem__):
-            up = [dist[p] for p in self._parents[x] if p in dist]
-            if up:
-                dist[x] = 1 + pick(up)
+            ps = parents[x]
+            if len(ps) == 1:
+                d = dist.get(ps[0])
+                if d is not None:
+                    dist[x] = d + 1
+            else:
+                up = [dist[p] for p in ps if p in dist]
+                if up:
+                    dist[x] = 1 + min(up)
         return dist
+
+    def _longest_up(self, u: NodeId) -> dict[NodeId, int]:
+        """{a: longest edge count from u up to a} over A(u), for a class
+        already checked. Past the chain, one pass over the chain top's
+        ancestors by decreasing depth reaches each class after its
+        children."""
+        walk = self._chain(u)
+        up = dict(zip(walk, range(len(walk))))
+        parents = self._parents
+        for x in sorted(self._anc[walk[-1]], key=self._depth.__getitem__, reverse=True):
+            step = up[x] + 1
+            for p in parents[x]:
+                if up.get(p, -1) < step:
+                    up[p] = step
+        return up
 
     def longest_up_distance(self, u: NodeId, a: NodeId) -> int:
         """Longest subClassOf path length from u up to its ancestor a."""
-        return self._up_extremes(u, a, max)[u]
+        self._require_ancestor(u, a)
+        return self._longest_up(u)[a]
 
     def shortest_up_path_edges(self, u: NodeId, a: NodeId) -> list[tuple[NodeId, NodeId]]:
-        """One shortest u-to-a edge chain, deterministic by label order."""
-        dist = self._up_extremes(u, a, min)
+        """One shortest u-to-a edge chain, deterministic by label order.
+
+        A class with one parent steps to it; at the first class x with
+        several, the shortest distances to a over A(x) & D(a) pick the
+        label-smallest parent that is one edge closer."""
+        self._require_ancestor(u, a)
+        parents, labels = self._parents, self._labels
         edges = []
+        dist = None
         x = u
         while x != a:
-            step = min(
-                (p for p in self._parents[x] if dist.get(p) == dist[x] - 1),
-                key=self._labels.__getitem__,
-            )
+            ps = parents[x]
+            if len(ps) == 1:
+                step = ps[0]
+            else:
+                if dist is None:
+                    dist = self._shortest_down(x, a)
+                closer = dist[x] - 1
+                step = min((p for p in ps if dist.get(p) == closer), key=labels.__getitem__)
             edges.append((x, step))
             x = step
         return edges
@@ -489,12 +543,18 @@ class TaxonomyView:
 
         With N and L the number and summed length of the paths between two
         classes, a lies on N(u, a) N(a, root) root paths whose lengths sum
-        to L(u, a) N(a, root) + N(u, a) L(a, root). One pass over A(u) by
-        increasing depth gives N and L to the root, one by decreasing depth
-        gives them from u: O(edges within A(u)), exact in Python ints.
+        to L(u, a) N(a, root) + N(u, a) L(a, root). Every root path runs
+        along u's chain to its top x, so N(u, a) = N(x, a) and L(u, a) =
+        L(x, a) + e N(x, a) for a in A(x), e being the chain's edge count,
+        and each chain class lies on every root path, as x does. One pass over
+        A(x) by increasing depth gives N and L to the root, one by
+        decreasing depth gives them from u: O(edges within A(x)), exact in
+        Python ints.
         """
         self._check(u)
-        order = sorted(self._anc[u], key=self._depth.__getitem__)
+        walk = self._chain(u)
+        top = walk[-1]
+        order = sorted(self._anc[top], key=self._depth.__getitem__)
         parents = self._parents
         to_root: dict[NodeId, tuple[int, int]] = {}
         for x in order:
@@ -505,9 +565,9 @@ class TaxonomyView:
                 length += pl + pn
             to_root[x] = (n, length) if n else (1, 0)
         stats = {}
-        from_u = {u: (1, 0)}
+        from_u = {top: (1, len(walk) - 1)}
         for x in reversed(order):
-            # every child of x within A(u) has pushed its paths from u
+            # every child of x within A(top) has pushed its paths from u
             m, k = from_u[x]
             n, length = to_root[x]
             stats[x] = (m * n, k * n + m * length)
@@ -515,4 +575,4 @@ class TaxonomyView:
             for p in parents[x]:
                 q = from_u.get(p)
                 from_u[p] = (m, k) if q is None else (q[0] + m, q[1] + k)
-        return stats
+        return dict.fromkeys(walk, stats[top]) | stats

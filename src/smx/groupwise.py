@@ -11,6 +11,7 @@ its longest-up table once per matrix rather than once per cell.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -91,11 +92,12 @@ def eval_groupwise(
             return MeasureValue(
                 len(cu & cv) / min(len(cu), len(cv)), Polarity.SIMILARITY, True
             )
+        # fsum: each mass depends on the set alone, not on its iteration order
         theta = spec.theta
-        union_mass = sum(theta(c) for c in cu | cv)
+        union_mass = math.fsum(map(theta, cu | cv))
         if union_mass == 0:
             return MeasureValue(0.0, Polarity.SIMILARITY, True, degenerate=True)
-        shared_mass = sum(theta(c) for c in cu & cv)
+        shared_mass = math.fsum(map(theta, cu & cv))
         return MeasureValue(shared_mass / union_mass, Polarity.SIMILARITY, True)
 
     inner = spec.inner

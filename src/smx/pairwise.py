@@ -28,6 +28,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Iterable, Mapping
 
 from .errors import (
@@ -221,8 +222,8 @@ def _depth_triple(t, u, v):
     """Longest root paths of u and v through their deepest common ancestor,
     and the depth of that ancestor."""
     a = t.deepest_common_ancestor(u, v)
-    d = t.depth(a)
-    return d + t.longest_up_distance(u, a), d + t.longest_up_distance(v, a), d
+    d = t._depth[a]
+    return d + t._longest_up(u)[a], d + t._longest_up(v)[a], d
 
 
 def _eval_wu_palmer(spec, t, u, v, triple=None):
@@ -250,9 +251,8 @@ def _eval_li(spec, t, u, v):
 def _eval_slimani(spec, t, u, v, triple=None):
     (lam,) = spec.args
     wp = _eval_wu_palmer(spec, t, u, v, triple)
-    pf = (1.0 - lam) * (min(t.depth(u), t.depth(v)) - t.max_depth) + lam / (
-        t.depth(u) + t.depth(v) + 1.0
-    )
+    du, dv = t._depth[u], t._depth[v]
+    pf = (1.0 - lam) * (min(du, dv) - t.max_depth) + lam / (du + dv + 1.0)
     return _sim(wp.value * pf, normalized=False, degenerate=wp.degenerate)
 
 
@@ -281,14 +281,15 @@ def _eval_lin_grasm(spec, t, u, v):
     # Lin with the mean theta over the disjunctive common ancestors
     theta = spec.theta
     dcas = t.ncca(u, v)
-    return _general_dice(theta(u), theta(v), sum(map(theta, dcas)) / len(dcas))
+    return _general_dice(theta(u), theta(v), math.fsum(map(theta, dcas)) / len(dcas))
 
 
 def _eval_wang_dca(spec, t, u, v):
     stats_u = t.up_path_stats(u)
     stats_v = t.up_path_stats(v)
     dcas = t.ncca(u, v)
-    total = 0.0
+    depth = t._depth
+    terms = []
     for a in dcas:
         nu, lu = stats_u[a]
         nv, lv = stats_v[a]
@@ -296,8 +297,8 @@ def _eval_wang_dca(spec, t, u, v):
             return _sim(0.0, normalized=False, degenerate=True)
         mean_u = lu / nu
         mean_v = lv / nv
-        total += 2.0 * t.depth(a) ** 2 / (mean_u * mean_v)
-    return _sim(total / len(dcas), normalized=False)
+        terms.append(2.0 * depth[a] ** 2 / (mean_u * mean_v))
+    return _sim(math.fsum(terms) / len(dcas), normalized=False)
 
 
 def _eval_bulskov(spec, t, u, v):
@@ -342,14 +343,18 @@ def _eval_jc_hybrid(spec, t, u, v):
     a = t.mica(theta, u, v)
     mean_density = len(t.edges) / len(t.class_ids)
     edges = set(t.shortest_up_path_edges(u, a)) | set(t.shortest_up_path_edges(v, a))
-    total = 0.0
+    # theta once per class, read in order of first use along the edges, so
+    # the class an InfiniteICError names is the one an edge-by-edge read hits
+    ic = {c: theta(c) for c in dict.fromkeys(chain.from_iterable(edges))}
+    children, depth = t._children, t._depth
+    terms = []
     for child, parent in edges:
-        density = beta + (1.0 - beta) * mean_density / len(t.children(parent))
+        density = beta + (1.0 - beta) * mean_density / len(children[parent])
         # depth is taken one-based so the factor stays finite at the root
-        d = t.depth(parent) + 1
+        d = depth[parent] + 1
         depth_factor = ((d + 1.0) / d) ** alpha
-        total += density * depth_factor * (theta(child) - theta(parent)) * predicate_weight
-    return _dist(total)
+        terms.append(density * depth_factor * (ic[child] - ic[parent]) * predicate_weight)
+    return _dist(math.fsum(terms))
 
 
 def _form_row(feature, form, bind=lambda p: {}, **flags) -> MeasureInfo:
@@ -554,20 +559,13 @@ def _matrix_mica(spec, t):
 
 
 def _matrix_depth_triple(spec, t):
-    anc, depth, parents, labels, tables = t._anc, t._depth, t._parents, t._labels, {}
+    depth, labels, tables = t._depth, t._labels, {}
     dca = _first_common(t, lambda c: (-depth[c], labels[c]))
 
     def longest_up(c):
-        """{a: longest edge count from c up to a} over A(c), in one pass by
-        decreasing depth, which reaches each class after its children."""
         up = tables.get(c)
         if up is None:
-            up = tables[c] = {c: 0}
-            for x in sorted(anc[c], key=depth.__getitem__, reverse=True):
-                step = up[x] + 1
-                for p in parents[x]:
-                    if up.get(p, -1) < step:
-                        up[p] = step
+            up = tables[c] = t._longest_up(c)
         return up
 
     def triple(u, v):

@@ -97,9 +97,6 @@ class ThetaEstimator:
         self._table = dict(table)
         self._monotone = None
 
-    def __call__(self, c: NodeId) -> float:
-        return self.value(c)
-
     def value(self, c: NodeId) -> float:
         try:
             val = self._table[c]
@@ -111,6 +108,9 @@ class ThetaEstimator:
                 "enable smoothing or exclude it"
             )
         return val
+
+    # theta(c) is theta.value(c), with no extra frame per read
+    __call__ = value
 
     def raw(self, c: NodeId) -> float:
         """Table value without the infinite-IC guard."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import ContractError
 from .graph import NodeId, TaxonomyView
@@ -28,8 +28,10 @@ class Polarity(enum.Enum):
     DISTANCE = "distance"
 
 
-@dataclass(frozen=True)
-class MeasureValue:
+class MeasureValue(NamedTuple):
+    """One score and its flags. Immutable; being a tuple, it unpacks and
+    compares equal to the plain 4-tuple of its fields."""
+
     value: float
     polarity: Polarity
     normalized: bool
@@ -51,9 +53,10 @@ def mica_feature(theta, t: TaxonomyView, u: NodeId, v: NodeId):
 
 
 def salience_feature(theta, t: TaxonomyView, u: NodeId, v: NodeId):
-    """Summed theta over A(u), A(v) and A(u) & A(v)."""
+    """Summed theta over A(u), A(v) and A(u) & A(v). math.fsum rounds each
+    sum once, so it depends on the set alone, not on its iteration order."""
     au, av = t.ancestors(u), t.ancestors(v)
-    return sum(map(theta, au)), sum(map(theta, av)), sum(map(theta, au & av))
+    return math.fsum(map(theta, au)), math.fsum(map(theta, av)), math.fsum(map(theta, au & av))
 
 
 _FEATURES = {

@@ -8,6 +8,7 @@ import heapq
 import math
 import random
 from collections import deque
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import strategies as st
@@ -19,7 +20,8 @@ from smx import (
     parse_graph,
     taxonomic_reduction,
 )
-from smx.errors import UnknownNodeError, UsageError
+from smx.errors import InfiniteICError, UnknownNodeError, UsageError
+from smx.graph import TaxonomyView
 
 
 def taxonomy_from_lines(lines):
@@ -51,6 +53,18 @@ def random_taxonomy(rng: random.Random, max_nodes=50, tree=False, multi=0.3):
         for p in sorted(parents):
             pairs.append((label, f"n{p:03d}"))
     return taxonomy_from_pairs(pairs), pairs
+
+
+def relabelled(t, pairs, rng: random.Random):
+    """The view t and its (child, parent) label pairs with the labels
+    shuffled over the classes. A parsed view numbers classes in label
+    order, so only a relabelled one tells a tie broken by label from one
+    broken by id."""
+    classes = sorted(t.class_ids)
+    names = [t.label(c) for c in classes]
+    rename = dict(zip(names, rng.sample(names, len(names))))
+    view = TaxonomyView.build(None, classes, t.edges, {c: rename[t.label(c)] for c in classes})
+    return view, [(rename[child], rename[parent]) for child, parent in pairs]
 
 
 def parents_of(pairs):
@@ -333,6 +347,55 @@ def form_row_oracle(name, t, theta, u, v, params):
         "tversky_contrast": gamma * n - alpha * nu - beta * nv,
     }
     return differences[name], False
+
+
+# -- path-weighted kernels: from path enumeration ------------------------
+
+
+def brute_jc_hybrid(pairs, theta, u, v, alpha, beta, weight):
+    """Jiang and Conrath's hybrid distance between labels u and v, theta a
+    {label: value} table. The anchor is the common ancestor of largest
+    theta, ties to the smallest label. Each edge of the union of the two
+    label-smallest shortest paths up to it adds density x depth factor x
+    (theta(child) - theta(parent)) x weight, where density is beta + (1 -
+    beta) x (edges / classes) / (children of the parent) and the depth
+    factor is ((d + 1) / d)^alpha with d the parent's depth plus one.
+    Raises InfiniteICError when theta is infinite at a common ancestor or
+    on a path edge, the classes whose theta the measure reads.
+    """
+    closure = brute_closure_map(pairs)
+    common = closure[u] & closure[v]
+    if any(math.isinf(theta[c]) for c in common):
+        raise InfiniteICError("a common ancestor has undefined theta")
+    a = min(common, key=lambda c: (-theta[c], c))
+    edges = set(brute_shortest_up_path(pairs, u, a)) | set(brute_shortest_up_path(pairs, v, a))
+    if any(math.isinf(theta[c]) for edge in edges for c in edge):
+        raise InfiniteICError("a path class has undefined theta")
+    children = children_of(pairs)
+    mean_density = len(set(pairs)) / len(closure)
+    total = 0.0
+    for child, parent in edges:
+        density = beta + (1.0 - beta) * mean_density / len(children[parent])
+        d = brute_depth(pairs, parent) + 1
+        total += density * ((d + 1.0) / d) ** alpha * (theta[child] - theta[parent]) * weight
+    return total
+
+
+def brute_wang_dca(pairs, u, v):
+    """(value, degenerate) of Wang et al.'s measure between labels u and v,
+    in exact rationals: the mean over the disjoint common ancestors a of
+    2 depth(a)^2 / (mean length of the u-to-root paths through a x the same
+    for v), each path enumerated; (0, True) when one of those means is 0.
+    """
+    stats_u, stats_v = brute_up_path_stats(pairs, u), brute_up_path_stats(pairs, v)
+    dcas = brute_ncca(pairs, u, v)
+    total = Fraction(0)
+    for a in dcas:
+        (nu, lu), (nv, lv) = stats_u[a], stats_v[a]
+        if lu == 0 or lv == 0:
+            return Fraction(0), True
+        total += Fraction(2 * brute_depth(pairs, a) ** 2 * nu * nv, lu * lv)
+    return total / len(dcas), False
 
 
 # -- relatedness oracles -------------------------------------------------

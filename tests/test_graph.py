@@ -21,6 +21,7 @@ from helpers import (
     children_of,
     parents_of,
     random_taxonomy,
+    relabelled,
     taxonomy_from_pairs,
 )
 
@@ -258,3 +259,26 @@ class TestUpPathOracles:
         for query in (toy.longest_up_distance, toy.shortest_up_path_edges):
             with pytest.raises(UnknownNodeError, match="not an ancestor"):
                 query(e, f)
+
+
+class TestLabelTieBreaks:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), multi=st.sampled_from([0.3, 0.8]))
+    def test_ties_break_by_label_on_relabelled_views(self, seed, multi):
+        rng = random.Random(seed)
+        t, pairs = relabelled(*random_taxonomy(rng, max_nodes=20, multi=multi), rng)
+        closure = brute_closure_map(pairs)
+        # three theta values over about 20 classes: many tied candidates
+        value = {t.label(c): rng.choice((0.0, 1.0, 2.0)) for c in sorted(t.class_ids)}
+        theta = smx.ThetaEstimator.from_table(t, {c: value[t.label(c)] for c in t.class_ids})
+        for u in t.class_ids:
+            for a in t.ancestors(u):
+                edges = [(t.label(x), t.label(y)) for x, y in t.shortest_up_path_edges(u, a)]
+                assert edges == brute_shortest_up_path(pairs, t.label(u), t.label(a))
+            v = rng.choice(sorted(t.class_ids))
+            common = closure[t.label(u)] & closure[t.label(v)]
+            depth = {label: brute_depth(pairs, label) for label in common}
+            assert t.label(t.mica(theta, u, v)) == min(common, key=lambda c: (-value[c], c))
+            assert t.label(t.deepest_common_ancestor(u, v)) == min(
+                common, key=lambda c: (-depth[c], c)
+            )

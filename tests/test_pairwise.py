@@ -17,7 +17,15 @@ from smx.errors import (
 )
 from smx.pairwise import MEASURES
 
-from helpers import form_row_oracle, random_taxonomy, taxonomy_from_pairs
+from helpers import (
+    brute_jc_hybrid,
+    brute_redundant_edges,
+    brute_wang_dca,
+    form_row_oracle,
+    random_taxonomy,
+    relabelled,
+    taxonomy_from_pairs,
+)
 
 SIM = smx.Polarity.SIMILARITY
 DIST = smx.Polarity.DISTANCE
@@ -251,6 +259,87 @@ class TestHybrid:
             "jc_hybrid", toy, "E", "D", toy_seco, predicate_weight=2.0
         ).value
         assert doubled == APPROX(2 * base)
+
+
+class TestPathKernelOracles:
+    """jc_hybrid and wang_dca against path enumeration on random DAGs, with
+    and without the transitive reduction, under a proper IC and under a
+    tied table with undefined (infinite) entries, on parsed and on
+    relabelled views."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        multi=st.sampled_from([0.3, 0.8]),
+        reduce=st.booleans(),
+        relabel=st.booleans(),
+        tied_theta=st.booleans(),
+        alpha=st.sampled_from([0.0, 1.0, 2.5]),
+        beta=st.sampled_from([0.0, 0.5, 1.0]),
+        weight=st.sampled_from([1.0, 0.5]),
+    )
+    def test_match_path_enumeration(
+        self, seed, multi, reduce, relabel, tied_theta, alpha, beta, weight
+    ):
+        rng = random.Random(seed)
+        t, pairs = random_taxonomy(rng, max_nodes=20, multi=multi)
+        if reduce:
+            t, _ = smx.transitive_reduction(t)
+            redundant = brute_redundant_edges(pairs)
+            pairs = [edge for edge in pairs if edge not in redundant]
+        classes = sorted(t.class_ids)
+        if relabel:
+            t, pairs = relabelled(t, pairs, rng)
+        if tied_theta:
+            values = (0.0, 1.0, 2.0, math.inf)
+            theta = smx.ThetaEstimator.from_table(t, {c: rng.choice(values) for c in classes})
+        else:
+            theta = smx.seco_ic(t)
+        table = {t.label(c): theta.raw(c) for c in classes}
+        hybrid = smx.pairwise_measure(
+            "jc_hybrid", theta=theta, alpha=alpha, beta=beta, predicate_weight=weight
+        )
+        wang = smx.pairwise_measure("wang_dca")
+        for _ in range(25):
+            u, v = rng.choice(classes), rng.choice(classes)
+            lu, lv = t.label(u), t.label(v)
+            got, got_error = _outcome(lambda: smx.eval_pairwise(hybrid, t, u, v, True))
+            want, want_error = _outcome(
+                lambda: brute_jc_hybrid(pairs, table, lu, lv, alpha, beta, weight)
+            )
+            assert got_error is want_error, (lu, lv)
+            if want_error is None:
+                assert got.value == pytest.approx(want, rel=1e-9, abs=1e-12), (lu, lv)
+                assert (got.polarity, got.degenerate) == (DIST, False)
+            got = smx.eval_pairwise(wang, t, u, v, True)
+            value, degenerate = brute_wang_dca(pairs, lu, lv)
+            assert got.value == pytest.approx(float(value), rel=1e-12), (lu, lv)
+            assert got.degenerate == degenerate, (lu, lv)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_jc_hybrid_names_the_first_undefined_class_read(self, seed):
+        # theta is read edge by edge, child then parent, over the union of
+        # the two paths, so the error names the first undefined class there
+        rng = random.Random(seed)
+        t, _ = random_taxonomy(rng, max_nodes=40)
+        classes = sorted(t.class_ids)
+        table = {c: rng.choice((1.0, 2.0, math.inf)) for c in classes}
+        table[t.root] = 0.0
+        theta = smx.ThetaEstimator.from_table(t, table)
+        hybrid = smx.pairwise_measure("jc_hybrid", theta=theta)
+        for u in classes:
+            v = rng.choice(classes)
+            try:
+                a = t.mica(theta, u, v)
+            except InfiniteICError:
+                continue
+            edges = set(t.shortest_up_path_edges(u, a)) | set(t.shortest_up_path_edges(v, a))
+            read = [c for edge in edges for c in edge if math.isinf(table[c])]
+            if not read:
+                continue
+            with pytest.raises(InfiniteICError, match=f"class {t.label(read[0])} "):
+                smx.eval_pairwise(hybrid, t, u, v, True)
 
 
 class TestConvert:

@@ -231,3 +231,24 @@ class TestContracts:
         form = smx.abstract_form("general_dice", theta=toy_seco)
         got = smx.eval_abstract(form, toy, toy.node("root"), toy.node("root"))
         assert got.value == 0.0 and got.degenerate
+
+
+class TestMeasureValue:
+    def test_fields_by_name_immutable_and_compared_as_four_fields(self):
+        sim, dist = smx.Polarity.SIMILARITY, smx.Polarity.DISTANCE
+        mv = smx.MeasureValue(0.25, sim, True)
+        assert (mv.value, mv.polarity, mv.normalized, mv.degenerate) == (0.25, sim, True, False)
+        for name in ("value", "polarity", "normalized", "degenerate"):
+            with pytest.raises(AttributeError):
+                setattr(mv, name, None)
+        assert mv == smx.MeasureValue(0.25, sim, True, degenerate=False)
+        for other in (
+            smx.MeasureValue(0.5, sim, True),
+            smx.MeasureValue(0.25, dist, True),
+            smx.MeasureValue(0.25, sim, False),
+            smx.MeasureValue(0.25, sim, True, degenerate=True),
+        ):
+            assert mv != other
+        # a value is a tuple of its fields: it unpacks and equals that tuple
+        value, polarity, normalized, degenerate = mv
+        assert mv == (value, polarity, normalized, degenerate) == (0.25, sim, True, False)
