@@ -6,12 +6,18 @@ the value in A, the value in B, the change in percent, and whether that
 change lies outside the spread of that metric: the quartile spread
 (Q3 - Q1) / median of ten runs, read from the table in
 perfbench/README.md. "better" and "worse" follow the metric's direction in
-BENCHMARK.json.
+BENCHMARK.json. The last column says whether the change also lies outside
+either record's own interquartile range: "outside" when B's median lies
+outside A's [q1, q3] and A's median outside B's, "within" otherwise, and
+"-" when a record holds one run per metric (records before --rounds).
+`--per-layer` compares the per-layer metrics instead, which have no
+README spread, by that last column alone.
 
     python3 scripts/bench_compare.py BENCH_10.json BENCH_11.json
+    python3 scripts/bench_compare.py --per-layer BENCH_11.json BENCH_12.json
 
-A single record is one run per workload, so a change inside the spread is
-not evidence of a change in the code.
+A change inside the spread, or inside either IQR, is not evidence of a
+change in the code.
 """
 
 from __future__ import annotations
@@ -46,32 +52,39 @@ def spreads(readme: Path) -> dict[tuple[str, str], float]:
     return table
 
 
-def end_to_end(record: dict) -> dict[str, dict[str, float]]:
-    """{workload: {metric: value}} of a record's untraced runs."""
-    return {
-        name: {m: entry["value"] for m, entry in runs["end_to_end"]["metrics"].items()}
-        for name, runs in record["workloads"].items()
-    }
+def metrics(record: dict, kind: str) -> dict[str, dict[str, dict]]:
+    """{workload: {metric: entry}} of a record's runs of one kind."""
+    return {name: runs[kind]["metrics"] for name, runs in record["workloads"].items()}
+
+
+def iqr_verdict(old: dict, new: dict) -> str:
+    if "q1" not in old or "q1" not in new:
+        return "-"
+    outside_a = not old["q1"] <= new["value"] <= old["q3"]
+    outside_b = not new["q1"] <= old["value"] <= new["q3"]
+    return "outside" if outside_a and outside_b else "within"
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("a", type=Path, help="the earlier record")
     parser.add_argument("b", type=Path, help="the later record")
+    parser.add_argument("--per-layer", action="store_true", help="compare per-layer metrics")
     args = parser.parse_args()
-    a, b = (end_to_end(json.loads(p.read_text())) for p in (args.a, args.b))
-    spread = spreads(ROOT / "perfbench" / "README.md")
+    kind = "per_layer" if args.per_layer else "end_to_end"
+    a, b = (metrics(json.loads(p.read_text()), kind) for p in (args.a, args.b))
+    spread = {} if args.per_layer else spreads(ROOT / "perfbench" / "README.md")
     better = {
-        m["name"]: m["better"]
-        for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+        m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())[kind]
     }
-    header = ("workload", "metric", "A", "B", "change", "spread")
-    print("{:<14} {:<14} {:>12} {:>12} {:>8} {:>7}  verdict".format(*header))
+    header = ("workload", "metric", "A", "B", "change", "spread", "verdict", "IQRs")
+    print("{:<14} {:<34} {:>12} {:>12} {:>8} {:>7}  {:<16} {}".format(*header))
     for workload in (w for w in a if w in b):
         for metric in better:
             if metric not in a[workload] or metric not in b[workload]:
                 continue
-            old, new = a[workload][metric], b[workload][metric]
+            old_entry, new_entry = a[workload][metric], b[workload][metric]
+            old, new = old_entry["value"], new_entry["value"]
             change = (new - old) / old if old else float("inf")
             width = spread.get((workload, metric))
             if width is None:
@@ -83,8 +96,8 @@ def main() -> int:
                 verdict = "outside, " + ("better" if gained else "worse")
             width_text = "-" if width is None else f"{width:.1%}"
             print(
-                f"{workload:<14} {metric:<14} {old:>12.4g} {new:>12.4g} "
-                f"{change:>+8.1%} {width_text:>7}  {verdict}"
+                f"{workload:<14} {metric:<34} {old:>12.4g} {new:>12.4g} "
+                f"{change:>+8.1%} {width_text:>7}  {verdict:<16} {iqr_verdict(old_entry, new_entry)}"
             )
     return 0
 

@@ -188,11 +188,12 @@ _general_dice = FORMS["general_dice"].kernel
 _sigma_beta = FORMS["sigma_beta"].kernel
 
 
-def _instances(spec, t, c):
-    members = spec.usage.instances(c)
-    if not members:
+def _count(spec, t, c):
+    """|I(c)|, which must not be 0."""
+    n = spec.usage.count(c)
+    if not n:
         raise UsageError(f"class {t.label(c)} has no instances")
-    return members
+    return n
 
 
 # -- measure implementations -------------------------------------------------
@@ -316,11 +317,11 @@ def _eval_sanchez_dist(spec, t, u, v):
 
 
 def _eval_jaccard_ext(spec, t, u, v):
-    iu = _instances(spec, t, u)
-    iv = _instances(spec, t, v)
-    # |I(u) | I(v)| by inclusion-exclusion: no union set is built
-    shared = len(iu & iv)
-    return _sim(shared / (len(iu) + len(iv) - shared))
+    nu = _count(spec, t, u)
+    nv = _count(spec, t, v)
+    # |I(u) | I(v)| by inclusion-exclusion: no union is built
+    shared = spec.usage.shared(u, v)
+    return _sim(shared / (nu + nv - shared))
 
 
 def _least_used_ancestor(spec, t, u, v):
@@ -329,12 +330,11 @@ def _least_used_ancestor(spec, t, u, v):
 
 
 def _eval_damato_ext(spec, t, u, v, a=None):
-    iu = _instances(spec, t, u)
-    iv = _instances(spec, t, v)
-    ia = _instances(spec, t, _least_used_ancestor(spec, t, u, v) if a is None else a)
-    smaller = min(len(iu), len(iv))
-    ratio = smaller / len(ia)
-    return _sim(ratio * (1.0 - len(ia) / spec.usage.total) * (1.0 - ratio))
+    nu = _count(spec, t, u)
+    nv = _count(spec, t, v)
+    na = _count(spec, t, _least_used_ancestor(spec, t, u, v) if a is None else a)
+    ratio = min(nu, nv) / na
+    return _sim(ratio * (1.0 - na / spec.usage.total) * (1.0 - ratio))
 
 
 def _eval_jc_hybrid(spec, t, u, v):

@@ -10,8 +10,9 @@ racing first use computes equal.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+import operator
 from typing import Mapping
 
 from .errors import (
@@ -26,21 +27,77 @@ from .ingest import AnnotationSet
 
 
 _EMPTY: frozenset = frozenset()
+# the set bit positions of each byte value, lowest first
+_BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
 
 
-@dataclass(frozen=True)
+def _to_bits(indices: list[int]) -> int:
+    """The int whose set bits are indices, built in one pre-sized buffer."""
+    buf = bytearray((max(indices) >> 3) + 1)
+    for i in indices:
+        buf[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buf, "little")
+
+
 class ClassUsage:
     """Per-class propagated instance sets: an instance counts for a class
-    when one of its annotated classes is a descendant of it."""
+    when one of its annotated classes is a descendant of it.
 
-    members: Mapping[NodeId, frozenset[str]]
-    total: int
+    Each I(c) is held as an int bitset over `names`, the sorted names of
+    the instances that have a class, bit i standing for names[i]; the
+    counts are taken once, at build time. `shared(u, v)` is one AND and a
+    popcount. `instances(c)` and `members` decode the bits on each access.
+    Two usages are equal when their totals and per-class sets are.
+    """
+
+    __slots__ = ("names", "total", "_bits", "_counts")
+
+    def __init__(self, members: Mapping[NodeId, frozenset[str]], total: int):
+        names = tuple(sorted(set().union(*members.values())))
+        index = {name: i for i, name in enumerate(names)}
+        bits = {c: _to_bits([index[n] for n in s]) if s else 0 for c, s in members.items()}
+        self._store(names, bits, total)
+
+    @classmethod
+    def _from_bits(cls, names, bits, total):
+        usage = cls.__new__(cls)
+        usage._store(names, bits, total)
+        return usage
+
+    def _store(self, names, bits, total):
+        self.names, self.total, self._bits = names, total, bits
+        self._counts = {c: b.bit_count() for c, b in bits.items() if b}
 
     def count(self, c: NodeId) -> int:
-        return len(self.members.get(c, _EMPTY))
+        return self._counts.get(c, 0)
+
+    def shared(self, u: NodeId, v: NodeId) -> int:
+        """|I(u) & I(v)|."""
+        bits = self._bits
+        return (bits.get(u, 0) & bits.get(v, 0)).bit_count()
 
     def instances(self, c: NodeId) -> frozenset[str]:
-        return self.members.get(c, _EMPTY)
+        bits = self._bits.get(c, 0)
+        if not bits:
+            return _EMPTY
+        names = self.names
+        raw = bits.to_bytes((bits.bit_length() + 7) >> 3, "little")
+        return frozenset(
+            names[j << 3 | i] for j, byte in enumerate(raw) if byte for i in _BYTE_BITS[byte]
+        )
+
+    @property
+    def members(self) -> dict[NodeId, frozenset[str]]:
+        return {c: self.instances(c) for c in self._bits}
+
+    def __eq__(self, other):
+        if not isinstance(other, ClassUsage):
+            return NotImplemented
+        # equal names give every instance the same bit in both
+        return (self.total, self.names, self._bits) == (other.total, other.names, other._bits)
+
+    def __repr__(self):
+        return f"ClassUsage(members={self.members!r}, total={self.total!r})"
 
 
 def class_usage(taxonomy: TaxonomyView, annotations: AnnotationSet) -> ClassUsage:
@@ -50,35 +107,36 @@ def class_usage(taxonomy: TaxonomyView, annotations: AnnotationSet) -> ClassUsag
     children x of c, so a leaf holds its own instances only. Walking the
     inner classes by decreasing depth (the longest root path) puts every
     child before its parents, so each I(c) is built once from finished
-    parts: one union per class rather than one insert per (instance,
-    ancestor) pair. A class with one contributing part shares that part's
-    set, and every zero-usage class shares one empty set. Each other set
-    is frozen from a finished set, which sizes its hash table to its
-    members; a set grown in place keeps a sparser one.
+    parts: one OR of bitsets per part rather than one insert per
+    (instance, ancestor) pair. A class with one contributing part shares
+    that part's int, and every zero-usage class holds 0.
     """
-    if not annotations.assignments:
+    assignments = annotations.assignments
+    if not assignments:
         raise UsageError("empty annotation set: extrinsic estimators are undefined")
     class_ids = taxonomy.class_ids
-    direct: dict[NodeId, set[str]] = {}
-    for instance, classes in annotations.assignments.items():
+    names = tuple(sorted(instance for instance, classes in assignments.items() if classes))
+    index = {name: i for i, name in enumerate(names)}
+    direct: dict[NodeId, list[int]] = {}
+    for instance, classes in assignments.items():
         if not class_ids.issuperset(classes):
             c = next(c for c in classes if c not in class_ids)
             raise UnknownNodeError(f"annotation class {c} is not in the taxonomy")
         for c in classes:
-            direct.setdefault(c, set()).add(instance)
-    members = dict.fromkeys(class_ids, _EMPTY)
-    for c, instances in direct.items():
-        members[c] = frozenset(instances)
+            direct.setdefault(c, []).append(index[instance])
+    bits = dict.fromkeys(class_ids, 0)
+    for c, indices in direct.items():
+        bits[c] = _to_bits(indices)
     children = taxonomy._children
     inner = sorted(class_ids - taxonomy.leaves, key=taxonomy._depth.__getitem__, reverse=True)
     for c in inner:
-        parts = [members[x] for x in children[c] if members[x]]
+        parts = [bits[x] for x in children[c] if bits[x]]
         if not parts:
             continue
-        if members[c]:
-            parts.append(members[c])
-        members[c] = parts[0] if len(parts) == 1 else frozenset(set().union(*parts))
-    return ClassUsage(members=members, total=len(annotations.assignments))
+        if bits[c]:
+            parts.append(bits[c])
+        bits[c] = functools.reduce(operator.or_, parts)
+    return ClassUsage._from_bits(names, bits, len(assignments))
 
 
 class ThetaEstimator:

@@ -349,6 +349,27 @@ def form_row_oracle(name, t, theta, u, v, params):
     return differences[name], False
 
 
+def brute_extensional(name, t, members, total, u, v):
+    """jaccard_ext or d'Amato's damato_ext from plain instance sets
+    {class: frozenset}. A class without instances raises the UsageError
+    the measure names it by, u before v before the anchor; the anchor is
+    the common ancestor with the fewest instances, ties to the smallest
+    label."""
+
+    def used(c):
+        if not members[c]:
+            raise UsageError(f"class {t.label(c)} has no instances")
+        return members[c]
+
+    iu, iv = used(u), used(v)
+    if name == "jaccard_ext":
+        return len(iu & iv) / len(iu | iv)
+    common = t.ancestors(u) & t.ancestors(v)
+    ia = used(min(common, key=lambda c: (len(members[c]), t.label(c))))
+    ratio = min(len(iu), len(iv)) / len(ia)
+    return ratio * (1.0 - len(ia) / total) * (1.0 - ratio)
+
+
 # -- path-weighted kernels: from path enumeration ------------------------
 
 

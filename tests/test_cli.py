@@ -498,6 +498,37 @@ class TestDeterminism:
         assert first["sim"].count(b"\n") == first["rel"].count(b"\n") == 4
 
 
+class TestGroupsimHashSeed:
+    """Extensional groupwise output is byte-identical whatever the
+    interpreter's hash seed, which orders sets of instance names."""
+
+    ANNOTATIONS = (
+        "g1\tmouse,cat\ng2\tlynx\ng3\trodent,fern\ng4\tcat\ng5\tmoss,mouse\n"
+        "g6\tfelid,plant\ng7\tmouse\ng8\tlynx,fern\n"
+    )
+    PAIRS = "g1\tg2\ng1\tg5\ng3\tg8\ng4\tg6\ng2\tg8\ng7\tg1\n"
+
+    def run(self, tmp_path, measure, seed):
+        files = {"g.tsv": TestDeterminism.GRAPH, "ann.tsv": self.ANNOTATIONS,
+                 "pairs.tsv": self.PAIRS}
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        src = Path(smx.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": str(seed)}
+        return subprocess.run(
+            [sys.executable, "-m", "smx.cli", "groupsim", "--measure", measure,
+             "--graph", "g.tsv", "--annotations", "ann.tsv", "--pairs", "pairs.tsv"],
+            cwd=tmp_path, env=env, capture_output=True, check=True,
+        ).stdout
+
+    @pytest.mark.parametrize("measure", ["avg:jaccard_ext", "max:damato_ext"])
+    def test_output_does_not_depend_on_hash_seed(self, tmp_path, measure):
+        first = self.run(tmp_path, measure, 0)
+        assert first == self.run(tmp_path, measure, 1)
+        values = [float(line.split(b"\t")[2]) for line in first.splitlines()]
+        assert len(values) == 6 and any(0.0 < x < 1.0 for x in values)
+
+
 class TestDispatch:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 1

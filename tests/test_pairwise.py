@@ -18,10 +18,13 @@ from smx.errors import (
 from smx.pairwise import MEASURES
 
 from helpers import (
+    brute_class_usage,
+    brute_extensional,
     brute_jc_hybrid,
     brute_redundant_edges,
     brute_wang_dca,
     form_row_oracle,
+    random_annotations,
     random_taxonomy,
     relabelled,
     taxonomy_from_pairs,
@@ -658,3 +661,82 @@ class TestScoreMatrix:
         for (u, v), value in want.items():
             assert smx.eval_pairwise(spec, t, u, v).value == value
             assert smx.score_matrix(spec, t, [u], [v])[0][0].value == value
+
+
+def _plain_members(t, annotations):
+    """{class: the instances with an annotated class at or below it}."""
+    return {
+        c: frozenset(
+            i for i, classes in annotations.assignments.items()
+            if any(c in t.ancestors(x) for x in classes)
+        )
+        for c in t.class_ids
+    }
+
+
+def _oracle_outcome(fill):
+    """(result, None) or (None, the UsageError message fill raised)."""
+    try:
+        return fill(), None
+    except UsageError as exc:
+        return None, str(exc)
+
+
+class TestExtensionalOracles:
+    """jaccard_ext and damato_ext against plain instance sets, on random
+    trees and DAGs whose sparse annotations leave many classes unused."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), tree=st.booleans(), reduce=st.booleans())
+    def test_eval_and_matrix_match_oracle(self, seed, tree, reduce):
+        rng = random.Random(seed)
+        t, _ = random_taxonomy(rng, max_nodes=30, tree=tree)
+        if reduce:
+            t, _ = smx.transitive_reduction(t)
+        ann = random_annotations(rng, t)
+        members = _plain_members(t, ann)
+        total = len(ann.assignments)
+        usage = smx.class_usage(t, ann)
+        classes = sorted(t.class_ids)
+        us = rng.sample(classes, rng.randint(1, min(6, len(classes))))
+        vs = rng.sample(classes, rng.randint(1, min(6, len(classes))))
+        for name in ("jaccard_ext", "damato_ext"):
+            spec = smx.pairwise_measure(name, usage=usage)
+            for u in us:
+                for v in vs:
+                    want, want_error = _oracle_outcome(
+                        lambda: brute_extensional(name, t, members, total, u, v)
+                    )
+                    got, got_error = _oracle_outcome(
+                        lambda: smx.eval_pairwise(spec, t, u, v).value
+                    )
+                    assert got_error == want_error, name
+                    if want_error is None:
+                        assert abs(got - want) <= 1e-12, name
+            want, want_error = _oracle_outcome(
+                lambda: [[brute_extensional(name, t, members, total, u, v) for v in vs] for u in us]
+            )
+            got, got_error = _oracle_outcome(lambda: smx.score_matrix(spec, t, us, vs))
+            assert got_error == want_error, name
+            if want_error is None:
+                for got_row, want_row in zip(got, want):
+                    assert all(abs(g.value - w) <= 1e-12 for g, w in zip(got_row, want_row)), name
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), tree=st.booleans())
+    def test_bitsets_match_sets(self, seed, tree):
+        rng = random.Random(seed)
+        t, _ = random_taxonomy(rng, max_nodes=30, tree=tree)
+        ann = random_annotations(rng, t)
+        members = _plain_members(t, ann)
+        built = smx.class_usage(t, ann)
+        # brute_class_usage builds through the members= constructor
+        from_sets = brute_class_usage(t, ann)
+        assert built == from_sets
+        for usage in (built, from_sets):
+            assert usage.members == members
+            for u in t.class_ids:
+                assert usage.count(u) == len(members[u])
+                assert usage.instances(u) == members[u]
+                for v in t.class_ids:
+                    assert usage.shared(u, v) == len(members[u] & members[v])
