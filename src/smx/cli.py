@@ -373,11 +373,15 @@ def _cmd_abstract(args) -> int:
 
 
 def _cmd_rel(args) -> int:
+    method = args.method
+    if method not in ("wsp", "hitting", "commute", "simrank"):
+        raise CommandLineError(
+            f"unknown method {method!r}; valid: wsp, hitting, commute, simrank"
+        )
     graph = _load_graph(args)
     scheme = relatedness.UNIFORM
     if args.weights is not None:
         scheme = ingest.parse_weight_scheme(args.weights)
-    method = args.method
 
     if method == "wsp":
 
@@ -389,15 +393,11 @@ def _cmd_rel(args) -> int:
         model = relatedness.TransitionModel.from_graph(graph, scheme)
         walk = relatedness.hitting_time if method == "hitting" else relatedness.commute_time
         score = lambda u, v: _fmt(walk(model, u, v))
-    elif method == "simrank":
+    else:
         scores = relatedness.simrank(
             graph, decay=args.decay, iterations=args.iterations, tol=1e-12
         )
         score = lambda u, v: _fmt(scores.score(u, v))
-    else:
-        raise CommandLineError(
-            f"unknown method {method!r}; valid: wsp, hitting, commute, simrank"
-        )
 
     _write_scores(args.out, args.pairs, graph.node, score)
     return 0

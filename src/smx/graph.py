@@ -4,12 +4,12 @@ A graph's fields and a view's derived tables (ancestor closures, depths,
 id-sorted parent and child tuples) are computed once at construction and
 never written after it, so every query below is a read-only lookup, set
 operation or pass over an ancestor set or a subgraph walk, and is safe to
-run concurrently. The one exception is the graph's relational adjacency,
-which only relatedness reads: it is built on first use (see
-SemanticGraph). Descendant sets are not stored: the estimators need only
-their sizes, which one pass over the ancestor sets gives. Path queries are
-exact for any DAG: counts are Python ints, so no input is too large to
-count.
+run concurrently. The exceptions are the graph's two relational tables,
+the out/in adjacency and the weighted neighbour rows, which only
+relatedness reads: they are built on first use (see SemanticGraph).
+Descendant sets are not stored: the estimators need only their sizes,
+which one pass over the ancestor sets gives. Path queries are exact for
+any DAG: counts are Python ints, so no input is too large to count.
 """
 
 from __future__ import annotations
@@ -42,12 +42,16 @@ class SemanticGraph:
     identifiers. Classes and instances are disjoint, every edge endpoint is
     a declared node, and edge weights, when present, cover every edge.
 
-    Every field is fixed at construction, where every check runs. The
-    out/in adjacency, each node's (predicate, neighbor) pairs in label
-    order, is built by the first out_edges, in_edges or _adjacent call and
-    then kept: the taxonomic pipeline never reads it. It is a pure function
-    of the immutable edges and labels, so threads racing on a first use
-    build equal tables, and any of them may be the one kept.
+    Every field is fixed at construction, where every check runs. Two
+    relational tables are built on first use and then kept; the taxonomic
+    pipeline reads neither. The out/in adjacency, each node's (predicate,
+    neighbor) pairs in label order, comes from the first out_edges,
+    in_edges or _adjacent call. The neighbour rows that shortest paths
+    search, each node's distinct (neighbor, predicate, weight) triples over
+    both edge directions, come from the first _neighbours call. Each is a
+    pure function of the immutable edges, weights and labels, so threads
+    racing on a first use build equal tables, and any of them may be the
+    one kept.
     """
 
     __slots__ = (
@@ -59,6 +63,7 @@ class SemanticGraph:
         "edges",
         "edge_weights",
         "_adjacency",
+        "_neighbour_rows",
     )
 
     def __init__(
@@ -96,7 +101,7 @@ class SemanticGraph:
                     raise ContractError("edge weights must be finite and >= 0")
             edge_weights = dict(edge_weights)
         self.edge_weights = edge_weights
-        self._adjacency = None
+        self._adjacency = self._neighbour_rows = None
 
     def _adjacent(self) -> tuple[tuple, tuple]:
         """(out, in): node-indexed tuples of (predicate, neighbor) pairs,
@@ -110,6 +115,25 @@ class SemanticGraph:
                 inc[o].append((p, s))
             adjacency = self._adjacency = (tuple(map(tuple, out)), tuple(map(tuple, inc)))
         return adjacency
+
+    def _neighbours(self) -> tuple:
+        """Node-indexed tuples of (neighbor, predicate, weight) triples: the
+        node's out edges, then its in edges, each in label-triple order,
+        with every triple kept at its first occurrence, so a self-loop or a
+        reciprocal pair under one predicate and weight appears once. The
+        weight is 1.0 on an unweighted graph. Built on the first call."""
+        rows = self._neighbour_rows
+        if rows is None:
+            weight = self.weight
+            out, inc = self._adjacent()
+            rows = self._neighbour_rows = tuple(
+                tuple(dict.fromkeys(
+                    [(o, p, weight((node, p, o))) for p, o in out[node]]
+                    + [(s, p, weight((s, p, node))) for p, s in inc[node]]
+                ))
+                for node in range(len(self._labels))
+            )
+        return rows
 
     def _edge_key(self, edge):
         s, p, o = edge

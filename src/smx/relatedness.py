@@ -3,9 +3,10 @@ predicate-weighted shortest paths, random-walk hitting and commute times,
 and SimRank.
 
 The transition model and the graph are immutable after construction (the
-graph builds its adjacency on first use, see SemanticGraph); each function
-here fetches the adjacency tables once per call. The SimRank iteration
-double-buffers its score tables.
+graph builds its relational tables on first use, see SemanticGraph); each
+function here fetches the table it reads once per call: shortest paths
+read the weighted neighbour rows, the walk model and SimRank the out/in
+adjacency. The SimRank iteration double-buffers its score tables.
 
 numpy is imported by the functions that build dense tables, not by the
 module, so importing smx does not load it. Each dense build checks its
@@ -75,14 +76,19 @@ def weighted_shortest_path(
     the other endpoint, but the worst case stays O(E log n) per query. The
     forward search starts from min(u, v), so wsp(u, v) and wsp(v, u) are
     the same computation, bit for bit.
+
+    A settled node relaxes its row of the graph's neighbour table (see
+    SemanticGraph._neighbours), which lists each distinct (neighbor,
+    predicate, weight) of its out and in edges once. A reciprocal edge
+    pair under one predicate and weight is so relaxed once; its second
+    copy could never lower the label the first one set.
     """
     if not (0 <= u < graph.n_nodes and 0 <= v < graph.n_nodes):
         raise UnknownNodeError("endpoint is not a node of the graph")
     if u == v:
         return 0.0
     costs = {p: scheme.cost(p) for p in graph.predicates}
-    weights = graph.edge_weights
-    out_edges, in_edges = graph._adjacent()
+    neighbours = graph._neighbours()
     heappop, heappush, inf = heapq.heappop, heapq.heappush, math.inf
     source, target = min(u, v), max(u, v)
     dist = ({source: 0.0}, {target: 0.0})
@@ -102,17 +108,8 @@ def weighted_shortest_path(
         if node in settled:
             continue
         settled.add(node)
-        for predicate, other in out_edges[node]:
-            cost = costs[predicate]
-            nd = d + (cost if weights is None else cost * weights[node, predicate, other])
-            if nd < mine.get(other, inf):
-                mine[other] = nd
-                if other in theirs and nd + theirs[other] < best:
-                    best = nd + theirs[other]
-                heappush(heap, (nd, other))
-        for predicate, other in in_edges[node]:
-            cost = costs[predicate]
-            nd = d + (cost if weights is None else cost * weights[other, predicate, node])
+        for other, predicate, weight in neighbours[node]:
+            nd = d + costs[predicate] * weight
             if nd < mine.get(other, inf):
                 mine[other] = nd
                 if other in theirs and nd + theirs[other] < best:

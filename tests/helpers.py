@@ -435,6 +435,63 @@ def brute_adjacency(graph):
     return out, inc
 
 
+def brute_neighbours(graph):
+    """Per node, the list of (neighbor, predicate, weight) triples of its
+    outgoing and then its incoming edges, in brute_adjacency order, each
+    triple kept only where it first occurs; weight 1.0 when the graph has
+    no edge weights."""
+    out, inc = brute_adjacency(graph)
+    weights = graph.edge_weights
+    weight = (lambda edge: 1.0) if weights is None else weights.__getitem__
+    rows = []
+    for node in range(graph.n_nodes):
+        row = []
+        for triple in [(o, p, weight((node, p, o))) for p, o in out[node]] + [
+            (s, p, weight((s, p, node))) for p, s in inc[node]
+        ]:
+            if triple not in row:
+                row.append(triple)
+        rows.append(row)
+    return rows
+
+
+def two_table_wsp(graph, scheme, u, v):
+    """The bidirectional search of weighted_shortest_path as it ran over the
+    out/in adjacency, looking each edge's weight up by its (s, p, o) key and
+    relaxing every out edge, then every in edge, of a settled node. It is
+    the bit-for-bit reference for the search over the neighbour rows."""
+    if u == v:
+        return 0.0
+    costs = {p: scheme.cost(p) for p in graph.predicates}
+    weights = graph.edge_weights
+    source, target = min(u, v), max(u, v)
+    dist = ({source: 0.0}, {target: 0.0})
+    done = (set(), set())
+    heaps = ([(0.0, source)], [(0.0, target)])
+    best = math.inf
+    while True:
+        top_f = heaps[0][0][0] if heaps[0] else math.inf
+        top_b = heaps[1][0][0] if heaps[1] else math.inf
+        if top_f + top_b >= best:
+            return None if best == math.inf else best
+        side = 0 if top_f <= top_b else 1
+        heap, mine, theirs, settled = heaps[side], dist[side], dist[1 - side], done[side]
+        d, node = heapq.heappop(heap)
+        if node in settled:
+            continue
+        settled.add(node)
+        steps = [(other, p, (node, p, other)) for p, other in graph.out_edges(node)]
+        steps += [(other, p, (other, p, node)) for p, other in graph.in_edges(node)]
+        for other, predicate, edge in steps:
+            cost = costs[predicate]
+            nd = d + (cost if weights is None else cost * weights[edge])
+            if nd < mine.get(other, math.inf):
+                mine[other] = nd
+                if other in theirs and nd + theirs[other] < best:
+                    best = nd + theirs[other]
+                heapq.heappush(heap, (nd, other))
+
+
 def unidirectional_wsp(graph, scheme, u, v):
     """Predicate-weighted shortest path cost by one Dijkstra search grown
     from u until it settles v, edges traversed in both directions; None

@@ -379,6 +379,15 @@ class TestRel:
             ["rel", "--method", "nope", "--graph", str(graph), "--pairs", str(pairs)]
         ) == 1
 
+    def test_unknown_method_is_reported_before_inputs_are_read(self, tmp_path, capsys):
+        missing = tmp_path / "missing.tsv"
+        assert main(
+            ["rel", "--method", "wps", "--graph", str(missing), "--pairs", str(missing)]
+        ) == 1
+        err = capsys.readouterr().err
+        assert "unknown method 'wps'; valid: wsp, hitting, commute, simrank" in err
+        assert "cannot read" not in err
+
 
 class TestBench:
     def test_report(self, toy_file, tmp_path, capsys):

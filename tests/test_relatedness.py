@@ -17,10 +17,12 @@ from smx.errors import ContractError, DivergenceError, UnknownNodeError
 
 from helpers import (
     brute_adjacency,
+    brute_neighbours,
     brute_unconstrained,
     dense_hitting_time,
     dense_simrank,
     random_taxonomy,
+    two_table_wsp,
     unidirectional_wsp,
 )
 
@@ -98,10 +100,12 @@ def random_simrank_graph(rng, max_nodes=12):
     )
 
 
-def random_wsp_graph(rng, max_nodes=14):
+def random_wsp_graph(rng, max_nodes=14, reciprocal=False):
     """Three-predicate graph for shortest paths. It may hold self-loops,
     parallel edges under two predicates, isolated nodes and two components,
-    with no edge weights or with weights that include 0."""
+    with no edge weights or with weights that include 0. With reciprocal,
+    most edges also get their reverse under the same predicate and weight,
+    as in a relational graph whose relations hold both ways."""
     n = rng.randint(2, max_nodes)
     split = rng.randint(1, n) if rng.random() < 0.5 else n
     isolated = set(rng.sample(range(n), rng.randint(0, 2)))
@@ -114,9 +118,15 @@ def random_wsp_graph(rng, max_nodes=14):
             continue
         predicates = rng.sample("pqr", 2) if rng.random() < 0.2 else [rng.choice("pqr")]
         edges.update((a, p, b) for p in predicates)
+    mirrored = set()
+    if reciprocal:
+        mirrored = {(b, p, a) for a, p, b in sorted(edges) if rng.random() < 0.7} - edges
+        edges |= mirrored
     weights = None
     if rng.random() < 0.6:
         weights = {e: rng.choice((0.0, 0.1, 0.3, 1.0, 2.7, 7.0)) for e in edges}
+        for b, p, a in mirrored:
+            weights[b, p, a] = weights[a, p, b]
     return smx.SemanticGraph(
         labels=[f"v{i}" for i in range(n)], classes=(), instances=range(n),
         predicates="pqr", edges=edges, edge_weights=weights,
@@ -212,10 +222,28 @@ class TestWeightedShortestPath:
                 back = smx.weighted_shortest_path(g, scheme, v, u)
                 assert got == back
 
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), reciprocal=st.booleans())
+    def test_bit_identical_to_two_table_search(self, seed, reciprocal):
+        # the neighbour rows drop repeated triples and multiply by 1.0 on
+        # unweighted graphs; neither may move a single bit of any cost
+        rng = random.Random(seed)
+        g = random_wsp_graph(rng, reciprocal=reciprocal)
+        scheme = smx.PredicateWeightScheme(
+            weights={p: rng.choice((0.0, 0.25, 1.0, 1.3, 4.0)) for p in "pq"},
+            default=rng.choice((0.0, 1.0, 0.7)),
+        )
+        for u in range(g.n_nodes):
+            for v in range(g.n_nodes):
+                got = smx.weighted_shortest_path(g, scheme, u, v)
+                expected = two_table_wsp(g, scheme, u, v)
+                assert (got is None and expected is None) or got == expected
+
 
 class TestAdjacency:
-    """The graph builds its out/in adjacency on the first relatedness read,
-    in label-triple order; the taxonomic pipeline never builds it."""
+    """The graph builds its out/in adjacency and its neighbour rows on the
+    first relatedness read, in label-triple order; the taxonomic pipeline
+    builds neither."""
 
     TEXT = (
         "A\tsubClassOf\troot\nB\tsubClassOf\troot\nC\tsubClassOf\tA\nD\tsubClassOf\tA\n"
@@ -233,6 +261,7 @@ class TestAdjacency:
                 for v in reduced.class_ids:
                     smx.eval_pairwise(spec, reduced, u, v)
         assert g._adjacency is None
+        assert g._neighbour_rows is None
 
         serialized = []
         serialize = smx.ingest.serialize_graph
@@ -245,16 +274,22 @@ class TestAdjacency:
         assert main(["preprocess", "--graph", str(path), "--out", str(tmp_path / "r.tsv")]) == 0
         (cleaned,) = serialized
         assert cleaned._adjacency is None
+        assert cleaned._neighbour_rows is None
 
     def test_built_once_on_first_query(self):
         g = graph_of(self.TEXT)
         scheme = smx.PredicateWeightScheme()
         assert g._adjacency is None
+        assert g._neighbour_rows is None
         assert smx.weighted_shortest_path(g, scheme, g.node("E"), g.node("F")) == 1.0
-        first = g._adjacency
-        assert first is not None
+        first, rows = g._adjacency, g._neighbour_rows
+        assert first is not None and rows is not None
         smx.weighted_shortest_path(g, scheme, g.node("D"), g.node("g1"))
+        # E reaches F over root and B at 0.5 a step, cheaper than partOf
+        other = smx.PredicateWeightScheme(weights={"partOf": 3.0}, default=0.5)
+        assert smx.weighted_shortest_path(g, other, g.node("E"), g.node("F")) == 1.5
         assert g._adjacency is first
+        assert g._neighbour_rows is rows
 
     def test_unknown_node_is_rejected(self):
         g = graph_of(self.TEXT)
@@ -273,6 +308,17 @@ class TestAdjacency:
         for node in range(g.n_nodes):
             assert g.out_edges(node) == tuple(out[node])
             assert g.in_edges(node) == tuple(inc[node])
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(("wsp", "reciprocal", "simrank")))
+    def test_neighbour_rows_match_oracle(self, seed, kind):
+        rng = random.Random(seed)
+        if kind == "simrank":
+            g = random_simrank_graph(rng)
+        else:
+            g = random_wsp_graph(rng, reciprocal=kind == "reciprocal")
+        rows = brute_neighbours(g)
+        assert g._neighbours() == tuple(map(tuple, rows))
 
     def test_first_use_from_four_threads(self):
         def graph():
@@ -311,6 +357,7 @@ class TestAdjacency:
         assert not any(thread.is_alive() for thread in threads)
         assert results == [expected] * 4
         assert shared._adjacency == single._adjacency
+        assert shared._neighbour_rows == single._neighbour_rows
 
 
 class TestDenseSizeGuards:
