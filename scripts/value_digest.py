@@ -1,0 +1,119 @@
+#!/usr/bin/env python3
+"""Print every catalog, form and groupwise value on one fixed input, one
+line per value, so that the outputs of two versions of the code can be
+compared with diff.
+
+The input is a 2,000-class DAG from scale_smoke.synth_graph_lines after
+the transitive reduction, seco as theta (raw depth for the named forms
+whose classic reading is depth), 400 instances annotated with one to three
+classes each for the extensional measures, fixed-seed class pairs (root
+pairs included) and fixed-seed class groups (root-only groups included).
+It covers every MEASURES row at its default parameters, every named
+instantiation, every form at its default parameters under both
+commonalities, the direct groupwise measures and every aggregation over
+lin. A line reads
+
+    <measure> <u> <v>: <float.hex of the value> <polarity> <normalized> <degenerate>
+
+or, when the evaluation raises, `<measure> <u> <v>: <SmxError class name>`.
+
+Usage: PYTHONPATH=src python scripts/value_digest.py > digest.txt
+"""
+
+import random
+
+from scale_smoke import synth_graph_lines
+
+from smx import (
+    MEASURES,
+    AnnotationSet,
+    Commonality,
+    abstract_form,
+    class_usage,
+    depth_theta,
+    eval_abstract,
+    eval_groupwise,
+    eval_pairwise,
+    groupwise_measure,
+    instantiate,
+    pairwise_measure,
+    parse_graph,
+    seco_ic,
+    taxonomic_reduction,
+    transitive_reduction,
+)
+from smx.errors import SmxError
+from smx.groupwise import STRATEGIES
+from smx.unify import FORMS
+
+SEED = 20240210
+NAMED = (
+    "lin", "wu_palmer_tree", "faith", "jiang_conrath", "jaccard",
+    "dice", "sokal_sneath", "simpson", "ochiai",
+)
+
+
+def line(name, left, right, evaluate):
+    try:
+        mv = evaluate()
+    except SmxError as exc:
+        return f"{name} {left} {right}: {type(exc).__name__}"
+    return (
+        f"{name} {left} {right}: {float(mv.value).hex()} {mv.polarity.value} "
+        f"{int(mv.normalized)} {int(mv.degenerate)}"
+    )
+
+
+def main():
+    rng = random.Random(SEED)
+    graph = parse_graph(synth_graph_lines(2_000, rng).encode())
+    t, _ = transitive_reduction(taxonomic_reduction(graph))
+    classes = t.sorted_classes()
+    theta, depth = seco_ic(t), depth_theta(t, normalized=False)
+    usage = class_usage(
+        t,
+        AnnotationSet(
+            {f"i{k}": frozenset(rng.sample(classes, rng.randint(1, 3))) for k in range(400)}
+        ),
+    )
+    pairs = [tuple(rng.sample(classes, 2)) for _ in range(300)]
+    pairs += [(t.root, t.root), (t.root, classes[1]), (classes[1], classes[1])]
+    groups = [frozenset(rng.sample(classes, rng.randint(1, 5))) for _ in range(60)]
+    groups += [frozenset({t.root}), frozenset({t.root, classes[1]})]
+    group_pairs = [tuple(rng.sample(range(len(groups)), 2)) for _ in range(150)]
+    group_pairs += [(len(groups) - 2, len(groups) - 2), (len(groups) - 2, len(groups) - 1)]
+
+    label = t.label
+    out = []
+    for name in sorted(MEASURES):
+        info = MEASURES[name]
+        spec = pairwise_measure(
+            name,
+            theta=theta if info.needs_theta else None,
+            usage=usage if info.needs_usage else None,
+        )
+        for u, v in pairs:
+            out.append(line(name, label(u), label(v), lambda: eval_pairwise(spec, t, u, v)))
+    forms = [(f"named:{name}", instantiate(name)) for name in NAMED]
+    forms += [
+        (f"form:{kind}:{commonality.value}", abstract_form(kind, commonality=commonality))
+        for kind in FORMS
+        for commonality in Commonality
+    ]
+    for name, form in forms:
+        form = form.with_theta(depth if form.theta_hint == "depth" else theta)
+        for u, v in pairs:
+            out.append(line(name, label(u), label(v), lambda: eval_abstract(form, t, u, v)))
+    lin = pairwise_measure("lin", theta=theta)
+    specs = [(name, groupwise_measure(name, theta=theta)) for name in ("simui", "nto", "simgic")]
+    specs += [(f"{name}:lin", groupwise_measure(name, inner=lin)) for name in STRATEGIES]
+    for name, spec in specs:
+        for a, b in group_pairs:
+            out.append(
+                line(name, f"g{a}", f"g{b}", lambda: eval_groupwise(spec, t, groups[a], groups[b]))
+            )
+    print("\n".join(out))
+
+
+if __name__ == "__main__":
+    main()

@@ -308,9 +308,7 @@ def _cmd_groupsim(args) -> int:
     if name in DIRECT:
         if inner_token:
             raise CommandLineError(f"direct measure {name!r} takes no inner measure")
-        theta = None
-        if name == "simgic":
-            theta = estimators(getattr(args, "ic", None) or "seco")
+        theta = estimators(args.ic or "seco") if DIRECT[name][0].needs_theta else None
         spec = groupwise_measure(name, theta=theta)
     elif name in STRATEGIES:
         if not inner_token.strip():
@@ -322,7 +320,7 @@ def _cmd_groupsim(args) -> int:
     else:
         raise CommandLineError(
             f"unknown groupwise measure {name!r}; "
-            f"valid: {', '.join(DIRECT + STRATEGIES)}"
+            f"valid: {', '.join((*DIRECT, *STRATEGIES))}"
         )
 
     def classes_of(instance):

@@ -1,12 +1,13 @@
 """Similarity between two sets of classes.
 
-Direct measures work on the graphs induced by the ancestor closures of
-the two sets, so passing reduced annotation sets is fine (the closure of
-a set and of its true-path reduction coincide). Indirect measures
-aggregate the pairwise score matrix of the sets as given, which is why
-callers should reduce annotation sets first. The matrix is filled by one
-pairwise.score_matrix call, which ranks each class's ancestors and builds
-its longest-up table once per matrix rather than once per cell.
+DIRECT maps each direct measure to a group feature of unify.FEATURES and
+an abstract form: all three are set-overlap ratios over the ancestor
+closures of the two sets (Pesquita et al. 2009), so reduced annotation
+sets are fine. STRATEGIES maps each aggregation to its value on the
+pairwise score matrix of the sets as given, which is why callers should
+reduce annotation sets first. One pairwise.score_matrix call fills the
+matrix, ranking each class's ancestors and building its longest-up table
+once per matrix.
 """
 
 from __future__ import annotations
@@ -24,9 +25,30 @@ from .pairwise import (
     score_matrix,
 )
 from .specificity import ThetaEstimator
+from .unify import FEATURES, abstract_form
 
-DIRECT = ("simui", "nto", "simgic")
-STRATEGIES = ("avg", "max", "min", "avgmax", "bmm", "bma")
+# direct measure -> (group feature, the form with its parameters)
+DIRECT = {
+    "simui": (FEATURES["closure_counts"], abstract_form("sigma_beta", beta=1.0)),
+    "nto": (FEATURES["closure_counts"], abstract_form("sigma_alpha", alpha=-math.inf)),
+    "simgic": (FEATURES["closure_theta"], abstract_form("sigma_beta", beta=1.0)),
+}
+
+
+def _row_max_mean(matrix) -> float:
+    return sum(map(max, matrix)) / len(matrix)
+
+
+# aggregation -> its value on the |U| x |V| score matrix; avgmax, bmm and
+# bma take the mean best match of the rows (forward) and of the columns
+STRATEGIES = {
+    "avg": lambda m: sum(map(sum, m)) / (len(m) * len(m[0])),
+    "max": lambda m: max(map(max, m)),
+    "min": lambda m: min(map(min, m)),
+    "avgmax": _row_max_mean,
+    "bmm": lambda m: max(_row_max_mean(m), _row_max_mean(list(zip(*m)))),
+    "bma": lambda m: (_row_max_mean(m) + _row_max_mean(list(zip(*m)))) / 2.0,
+}
 # strategies whose semantics invert on distances
 _SIM_ONLY = ("max", "min", "avgmax", "bmm", "bma")
 
@@ -44,8 +66,8 @@ def groupwise_measure(
     theta: ThetaEstimator | None = None,
 ) -> GroupwiseMeasureSpec:
     if name in DIRECT:
-        if name == "simgic" and theta is None:
-            raise ContractError("simgic needs a specificity estimator")
+        if DIRECT[name][0].needs_theta and theta is None:
+            raise ContractError(f"{name} needs a specificity estimator")
         return GroupwiseMeasureSpec(name=name, theta=theta)
     if name in STRATEGIES:
         if inner is None:
@@ -57,15 +79,8 @@ def groupwise_measure(
         return GroupwiseMeasureSpec(name=name, inner=inner)
     raise ContractError(
         f"unknown groupwise measure {name!r}; "
-        f"known: {', '.join(DIRECT + STRATEGIES)}"
+        f"known: {', '.join((*DIRECT, *STRATEGIES))}"
     )
-
-
-def _closure(taxonomy: TaxonomyView, classes: Iterable[NodeId]) -> frozenset:
-    nodes: set[NodeId] = set()
-    for c in classes:
-        nodes |= taxonomy.ancestors(c)
-    return frozenset(nodes)
 
 
 def eval_groupwise(
@@ -81,44 +96,13 @@ def eval_groupwise(
     if not us or not vs:
         raise ContractError("groupwise measures need non-empty class sets")
 
-    if spec.name in DIRECT:
-        cu = _closure(taxonomy, us)
-        cv = _closure(taxonomy, vs)
-        if spec.name == "simui":
-            return MeasureValue(
-                len(cu & cv) / len(cu | cv), Polarity.SIMILARITY, True
-            )
-        if spec.name == "nto":
-            return MeasureValue(
-                len(cu & cv) / min(len(cu), len(cv)), Polarity.SIMILARITY, True
-            )
-        # fsum: each mass depends on the set alone, not on its iteration order
-        theta = spec.theta
-        union_mass = math.fsum(map(theta, cu | cv))
-        if union_mass == 0:
-            return MeasureValue(0.0, Polarity.SIMILARITY, True, degenerate=True)
-        shared_mass = math.fsum(map(theta, cu & cv))
-        return MeasureValue(shared_mass / union_mass, Polarity.SIMILARITY, True)
+    direct = DIRECT.get(spec.name)
+    if direct is not None:
+        feature, form = direct
+        return form.kernel(*feature.function(spec, taxonomy, us, vs), *form.args)
 
     inner = spec.inner
     matrix = [
         [mv.value for mv in row] for row in score_matrix(inner, taxonomy, us, vs, allow_unreduced)
     ]
-    normalized = inner.info.normalized
-    polarity = inner.info.polarity
-
-    if spec.name == "avg":
-        total = sum(sum(row) for row in matrix)
-        return MeasureValue(total / (len(us) * len(vs)), polarity, normalized)
-    if spec.name == "max":
-        return MeasureValue(max(max(row) for row in matrix), polarity, normalized)
-    if spec.name == "min":
-        return MeasureValue(min(min(row) for row in matrix), polarity, normalized)
-
-    forward = sum(max(row) for row in matrix) / len(us)
-    backward = sum(max(matrix[i][j] for i in range(len(us))) for j in range(len(vs))) / len(vs)
-    if spec.name == "avgmax":
-        return MeasureValue(forward, polarity, normalized)
-    if spec.name == "bmm":
-        return MeasureValue(max(forward, backward), polarity, normalized)
-    return MeasureValue((forward + backward) / 2.0, polarity, normalized)
+    return MeasureValue(STRATEGIES[spec.name](matrix), inner.info.polarity, inner.info.normalized)

@@ -2,11 +2,12 @@
 
 Each measure is declared in the MEASURES catalog together with the flags
 (polarity, normalization, symmetry, identity of the indiscernibles) that
-the axiom audit verifies. Most rows are data: an abstract form of
-unify.py applied to a feature triple (theta at the MICA, summed theta
-over the ancestor sets, or ancestor counts), with polarity and
-normalization taken from the form. The remaining rows, where no form
-fits, name a bespoke evaluator. Measures that count shortest paths refuse a
+the axiom audit verifies. Fifteen rows are data: an abstract form of
+unify.py applied to a unify.FEATURES entry (theta at the MICA, summed
+theta over the ancestor sets, ancestor counts, the depth triple or the
+NCCA mean), taking polarity and normalization from the form and
+needs_theta from the feature. The sixteen rows no form fits name a
+bespoke evaluator. Measures that count shortest paths refuse a
 taxonomy with redundant edges because those shortcuts silently
 underestimate distances; pass allow_unreduced=True to study that effect.
 score_matrix scores every pair of two class lists in one call and equals
@@ -40,7 +41,7 @@ from .errors import (
 )
 from .graph import NodeId, TaxonomyView
 from .specificity import ClassUsage, ThetaEstimator
-from .unify import FORMS, MeasureValue, Polarity, abstract_form, mica_feature, salience_feature
+from .unify import FEATURES, FORMS, MeasureValue, Polarity, abstract_form
 
 
 class ConversionRule(enum.Enum):
@@ -55,6 +56,7 @@ class ParamSpec:
     default: float
     lo: float | None = None
     hi: float | None = None
+    above: float | None = None  # an exclusive lower bound
     choices: tuple[float, ...] | None = None
 
 
@@ -79,8 +81,8 @@ class MeasureInfo:
     # evaluate calls for it, and whose result evaluate also takes as a fifth
     # argument to skip that call
     anchor: Callable | None = None
-    # a form row: feature(theta, taxonomy, u, v) gives (f_u, f_v, f_shared),
-    # bind maps the measure's parameters to the form's
+    # a form row: feature(spec, taxonomy, u, v), a FEATURES function, gives
+    # (f_u, f_v, f_shared); bind maps the measure's parameters to the form's
     feature: Callable | None = None
     form: str | None = None
     bind: Callable[[Mapping[str, float]], Mapping[str, float]] | None = None
@@ -137,6 +139,8 @@ def pairwise_measure(
     resolved = {}
     for key, spec in info.params.items():
         value = float(params.pop(key, spec.default))
+        if not math.isfinite(value):
+            raise ContractError(f"{name}: parameter {key} must not be {value}")
         if spec.choices is not None and value not in spec.choices:
             raise ContractError(
                 f"{name}: parameter {key} must be one of {spec.choices}"
@@ -145,11 +149,9 @@ def pairwise_measure(
             raise ContractError(f"{name}: parameter {key} must be >= {spec.lo}")
         if spec.hi is not None and value > spec.hi:
             raise ContractError(f"{name}: parameter {key} must be <= {spec.hi}")
+        if spec.above is not None and value <= spec.above:
+            raise ContractError(f"{name}: parameter {key} must be > {spec.above}")
         resolved[key] = value
-    if name == "zhong" and resolved["k"] <= 1.0:
-        raise ContractError("zhong: parameter k must be > 1")
-    if name == "li" and resolved["beta"] <= 0.0:
-        raise ContractError("li: parameter beta must be > 0")
     if params:
         raise ContractError(f"{name}: unknown parameters {sorted(params)}")
     if info.needs_theta and theta is None:
@@ -178,14 +180,10 @@ def _dist(value, normalized=False, degenerate=False):
     return MeasureValue(value, DIST, normalized, degenerate)
 
 
-def _ancestor_counts(theta, t, u, v):
-    """|A(u)|, |A(v)| and |A(u) & A(v)|; theta is not used."""
-    au, av = t.ancestors(u), t.ancestors(v)
-    return len(au), len(av), len(au & av)
-
-
 _general_dice = FORMS["general_dice"].kernel
-_sigma_beta = FORMS["sigma_beta"].kernel
+_mica = FEATURES["mica_theta"].function
+_ancestor_counts = FEATURES["ancestor_counts"].function
+_depth_triple = FEATURES["depth_triple"].function
 
 
 def _count(spec, t, c):
@@ -219,22 +217,6 @@ def _eval_leacock_chodorow(spec, t, u, v):
     return _sim(-math.log(n_nodes / (2.0 * t.max_depth)), normalized=False)
 
 
-def _depth_triple(t, u, v):
-    """Longest root paths of u and v through their deepest common ancestor,
-    and the depth of that ancestor."""
-    a = t.deepest_common_ancestor(u, v)
-    d = t._depth[a]
-    return d + t._longest_up(u)[a], d + t._longest_up(v)[a], d
-
-
-def _eval_wu_palmer(spec, t, u, v, triple=None):
-    return _general_dice(*(triple or _depth_triple(t, u, v)))
-
-
-def _eval_pekar_staab(spec, t, u, v, triple=None):
-    return _sigma_beta(*(triple or _depth_triple(t, u, v)), 1.0)
-
-
 def _eval_zhong(spec, t, u, v):
     (k,) = spec.args
     milestone = lambda c: 0.5 * k ** (-t.depth(c))
@@ -251,7 +233,7 @@ def _eval_li(spec, t, u, v):
 
 def _eval_slimani(spec, t, u, v, triple=None):
     (lam,) = spec.args
-    wp = _eval_wu_palmer(spec, t, u, v, triple)
+    wp = _general_dice(*(triple or _depth_triple(spec, t, u, v)))
     du, dv = t._depth[u], t._depth[v]
     pf = (1.0 - lam) * (min(du, dv) - t.max_depth) + lam / (du + dv + 1.0)
     return _sim(wp.value * pf, normalized=False, degenerate=wp.degenerate)
@@ -273,16 +255,9 @@ def _eval_resnik(spec, t, u, v):
 
 
 def _eval_rel_schlicker(spec, t, u, v):
-    iu, iv, shared = mica_feature(spec.theta, t, u, v)
+    iu, iv, shared = _mica(spec, t, u, v)
     lin = _general_dice(iu, iv, shared)
     return _sim(lin.value * (1.0 - math.exp(-shared)), degenerate=lin.degenerate)
-
-
-def _eval_lin_grasm(spec, t, u, v):
-    # Lin with the mean theta over the disjunctive common ancestors
-    theta = spec.theta
-    dcas = t.ncca(u, v)
-    return _general_dice(theta(u), theta(v), math.fsum(map(theta, dcas)) / len(dcas))
 
 
 def _eval_wang_dca(spec, t, u, v):
@@ -304,16 +279,15 @@ def _eval_wang_dca(spec, t, u, v):
 
 def _eval_bulskov(spec, t, u, v):
     (alpha,) = spec.args
-    au, av = t.ancestors(u), t.ancestors(v)
-    common = len(au & av)
-    return _sim(alpha * common / len(au) + (1.0 - alpha) * common / len(av))
+    nu, nv, common = _ancestor_counts(spec, t, u, v)
+    return _sim(alpha * common / nu + (1.0 - alpha) * common / nv)
 
 
 def _eval_sanchez_dist(spec, t, u, v):
-    au, av = t.ancestors(u), t.ancestors(v)
-    distinct = len(au - av) + len(av - au)
+    nu, nv, shared = _ancestor_counts(spec, t, u, v)
+    distinct = nu + nv - 2 * shared
     # base-2 log is part of the published normalization, not the global flag
-    return _dist(math.log2(1.0 + distinct / (distinct + len(au & av))), normalized=True)
+    return _dist(math.log2(1.0 + distinct / (distinct + shared)), normalized=True)
 
 
 def _eval_jaccard_ext(spec, t, u, v):
@@ -357,14 +331,16 @@ def _eval_jc_hybrid(spec, t, u, v):
     return _dist(math.fsum(terms))
 
 
-def _form_row(feature, form, bind=lambda p: {}, **flags) -> MeasureInfo:
-    """A row that is the abstract form `form` applied to `feature`; its
-    polarity and normalization are the form's own."""
+def _form_row(feature, form, bind=lambda p: p, **flags) -> MeasureInfo:
+    """A row that is the abstract form `form` applied to FEATURES[feature],
+    taking polarity and normalization from the form, needs_theta from the
+    feature; bind defaults to passing the measure's parameters on."""
+    function, needs_theta = FEATURES[feature]
     return MeasureInfo(
         FORMS[form].polarity,
         FORMS[form].normalized,
-        needs_theta=feature is not _ancestor_counts,
-        feature=feature,
+        needs_theta=needs_theta,
+        feature=function,
         form=form,
         bind=bind,
         **flags,
@@ -379,21 +355,20 @@ MEASURES: dict[str, MeasureInfo] = {
     "leacock_chodorow": MeasureInfo(
         SIM, False, path_based=True, ioi=True, evaluate=_eval_leacock_chodorow
     ),
-    "wu_palmer": MeasureInfo(
-        SIM, True, path_based=True, ioi=True, root_degenerate=True, evaluate=_eval_wu_palmer,
-        anchor=_depth_triple,
+    "wu_palmer": _form_row(
+        "depth_triple", "general_dice", path_based=True, ioi=True, root_degenerate=True
     ),
-    "pekar_staab": MeasureInfo(
-        SIM, True, path_based=True, ioi=True, root_degenerate=True, evaluate=_eval_pekar_staab,
-        anchor=_depth_triple,
+    "pekar_staab": _form_row(
+        "depth_triple", "sigma_beta", lambda p: {"beta": 1.0},
+        path_based=True, ioi=True, root_degenerate=True,
     ),
     "zhong": MeasureInfo(
-        DIST, True, params={"k": ParamSpec(2.0, lo=1.0)}, ioi=True, evaluate=_eval_zhong
+        DIST, True, params={"k": ParamSpec(2.0, above=1.0)}, ioi=True, evaluate=_eval_zhong
     ),
     "li": MeasureInfo(
         SIM,
         True,
-        params={"alpha": ParamSpec(0.2, lo=0.0), "beta": ParamSpec(0.6)},
+        params={"alpha": ParamSpec(0.2, lo=0.0), "beta": ParamSpec(0.6, above=0.0)},
         path_based=True,
         evaluate=_eval_li,
     ),
@@ -416,31 +391,32 @@ MEASURES: dict[str, MeasureInfo] = {
     ),
     # information theoretical
     "resnik": MeasureInfo(SIM, False, needs_theta=True, evaluate=_eval_resnik),
-    "lin": _form_row(mica_feature, "general_dice", ioi=True, root_degenerate=True),
-    "jiang_conrath": _form_row(mica_feature, "abstract_dist", ioi=True),
+    "lin": _form_row("mica_theta", "general_dice", ioi=True, root_degenerate=True),
+    "jiang_conrath": _form_row("mica_theta", "abstract_dist", ioi=True),
     "nunivers": _form_row(
-        mica_feature, "sigma_alpha", lambda p: {"alpha": math.inf}, ioi=True, root_degenerate=True
+        "mica_theta", "sigma_alpha", lambda p: {"alpha": math.inf}, ioi=True, root_degenerate=True
     ),
     "psec": _form_row(
-        mica_feature, "contrast", lambda p: {"gamma": 1.0, "alpha": 1.0, "beta": 1.0}
+        "mica_theta", "contrast", lambda p: {"gamma": 1.0, "alpha": 1.0, "beta": 1.0}
     ),
     "faith": _form_row(
-        mica_feature, "ratio", lambda p: {"alpha": 1.0, "beta": 1.0}, ioi=True, root_degenerate=True
+        "mica_theta", "ratio", lambda p: {"alpha": 1.0, "beta": 1.0}, ioi=True, root_degenerate=True
     ),
     "rel_schlicker": MeasureInfo(SIM, True, needs_theta=True, evaluate=_eval_rel_schlicker),
-    "sim_dic": _form_row(salience_feature, "general_dice", ioi=True, root_degenerate=True),
+    "sim_dic": _form_row(
+        "shared_ancestor_salience", "general_dice", ioi=True, root_degenerate=True
+    ),
     "jac_anc": _form_row(
-        salience_feature, "sigma_beta", lambda p: {"beta": 1.0}, ioi=True, root_degenerate=True
+        "shared_ancestor_salience", "sigma_beta", lambda p: {"beta": 1.0},
+        ioi=True, root_degenerate=True,
     ),
-    "lin_grasm": MeasureInfo(
-        SIM, True, needs_theta=True, ioi=True, root_degenerate=True, evaluate=_eval_lin_grasm
-    ),
+    "lin_grasm": _form_row("ncca_mean", "general_dice", ioi=True, root_degenerate=True),
     "wang_dca": MeasureInfo(
         SIM, False, path_based=True, root_degenerate=True, evaluate=_eval_wang_dca
     ),
     # feature based
-    "cmatch": _form_row(_ancestor_counts, "sigma_beta", lambda p: {"beta": 1.0}, ioi=True),
-    "dice_anc": _form_row(_ancestor_counts, "general_dice", ioi=True),
+    "cmatch": _form_row("ancestor_counts", "sigma_beta", lambda p: {"beta": 1.0}, ioi=True),
+    "dice_anc": _form_row("ancestor_counts", "general_dice", ioi=True),
     "bulskov": MeasureInfo(
         SIM,
         True,
@@ -450,7 +426,7 @@ MEASURES: dict[str, MeasureInfo] = {
         evaluate=_eval_bulskov,
     ),
     "rodriguez_egenhofer": _form_row(
-        _ancestor_counts,
+        "ancestor_counts",
         "ratio",
         lambda p: {"alpha": p["gamma"], "beta": 1.0 - p["gamma"]},
         params={"gamma": ParamSpec(0.5, lo=0.0, hi=1.0)},
@@ -459,17 +435,15 @@ MEASURES: dict[str, MeasureInfo] = {
     ),
     "sanchez": MeasureInfo(DIST, True, ioi=True, evaluate=_eval_sanchez_dist),
     "tversky_ratio": _form_row(
-        _ancestor_counts,
+        "ancestor_counts",
         "ratio",
-        lambda p: p,
         params={"alpha": ParamSpec(1.0, lo=0.0), "beta": ParamSpec(1.0, lo=0.0)},
         ioi=True,
         asym_when_differ=(("alpha", "beta"),),
     ),
     "tversky_contrast": _form_row(
-        _ancestor_counts,
+        "ancestor_counts",
         "contrast",
-        lambda p: p,
         params={
             "gamma": ParamSpec(1.0, lo=0.0),
             "alpha": ParamSpec(1.0, lo=0.0),
@@ -528,7 +502,7 @@ def eval_pairwise(
     feature = info.feature
     if feature is None:
         return info.evaluate(spec, taxonomy, u, v)
-    return spec.kernel(*feature(spec.theta, taxonomy, u, v), *spec.args)
+    return spec.kernel(*feature(spec, taxonomy, u, v), *spec.args)
 
 
 # -- score matrices ------------------------------------------------------------
@@ -537,14 +511,12 @@ def eval_pairwise(
 def _first_common(t, key):
     """(u, v) -> the common ancestor of u and v that is least under key: the
     first class of A(u), ranked by key once per u, that lies in A(v)."""
-    anc, ranked = t._anc, {}
+    anc = t._anc
+    ranked = functools.cache(lambda u: sorted(anc[u], key=key))
 
     def first(u, v):
-        order = ranked.get(u)
-        if order is None:
-            order = ranked[u] = sorted(anc[u], key=key)
         av = anc[v]
-        for a in order:
+        for a in ranked(u):
             if a in av:
                 return a
 
@@ -559,14 +531,9 @@ def _matrix_mica(spec, t):
 
 
 def _matrix_depth_triple(spec, t):
-    depth, labels, tables = t._depth, t._labels, {}
+    depth, labels = t._depth, t._labels
     dca = _first_common(t, lambda c: (-depth[c], labels[c]))
-
-    def longest_up(c):
-        up = tables.get(c)
-        if up is None:
-            up = tables[c] = t._longest_up(c)
-        return up
+    longest_up = functools.cache(t._longest_up)
 
     def triple(u, v):
         a = dca(u, v)
@@ -579,7 +546,7 @@ def _matrix_depth_triple(spec, t):
 # a pair feature or anchor -> (spec, taxonomy) -> its (u, v) function for one
 # score_matrix call, equal to the scalar one on every pair
 _BATCHED = {
-    mica_feature: _matrix_mica,
+    _mica: _matrix_mica,
     _depth_triple: _matrix_depth_triple,
     _least_used_ancestor: lambda spec, t: _first_common(
         t, lambda c: (spec.usage.count(c), t._labels[c])
@@ -592,7 +559,7 @@ def _cell_scorer(spec, t):
     info = spec.info
     if info.feature is not None:
         batched, kernel, args = _BATCHED.get(info.feature), spec.kernel, spec.args
-        feature = batched(spec, t) if batched else functools.partial(info.feature, spec.theta, t)
+        feature = batched(spec, t) if batched else functools.partial(info.feature, spec, t)
         return lambda u, v: kernel(*feature(u, v), *args)
     evaluate = info.evaluate
     if info.anchor is not None:

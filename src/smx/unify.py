@@ -1,14 +1,14 @@
-"""Abstract measure forms parameterized by a specificity function and a
-commonality rule, with named instantiations.
+"""Abstract measure forms, the one table of features they apply to, and
+named instantiations.
 
 Each form is one kernel over a feature triple (f(U), f(V), f(U and V)).
-The shared-feature mass f(U and V) is either the theta of the ancestor
-maximizing theta (mica rule) or the summed theta over all shared
-ancestors (salience rule); differences follow as f(U) - f(U and V). With
-theta = raw depth the forms collapse to the classic structural measures
-on trees, with theta = IC to the information theoretical ones. The
-pairwise catalog evaluates its form-backed measures through the same
-kernels.
+FEATURES holds every feature, called as feature(spec, taxonomy, u, v),
+over two classes (the two Commonality rules: theta at the MICA or summed
+over shared ancestors; ancestor counts; the depth triple; the NCCA mean)
+or over the ancestor closures of two class sets. With theta = raw depth
+the forms collapse to the classic structural measures on trees, with
+theta = IC to the information theoretical ones. The pairwise catalog and
+the direct groupwise measures evaluate their form rows by these kernels.
 """
 
 from __future__ import annotations
@@ -43,25 +43,75 @@ class Commonality(enum.Enum):
     SHARED_ANCESTOR_SALIENCE = "shared_ancestor_salience"
 
 
-# -- features: (f_u, f_v, f_shared) of a class pair --------------------------
+# -- features: (f_u, f_v, f_shared) of two classes or two class sets --------
 
 
-def mica_feature(theta, t: TaxonomyView, u: NodeId, v: NodeId):
+def _mica(spec, t: TaxonomyView, u: NodeId, v: NodeId):
     """theta of both classes and of their most informative common ancestor."""
+    theta = spec.theta
     a = t.mica(theta, u, v)
     return theta(u), theta(v), theta(a)
 
 
-def salience_feature(theta, t: TaxonomyView, u: NodeId, v: NodeId):
+def _salience(spec, t: TaxonomyView, u: NodeId, v: NodeId):
     """Summed theta over A(u), A(v) and A(u) & A(v). math.fsum rounds each
     sum once, so it depends on the set alone, not on its iteration order."""
+    theta = spec.theta
     au, av = t.ancestors(u), t.ancestors(v)
     return math.fsum(map(theta, au)), math.fsum(map(theta, av)), math.fsum(map(theta, au & av))
 
 
-_FEATURES = {
-    Commonality.MICA_THETA: mica_feature,
-    Commonality.SHARED_ANCESTOR_SALIENCE: salience_feature,
+def _ancestor_counts(spec, t: TaxonomyView, u: NodeId, v: NodeId):
+    """|A(u)|, |A(v)| and |A(u) & A(v)|."""
+    au, av = t.ancestors(u), t.ancestors(v)
+    return len(au), len(av), len(au & av)
+
+
+def _depth_triple(spec, t: TaxonomyView, u: NodeId, v: NodeId):
+    """Longest root paths of u and v through their deepest common ancestor,
+    and the depth of that ancestor."""
+    a = t.deepest_common_ancestor(u, v)
+    d = t._depth[a]
+    return d + t._longest_up(u)[a], d + t._longest_up(v)[a], d
+
+
+def _ncca_mean(spec, t: TaxonomyView, u: NodeId, v: NodeId):
+    """theta of both classes and mean theta over their disjoint common ancestors."""
+    theta = spec.theta
+    dcas = t.ncca(u, v)
+    return theta(u), theta(v), math.fsum(map(theta, dcas)) / len(dcas)
+
+
+def _closure_counts(spec, t: TaxonomyView, us, vs):
+    """|C(U)|, |C(V)| and |C(U) & C(V)|, C(U) the union of A(u) over U."""
+    cu, cv = (set().union(*map(t.ancestors, group)) for group in (us, vs))
+    return len(cu), len(cv), len(cu & cv)
+
+
+def _closure_theta(spec, t: TaxonomyView, us, vs):
+    """Summed theta over C(U), C(V) and C(U) & C(V), each sum by math.fsum."""
+    theta = spec.theta
+    cu, cv = (set().union(*map(t.ancestors, group)) for group in (us, vs))
+    return math.fsum(map(theta, cu)), math.fsum(map(theta, cv)), math.fsum(map(theta, cu & cv))
+
+
+class Feature(NamedTuple):
+    """A feature function and whether it reads spec.theta."""
+
+    function: Callable
+    needs_theta: bool
+
+
+FEATURES: dict[str, Feature] = {
+    # pair features; the first two are the Commonality rules
+    "mica_theta": Feature(_mica, True),
+    "shared_ancestor_salience": Feature(_salience, True),
+    "ancestor_counts": Feature(_ancestor_counts, False),
+    "depth_triple": Feature(_depth_triple, False),
+    "ncca_mean": Feature(_ncca_mean, True),
+    # group features over the ancestor closures of two class sets
+    "closure_counts": Feature(_closure_counts, False),
+    "closure_theta": Feature(_closure_theta, True),
 }
 
 
@@ -82,16 +132,12 @@ def _power_mean(a: float, b: float, alpha: float) -> float:
         return min(a, b) if alpha < 0 else max(a, b)
     if alpha == 0.0:
         return math.sqrt(a * b)
-    low, high = min(a, b), max(a, b)
-    if alpha < 0:
-        if low == 0.0:
-            return 0.0
-        ratio = (high / low) ** alpha  # in (0, 1]
-        return low * ((1.0 + ratio) / 2.0) ** (1.0 / alpha)
-    if high == 0.0:
+    # the operand that dominates the mean: the smaller for alpha < 0
+    other, dominant = sorted((a, b), reverse=alpha < 0)
+    if dominant == 0.0:
         return 0.0
-    ratio = (low / high) ** alpha  # in [0, 1]
-    return high * ((1.0 + ratio) / 2.0) ** (1.0 / alpha)
+    ratio = (other / dominant) ** alpha  # in [0, 1]
+    return dominant * ((1.0 + ratio) / 2.0) ** (1.0 / alpha)
 
 
 def _abstract_dist(f_u, f_v, f_shared):
@@ -168,7 +214,7 @@ class AbstractForm:
     def __post_init__(self):
         form = FORMS[self.kind]
         values = dict(self.params)
-        object.__setattr__(self, "feature", _FEATURES[self.commonality])
+        object.__setattr__(self, "feature", FEATURES[self.commonality.value].function)
         object.__setattr__(self, "kernel", form.kernel)
         object.__setattr__(self, "args", tuple(values[name] for name, _ in form.params))
 
@@ -191,6 +237,10 @@ def abstract_form(
     values = {name: float(params.pop(name, default)) for name, default in form.params}
     if params:
         raise ContractError(f"{kind}: unknown parameters {sorted(params)}")
+    for key, value in values.items():
+        # the infinite orders of sigma_alpha are min and max
+        if math.isnan(value) or (math.isinf(value) and kind != "sigma_alpha"):
+            raise ContractError(f"{kind}: parameter {key} must not be {value}")
     if kind == "sigma_beta" and values["beta"] <= 0:
         raise ContractError("sigma_beta needs beta > 0")
     if kind in ("ratio", "contrast") and min(values.values()) < 0:
@@ -237,4 +287,4 @@ def eval_abstract(form: AbstractForm, t: TaxonomyView, u: NodeId, v: NodeId) -> 
         raise ContractError("abstract form has no bound specificity estimator")
     if not theta.is_monotone:
         raise ContractError("bound specificity estimator is not monotone")
-    return form.kernel(*form.feature(theta, t, u, v), *form.args)
+    return form.kernel(*form.feature(form, t, u, v), *form.args)

@@ -402,6 +402,45 @@ def brute_jc_hybrid(pairs, theta, u, v, alpha, beta, weight):
     return total
 
 
+def _brute_deepest_common(pairs, u, v):
+    """(a, depth(a), longest u-to-a path, longest v-to-a path) for a the
+    deepest common ancestor of labels u and v, ties to the smallest label,
+    every path enumerated."""
+    closure = brute_closure_map(pairs)
+    a = min(closure[u] & closure[v], key=lambda c: (-brute_depth(pairs, c), c))
+    up = lambda x: max(len(path) for path in brute_up_paths(pairs, x, a)) - 1
+    return a, brute_depth(pairs, a), up(u), up(v)
+
+
+def brute_wu_palmer(pairs, u, v):
+    """(value, degenerate) of Wu and Palmer's 2 d / (l_u + l_v + 2 d) between
+    labels u and v: d the depth of their deepest common ancestor a, l_u and
+    l_v the longest paths up to a; (0.0, True) when the denominator is 0."""
+    _, d, lu, lv = _brute_deepest_common(pairs, u, v)
+    den = lu + lv + 2 * d
+    return (0.0, True) if den == 0 else (2 * d / den, False)
+
+
+def brute_pekar_staab(pairs, u, v):
+    """(value, degenerate) of Pekar and Staab's d / (l_u + l_v + d), with d,
+    l_u and l_v as in brute_wu_palmer; (0.0, True) when the denominator is
+    0."""
+    _, d, lu, lv = _brute_deepest_common(pairs, u, v)
+    den = lu + lv + d
+    return (0.0, True) if den == 0 else (d / den, False)
+
+
+def brute_lin_grasm(pairs, theta, u, v):
+    """(value, degenerate) of Lin's measure between labels u and v with
+    theta(MICA) replaced by the mean theta over their disjoint common
+    ancestors (brute_ncca), theta a {label: value} table; (0.0, True) when
+    theta(u) + theta(v) is 0."""
+    dcas = brute_ncca(pairs, u, v)
+    mean = sum(theta[a] for a in dcas) / len(dcas)
+    den = theta[u] + theta[v]
+    return (0.0, True) if den == 0 else (2.0 * mean / den, False)
+
+
 def brute_wang_dca(pairs, u, v):
     """(value, degenerate) of Wang et al.'s measure between labels u and v,
     in exact rationals: the mean over the disjoint common ancestors a of

@@ -324,6 +324,37 @@ class TestAbstract:
         assert capsys.readouterr().out.count("\n") == 2
 
 
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sim", "--measure", "bulskov:alpha=nan"],
+            ["sim", "--measure", "li:alpha=nan"],
+            ["sim", "--measure", "zhong:k=nan"],
+            ["sim", "--measure", "tversky_ratio:alpha=nan"],
+            ["sim", "--measure", "tversky_contrast:gamma=inf"],
+            ["sim", "--measure", "li:beta=-inf"],
+            ["abstract", "--form", "ratio:alpha=nan", "--theta", "ic:seco"],
+            ["abstract", "--form", "sigma_alpha:alpha=nan", "--theta", "ic:seco"],
+            ["abstract", "--form", "contrast:gamma=inf", "--theta", "ic:seco"],
+        ],
+    )
+    def test_exit_two_and_no_out(self, toy_file, pairs_file, tmp_path, capsys, argv):
+        out = tmp_path / "out.tsv"
+        code = main(argv + ["--graph", toy_file, "--pairs", pairs_file, "--out", str(out)])
+        assert code == 2
+        assert "must not be" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sigma_alpha_takes_the_infinite_orders(self, toy_file, pairs_file, capsys):
+        code = main(
+            ["abstract", "--form", "sigma_alpha:alpha=-inf", "--theta", "ic:seco",
+             "--graph", toy_file, "--pairs", pairs_file]
+        )
+        assert code == 0
+        assert capsys.readouterr().out.count("\n") == 2
+
+
 class TestRel:
     def test_wsp_with_scheme(self, tmp_path, capsys):
         graph = tmp_path / "g.tsv"

@@ -1,4 +1,5 @@
 import io
+import math
 import random
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import smx
 from smx.errors import ContractError
 
-from helpers import random_taxonomy
+from helpers import brute_closure_map, brute_redundant_edges, random_taxonomy
 
 APPROX = lambda x: pytest.approx(x, abs=1e-9)
 
@@ -126,3 +127,60 @@ class TestIndirect:
         ).value
         assert value["bmm"] >= value["bma"] - 1e-12
         assert value["bma"] >= min(value["avgmax"], backward) - 1e-12
+
+
+class TestDirectOracles:
+    """simui, nto and simgic against ancestor closures built by independent
+    DFS (brute_closure_map), on random multi-parent DAGs, in both argument
+    orders, root-only groups included."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        multi=st.sampled_from([0.3, 0.8]),
+        reduce=st.booleans(),
+        tied_theta=st.booleans(),
+    )
+    def test_match_brute_closures(self, seed, multi, reduce, tied_theta):
+        rng = random.Random(seed)
+        t, pairs = random_taxonomy(rng, max_nodes=25, multi=multi)
+        if reduce:
+            t, _ = smx.transitive_reduction(t)
+            redundant = brute_redundant_edges(pairs)
+            pairs = [edge for edge in pairs if edge not in redundant]
+        closure = brute_closure_map(pairs)
+        labels = sorted(closure)
+        if tied_theta:
+            # zero mass away from the root too, so unions of zero mass occur
+            table = {t.node(c): rng.choice((0.0, 0.0, 0.5, 2.0)) for c in labels}
+            table[t.root] = 0.0
+            theta = smx.ThetaEstimator.from_table(t, table)
+        else:
+            theta = smx.seco_ic(t)
+        mass = {c: theta(t.node(c)) for c in labels}
+        specs = {
+            name: smx.groupwise_measure(name, theta=theta) for name in ("simui", "nto", "simgic")
+        }
+        root = t.label(t.root)
+        groups = [rng.sample(labels, rng.randint(1, min(4, len(labels)))) for _ in range(8)]
+        groups += [[root], [root]]
+        for _ in range(12):
+            a, b = rng.choice(groups), rng.choice(groups)
+            for left, right in ((a, b), (b, a)):
+                cu = set().union(*(closure[c] for c in left))
+                cv = set().union(*(closure[c] for c in right))
+                shared, union = cu & cv, cu | cv
+                got = {
+                    name: smx.eval_groupwise(
+                        spec, t, {t.node(c) for c in left}, {t.node(c) for c in right}
+                    )
+                    for name, spec in specs.items()
+                }
+                assert got["simui"].value == len(shared) / len(union)
+                assert got["nto"].value == len(shared) / min(len(cu), len(cv))
+                assert not got["simui"].degenerate and not got["nto"].degenerate
+                union_mass = math.fsum(mass[c] for c in union)
+                simgic = got["simgic"]
+                assert simgic.degenerate == (union_mass == 0), (left, right)
+                want = 0.0 if union_mass == 0 else math.fsum(mass[c] for c in shared) / union_mass
+                assert abs(simgic.value - want) <= 1e-12, (left, right)

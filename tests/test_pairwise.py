@@ -21,8 +21,11 @@ from helpers import (
     brute_class_usage,
     brute_extensional,
     brute_jc_hybrid,
+    brute_lin_grasm,
+    brute_pekar_staab,
     brute_redundant_edges,
     brute_wang_dca,
+    brute_wu_palmer,
     form_row_oracle,
     random_annotations,
     random_taxonomy,
@@ -345,6 +348,49 @@ class TestPathKernelOracles:
                 smx.eval_pairwise(hybrid, t, u, v, True)
 
 
+class TestDepthAndNccaOracles:
+    """wu_palmer, pekar_staab and lin_grasm, form rows over the depth triple
+    and the NCCA-mean feature, against path enumeration on random
+    multi-parent DAGs, with and without the transitive reduction, on parsed
+    and on relabelled views, root pairs included."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        multi=st.sampled_from([0.3, 0.8]),
+        reduce=st.booleans(),
+        relabel=st.booleans(),
+    )
+    def test_match_path_enumeration(self, seed, multi, reduce, relabel):
+        rng = random.Random(seed)
+        t, pairs = random_taxonomy(rng, max_nodes=20, multi=multi)
+        if reduce:
+            t, _ = smx.transitive_reduction(t)
+            redundant = brute_redundant_edges(pairs)
+            pairs = [edge for edge in pairs if edge not in redundant]
+        if relabel:
+            t, pairs = relabelled(t, pairs, rng)
+        theta = smx.seco_ic(t)
+        table = {t.label(c): theta(c) for c in t.class_ids}
+        classes = sorted(t.class_ids)
+        checks = [
+            (smx.pairwise_measure("wu_palmer"), lambda lu, lv: brute_wu_palmer(pairs, lu, lv)),
+            (smx.pairwise_measure("pekar_staab"), lambda lu, lv: brute_pekar_staab(pairs, lu, lv)),
+            (
+                smx.pairwise_measure("lin_grasm", theta=theta),
+                lambda lu, lv: brute_lin_grasm(pairs, table, lu, lv),
+            ),
+        ]
+        tested = [(rng.choice(classes), rng.choice(classes)) for _ in range(20)]
+        tested += [(t.root, t.root), (t.root, classes[-1]), (classes[-1], t.root)]
+        for spec, oracle in checks:
+            for u, v in tested:
+                got = smx.eval_pairwise(spec, t, u, v, allow_unreduced=True)
+                value, degenerate = oracle(t.label(u), t.label(v))
+                assert abs(got.value - value) <= 1e-12, (spec.name, u, v)
+                assert got.degenerate == degenerate, (spec.name, u, v)
+
+
 class TestConvert:
     def test_one_minus(self):
         out = smx.convert(
@@ -401,6 +447,15 @@ class TestContracts:
             smx.pairwise_measure("slimani", lam=0.5)
         with pytest.raises(ContractError):
             smx.pairwise_measure("lin")  # missing estimator
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "name, key", [(name, key) for name in sorted(MEASURES) for key in MEASURES[name].params]
+    )
+    def test_non_finite_parameters_rejected(self, toy_seco, name, key, value):
+        theta = toy_seco if MEASURES[name].needs_theta else None
+        with pytest.raises(ContractError, match=f"parameter {key} must not be"):
+            smx.pairwise_measure(name, theta=theta, **{key: value})
 
     def test_path_measures_refuse_redundant_taxonomy(self, chain_with_skip):
         spec = smx.pairwise_measure("rada")

@@ -227,6 +227,27 @@ class TestContracts:
         with pytest.raises(ContractError):
             smx.eval_abstract(form, toy, toy.node("E"), toy.node("D"))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "kind, key",
+        [("sigma_beta", "beta"), ("ratio", "alpha"), ("ratio", "beta"),
+         ("contrast", "gamma"), ("contrast", "alpha"), ("contrast", "beta")],
+    )
+    def test_non_finite_parameters_rejected(self, kind, key, value):
+        with pytest.raises(ContractError, match=f"parameter {key} must not be"):
+            smx.abstract_form(kind, **{key: value})
+
+    def test_sigma_alpha_takes_infinite_orders_but_not_nan(self, toy, toy_seco):
+        with pytest.raises(ContractError, match="parameter alpha must not be nan"):
+            smx.abstract_form("sigma_alpha", alpha=math.nan)
+        e, d = toy.node("E"), toy.node("D")
+        for alpha, pick in ((-math.inf, min), (math.inf, max)):
+            form = smx.abstract_form("sigma_alpha", alpha=alpha, theta=toy_seco)
+            shared = toy_seco(toy.mica(toy_seco, e, d))
+            assert smx.eval_abstract(form, toy, e, d).value == shared / pick(
+                toy_seco(e), toy_seco(d)
+            )
+
     def test_degenerate_root_pair(self, toy, toy_seco):
         form = smx.abstract_form("general_dice", theta=toy_seco)
         got = smx.eval_abstract(form, toy, toy.node("root"), toy.node("root"))
