@@ -17,9 +17,16 @@ lin. A line reads
 
 or, when the evaluation raises, `<measure> <u> <v>: <SmxError class name>`.
 
+The last lines give the sha256 of the serializers' output, so that diffing
+two digests also checks their edge order byte for byte: serialize_graph of
+the DAG before and after the transitive reduction, the removed-edge report
+as `smx preprocess` writes it, and the adjacency tables and serialization
+of a weighted relational graph whose node labels are not in sorted order.
+
 Usage: PYTHONPATH=src python scripts/value_digest.py > digest.txt
 """
 
+import hashlib
 import random
 
 from scale_smoke import synth_graph_lines
@@ -28,6 +35,7 @@ from smx import (
     MEASURES,
     AnnotationSet,
     Commonality,
+    SemanticGraph,
     abstract_form,
     class_usage,
     depth_theta,
@@ -39,6 +47,7 @@ from smx import (
     pairwise_measure,
     parse_graph,
     seco_ic,
+    serialize_graph,
     taxonomic_reduction,
     transitive_reduction,
 )
@@ -62,6 +71,40 @@ def line(name, left, right, evaluate):
         f"{name} {left} {right}: {float(mv.value).hex()} {mv.polarity.value} "
         f"{int(mv.normalized)} {int(mv.degenerate)}"
     )
+
+
+def digest(name, text):
+    return f"{name}: sha256 {hashlib.sha256(text.encode()).hexdigest()}"
+
+
+def serializer_lines(graph, rng):
+    _, report = transitive_reduction(taxonomic_reduction(graph))
+    removed = {
+        (graph.node(r.subject), r.predicate, graph.node(r.object)) for r in report.removed_edges
+    }
+    reduced = SemanticGraph(
+        graph._labels, graph.classes, graph.instances, graph.predicates, graph.edges - removed
+    )
+    report_text = "".join(
+        f"removed\t{r.subject}\t{r.predicate}\t{r.object}\n" for r in report.removed_edges
+    )
+    names = [f"n{k}" for k in range(300)]
+    rng.shuffle(names)
+    edges = sorted({
+        (rng.randrange(300), rng.choice(("partOf", "hunts", "eats")), rng.randrange(300))
+        for _ in range(1_200)
+    })
+    relational = SemanticGraph(
+        names, (), range(300), ("partOf", "hunts", "eats"), edges,
+        {e: rng.choice((0.0, 0.5, 1.0, 2.5, 1e-3)) for e in edges},
+    )
+    return [
+        digest("serialize_graph dag", serialize_graph(graph)),
+        digest("serialize_graph reduced dag", serialize_graph(reduced)),
+        digest("removed-edge report", report_text),
+        digest("_adjacent relational", repr(relational._adjacent())),
+        digest("serialize_graph relational", serialize_graph(relational)),
+    ]
 
 
 def main():
@@ -112,6 +155,7 @@ def main():
             out.append(
                 line(name, f"g{a}", f"g{b}", lambda: eval_groupwise(spec, t, groups[a], groups[b]))
             )
+    out += serializer_lines(graph, rng)
     print("\n".join(out))
 
 

@@ -13,14 +13,16 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import logging
+import math
 import os
 import sys
 from contextlib import contextmanager
 
 from . import bench as bench_mod
 from . import ingest, preprocess, relatedness, unify
-from .errors import SmxError, UsageError as DataUsageError
+from .errors import InfinityError, SmxError, UsageError as DataUsageError
 from .graph import SemanticGraph, TaxonomyView
 from .groupwise import DIRECT, STRATEGIES, eval_groupwise, groupwise_measure
 from .pairwise import MEASURES, eval_pairwise, pairwise_measure
@@ -217,14 +219,22 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _write_scores(path, pairs_path, resolve, score) -> None:
+def _write_scores(path, pairs_path, resolve, score, measure=None) -> None:
     """Write idA, idB and score(resolve(idA), resolve(idB)) for each listed
     pair. Every pair is scored before the output is opened, so a command
-    that fails leaves no partial output and an existing file untouched."""
-    rows = [
-        f"{a}\t{b}\t{score(resolve(a), resolve(b))}\n"
-        for a, b in ingest.parse_pairs(pairs_path)
-    ]
+    that fails leaves no partial output and an existing file untouched.
+    When `measure` names what is scored, each score is a float, and a NaN
+    or infinite one is an InfinityError naming the measure and the pair."""
+    rows = []
+    for a, b in ingest.parse_pairs(pairs_path):
+        value = score(resolve(a), resolve(b))
+        if measure is not None:
+            if not math.isfinite(value):
+                raise InfinityError(
+                    f"{measure}: the pair ({a}, {b}) scores {value}, not a finite number"
+                )
+            value = _fmt(value)
+        rows.append(f"{a}\t{b}\t{value}\n")
     with _open_out(path) as out:
         out.writelines(rows)
 
@@ -242,7 +252,7 @@ def _cmd_preprocess(args) -> int:
     }
     kept = graph.edges - removed
     cleaned = SemanticGraph(
-        labels=[graph.label(i) for i in range(graph.n_nodes)],
+        labels=graph._labels,
         classes=graph.classes,
         instances=graph.instances,
         predicates=graph.predicates,
@@ -288,9 +298,9 @@ def _cmd_sim(args) -> int:
     spec = _pairwise_spec(args, args.measure, _estimators(args, taxonomy, usage), usage)
 
     def score(u, v):
-        return _fmt(eval_pairwise(spec, taxonomy, u, v, allow_unreduced=args.allow_unreduced).value)
+        return eval_pairwise(spec, taxonomy, u, v, allow_unreduced=args.allow_unreduced).value
 
-    _write_scores(args.out, args.pairs, taxonomy.node, score)
+    _write_scores(args.out, args.pairs, taxonomy.node, score, args.measure)
     return 0
 
 
@@ -329,10 +339,9 @@ def _cmd_groupsim(args) -> int:
         return reduced.assignments[instance]
 
     def score(a, b):
-        mv = eval_groupwise(spec, taxonomy, a, b, allow_unreduced=args.allow_unreduced)
-        return _fmt(mv.value)
+        return eval_groupwise(spec, taxonomy, a, b, allow_unreduced=args.allow_unreduced).value
 
-    _write_scores(args.out, args.pairs, classes_of, score)
+    _write_scores(args.out, args.pairs, classes_of, score, args.measure)
     return 0
 
 
@@ -365,8 +374,8 @@ def _cmd_abstract(args) -> int:
             raise CommandLineError(f"named form {name!r} takes no parameters")
     form = form.with_theta(theta)
 
-    score = lambda u, v: _fmt(unify.eval_abstract(form, taxonomy, u, v).value)
-    _write_scores(args.out, args.pairs, taxonomy.node, score)
+    score = lambda u, v: unify.eval_abstract(form, taxonomy, u, v).value
+    _write_scores(args.out, args.pairs, taxonomy.node, score, args.form)
     return 0
 
 
@@ -516,6 +525,12 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="smx: %(message)s")
     parser = build_parser()
+    # A command builds large acyclic tables (tuples, frozensets, dicts of
+    # ints) and then exits, so the cyclic collector's passes over them find
+    # nothing. It is paused for the command and restored for in-process
+    # callers.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         args = parser.parse_args(argv)
         return args.func(args)
@@ -525,6 +540,9 @@ def main(argv=None) -> int:
     except SmxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -72,7 +72,8 @@ class DivergenceError(SmxError):
 
 
 class InfinityError(SmxError):
-    """A conversion produced an infinite value (e.g. neg-log of zero)."""
+    """A conversion or a score produced an infinite or NaN value (e.g.
+    neg-log of zero)."""
 
 
 class UndefinedCorrelationError(SmxError):

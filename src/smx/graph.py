@@ -110,7 +110,7 @@ class SemanticGraph:
         if adjacency is None:
             out = [[] for _ in self._labels]
             inc = [[] for _ in self._labels]
-            for s, p, o in sorted(self.edges, key=self._edge_key):
+            for s, p, o in self._label_sorted_edges():
                 out[s].append((p, o))
                 inc[o].append((p, s))
             adjacency = self._adjacency = (tuple(map(tuple, out)), tuple(map(tuple, inc)))
@@ -135,9 +135,15 @@ class SemanticGraph:
             )
         return rows
 
-    def _edge_key(self, edge):
-        s, p, o = edge
-        return (self._labels[s], p, self._labels[o])
+    def _label_sorted_edges(self) -> list[tuple[NodeId, str, NodeId]]:
+        """The edges in (subject label, predicate, object label) order.
+        Labels are unique, so sorting by each label's rank, computed once,
+        gives that order without building a label tuple per edge."""
+        labels = self._labels
+        rank = [0] * len(labels)
+        for r, node in enumerate(sorted(range(len(labels)), key=labels.__getitem__)):
+            rank[node] = r
+        return sorted(self.edges, key=lambda e: (rank[e[0]], e[1], rank[e[2]]))
 
     @property
     def n_nodes(self) -> int:
@@ -156,9 +162,6 @@ class SemanticGraph:
 
     def label(self, node: NodeId) -> str:
         return self._labels[self._known(node)]
-
-    def has_node(self, label: str) -> bool:
-        return label in self._index
 
     def out_edges(self, node: NodeId) -> tuple[tuple[str, NodeId], ...]:
         return self._adjacent()[0][self._known(node)]
@@ -285,10 +288,14 @@ class TaxonomyView:
         t._depth = depth
         t.max_depth = max(depth.values())
         t.leaves = frozenset(c for c in t.class_ids if not children[c])
+        # an edge is redundant when another parent of its child reaches the
+        # parent, so a class with one parent has none
         t.redundant_edges = frozenset(
             (u, p)
-            for (u, p) in t.edges
-            if any(q != p and p in anc[q] for q in parents[u])
+            for u, ps in parents.items()
+            if len(ps) > 1
+            for p in ps
+            if any(q != p and p in anc[q] for q in ps)
         )
         t.is_reduced = not t.redundant_edges
         return t

@@ -133,9 +133,8 @@ def _parse_weight(text: str, lineno: int) -> float:
     return weight
 
 
-@_names_its_file
-def read_triples(source) -> list[TripleRecord]:
-    records = []
+def _triples(source) -> Iterator[tuple[str, str, str, float | None]]:
+    """Yield (subject, predicate, object, weight) for each triple line."""
     for lineno, line in _lines(source):
         fields = line.split("\t")
         if len(fields) not in (3, 4):
@@ -153,10 +152,15 @@ def read_triples(source) -> list[TripleRecord]:
             if _is_reserved(predicate):
                 raise ParseError(f"unknown reserved predicate {predicate!r}", lineno)
         weight = _parse_weight(fields[3], lineno) if len(fields) == 4 else None
-        records.append(TripleRecord(subject, predicate, obj, weight))
-    return records
+        yield subject, predicate, obj, weight
 
 
+@_names_its_file
+def read_triples(source) -> list[TripleRecord]:
+    return [TripleRecord(*triple) for triple in _triples(source)]
+
+
+@_names_its_file
 def parse_graph(source) -> SemanticGraph:
     """Load a triple TSV into a SemanticGraph.
 
@@ -165,57 +169,60 @@ def parse_graph(source) -> SemanticGraph:
     are instances, and anything left unclassified is an instance. A node
     claimed by both sides is a classification error.
     """
-    records = read_triples(source)
-    if not records:
+    triples = list(_triples(source))
+    if not triples:
         raise ParseError("empty graph: a graph must contain at least one class")
     class_labels: set[str] = set()
     instance_labels: set[str] = set()
-    all_labels: set[str] = set()
-    for rec in records:
-        all_labels.update((rec.subject, rec.object))
-        if rec.predicate == SUBCLASS_OF:
-            class_labels.update((rec.subject, rec.object))
-        elif rec.predicate == IS_A:
-            instance_labels.add(rec.subject)
-            class_labels.add(rec.object)
+    other_labels: set[str] = set()
+    predicates: set[str] = set()
+    for subject, predicate, obj, _ in triples:
+        predicates.add(predicate)
+        if predicate == SUBCLASS_OF:
+            class_labels.add(subject)
+            class_labels.add(obj)
+        elif predicate == IS_A:
+            instance_labels.add(subject)
+            class_labels.add(obj)
+        else:
+            other_labels.add(subject)
+            other_labels.add(obj)
     clash = class_labels & instance_labels
     if clash:
         names = ", ".join(sorted(clash))
         raise ClassificationError(f"used as both class and instance: {names}")
-    instance_labels |= all_labels - class_labels
+    instance_labels |= other_labels - class_labels
 
-    labels = sorted(all_labels)
+    labels = sorted(class_labels | instance_labels)
     index = {label: i for i, label in enumerate(labels)}
     edges: dict[tuple[NodeId, str, NodeId], float | None] = {}
-    for rec in records:
-        edge = (index[rec.subject], rec.predicate, index[rec.object])
-        if edge in edges and edges[edge] != rec.weight:
+    for subject, predicate, obj, weight in triples:
+        if edges.setdefault((index[subject], predicate, index[obj]), weight) != weight:
             raise ParseError(
-                f"duplicate triple {rec.subject} {rec.predicate} {rec.object} "
-                "with conflicting weights"
+                f"duplicate triple {subject} {predicate} {obj} with conflicting weights"
             )
-        edges[edge] = rec.weight
     weighted = any(w is not None for w in edges.values())
     edge_weights = (
         {e: (1.0 if w is None else w) for e, w in edges.items()} if weighted else None
     )
     return SemanticGraph(
         labels=labels,
-        classes={index[c] for c in class_labels},
-        instances={index[i] for i in instance_labels},
-        predicates={rec.predicate for rec in records},
-        edges=set(edges),
+        classes=map(index.__getitem__, class_labels),
+        instances=map(index.__getitem__, instance_labels),
+        predicates=predicates,
+        edges=edges,
         edge_weights=edge_weights,
     )
 
 
 def serialize_graph(graph: SemanticGraph, stream: IO[str] | None = None) -> str:
     """Write a graph back to triple TSV, sorted for byte-stable output."""
+    labels, weights = graph._labels, graph.edge_weights
     lines = []
-    for s, p, o in sorted(graph.edges, key=graph._edge_key):
-        row = f"{graph.label(s)}\t{p}\t{graph.label(o)}"
-        if graph.edge_weights is not None:
-            row += f"\t{graph.edge_weights[(s, p, o)]:g}"
+    for s, p, o in graph._label_sorted_edges():
+        row = f"{labels[s]}\t{p}\t{labels[o]}"
+        if weights is not None:
+            row += f"\t{weights[(s, p, o)]:g}"
         lines.append(row)
     text = "\n".join(lines) + ("\n" if lines else "")
     if stream is not None:

@@ -31,7 +31,8 @@ def taxonomic_reduction(graph: SemanticGraph) -> TaxonomyView:
     if not graph.classes:
         raise ContractError("graph contains no classes")
     up_edges = graph.edges_with(SUBCLASS_OF)
-    labels = {c: graph.label(c) for c in graph.classes}
+    node_labels = graph._labels
+    labels = {c: node_labels[c] for c in graph.classes}
     class_ids = set(graph.classes)
     with_parent = {child for child, _ in up_edges}
     roots = sorted(class_ids - with_parent)

@@ -17,11 +17,19 @@ from smx import (
     AnnotationSet,
     ClassUsage,
     ReductionReport,
+    SemanticGraph,
     parse_graph,
     taxonomic_reduction,
 )
-from smx.errors import InfiniteICError, UnknownNodeError, UsageError
-from smx.graph import TaxonomyView
+from smx.errors import (
+    ClassificationError,
+    InfiniteICError,
+    ParseError,
+    UnknownNodeError,
+    UsageError,
+)
+from smx.graph import IS_A, SUBCLASS_OF, TaxonomyView
+from smx.ingest import read_triples
 
 
 def taxonomy_from_lines(lines):
@@ -106,7 +114,70 @@ def fuzz_tsv(draw):
     return data
 
 
+@st.composite
+def triple_tsv(draw):
+    """Triple lines over a few labels and predicates, isA included, each
+    with or without a weight, so that duplicate triples, conflicting
+    weights, equal weights written two ways and class-instance clashes all
+    occur."""
+    node = st.sampled_from(["A", "B", "C", "root", "i1", "i2"])
+    predicate = st.sampled_from(["subClassOf", "subClassOf", "isA", "partOf", "hunts"])
+    weight = st.sampled_from([None, "0", "1", "1.0", "2.5"])
+    lines = draw(st.lists(st.tuples(node, predicate, node, weight), max_size=12))
+    return "".join("\t".join(f for f in line if f is not None) + "\n" for line in lines).encode()
+
+
 # -- brute-force oracles -------------------------------------------------
+
+
+def record_graph(source):
+    """parse_graph as it was built on TripleRecords: the reference for the
+    tuple-based parser, which must raise the same errors and build the same
+    graph."""
+    records = read_triples(source)
+    if not records:
+        raise ParseError("empty graph: a graph must contain at least one class")
+    class_labels: set[str] = set()
+    instance_labels: set[str] = set()
+    all_labels: set[str] = set()
+    for rec in records:
+        all_labels.update((rec.subject, rec.object))
+        if rec.predicate == SUBCLASS_OF:
+            class_labels.update((rec.subject, rec.object))
+        elif rec.predicate == IS_A:
+            instance_labels.add(rec.subject)
+            class_labels.add(rec.object)
+    clash = class_labels & instance_labels
+    if clash:
+        names = ", ".join(sorted(clash))
+        raise ClassificationError(f"used as both class and instance: {names}")
+    instance_labels |= all_labels - class_labels
+
+    labels = sorted(all_labels)
+    index = {label: i for i, label in enumerate(labels)}
+    edges = {}
+    for rec in records:
+        edge = (index[rec.subject], rec.predicate, index[rec.object])
+        if edge in edges and edges[edge] != rec.weight:
+            raise ParseError(
+                f"duplicate triple {rec.subject} {rec.predicate} {rec.object} "
+                "with conflicting weights"
+            )
+        edges[edge] = rec.weight
+    weighted = any(w is not None for w in edges.values())
+    edge_weights = (
+        {e: (1.0 if w is None else w) for e, w in edges.items()} if weighted else None
+    )
+    return SemanticGraph(
+        labels=labels,
+        classes={index[c] for c in class_labels},
+        instances={index[i] for i in instance_labels},
+        predicates={rec.predicate for rec in records},
+        edges=set(edges),
+        edge_weights=edge_weights,
+    )
+
+
 
 
 def brute_reachable(adjacent, start):
@@ -569,7 +640,8 @@ def unidirectional_wsp(graph, scheme, u, v):
 def dense_simrank(graph, decay, iterations, tol=0.0):
     """SimRank by dense products, S <- decay * W S W^T with the unit
     diagonal restored, W the row-normalized matrix of distinct in-neighbors.
-    Returns the table and the largest change of each iteration."""
+    Returns the table and the largest change of each iteration; a
+    negative tol runs every iteration."""
     n = graph.n_nodes
     norm_in = np.zeros((n, n))
     for node in range(n):

@@ -1,7 +1,9 @@
 import contextlib
+import gc
 import io
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +15,7 @@ import smx
 from smx.cli import main, parse_selector, resolve_measure_name, split_measure_list
 
 from helpers import fuzz_tsv
+from scale_smoke import synth_graph_lines
 
 TOY = (
     "A\tsubClassOf\troot\nB\tsubClassOf\troot\nC\tsubClassOf\tA\n"
@@ -355,6 +358,45 @@ class TestNonFiniteParameters:
         assert capsys.readouterr().out.count("\n") == 2
 
 
+class TestNonFiniteValues:
+    """A NaN or infinite score is a data error that names the measure and
+    the pair; the output is left as it was."""
+
+    @pytest.mark.parametrize(
+        "argv, value",
+        [
+            (["abstract", "--form", "sigma_beta:beta=1e308", "--theta", "depth"], "nan"),
+            (["abstract", "--form", "contrast:gamma=1e308", "--theta", "depth"], "inf"),
+            (["sim", "--measure", "tversky_contrast:gamma=1e308"], "inf"),
+            (["groupsim", "--measure", "avg:tversky_contrast:gamma=1e308"], "inf"),
+        ],
+    )
+    @pytest.mark.parametrize("existing", [None, "old results\n"])
+    def test_exit_two_and_out_left_as_it_was(
+        self, toy_file, tmp_path, capsys, argv, value, existing
+    ):
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("E\tE\n")
+        if argv[0] == "groupsim":
+            (tmp_path / "ann.tsv").write_text("E\tE\n")
+            argv = argv + ["--annotations", str(tmp_path / "ann.tsv")]
+        out = tmp_path / "out.tsv"
+        if existing is not None:
+            out.write_text(existing)
+        code = main(argv + ["--graph", toy_file, "--pairs", str(pairs), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{argv[2]}: the pair (E, E) scores {value}, not a finite number" in err
+        assert (out.read_text() if out.exists() else None) == existing
+
+    def test_ic_still_prints_undefined_ic_as_inf(self, toy_file, tmp_path, capsys):
+        ann = tmp_path / "ann.tsv"
+        ann.write_text("g1\tE\n")
+        code = main(["ic", "--estimator", "resnik", "--graph", toy_file, "--annotations", str(ann)])
+        assert code == 0
+        assert "F\tinf\n" in capsys.readouterr().out
+
+
 class TestRel:
     def test_wsp_with_scheme(self, tmp_path, capsys):
         graph = tmp_path / "g.tsv"
@@ -581,6 +623,106 @@ class TestDispatch:
         assert code == 2
         assert captured.out == ""
         assert "cycle" in captured.err
+
+
+def chain_inputs(directory, graph_text, size):
+    """Write the inputs of a preprocess, sim, groupsim, bench and rel chain
+    over one taxonomy, with size pairs, size instances and a relational ring
+    of size nodes with chords; return the argv of each command, the later
+    ones reading the preprocessed graph."""
+    rng = random.Random(11)
+    directory.mkdir()
+    labels = sorted({x for line in graph_text.splitlines() for x in line.split("\t")[::2]})
+    pairs = lambda names: "".join(
+        f"{a}\t{b}\n" for a, b in (rng.sample(names, 2) for _ in range(size))
+    )
+    instances = [f"i{k}" for k in range(size)]
+    files = {
+        "graph.tsv": graph_text,
+        "pairs.tsv": pairs(labels),
+        "ann.tsv": "".join(f"{i}\t{','.join(rng.sample(labels, 2))}\n" for i in instances),
+        "ipairs.tsv": pairs(instances),
+        "mapping.tsv": "".join(f"w{k}\t{label}\n" for k, label in enumerate(labels[:size])),
+        "rated.tsv": "".join(f"w{k}\tw{k + 1}\t{k}\n" for k in range(size - 1)),
+        "relation.tsv": "".join(
+            f"r{k}\tlinks\tr{(k + 1) % size}\nr{k}\tlinks\tr{(7 * k + 3) % size}\n"
+            for k in range(size)
+        ),
+        "rpairs.tsv": pairs([f"r{k}" for k in range(size)]),
+    }
+    for name, text in files.items():
+        (directory / name).write_text(text)
+    path = lambda name: str(directory / name)
+    reduced = ["--graph", path("reduced.tsv")]
+    return {
+        "preprocess": ["preprocess", "--graph", path("graph.tsv"), "--out", path("reduced.tsv"),
+                       "--report", path("report.tsv")],
+        "sim": ["sim", "--measure", "lin", "--ic", "seco", *reduced, "--pairs", path("pairs.tsv"),
+                "--out", path("sim.tsv")],
+        "groupsim": ["groupsim", "--measure", "bma:lin", *reduced, "--annotations",
+                     path("ann.tsv"), "--pairs", path("ipairs.tsv"), "--out", path("groupsim.tsv")],
+        "bench": ["bench", *reduced, "--mapping", path("mapping.tsv"), "--dataset",
+                  path("rated.tsv"), "--measures", "lin:ic=seco,wupalmer,rada",
+                  "--out", path("bench.csv")],
+        "rel-commute": ["rel", "--method", "commute", "--graph", path("relation.tsv"),
+                        "--pairs", path("rpairs.tsv"), "--out", path("commute.tsv")],
+        "rel-simrank": ["rel", "--method", "simrank", "--graph", path("relation.tsv"),
+                        "--pairs", path("rpairs.tsv"), "--out", path("simrank.tsv")],
+    }
+
+
+class TestCollectorPause:
+    """main runs a command with the cyclic collector paused and gives an
+    in-process caller its setting back."""
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def collector(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize("code", [0, 1, 2])
+    def test_state_restored_after_exit(
+        self, collector, toy_file, pairs_file, tmp_path, monkeypatch, capsys, code
+    ):
+        seen = []
+        parse = smx.ingest.parse_graph
+
+        def spy(source):
+            seen.append(gc.isenabled())
+            return parse(source)
+
+        monkeypatch.setattr(smx.ingest, "parse_graph", spy)
+        graph = toy_file if code != 2 else str(tmp_path / "missing.tsv")
+        measure = "lin" if code != 1 else "nosuch"
+        argv = ["sim", "--measure", measure, "--graph", graph, "--pairs", pairs_file]
+        assert main(argv) == code
+        assert seen == [False]
+        assert gc.isenabled() == collector
+
+    @pytest.mark.parametrize(
+        "command", ["preprocess", "sim", "groupsim", "bench", "rel-commute", "rel-simrank"]
+    )
+    def test_cyclic_garbage_does_not_grow_with_the_input(self, tmp_path, capsys, command):
+        def garbage(argvs):
+            gc.collect()
+            was = gc.isenabled()
+            gc.disable()
+            try:
+                assert main(argvs[command]) == 0, capsys.readouterr().err
+                return gc.collect()
+            finally:
+                if was:
+                    gc.enable()
+
+        small = chain_inputs(tmp_path / "toy", TOY, 7)
+        large = chain_inputs(tmp_path / "dag", synth_graph_lines(2_000, random.Random(7)), 300)
+        for argvs in (small, large):
+            if command != "preprocess":
+                assert main(argvs["preprocess"]) == 0
+        garbage(small)  # the first run fills import-time caches
+        assert garbage(large) == garbage(small)
 
 
 class TestFailedCommandOutput:

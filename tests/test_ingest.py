@@ -2,12 +2,12 @@ import io
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import smx
 from smx.errors import ClassificationError, ParseError, ResolutionError, SmxError
 
-from helpers import fuzz_tsv, random_taxonomy
+from helpers import fuzz_tsv, random_taxonomy, record_graph, triple_tsv
 
 
 def stream(text):
@@ -72,6 +72,31 @@ class TestParseGraph:
         b = smx.parse_graph(stream("A\tsubClassOf\troot\ng1\tisA\tA\n"))
         assert {a.label(i) for i in a.instances} == {b.label(i) for i in b.instances}
         assert {a.label(i) for i in a.classes} == {b.label(i) for i in b.classes}
+
+
+def _graph_outcome(parse, source):
+    """The error's class and message, or every field of the parsed graph."""
+    try:
+        g = parse(source)
+    except SmxError as exc:
+        return type(exc), str(exc)
+    return g._labels, g.classes, g.instances, g.predicates, g.edges, g.edge_weights
+
+
+class TestParseOracle:
+    """parse_graph matches the record-based parser it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.one_of(fuzz_tsv(), triple_tsv()))
+    @example(data=b"A\tsubClassOf\troot\t1\nA\tsubClassOf\troot\n")
+    @example(data=b"A\tsubClassOf\troot\t1\nA\tsubClassOf\troot\t1.0\ni1\tisA\tA\t2\n")
+    @example(data=b"A\tsubClassOf\troot\ni1\tisA\tA\nA\tisA\troot\n")
+    @example(data=b"i1\thunts\ti2\nA\tsubClassOf\troot\ni2\tisA\tA\n")
+    def test_same_error_or_same_graph(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("oracle") / "g.tsv"
+        path.write_bytes(data)
+        for source in (data, str(path)):
+            assert _graph_outcome(smx.parse_graph, source) == _graph_outcome(record_graph, source)
 
 
 class TestRoundTrip:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import smx
 from smx.cli import main
@@ -530,10 +530,20 @@ class TestSimRank:
         iterations=st.integers(1, 25),
         tol=st.sampled_from([0.0, 1e-4]),
     )
+    # the 4th delta is 1e-4 - 1.1e-17 in smx.simrank and 1e-4 + 1.7e-17 in the oracle
+    @example(seed=1169439, decay=0.3, iterations=5, tol=1e-4)
     def test_matches_dense_oracle(self, seed, decay, iterations, tol):
         g = random_simrank_graph(random.Random(seed))
         scores = smx.simrank(g, decay=decay, iterations=iterations, tol=tol)
         expected, deltas = dense_simrank(g, decay, iterations, tol)
+        if tol > 0 and scores.iterations != len(deltas):
+            # rounding put one run's stopping delta on the other side of
+            # tol, so that delta lies at tol; the oracle then runs for the
+            # iterations smx ran
+            stop = min(scores.iterations, len(deltas)) - 1
+            assert abs(scores.deltas[stop] - tol) <= 1e-12
+            assert abs(deltas[stop] - tol) <= 1e-12
+            expected, deltas = dense_simrank(g, decay, scores.iterations, tol=-1.0)
         assert np.max(np.abs(scores.as_array() - expected)) <= 1e-12
         # at tol 0 the loop stops on an exactly unchanged table, and rounding
         # decides in which iteration a change of ~1e-17 becomes 0
