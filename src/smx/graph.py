@@ -4,9 +4,10 @@ A graph's fields and a view's derived tables (ancestor closures, depths,
 id-sorted parent and child tuples) are computed once at construction and
 never written after it, so every query below is a read-only lookup, set
 operation or pass over an ancestor set or a subgraph walk, and is safe to
-run concurrently. The exceptions are the graph's two relational tables,
-the out/in adjacency and the weighted neighbour rows, which only
-relatedness reads: they are built on first use (see SemanticGraph).
+run concurrently. The exceptions are built on first use: the graph's
+out/in adjacency and neighbour rows, which only relatedness reads (see
+SemanticGraph), and the view's up distance tables (see _path_tables).
+Each is a pure function of that state, so racing threads build equal ones.
 Descendant sets are not stored: the estimators need only their sizes,
 which one pass over the ancestor sets gives. Path queries are exact for
 any DAG: counts are Python ints, so no input is too large to count.
@@ -207,6 +208,7 @@ class TaxonomyView:
         "_children",
         "_anc",
         "_depth",
+        "_paths",
     )
 
     def __init__(self):
@@ -286,6 +288,7 @@ class TaxonomyView:
 
         t._anc = anc
         t._depth = depth
+        t._paths = None
         t.max_depth = max(depth.values())
         t.leaves = frozenset(c for c in t.class_ids if not children[c])
         # an edge is redundant when another parent of its child reaches the
@@ -319,6 +322,7 @@ class TaxonomyView:
         t.edges = self.edges - self.redundant_edges
         t.redundant_edges = frozenset()
         t.is_reduced = True
+        t._paths = None  # chain tops and shortest distances change with the parents
         return t
 
     def _trace_cycle(self, parents, leftover):
@@ -428,26 +432,66 @@ class TaxonomyView:
 
     # -- paths --------------------------------------------------------------
 
+    def _path_tables(self) -> dict:
+        """{class: (top, shortest labels, longest labels)}, built on the
+        first path query. top(u) is the first class at or above u without
+        exactly one parent; every up path from u runs along that chain,
+        where depth drops by 1 per edge, so the shortest and the longest
+        distance from u up to a in A(u) are depth(u) minus a label: depth(a)
+        on the chain, depth(top) - d(top, a) above it (a 2-hop distance
+        labelling with the top as its only hub: Cohen, Halperin, Kaplan and
+        Zwick, SODA 2002). A chain shares its top's tables, which omit each
+        label equal to depth(a). Tops are built in depth order from their
+        parents' tables: d(top, a) is 1 plus the least or greatest d(p, a)."""
+        tables = self._paths
+        if tables is None:
+            parents, depth, anc = self._parents, self._depth, self._anc
+            tables = {}
+            for c in sorted(self.class_ids, key=depth.__getitem__):
+                ps = parents[c]
+                if len(ps) == 1:
+                    tables[c] = tables[ps[0]]
+                    continue
+                short, long = {}, {}
+                for p in ps:
+                    _, short_p, long_p = tables[p]
+                    shift = depth[c] - depth[p] - 1
+                    for a in anc[p]:
+                        da = depth[a]
+                        s = short_p.get(a, da) + shift
+                        if s > short.get(a, da):
+                            short[a] = s
+                        s = long_p.get(a, da) + shift
+                        if s < long.get(a, s + 1):
+                            long[a] = s
+                long = {a: s for a, s in long.items() if s != depth[a]}
+                tables[c] = (c, short, long)
+            self._paths = tables
+        return tables
+
+    def _shortest_up(self, u: NodeId, a: NodeId) -> int:
+        """Shortest edge count from u up to a class a of A(u)."""
+        return self._depth[u] - self._path_tables()[u][1].get(a, self._depth[a])
+
+    def _longest_up(self, u: NodeId, a: NodeId) -> int:
+        """Longest edge count from u up to a class a of A(u)."""
+        return self._depth[u] - self._path_tables()[u][2].get(a, self._depth[a])
+
     def up_distances(self, node: NodeId) -> dict[NodeId, int]:
-        """BFS edge counts from the class up to each of its ancestors."""
+        """Shortest edge counts from the class up to each of its ancestors."""
         self._check(node)
-        dist = {node: 0}
-        queue = deque((node,))
-        while queue:
-            x = queue.popleft()
-            for p in self._parents[x]:
-                if p not in dist:
-                    dist[p] = dist[x] + 1
-                    queue.append(p)
-        return dist
+        depth = self._depth
+        labels = self._path_tables()[node][1]
+        return {a: depth[node] - labels.get(a, depth[a]) for a in self._anc[node]}
 
     def _via_ancestor(self, u: NodeId, v: NodeId, turn: int) -> int:
         """min over common ancestors a of sp(u, a) + sp(v, a), plus `turn`
         where the path goes up from both sides and turns down at a."""
-        du = self.up_distances(u)
-        dv = self.up_distances(v)
-        return min(
-            du[a] + dv[a] + (turn if du[a] and dv[a] else 0) for a in du.keys() & dv.keys()
+        depth, tables = self._depth, self._path_tables()
+        su, sv = tables[u][1], tables[v][1]
+        return depth[u] + depth[v] + min(
+            (turn if a != u and a != v else 0) - su.get(a, depth[a]) - sv.get(a, depth[a])
+            for a in self._anc[u] & self._anc[v]
         )
 
     def shortest_path(
@@ -483,88 +527,36 @@ class TaxonomyView:
         """ViaLCA path length where the up/down turn at the ancestor adds 1."""
         return self._via_ancestor(u, v, 1)
 
-    # Most classes have one parent, so the longest-up, shortest-up and
-    # path-count walks first follow the single-parent chain above their
-    # start (_chain), where every up path runs, and only then pay for a
-    # sorted pass over the ancestors of the chain's top.
-
-    def _chain(self, u: NodeId) -> list[NodeId]:
-        """u, then each next class's only parent, up to the first class with
-        no parent or several: every up path from u starts along this list."""
-        parents = self._parents
-        walk = [u]
-        ps = parents[u]
-        while len(ps) == 1:
-            x = ps[0]
-            walk.append(x)
-            ps = parents[x]
-        return walk
-
     def _require_ancestor(self, u: NodeId, a: NodeId) -> None:
         self._check(u)
         if a not in self._anc[u]:
             raise UnknownNodeError(f"{self.label(a)} is not an ancestor of {self._labels[u]}")
 
-    def _shortest_down(self, u: NodeId, a: NodeId) -> dict[NodeId, int]:
-        """The shortest edge count from each class of A(u) & D(a) up to a.
-        Every u-to-a path stays inside that slice. Walking A(u) by
-        increasing depth puts parents first, and a class other than a lies
-        in D(a) exactly when one of its parents does, so the slice is the
-        classes reached from a on the way."""
-        parents = self._parents
-        dist = {a: 0}
-        for x in sorted(self._anc[u], key=self._depth.__getitem__):
-            ps = parents[x]
-            if len(ps) == 1:
-                d = dist.get(ps[0])
-                if d is not None:
-                    dist[x] = d + 1
-            else:
-                up = [dist[p] for p in ps if p in dist]
-                if up:
-                    dist[x] = 1 + min(up)
-        return dist
-
-    def _longest_up(self, u: NodeId) -> dict[NodeId, int]:
-        """{a: longest edge count from u up to a} over A(u), for a class
-        already checked. Past the chain, one pass over the chain top's
-        ancestors by decreasing depth reaches each class after its
-        children."""
-        walk = self._chain(u)
-        up = dict(zip(walk, range(len(walk))))
-        parents = self._parents
-        for x in sorted(self._anc[walk[-1]], key=self._depth.__getitem__, reverse=True):
-            step = up[x] + 1
-            for p in parents[x]:
-                if up.get(p, -1) < step:
-                    up[p] = step
-        return up
-
     def longest_up_distance(self, u: NodeId, a: NodeId) -> int:
         """Longest subClassOf path length from u up to its ancestor a."""
         self._require_ancestor(u, a)
-        return self._longest_up(u)[a]
+        return self._longest_up(u, a)
 
     def shortest_up_path_edges(self, u: NodeId, a: NodeId) -> list[tuple[NodeId, NodeId]]:
         """One shortest u-to-a edge chain, deterministic by label order.
 
-        A class with one parent steps to it; at the first class x with
-        several, the shortest distances to a over A(x) & D(a) pick the
-        label-smallest parent that is one edge closer."""
+        A class with one parent steps to it; a class x with several steps
+        to the label-smallest parent below or at a that is one edge closer
+        to a than x is."""
         self._require_ancestor(u, a)
-        parents, labels = self._parents, self._labels
+        parents, labels, anc = self._parents, self._labels, self._anc
         edges = []
-        dist = None
         x = u
         while x != a:
             ps = parents[x]
             if len(ps) == 1:
                 step = ps[0]
             else:
-                if dist is None:
-                    dist = self._shortest_down(x, a)
-                closer = dist[x] - 1
-                step = min((p for p in ps if dist.get(p) == closer), key=labels.__getitem__)
+                closer = self._shortest_up(x, a) - 1
+                step = min(
+                    (p for p in ps if a in anc[p] and self._shortest_up(p, a) == closer),
+                    key=labels.__getitem__,
+                )
             edges.append((x, step))
             x = step
         return edges
@@ -583,9 +575,9 @@ class TaxonomyView:
         Python ints.
         """
         self._check(u)
-        walk = self._chain(u)
-        top = walk[-1]
-        order = sorted(self._anc[top], key=self._depth.__getitem__)
+        top = self._path_tables()[u][0]
+        depth = self._depth
+        order = sorted(self._anc[top], key=depth.__getitem__)
         parents = self._parents
         to_root: dict[NodeId, tuple[int, int]] = {}
         for x in order:
@@ -596,7 +588,7 @@ class TaxonomyView:
                 length += pl + pn
             to_root[x] = (n, length) if n else (1, 0)
         stats = {}
-        from_u = {top: (1, len(walk) - 1)}
+        from_u = {top: (1, depth[u] - depth[top])}
         for x in reversed(order):
             # every child of x within A(top) has pushed its paths from u
             m, k = from_u[x]
@@ -606,4 +598,4 @@ class TaxonomyView:
             for p in parents[x]:
                 q = from_u.get(p)
                 from_u[p] = (m, k) if q is None else (q[0] + m, q[1] + k)
-        return dict.fromkeys(walk, stats[top]) | stats
+        return dict.fromkeys(self._anc[u] - self._anc[top], stats[top]) | stats

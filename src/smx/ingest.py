@@ -129,7 +129,7 @@ def _parse_weight(text: str, lineno: int) -> float:
     except ValueError:
         raise ParseError(f"weight {text!r} is not a number", lineno) from None
     if not math.isfinite(weight) or weight < 0:
-        raise ParseError(f"weight must be finite and >= 0, got {text}", lineno)
+        raise ParseError(f"weight must be finite and >= 0, got {text!r}", lineno)
     return weight
 
 

@@ -533,12 +533,12 @@ def _matrix_mica(spec, t):
 def _matrix_depth_triple(spec, t):
     depth, labels = t._depth, t._labels
     dca = _first_common(t, lambda c: (-depth[c], labels[c]))
-    longest_up = functools.cache(t._longest_up)
+    longest_up = t._longest_up
 
     def triple(u, v):
         a = dca(u, v)
         d = depth[a]
-        return d + longest_up(u)[a], d + longest_up(v)[a], d
+        return d + longest_up(u, a), d + longest_up(v, a), d
 
     return triple
 

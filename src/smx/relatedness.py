@@ -21,7 +21,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .errors import ContractError, DivergenceError, UnknownNodeError
+from .errors import ContractError, DivergenceError, InfinityError, UnknownNodeError
 from .graph import NodeId, SemanticGraph
 
 
@@ -66,7 +66,9 @@ def weighted_shortest_path(
     """Minimal predicate-weighted cost between two nodes, edges traversable
     in both directions (every relationship implies its inverse).
 
-    Returns None when v is unreachable, which is distinct from any cost.
+    Returns None when v is unreachable, which is distinct from any cost. A
+    search that ends so although v is reachable found only paths costing
+    more than the largest float, and raises InfinityError.
     Bidirectional Dijkstra: one search grows from each endpoint, always on
     the side whose heap top is smaller. mu, the least sum of a node's two
     labels over the nodes both sides have labelled, is updated whenever a
@@ -101,6 +103,11 @@ def weighted_shortest_path(
         top_f = heaps[0][0][0] if heaps[0] else inf
         top_b = heaps[1][0][0] if heaps[1] else inf
         if top_f + top_b >= best:
+            if best == inf and target in _closure(source, neighbours):
+                raise InfinityError(
+                    f"every path between {graph.label(u)} and {graph.label(v)} "
+                    "costs more than the largest float"
+                )
             return None if best == inf else best
         side = 0 if top_f <= top_b else 1
         heap, mine, theirs, settled = heaps[side], dist[side], dist[1 - side], done[side]
@@ -210,7 +217,7 @@ class TransitionModel:
 
 
 def _closure(start: NodeId, adjacent, stop: NodeId | None = None) -> set:
-    """Nodes reachable from start over adjacent[x] = [(node, p), ...],
+    """Nodes reachable from start over adjacent[x] = [(node, ...), ...],
     not leaving stop."""
     seen = {start}
     queue = deque((start,))
@@ -218,7 +225,8 @@ def _closure(start: NodeId, adjacent, stop: NodeId | None = None) -> set:
         x = queue.popleft()
         if x == stop:
             continue
-        for k, _ in adjacent[x]:
+        for step in adjacent[x]:
+            k = step[0]
             if k not in seen:
                 seen.add(k)
                 queue.append(k)

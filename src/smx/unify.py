@@ -72,7 +72,7 @@ def _depth_triple(spec, t: TaxonomyView, u: NodeId, v: NodeId):
     and the depth of that ancestor."""
     a = t.deepest_common_ancestor(u, v)
     d = t._depth[a]
-    return d + t._longest_up(u)[a], d + t._longest_up(v)[a], d
+    return d + t._longest_up(u, a), d + t._longest_up(v, a), d
 
 
 def _ncca_mean(spec, t: TaxonomyView, u: NodeId, v: NodeId):

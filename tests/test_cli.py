@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import smx
 from smx.cli import main, parse_selector, resolve_measure_name, split_measure_list
@@ -415,6 +415,23 @@ class TestRel:
         assert code == 0
         assert out.strip() == "Cat\tMouse\t2"
 
+    @pytest.mark.parametrize("existing", [None, "old results\n"])
+    def test_wsp_overflow_is_data_error(self, tmp_path, capsys, existing):
+        graph = tmp_path / "g.tsv"
+        graph.write_text("a\tlinks\tb\t1e308\nb\tlinks\tc\t1e308\n")
+        pairs = tmp_path / "p.tsv"
+        pairs.write_text("a\tb\na\tc\n")
+        out = tmp_path / "out.tsv"
+        if existing is not None:
+            out.write_text(existing)
+        code = main(["rel", "--method", "wsp", "--graph", str(graph),
+                     "--pairs", str(pairs), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: every path between a and c costs more than the largest float\n"
+        )
+        assert (out.read_text() if out.exists() else None) == existing
+
     @pytest.mark.parametrize("weight", ["nan", "-1", "inf"])
     def test_bad_scheme_weight_is_line_numbered_data_error(self, tmp_path, capsys, weight):
         graph = tmp_path / "g.tsv"
@@ -761,6 +778,8 @@ class TestFuzzedInputs:
 
     @settings(max_examples=60, deadline=None)
     @given(data=fuzz_tsv(), role=st.sampled_from(["graph", "pairs", "weights"]))
+    # a carriage return inside a rejected weight token
+    @example(data=b"A\tA\tA\t1e400\r \n", role="graph")
     def test_exit_zero_or_one_error_line(self, tmp_path_factory, data, role):
         tmp = tmp_path_factory.mktemp("cli-fuzz")
         files = {"graph": "A\tsubClassOf\troot\nB\tsubClassOf\troot\nA\tpartOf\tB\n",

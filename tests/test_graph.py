@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import smx
+from smx.cli import main
 from smx.errors import UnknownNodeError
+from smx.graph import TaxonomyView
 
 from helpers import (
     brute_ancestors,
@@ -12,12 +14,15 @@ from helpers import (
     brute_depth,
     brute_descendants,
     brute_ncca,
+    brute_pekar_staab,
     brute_redundant_edges,
     brute_shortest_up_path,
     brute_unconstrained,
+    brute_up_distances,
     brute_up_path_stats,
     brute_up_paths,
     brute_via_lca,
+    brute_wu_palmer,
     children_of,
     parents_of,
     random_taxonomy,
@@ -282,3 +287,85 @@ class TestLabelTieBreaks:
             assert t.label(t.deepest_common_ancestor(u, v)) == min(
                 common, key=lambda c: (-depth[c], c)
             )
+
+
+def check_path_queries(t, pairs):
+    """Every path query of the view t over all its classes against the
+    brute-force oracles on the (child, parent) label pairs."""
+    name = t.label
+    up = {c: brute_up_distances(pairs, name(c)) for c in t.class_ids}
+    wu_palmer, pekar_staab = smx.pairwise_measure("wu_palmer"), smx.pairwise_measure("pekar_staab")
+    for u in t.class_ids:
+        assert {name(a): d for a, d in t.up_distances(u).items()} == up[u]
+        for a in t.ancestors(u):
+            paths = brute_up_paths(pairs, name(u), name(a))
+            assert t.longest_up_distance(u, a) == max(map(len, paths)) - 1
+            edges = [(name(x), name(y)) for x, y in t.shortest_up_path_edges(u, a)]
+            assert edges == brute_shortest_up_path(pairs, name(u), name(a))
+        for v in t.class_ids:
+            assert t.shortest_path(u, v, VIA) == brute_via_lca(pairs, name(u), name(v))
+            du, dv = up[u], up[v]
+            # the turn at a common ancestor costs 1 unless it is u or v
+            assert t.path_length_with_reversal(u, v) == min(
+                du[a] + dv[a] + (1 if du[a] and dv[a] else 0) for a in du.keys() & dv.keys()
+            )
+            for spec, oracle in ((wu_palmer, brute_wu_palmer), (pekar_staab, brute_pekar_staab)):
+                got = smx.eval_pairwise(spec, t, u, v, allow_unreduced=True)
+                value, degenerate = oracle(pairs, name(u), name(v))
+                assert abs(got.value - value) <= 1e-12 and got.degenerate == degenerate
+
+
+class TestPathTables:
+    """Up distances are read from per-chain-top tables built on the first
+    path query; every query built on them matches enumeration."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), tree=st.booleans(), multi=st.sampled_from([0.3, 0.8]))
+    def test_path_queries_match_brute_force(self, seed, tree, multi):
+        t, pairs = random_taxonomy(random.Random(seed), max_nodes=18, tree=tree, multi=multi)
+        check_path_queries(t, pairs)
+        # the reduced view must not read the tables the unreduced one built
+        reduced, _ = smx.transitive_reduction(t)
+        redundant = brute_redundant_edges(pairs)
+        check_path_queries(reduced, [edge for edge in pairs if edge not in redundant])
+
+    def test_shortcut_is_gone_after_the_reduction(self):
+        # Z's shortcut to root makes it a chain top with sp(W, root) = 2; in
+        # the reduced view Z has one parent and sp(W, root) = 4
+        t = taxonomy_from_pairs(
+            [("X", "root"), ("Y", "X"), ("Z", "Y"), ("Z", "root"), ("W", "Z")]
+        )
+        w, root = t.node("W"), t.node("root")
+        assert t.shortest_path(w, root, VIA) == 2
+        assert t.up_distances(w)[root] == 2
+        reduced, _ = smx.transitive_reduction(t)
+        assert reduced.shortest_path(w, root, VIA) == 4
+        assert reduced.up_distances(w)[root] == 4
+        assert reduced.longest_up_distance(w, root) == t.longest_up_distance(w, root) == 4
+        assert t.shortest_path(w, root, VIA) == 2
+
+    def test_information_content_builds_no_tables(self, tmp_path, monkeypatch):
+        t = taxonomy_from_pairs(
+            [("X", "root"), ("Y", "root"), ("Z", "X"), ("Z", "Y"), ("W", "Z")]
+        )
+        theta = smx.seco_ic(t)
+        lin = smx.pairwise_measure("lin", theta=theta)
+        for u in t.class_ids:
+            for v in t.class_ids:
+                smx.eval_pairwise(lin, t, u, v)
+        assert t._paths is None
+
+        built = []
+        build = TaxonomyView._path_tables
+        monkeypatch.setattr(
+            TaxonomyView, "_path_tables", lambda view: built.append(view) or build(view)
+        )
+        graph, pairs = tmp_path / "g.tsv", tmp_path / "p.tsv"
+        graph.write_text("X\tsubClassOf\troot\nY\tsubClassOf\troot\nZ\tsubClassOf\tX\n"
+                         "Z\tsubClassOf\tY\nW\tsubClassOf\tZ\n")
+        pairs.write_text("W\tY\nX\tZ\n")
+        inputs = ["--graph", str(graph), "--pairs", str(pairs), "--out", str(tmp_path / "o.tsv")]
+        assert main(["sim", "--measure", "lin", "--ic", "seco", *inputs]) == 0
+        assert built == []
+        assert main(["sim", "--measure", "rada", *inputs]) == 0
+        assert built

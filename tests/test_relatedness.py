@@ -13,11 +13,12 @@ from hypothesis import example, given, settings, strategies as st
 
 import smx
 from smx.cli import main
-from smx.errors import ContractError, DivergenceError, UnknownNodeError
+from smx.errors import ContractError, DivergenceError, InfinityError, UnknownNodeError
 
 from helpers import (
     brute_adjacency,
     brute_neighbours,
+    brute_reachable,
     brute_unconstrained,
     dense_hitting_time,
     dense_simrank,
@@ -238,6 +239,58 @@ class TestWeightedShortestPath:
                 got = smx.weighted_shortest_path(g, scheme, u, v)
                 expected = two_table_wsp(g, scheme, u, v)
                 assert (got is None and expected is None) or got == expected
+
+
+class TestOverflowingCost:
+    """A pair joined only by paths whose float cost overflows is reported
+    as InfinityError, not as unreachable."""
+
+    scheme = smx.PredicateWeightScheme()
+
+    def test_overflow_is_not_unreachable(self):
+        g = graph_of("a\tlinks\tb\t1e308\nb\tlinks\tc\t1e308\n")
+        a, b, c = map(g.node, "abc")
+        assert smx.weighted_shortest_path(g, self.scheme, a, b) == 1e308
+        for u, v in ((a, c), (c, a)):
+            with pytest.raises(InfinityError, match=f"between {g.label(u)} and {g.label(v)} "):
+                smx.weighted_shortest_path(g, self.scheme, u, v)
+
+    def test_finite_path_beside_an_overflowing_one(self):
+        g = graph_of(
+            "a\tlinks\tb\t1e308\nb\tlinks\tc\t1e308\n"
+            "a\tlinks\td\t1\nd\tlinks\tc\t2\nx\tlinks\ty\t1\n"
+        )
+        node = g.node
+        assert smx.weighted_shortest_path(g, self.scheme, node("a"), node("c")) == 3.0
+        assert smx.weighted_shortest_path(g, self.scheme, node("b"), node("d")) == 1e308 + 3.0
+        assert smx.weighted_shortest_path(g, self.scheme, node("a"), node("x")) is None
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_two_table_oracle_with_overflowing_costs(self, seed):
+        # the oracle reads an overflowing pair as unreachable (None), as the
+        # search did before; the reachability closure tells the two apart
+        rng = random.Random(seed)
+        g = random_wsp_graph(rng)
+        scheme = smx.PredicateWeightScheme(
+            weights={p: rng.choice((1.0, 8e307, 1e308)) for p in "pq"},
+            default=rng.choice((0.5, 1.7e308)),
+        )
+        undirected = {}
+        for s, _, o in g.edges:
+            undirected.setdefault(s, set()).add(o)
+            undirected.setdefault(o, set()).add(s)
+        for u in range(g.n_nodes):
+            reached = brute_reachable(undirected, u)
+            for v in range(g.n_nodes):
+                expected = two_table_wsp(g, scheme, u, v)
+                if expected is not None:
+                    assert smx.weighted_shortest_path(g, scheme, u, v) == expected
+                elif v in reached:
+                    with pytest.raises(InfinityError):
+                        smx.weighted_shortest_path(g, scheme, u, v)
+                else:
+                    assert smx.weighted_shortest_path(g, scheme, u, v) is None
 
 
 class TestAdjacency:
