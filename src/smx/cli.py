@@ -110,8 +110,8 @@ def _log_base(args) -> float | None:
         base = float(raw)
     except ValueError:
         raise CommandLineError(f"--log-base must be a number or 'e', got {raw!r}") from None
-    if base <= 0 or base == 1.0:
-        raise CommandLineError("--log-base must be positive and not 1")
+    if not (math.isfinite(base) and base > 0 and base != 1.0):
+        raise CommandLineError("--log-base must be finite, positive and not 1")
     return base
 
 

@@ -6,8 +6,11 @@ never written after it, so every query below is a read-only lookup, set
 operation or pass over an ancestor set or a subgraph walk, and is safe to
 run concurrently. The exceptions are built on first use: the graph's
 out/in adjacency and neighbour rows, which only relatedness reads (see
-SemanticGraph), and the view's up distance tables (see _path_tables).
-Each is a pure function of that state, so racing threads build equal ones.
+SemanticGraph), the view's up distance tables, which the path-based
+measures read (see _path_tables, 3.8 MB by tracemalloc on the 50k-class
+DAG), and its path count tables, which only up_path_stats and wang_dca
+read (see _count_tables, 0.73 MB there). Each is a pure function of that
+state, so racing threads build equal ones.
 Descendant sets are not stored: the estimators need only their sizes,
 which one pass over the ancestor sets gives. Path queries are exact for
 any DAG: counts are Python ints, so no input is too large to count.
@@ -209,6 +212,7 @@ class TaxonomyView:
         "_anc",
         "_depth",
         "_paths",
+        "_counts",
     )
 
     def __init__(self):
@@ -288,7 +292,7 @@ class TaxonomyView:
 
         t._anc = anc
         t._depth = depth
-        t._paths = None
+        t._paths = t._counts = None
         t.max_depth = max(depth.values())
         t.leaves = frozenset(c for c in t.class_ids if not children[c])
         # an edge is redundant when another parent of its child reaches the
@@ -322,7 +326,8 @@ class TaxonomyView:
         t.edges = self.edges - self.redundant_edges
         t.redundant_edges = frozenset()
         t.is_reduced = True
-        t._paths = None  # chain tops and shortest distances change with the parents
+        # chain tops, shortest distances and path counts change with the parents
+        t._paths = t._counts = None
         return t
 
     def _trace_cycle(self, parents, leftover):
@@ -561,41 +566,77 @@ class TaxonomyView:
             x = step
         return edges
 
-    def up_path_stats(self, u: NodeId) -> dict[NodeId, tuple[int, int]]:
-        """Per ancestor a: (number of u-to-root paths through a, summed length).
+    def _count_tables(self) -> dict:
+        """{top: (N, L, down)}, built on the first path-count query. N and
+        L are the number and summed length of the paths from the chain top
+        up to the root; down maps a class a of A(top) to N and L of the
+        paths from the top up to a, kept only where N > 1: a single path is
+        a shortest one, whose length the path tables hold. Tops are built
+        in depth order from their parents' tops: a path from the top runs
+        one edge to a parent p, then along p's chain to p's top x, so it
+        adds e + 1 edges to a path from x, e being that chain's edge count.
+        Exact in Python ints."""
+        counts = self._counts
+        if counts is None:
+            paths, parents, depth, anc = self._path_tables(), self._parents, self._depth, self._anc
+            counts = {}
+            for c in sorted(self.class_ids, key=depth.__getitem__):
+                ps = parents[c]
+                if not ps:
+                    counts[c] = (1, 0, {})
+                if len(ps) < 2:
+                    continue
+                n_root = l_root = 0
+                acc: dict[NodeId, tuple[int, int]] = {}
+                for p in ps:
+                    x, short, _ = paths[p]
+                    n, length, down = counts[x]
+                    step = depth[p] - depth[x] + 1
+                    n_root += n
+                    l_root += length + step * n
+                    for a in anc[p]:
+                        m = down.get(a)
+                        if m is None:
+                            m = (1, depth[p] - short.get(a, depth[a]) + 1)
+                        else:
+                            m = (m[0], m[1] + step * m[0])
+                        q = acc.get(a)
+                        acc[a] = m if q is None else (q[0] + m[0], q[1] + m[1])
+                counts[c] = (n_root, l_root, {a: m for a, m in acc.items() if m[0] > 1})
+            self._counts = counts
+        return counts
+
+    def _root_path_stats(self, u: NodeId, among: Iterable[NodeId]) -> dict:
+        """{a: (number of u-to-root paths through a, their summed length)}
+        for the classes a of among, a subset of A(u).
 
         With N and L the number and summed length of the paths between two
         classes, a lies on N(u, a) N(a, root) root paths whose lengths sum
-        to L(u, a) N(a, root) + N(u, a) L(a, root). Every root path runs
-        along u's chain to its top x, so N(u, a) = N(x, a) and L(u, a) =
-        L(x, a) + e N(x, a) for a in A(x), e being the chain's edge count,
-        and each chain class lies on every root path, as x does. One pass over
-        A(x) by increasing depth gives N and L to the root, one by
-        decreasing depth gives them from u: O(edges within A(x)), exact in
-        Python ints.
+        to L(u, a) N(a, root) + N(u, a) L(a, root). Every up path from a
+        class runs along its chain to its top x, so N(u, a) = N(x, a) and
+        L(u, a) = L(x, a) + e N(x, a) for a in A(x), e being the chain's
+        edge count, and a class on u's chain below x lies on every root
+        path, as x does.
         """
-        self._check(u)
-        top = self._path_tables()[u][0]
-        depth = self._depth
-        order = sorted(self._anc[top], key=depth.__getitem__)
-        parents = self._parents
-        to_root: dict[NodeId, tuple[int, int]] = {}
-        for x in order:
-            n = length = 0
-            for p in parents[x]:
-                pn, pl = to_root[p]
-                n += pn
-                length += pl + pn
-            to_root[x] = (n, length) if n else (1, 0)
+        paths, counts, depth = self._path_tables(), self._count_tables(), self._depth
+        x, short, _ = paths[u]
+        n_x, l_x, down = counts[x]
+        e = depth[u] - depth[x]
         stats = {}
-        from_u = {top: (1, depth[u] - depth[top])}
-        for x in reversed(order):
-            # every child of x within A(top) has pushed its paths from u
-            m, k = from_u[x]
-            n, length = to_root[x]
-            stats[x] = (m * n, k * n + m * length)
-            k += m
-            for p in parents[x]:
-                q = from_u.get(p)
-                from_u[p] = (m, k) if q is None else (q[0] + m, q[1] + k)
-        return dict.fromkeys(self._anc[u] - self._anc[top], stats[top]) | stats
+        for a in among:
+            if depth[a] > depth[x]:
+                stats[a] = (n_x, l_x + e * n_x)
+                continue
+            m = down.get(a)
+            m, k = (1, depth[u] - short.get(a, depth[a])) if m is None else (m[0], m[1] + e * m[0])
+            y = paths[a][0]
+            n, length, _ = counts[y]
+            length += (depth[a] - depth[y]) * n
+            stats[a] = (m * n, k * n + m * length)
+        return stats
+
+    def up_path_stats(self, u: NodeId) -> dict[NodeId, tuple[int, int]]:
+        """Per ancestor a: (number of u-to-root paths through a, summed
+        length), read from the count tables."""
+        self._check(u)
+        return self._root_path_stats(u, self._anc[u])

@@ -6,8 +6,9 @@ closures of the two sets (Pesquita et al. 2009), so reduced annotation
 sets are fine. STRATEGIES maps each aggregation to its value on the
 pairwise score matrix of the sets as given, which is why callers should
 reduce annotation sets first. One pairwise.score_matrix call fills the
-matrix, ranking each class's ancestors and building its longest-up table
-once per matrix.
+matrix, computing each class's anchor key and caching each theta read once
+per matrix. The direct measures sum theta over a closure with one bulk
+read, ThetaEstimator.values.
 """
 
 from __future__ import annotations

@@ -261,9 +261,9 @@ def _eval_rel_schlicker(spec, t, u, v):
 
 
 def _eval_wang_dca(spec, t, u, v):
-    stats_u = t.up_path_stats(u)
-    stats_v = t.up_path_stats(v)
     dcas = t.ncca(u, v)
+    stats_u = t._root_path_stats(u, dcas)
+    stats_v = t._root_path_stats(v, dcas)
     depth = t._depth
     terms = []
     for a in dcas:
@@ -319,7 +319,8 @@ def _eval_jc_hybrid(spec, t, u, v):
     edges = set(t.shortest_up_path_edges(u, a)) | set(t.shortest_up_path_edges(v, a))
     # theta once per class, read in order of first use along the edges, so
     # the class an InfiniteICError names is the one an edge-by-edge read hits
-    ic = {c: theta(c) for c in dict.fromkeys(chain.from_iterable(edges))}
+    classes = dict.fromkeys(chain.from_iterable(edges))
+    ic = dict(zip(classes, theta.values(classes)))
     children, depth = t._children, t._depth
     terms = []
     for child, parent in edges:
@@ -509,24 +510,19 @@ def eval_pairwise(
 
 
 def _first_common(t, key):
-    """(u, v) -> the common ancestor of u and v that is least under key: the
-    first class of A(u), ranked by key once per u, that lies in A(v)."""
-    anc = t._anc
-    ranked = functools.cache(lambda u: sorted(anc[u], key=key))
-
-    def first(u, v):
-        av = anc[v]
-        for a in ranked(u):
-            if a in av:
-                return a
-
-    return first
+    """(u, v) -> the common ancestor of u and v that is least under key,
+    which is read once per class per call. Every key ends in the class
+    label, so no two tie and the least does not depend on set order."""
+    anc, key = t._anc, functools.cache(key)
+    return lambda u, v: min(anc[u] & anc[v], key=key)
 
 
 def _matrix_mica(spec, t):
-    theta, labels = spec.theta, t._labels
-    # an undefined IC ranks first, so theta(mica) raises wherever t.mica does
-    mica = _first_common(t, lambda c: (-theta.raw(c), labels[c]))
+    labels = t._labels
+    # raw reads: an undefined IC ranks first, so theta(mica) raises wherever
+    # t.mica does. The cache keeps values only, so a failing read fails again.
+    raw, theta = spec.theta.raw, functools.cache(spec.theta)
+    mica = _first_common(t, lambda c: (-raw(c), labels[c]))
     return lambda u, v: (theta(u), theta(v), theta(mica(u, v)))
 
 
@@ -576,8 +572,10 @@ def score_matrix(
     allow_unreduced: bool = False,
 ) -> list[list[MeasureValue]]:
     """[[eval_pairwise(spec, taxonomy, u, v) for v in vs] for u in us] in one
-    call, raising what the first failing cell raises. Per-class data (ranked
-    ancestors, longest-up tables) is built once per call and then dropped.
+    call, raising what the first failing cell raises. Per-class work is done
+    once per call and then dropped: each class's anchor key (theta and
+    label, depth and label, usage count and label) is computed on first
+    read, and the MICA feature caches each theta read that succeeds.
     """
     info = spec.info
     if info.path_based and not taxonomy.is_reduced and not allow_unreduced:

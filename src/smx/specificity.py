@@ -2,10 +2,12 @@
 information content, intrinsic and extrinsic.
 
 Every estimator precomputes an immutable per-class table at bind time, so
-evaluation is a lookup and concurrent reads are safe. All shipped
-estimators decrease monotonically from the leaves toward the root;
-is_monotone checks a table on first use and keeps the answer, which a
-racing first use computes equal.
+evaluation is a lookup and concurrent reads are safe. `values` reads a
+collection of classes in one pass over the table in C, for the measures
+that sum theta over ancestor sets; it falls back to the per-class reads
+only to raise their error. All shipped estimators decrease monotonically
+from the leaves toward the root; is_monotone checks a table on first use
+and keeps the answer, which a racing first use computes equal.
 """
 
 from __future__ import annotations
@@ -13,9 +15,10 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from typing import Mapping
+from typing import Collection, Mapping
 
 from .errors import (
+    ContractError,
     DegenerateTaxonomyError,
     InfiniteICError,
     OrderingError,
@@ -144,6 +147,8 @@ class ThetaEstimator:
 
     Values are precomputed; math.inf in the table marks classes whose
     extrinsic IC is undefined (zero usage) and raises at evaluation time.
+    A NaN value is rejected: it has no place in the theta order that the
+    MICA is taken in.
     """
 
     __slots__ = ("kind", "taxonomy", "params", "_table", "_monotone")
@@ -154,6 +159,12 @@ class ThetaEstimator:
         self.params = dict(params)
         self._table = dict(table)
         self._monotone = None
+        # the sum is NaN for a NaN value, or for +inf and -inf together
+        total = sum(self._table.values())
+        if total != total:
+            for c, val in self._table.items():
+                if val != val:
+                    raise ContractError(f"theta of class {taxonomy.label(c)} is NaN")
 
     def value(self, c: NodeId) -> float:
         try:
@@ -169,6 +180,18 @@ class ThetaEstimator:
 
     # theta(c) is theta.value(c), with no extra frame per read
     __call__ = value
+
+    def values(self, classes: Collection[NodeId]) -> list[float]:
+        """[self(c) for c in classes], mapped over the table in C. A class
+        missing from the table or an infinite value reruns the per-class
+        reads, so the error raised names the class that they stop at."""
+        try:
+            vals = list(map(self._table.__getitem__, classes))
+        except KeyError:
+            vals = None
+        if vals is None or math.inf in vals or -math.inf in vals:
+            return list(map(self.value, classes))
+        return vals
 
     def raw(self, c: NodeId) -> float:
         """Table value without the infinite-IC guard."""
@@ -195,6 +218,11 @@ def _log(x: float, base: float | None) -> float:
     return math.log(x) if base is None else math.log(x, base)
 
 
+def _check_base(base: float | None) -> None:
+    if base is not None and not (math.isfinite(base) and base > 0 and base != 1):
+        raise ContractError(f"logarithm base must be finite, positive and not 1, got {base}")
+
+
 def _require_nondegenerate(taxonomy: TaxonomyView, kind: str) -> None:
     if len(taxonomy.class_ids) < 2:
         raise DegenerateTaxonomyError(f"{kind} needs at least two classes")
@@ -212,6 +240,7 @@ def depth_theta(taxonomy: TaxonomyView, normalized: bool = True) -> ThetaEstimat
 
 def nonlinear_depth_theta(taxonomy: TaxonomyView, base: float | None = None) -> ThetaEstimator:
     """Log-scaled depth; depth is shifted by one so the root stays finite."""
+    _check_base(base)
     maxd = taxonomy.max_depth
     denom = _log(maxd + 1, base) if maxd else 1.0
     table = {
@@ -224,6 +253,7 @@ def nonlinear_depth_theta(taxonomy: TaxonomyView, base: float | None = None) -> 
 def seco_ic(taxonomy: TaxonomyView, base: float | None = None) -> ThetaEstimator:
     """Intrinsic IC from the inclusive descendant count:
     1 - log|D(c)| / log|C|."""
+    _check_base(base)
     _require_nondegenerate(taxonomy, "seco")
     log_n = _log(len(taxonomy.class_ids), base)
     counts = taxonomy.descendant_counts()
@@ -251,6 +281,7 @@ def zhou_ic(taxonomy: TaxonomyView, k: float = 0.6, base: float | None = None) -
 def resnik_intrinsic_ic(taxonomy: TaxonomyView, base: float | None = None) -> ThetaEstimator:
     """Extrinsic Resnik IC under the convention that every class carries
     exactly one direct pseudo-instance, so p(c) = |D(c)| / |C|."""
+    _check_base(base)
     _require_nondegenerate(taxonomy, "resnik_intrinsic")
     n = len(taxonomy.class_ids)
     counts = taxonomy.descendant_counts()
@@ -260,6 +291,7 @@ def resnik_intrinsic_ic(taxonomy: TaxonomyView, base: float | None = None) -> Th
 
 def sanchez_leaves_ic(taxonomy: TaxonomyView, base: float | None = None) -> ThetaEstimator:
     """Leaf-count IC: -log(|leaves subsumed by c| / |leaves|)."""
+    _check_base(base)
     n_leaves = len(taxonomy.leaves)
     counts = taxonomy.descendant_counts(taxonomy.leaves)
     table = {c: _log(n_leaves, base) - _log(counts[c], base) for c in taxonomy.class_ids}
@@ -269,6 +301,7 @@ def sanchez_leaves_ic(taxonomy: TaxonomyView, base: float | None = None) -> Thet
 def sanchez_refined_ic(taxonomy: TaxonomyView, base: float | None = None) -> ThetaEstimator:
     """Leaf-count IC corrected by the number of subsumers:
     -log((leaves(c)/|A(c)| + 1) / (|leaves| + 1))."""
+    _check_base(base)
     n_leaves = len(taxonomy.leaves)
     counts = taxonomy.descendant_counts(taxonomy.leaves)
     table = {}
@@ -279,6 +312,7 @@ def sanchez_refined_ic(taxonomy: TaxonomyView, base: float | None = None) -> The
 
 
 def _extrinsic_table(taxonomy, usage, smooth, base):
+    _check_base(base)
     total = usage.total + (len(taxonomy.class_ids) if smooth else 0)
     # smoothing adds one pseudo-instance per class: |D(c)| more for c
     pseudo = taxonomy.descendant_counts() if smooth else None

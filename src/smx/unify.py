@@ -49,16 +49,15 @@ class Commonality(enum.Enum):
 def _mica(spec, t: TaxonomyView, u: NodeId, v: NodeId):
     """theta of both classes and of their most informative common ancestor."""
     theta = spec.theta
-    a = t.mica(theta, u, v)
-    return theta(u), theta(v), theta(a)
+    return theta.values((u, v, t.mica(theta, u, v)))
 
 
 def _salience(spec, t: TaxonomyView, u: NodeId, v: NodeId):
     """Summed theta over A(u), A(v) and A(u) & A(v). math.fsum rounds each
     sum once, so it depends on the set alone, not on its iteration order."""
-    theta = spec.theta
+    values = spec.theta.values
     au, av = t.ancestors(u), t.ancestors(v)
-    return math.fsum(map(theta, au)), math.fsum(map(theta, av)), math.fsum(map(theta, au & av))
+    return math.fsum(values(au)), math.fsum(values(av)), math.fsum(values(au & av))
 
 
 def _ancestor_counts(spec, t: TaxonomyView, u: NodeId, v: NodeId):
@@ -79,7 +78,7 @@ def _ncca_mean(spec, t: TaxonomyView, u: NodeId, v: NodeId):
     """theta of both classes and mean theta over their disjoint common ancestors."""
     theta = spec.theta
     dcas = t.ncca(u, v)
-    return theta(u), theta(v), math.fsum(map(theta, dcas)) / len(dcas)
+    return theta(u), theta(v), math.fsum(theta.values(dcas)) / len(dcas)
 
 
 def _closure_counts(spec, t: TaxonomyView, us, vs):
@@ -90,9 +89,9 @@ def _closure_counts(spec, t: TaxonomyView, us, vs):
 
 def _closure_theta(spec, t: TaxonomyView, us, vs):
     """Summed theta over C(U), C(V) and C(U) & C(V), each sum by math.fsum."""
-    theta = spec.theta
+    values = spec.theta.values
     cu, cv = (set().union(*map(t.ancestors, group)) for group in (us, vs))
-    return math.fsum(map(theta, cu)), math.fsum(map(theta, cv)), math.fsum(map(theta, cu & cv))
+    return math.fsum(values(cu)), math.fsum(values(cv)), math.fsum(values(cu & cv))
 
 
 class Feature(NamedTuple):

@@ -193,6 +193,23 @@ class TestIc:
         code = main(["ic", "--estimator", "resnik", "--graph", toy_file])
         assert code == 2
 
+    @pytest.mark.parametrize("base", ["inf", "-inf", "nan", "1", "0", "-2"])
+    @pytest.mark.parametrize("command", ["ic", "sim"])
+    def test_bad_log_base_is_one_error_line(
+        self, toy_file, pairs_file, tmp_path, capsys, base, command
+    ):
+        out = tmp_path / "out.tsv"
+        out.write_text("old results\n")
+        argv = {
+            "ic": ["ic", "--estimator", "seco"],
+            "sim": ["sim", "--measure", "lin", "--ic", "seco", "--pairs", pairs_file],
+        }[command]
+        code = main([*argv, "--graph", toy_file, f"--log-base={base}", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and "--log-base must be finite" in err
+        assert out.read_text() == "old results\n"
+
 
 class TestPreprocess:
     def test_reduction_report(self, tmp_path, capsys):

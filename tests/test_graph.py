@@ -247,6 +247,13 @@ class TestUpPathOracles:
         for u in t.class_ids:
             got = {t.label(a): stats for a, stats in t.up_path_stats(u).items()}
             assert got == brute_up_path_stats(pairs, t.label(u))
+        # the reduction copies t with its count tables built, and the paths
+        # over its redundant edges must leave the counts
+        reduced, _ = smx.transitive_reduction(t)
+        pairs = [(t.label(c), t.label(p)) for c, p in reduced.edges]
+        for u in reduced.class_ids:
+            got = {t.label(a): stats for a, stats in reduced.up_path_stats(u).items()}
+            assert got == brute_up_path_stats(pairs, t.label(u))
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), multi=st.sampled_from([0.3, 0.8]))
@@ -353,19 +360,23 @@ class TestPathTables:
         for u in t.class_ids:
             for v in t.class_ids:
                 smx.eval_pairwise(lin, t, u, v)
-        assert t._paths is None
+        assert t._paths is None and t._counts is None
 
-        built = []
-        build = TaxonomyView._path_tables
-        monkeypatch.setattr(
-            TaxonomyView, "_path_tables", lambda view: built.append(view) or build(view)
-        )
+        built, counted = [], []
+        for name, log in (("_path_tables", built), ("_count_tables", counted)):
+            build = getattr(TaxonomyView, name)
+            monkeypatch.setattr(
+                TaxonomyView, name, lambda view, build=build, log=log: log.append(view) or build(view)
+            )
         graph, pairs = tmp_path / "g.tsv", tmp_path / "p.tsv"
         graph.write_text("X\tsubClassOf\troot\nY\tsubClassOf\troot\nZ\tsubClassOf\tX\n"
                          "Z\tsubClassOf\tY\nW\tsubClassOf\tZ\n")
         pairs.write_text("W\tY\nX\tZ\n")
         inputs = ["--graph", str(graph), "--pairs", str(pairs), "--out", str(tmp_path / "o.tsv")]
         assert main(["sim", "--measure", "lin", "--ic", "seco", *inputs]) == 0
-        assert built == []
+        assert built == counted == []
         assert main(["sim", "--measure", "rada", *inputs]) == 0
-        assert built
+        assert built and counted == []
+        built.clear()
+        assert main(["sim", "--measure", "wang_dca", *inputs]) == 0
+        assert built and counted

@@ -7,12 +7,16 @@ from hypothesis import given, settings, strategies as st
 
 import smx
 from smx.errors import (
+    ContractError,
     DegenerateTaxonomyError,
     InfiniteICError,
     OrderingError,
+    SmxError,
     UnknownNodeError,
     UsageError,
 )
+
+from smx.specificity import ESTIMATOR_KINDS
 
 from helpers import (
     brute_class_usage,
@@ -127,6 +131,78 @@ class TestEstimators:
             smx.seco_ic(t)
         with pytest.raises(DegenerateTaxonomyError):
             smx.zhou_ic(t)
+
+
+class TestBaseAndTable:
+    @pytest.mark.parametrize("base", [math.inf, -math.inf, math.nan, 1.0, 0.0, -2.0])
+    def test_bad_log_base_is_rejected(self, toy, toy_graph, base):
+        usage = smx.class_usage(toy, annotations(toy_graph, "g1\tE\n"))
+        for kind in ESTIMATOR_KINDS:
+            if kind.startswith("depth") and kind != "depth_nonlinear":
+                continue  # depth takes no base
+            with pytest.raises(ContractError, match="logarithm base"):
+                smx.build_estimator(kind, toy, usage=usage, base=base)
+
+    def test_nan_value_is_rejected_by_class(self, toy):
+        table = {c: 1.0 for c in toy.class_ids}
+        table[toy.node("C")] = math.nan
+        with pytest.raises(ContractError, match="class C is NaN"):
+            smx.ThetaEstimator.from_table(toy, table)
+        with pytest.raises(ContractError, match="class C is NaN"):
+            smx.ThetaEstimator("custom", toy, table)
+
+    def test_infinite_values_stay_allowed(self, toy):
+        table = {c: 1.0 for c in toy.class_ids}
+        table[toy.node("C")], table[toy.node("D")] = math.inf, -math.inf
+        theta = smx.ThetaEstimator.from_table(toy, table)
+        assert theta.raw(toy.node("C")) == math.inf
+        with pytest.raises(InfiniteICError):
+            theta(toy.node("D"))
+
+
+def _read(fill):
+    """("ok", values) or (the SmxError subclass fill raised, its message)."""
+    try:
+        return "ok", fill()
+    except SmxError as exc:
+        return type(exc), str(exc)
+
+
+class TestBulkRead:
+    """values(classes) equals one theta(c) per class, in value or in the
+    class and message of the error raised."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_equals_per_class_reads(self, seed):
+        rng = random.Random(seed)
+        t, _ = random_taxonomy(rng, max_nodes=15)
+        classes = sorted(t.class_ids)
+        values = (0.0, 0.5, 1.25, 3.0, math.inf, -math.inf)
+        theta = smx.ThetaEstimator.from_table(
+            t, {c: rng.choices(values, weights=(4, 4, 4, 4, 1, 1))[0] for c in classes}
+        )
+        pool = classes + [-1]
+        for size in (0, 1, 2, 4, 8):
+            picked = [rng.choice(pool) for _ in range(size)]
+            for group in (picked, tuple(picked), frozenset(picked)):
+                want = _read(lambda: [theta(c) for c in group])
+                assert _read(lambda: theta.values(group)) == want
+
+    def test_named_cases(self, toy):
+        table = {c: 1.0 for c in toy.class_ids}
+        table[toy.node("C")], table[toy.node("D")] = math.inf, -math.inf
+        theta = smx.ThetaEstimator.from_table(toy, table)
+        a, c, d = toy.node("A"), toy.node("C"), toy.node("D")
+        assert theta.values(()) == []
+        assert theta.values((a, a)) == [1.0, 1.0]
+        for group, error, text in (
+            ((a, c), InfiniteICError, "class C"),
+            ((a, d, c), InfiniteICError, "class D"),
+            ((a, -1, c), UnknownNodeError, "node -1"),
+        ):
+            with pytest.raises(error, match=text):
+                theta.values(group)
 
 
 class TestMonotonicity:
