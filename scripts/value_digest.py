@@ -17,6 +17,17 @@ lin. A line reads
 
 or, when the evaluation raises, `<measure> <u> <v>: <SmxError class name>`.
 
+Then come the tables of every estimator kind as build_estimator binds them,
+in the natural log and in base 2 (the extrinsic kinds on the digest's usage
+with smoothing off and on, zhou also at k = 0.3), one line per class:
+
+    estimator <kind> base=<e|2.0> smooth=<0|1> [k=<k>] <class>: <float.hex>
+
+and is_symmetric of every catalog row at its default parameters and at
+each point of a parameter grid of the rows whose symmetry depends on them:
+
+    symmetric <measure> [<key>=<value> ...]: <0|1>
+
 The last lines give the sha256 of the serializers' output, so that diffing
 two digests also checks their edge order byte for byte: serialize_graph of
 the DAG before and after the transitive reduction, the removed-edge report
@@ -37,6 +48,7 @@ from smx import (
     Commonality,
     SemanticGraph,
     abstract_form,
+    build_estimator,
     class_usage,
     depth_theta,
     eval_abstract,
@@ -44,6 +56,7 @@ from smx import (
     eval_pairwise,
     groupwise_measure,
     instantiate,
+    is_symmetric,
     pairwise_measure,
     parse_graph,
     seco_ic,
@@ -53,12 +66,29 @@ from smx import (
 )
 from smx.errors import SmxError
 from smx.groupwise import STRATEGIES
+from smx.specificity import ESTIMATOR_KINDS
 from smx.unify import FORMS
 
 SEED = 20240210
 NAMED = (
     "lin", "wu_palmer_tree", "faith", "jiang_conrath", "jaccard",
     "dice", "sokal_sneath", "simpson", "ochiai",
+)
+# parameter points of the rows whose symmetry depends on their parameters
+SYMMETRY_GRID = (
+    [
+        ("tversky_ratio", {"alpha": a, "beta": b})
+        for a, b in (
+            (1.0, 1.0), (2.0, 2.0), (0.0, 0.0), (0.3, 0.3), (2.0, 0.5), (0.0, 1.0), (1.0, 0.0)
+        )
+    ]
+    + [
+        ("tversky_contrast", {"gamma": g, "alpha": a, "beta": b})
+        for g in (0.0, 1.0, 2.5)
+        for a, b in ((1.0, 1.0), (2.0, 2.0), (0.0, 0.0), (2.0, 0.5), (0.0, 1.0))
+    ]
+    + [("rodriguez_egenhofer", {"gamma": g}) for g in (0.0, 0.1, 0.25, 0.5, 0.75, 1.0)]
+    + [("bulskov", {"alpha": a}) for a in (0.0, 0.25, 0.5, 0.9, 1.0)]
 )
 
 
@@ -75,6 +105,32 @@ def line(name, left, right, evaluate):
 
 def digest(name, text):
     return f"{name}: sha256 {hashlib.sha256(text.encode()).hexdigest()}"
+
+
+def estimator_lines(t, usage):
+    label, classes = t.label, t.sorted_classes()
+    out = []
+    for kind in ESTIMATOR_KINDS:
+        smooths = (False, True) if kind in ("resnik", "idf") else (False,)
+        extra = [{}, {"k": 0.3}] if kind == "zhou" else [{}]
+        for base in (None, 2.0):
+            for smooth in smooths:
+                for params in extra:
+                    theta = build_estimator(kind, t, usage, base, smooth, **params)
+                    name = f"estimator {kind} base={base or 'e'} smooth={int(smooth)}"
+                    name += "".join(f" {key}={value}" for key, value in params.items())
+                    out += [f"{name} {label(c)}: {float(theta.raw(c)).hex()}" for c in classes]
+    return out
+
+
+def symmetry_lines(theta, usage):
+    configs = [(name, {}) for name in sorted(MEASURES)] + SYMMETRY_GRID
+    out = []
+    for name, params in configs:
+        spec = pairwise_measure(name, theta=theta, usage=usage, **params)
+        settings = "".join(f" {key}={value}" for key, value in params.items())
+        out.append(f"symmetric {name}{settings}: {int(is_symmetric(spec))}")
+    return out
 
 
 def serializer_lines(graph, rng):
@@ -155,6 +211,8 @@ def main():
             out.append(
                 line(name, f"g{a}", f"g{b}", lambda: eval_groupwise(spec, t, groups[a], groups[b]))
             )
+    out += estimator_lines(t, usage)
+    out += symmetry_lines(theta, usage)
     out += serializer_lines(graph, rng)
     print("\n".join(out))
 

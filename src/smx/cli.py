@@ -26,7 +26,7 @@ from .errors import InfinityError, SmxError, UsageError as DataUsageError
 from .graph import SemanticGraph, TaxonomyView
 from .groupwise import DIRECT, STRATEGIES, eval_groupwise, groupwise_measure
 from .pairwise import MEASURES, eval_pairwise, pairwise_measure
-from .specificity import ESTIMATOR_KINDS, build_estimator, class_usage
+from .specificity import ESTIMATOR_KINDS, EXTRINSIC, build_estimator, class_usage
 
 log = logging.getLogger("smx")
 
@@ -103,8 +103,8 @@ def _float_params(params: dict[str, str], context: str) -> dict[str, float]:
 
 
 def _log_base(args) -> float | None:
-    raw = getattr(args, "log_base", None)
-    if raw is None or raw == "e":
+    raw = args.log_base
+    if raw == "e":
         return None
     try:
         base = float(raw)
@@ -155,7 +155,7 @@ def _estimators(args, taxonomy, usage_loader):
             )
         params = _float_params(raw, f"estimator {kind}")
         usage = None
-        if kind in ("resnik", "idf"):
+        if kind in EXTRINSIC:
             usage = usage_loader()
             if usage is None:
                 raise DataUsageError(f"estimator {kind!r} needs --annotations")
@@ -164,7 +164,7 @@ def _estimators(args, taxonomy, usage_loader):
             taxonomy,
             usage=usage,
             base=_log_base(args),
-            smooth=getattr(args, "smooth", False),
+            smooth=args.smooth,
             **params,
         )
 
@@ -438,7 +438,7 @@ def _cmd_bench(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 
-def _add_common(sub, graph=True, out=True, unreduced=False, annotations=False):
+def _add_common(sub, graph=True, out=True, unreduced=False, annotations=False, estimator=True):
     if graph:
         sub.add_argument("--graph", required=True, help="graph triple TSV")
     if annotations:
@@ -451,12 +451,13 @@ def _add_common(sub, graph=True, out=True, unreduced=False, annotations=False):
             action="store_true",
             help="let path-based measures run on a non-reduced taxonomy",
         )
-    sub.add_argument("--log-base", default="e", help="logarithm base (default natural)")
-    sub.add_argument(
-        "--smooth",
-        action="store_true",
-        help="add-one smoothing for extrinsic information content",
-    )
+    if estimator:
+        sub.add_argument("--log-base", default="e", help="logarithm base (default natural)")
+        sub.add_argument(
+            "--smooth",
+            action="store_true",
+            help="add-one smoothing for extrinsic information content",
+        )
 
 
 def build_parser() -> _Parser:
@@ -464,7 +465,7 @@ def build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("preprocess", help="transitive reduction and cleaning report")
-    _add_common(p)
+    _add_common(p, estimator=False)
     p.add_argument("--report", default="-", help="removed-triple report path")
     p.set_defaults(func=_cmd_preprocess)
 
@@ -500,7 +501,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_abstract)
 
     p = subs.add_parser("rel", help="graph relatedness (wsp, hitting, commute, simrank)")
-    _add_common(p)
+    _add_common(p, estimator=False)
     p.add_argument("--method", required=True, help="wsp, hitting, commute or simrank")
     p.add_argument("--weights", help="predicate weight scheme TSV")
     p.add_argument("--pairs", required=True, help="nodeA<TAB>nodeB pair list")

@@ -5,11 +5,15 @@ Each measure is declared in the MEASURES catalog together with the flags
 the axiom audit verifies. Fifteen rows are data: an abstract form of
 unify.py applied to a unify.FEATURES entry (theta at the MICA, summed
 theta over the ancestor sets, ancestor counts, the depth triple or the
-NCCA mean), taking polarity and normalization from the form and
-needs_theta from the feature. The sixteen rows no form fits name a
-bespoke evaluator. Measures that count shortest paths refuse a
-taxonomy with redundant edges because those shortcuts silently
-underestimate distances; pass allow_unreduced=True to study that effect.
+NCCA mean), taking polarity, normalization and symmetry from the form
+(ratio and contrast are symmetric exactly when alpha == beta at the bound
+arguments) and needs_theta from the feature; a row without a bind takes
+the form's parameters too. The sixteen rows no form fits name a bespoke
+evaluator. Every parameter is checked by specificity.resolve_params, the
+one check that forms and estimators share. Measures that count shortest
+paths refuse a taxonomy with redundant edges because those shortcuts
+silently underestimate distances; pass allow_unreduced=True to study that
+effect.
 score_matrix scores every pair of two class lists in one call and equals
 eval_pairwise cell by cell.
 
@@ -40,7 +44,7 @@ from .errors import (
     UsageError,
 )
 from .graph import NodeId, TaxonomyView
-from .specificity import ClassUsage, ThetaEstimator
+from .specificity import ClassUsage, ParamSpec, ThetaEstimator, resolve_params
 from .unify import FEATURES, FORMS, MeasureValue, Polarity, abstract_form
 
 
@@ -49,15 +53,6 @@ class ConversionRule(enum.Enum):
     RATIO = "ratio"
     NEG_LOG = "neg_log"
     RECIPROCAL = "reciprocal"
-
-
-@dataclass(frozen=True)
-class ParamSpec:
-    default: float
-    lo: float | None = None
-    hi: float | None = None
-    above: float | None = None  # an exclusive lower bound
-    choices: tuple[float, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -71,10 +66,9 @@ class MeasureInfo:
     ioi: bool = False
     # identity of the indiscernibles degenerates on zero-theta classes
     root_degenerate: bool = False
-    # pairs of parameter names whose inequality makes the measure asymmetric,
-    # or (name, pivot) making it asymmetric when params[name] != pivot
-    asym_when_differ: tuple[tuple[str, str], ...] = ()
-    asym_when_not: tuple[tuple[str, float], ...] = ()
+    # symmetric(*args): whether the values are symmetric in u and v at the
+    # spec's args; a form row's is its form's
+    symmetric: Callable[..., bool] = lambda *args: True
     # a bespoke row: evaluate(spec, taxonomy, u, v)
     evaluate: Callable[..., MeasureValue] | None = None
     # a bespoke row scored at a constraining ancestor: the pair function that
@@ -86,15 +80,6 @@ class MeasureInfo:
     feature: Callable | None = None
     form: str | None = None
     bind: Callable[[Mapping[str, float]], Mapping[str, float]] | None = None
-
-    def is_symmetric(self, params: Mapping[str, float]) -> bool:
-        for a, b in self.asym_when_differ:
-            if params[a] != params[b]:
-                return False
-        for name, pivot in self.asym_when_not:
-            if params[name] != pivot:
-                return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -136,24 +121,7 @@ def pairwise_measure(
         raise ContractError(
             f"unknown measure {name!r}; known measures: {', '.join(sorted(MEASURES))}"
         )
-    resolved = {}
-    for key, spec in info.params.items():
-        value = float(params.pop(key, spec.default))
-        if not math.isfinite(value):
-            raise ContractError(f"{name}: parameter {key} must not be {value}")
-        if spec.choices is not None and value not in spec.choices:
-            raise ContractError(
-                f"{name}: parameter {key} must be one of {spec.choices}"
-            )
-        if spec.lo is not None and value < spec.lo:
-            raise ContractError(f"{name}: parameter {key} must be >= {spec.lo}")
-        if spec.hi is not None and value > spec.hi:
-            raise ContractError(f"{name}: parameter {key} must be <= {spec.hi}")
-        if spec.above is not None and value <= spec.above:
-            raise ContractError(f"{name}: parameter {key} must be > {spec.above}")
-        resolved[key] = value
-    if params:
-        raise ContractError(f"{name}: unknown parameters {sorted(params)}")
+    resolved = resolve_params(name, info.params, params)
     if info.needs_theta and theta is None:
         raise ContractError(f"measure {name!r} needs a specificity estimator")
     if info.needs_usage and usage is None:
@@ -164,7 +132,9 @@ def pairwise_measure(
 
 
 def is_symmetric(spec: PairwiseMeasureSpec) -> bool:
-    return spec.info.is_symmetric(dict(spec.params))
+    """Whether the spec's values are symmetric in u and v: a form row's
+    form decides on its bound arguments, a bespoke row on its parameters."""
+    return spec.info.symmetric(*spec.args)
 
 
 # -- evaluation helpers ------------------------------------------------------
@@ -332,15 +302,20 @@ def _eval_jc_hybrid(spec, t, u, v):
     return _dist(math.fsum(terms))
 
 
-def _form_row(feature, form, bind=lambda p: p, **flags) -> MeasureInfo:
+def _form_row(feature, form, bind=None, **flags) -> MeasureInfo:
     """A row that is the abstract form `form` applied to FEATURES[feature],
-    taking polarity and normalization from the form, needs_theta from the
-    feature; bind defaults to passing the measure's parameters on."""
+    taking polarity, normalization and symmetry from the form, needs_theta
+    from the feature. bind maps the row's parameters to the form's; a row
+    without it takes the form's parameters and passes them on."""
     function, needs_theta = FEATURES[feature]
+    shape = FORMS[form]
+    if bind is None:
+        bind, flags["params"] = (lambda p: p), shape.params
     return MeasureInfo(
-        FORMS[form].polarity,
-        FORMS[form].normalized,
+        shape.polarity,
+        shape.normalized,
         needs_theta=needs_theta,
+        symmetric=shape.symmetric,
         feature=function,
         form=form,
         bind=bind,
@@ -423,7 +398,7 @@ MEASURES: dict[str, MeasureInfo] = {
         True,
         params={"alpha": ParamSpec(0.5, lo=0.0, hi=1.0)},
         ioi=True,
-        asym_when_not=(("alpha", 0.5),),
+        symmetric=lambda alpha: alpha == 0.5,
         evaluate=_eval_bulskov,
     ),
     "rodriguez_egenhofer": _form_row(
@@ -432,26 +407,10 @@ MEASURES: dict[str, MeasureInfo] = {
         lambda p: {"alpha": p["gamma"], "beta": 1.0 - p["gamma"]},
         params={"gamma": ParamSpec(0.5, lo=0.0, hi=1.0)},
         ioi=True,
-        asym_when_not=(("gamma", 0.5),),
     ),
     "sanchez": MeasureInfo(DIST, True, ioi=True, evaluate=_eval_sanchez_dist),
-    "tversky_ratio": _form_row(
-        "ancestor_counts",
-        "ratio",
-        params={"alpha": ParamSpec(1.0, lo=0.0), "beta": ParamSpec(1.0, lo=0.0)},
-        ioi=True,
-        asym_when_differ=(("alpha", "beta"),),
-    ),
-    "tversky_contrast": _form_row(
-        "ancestor_counts",
-        "contrast",
-        params={
-            "gamma": ParamSpec(1.0, lo=0.0),
-            "alpha": ParamSpec(1.0, lo=0.0),
-            "beta": ParamSpec(1.0, lo=0.0),
-        },
-        asym_when_differ=(("alpha", "beta"),),
-    ),
+    "tversky_ratio": _form_row("ancestor_counts", "ratio", ioi=True),
+    "tversky_contrast": _form_row("ancestor_counts", "contrast"),
     "jaccard_ext": MeasureInfo(SIM, True, needs_usage=True, ioi=True, evaluate=_eval_jaccard_ext),
     "damato_ext": MeasureInfo(
         SIM, True, needs_usage=True, evaluate=_eval_damato_ext, anchor=_least_used_ancestor

@@ -15,7 +15,8 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from typing import Collection, Mapping
+from dataclasses import dataclass
+from typing import Callable, Collection, Mapping
 
 from .errors import (
     ContractError,
@@ -32,6 +33,44 @@ from .ingest import AnnotationSet
 _EMPTY: frozenset = frozenset()
 # the set bit positions of each byte value, lowest first
 _BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
+
+
+@dataclass(frozen=True)
+class ParamSpec:
+    """A numeric parameter: its default and the values it admits."""
+
+    default: float
+    lo: float | None = None
+    hi: float | None = None
+    above: float | None = None  # an exclusive lower bound
+    choices: tuple[float, ...] | None = None
+    infinite: bool = False  # +inf and -inf admitted
+
+
+def resolve_params(
+    name: str, specs: Mapping[str, ParamSpec], given: Mapping[str, float]
+) -> dict[str, float]:
+    """{key: the given value or the default} over specs, in their order.
+    The one parameter check of measures, forms and estimators: a value
+    outside its spec or an unknown key is a ContractError naming `name`."""
+    given = dict(given)
+    resolved = {}
+    for key, spec in specs.items():
+        value = float(given.pop(key, spec.default))
+        if value != value or (math.isinf(value) and not spec.infinite):
+            raise ContractError(f"{name}: parameter {key} must not be {value}")
+        if spec.choices is not None and value not in spec.choices:
+            raise ContractError(f"{name}: parameter {key} must be one of {spec.choices}")
+        if spec.lo is not None and value < spec.lo:
+            raise ContractError(f"{name}: parameter {key} must be >= {spec.lo}")
+        if spec.hi is not None and value > spec.hi:
+            raise ContractError(f"{name}: parameter {key} must be <= {spec.hi}")
+        if spec.above is not None and value <= spec.above:
+            raise ContractError(f"{name}: parameter {key} must be > {spec.above}")
+        resolved[key] = value
+    if given:
+        raise ContractError(f"{name}: unknown parameters {sorted(given)}")
+    return resolved
 
 
 def _to_bits(indices: list[int]) -> int:
@@ -371,18 +410,23 @@ def connotation_weight(estimator: ThetaEstimator, u: NodeId, v: NodeId) -> float
     return estimator.value(u) - estimator.value(v)
 
 
-ESTIMATOR_KINDS = (
-    "depth",
-    "depth_raw",
-    "depth_nonlinear",
-    "seco",
-    "zhou",
-    "resnik",
-    "resnik_intrinsic",
-    "idf",
-    "sanchez",
-    "sanchez_refined",
-)
+# extrinsic kinds read class usage
+EXTRINSIC = ("resnik", "idf")
+
+# kind -> (build(taxonomy, usage, base, smooth, **params), its parameters)
+ESTIMATORS: dict[str, tuple[Callable[..., ThetaEstimator], Mapping[str, ParamSpec]]] = {
+    "depth": (lambda t, usage, base, smooth: depth_theta(t, normalized=True), {}),
+    "depth_raw": (lambda t, usage, base, smooth: depth_theta(t, normalized=False), {}),
+    "depth_nonlinear": (lambda t, usage, base, smooth: nonlinear_depth_theta(t, base), {}),
+    "seco": (lambda t, usage, base, smooth: seco_ic(t, base), {}),
+    "zhou": (lambda t, usage, base, smooth, k: zhou_ic(t, k, base), {"k": ParamSpec(0.6)}),
+    "resnik": (lambda t, usage, base, smooth: resnik_extrinsic_ic(t, usage, smooth, base), {}),
+    "resnik_intrinsic": (lambda t, usage, base, smooth: resnik_intrinsic_ic(t, base), {}),
+    "idf": (lambda t, usage, base, smooth: idf_theta(t, usage, smooth, base), {}),
+    "sanchez": (lambda t, usage, base, smooth: sanchez_leaves_ic(t, base), {}),
+    "sanchez_refined": (lambda t, usage, base, smooth: sanchez_refined_ic(t, base), {}),
+}
+ESTIMATOR_KINDS = tuple(ESTIMATORS)
 
 
 def build_estimator(
@@ -393,28 +437,11 @@ def build_estimator(
     smooth: bool = False,
     **params,
 ) -> ThetaEstimator:
-    """Estimator factory used by the CLI; extrinsic kinds need usage."""
-    extrinsic = kind in ("resnik", "idf")
-    if extrinsic and usage is None:
+    """Estimator factory used by the CLI; extrinsic kinds need usage, and
+    parameters are checked by resolve_params against the kind's."""
+    if kind not in ESTIMATORS:
+        raise UsageError(f"unknown estimator kind {kind!r}; known: {', '.join(ESTIMATOR_KINDS)}")
+    if kind in EXTRINSIC and usage is None:
         raise UsageError(f"estimator {kind!r} needs annotations (class usage)")
-    if kind == "depth":
-        return depth_theta(taxonomy, normalized=True)
-    if kind == "depth_raw":
-        return depth_theta(taxonomy, normalized=False)
-    if kind == "depth_nonlinear":
-        return nonlinear_depth_theta(taxonomy, base)
-    if kind == "seco":
-        return seco_ic(taxonomy, base)
-    if kind == "zhou":
-        return zhou_ic(taxonomy, k=float(params.get("k", 0.6)), base=base)
-    if kind == "resnik":
-        return resnik_extrinsic_ic(taxonomy, usage, smooth=smooth, base=base)
-    if kind == "resnik_intrinsic":
-        return resnik_intrinsic_ic(taxonomy, base)
-    if kind == "idf":
-        return idf_theta(taxonomy, usage, smooth=smooth, base=base)
-    if kind == "sanchez":
-        return sanchez_leaves_ic(taxonomy, base)
-    if kind == "sanchez_refined":
-        return sanchez_refined_ic(taxonomy, base)
-    raise UsageError(f"unknown estimator kind {kind!r}; known: {', '.join(ESTIMATOR_KINDS)}")
+    build, specs = ESTIMATORS[kind]
+    return build(taxonomy, usage, base, smooth, **resolve_params(kind, specs, params))

@@ -9,6 +9,10 @@ or over the ancestor closures of two class sets. With theta = raw depth
 the forms collapse to the classic structural measures on trees, with
 theta = IC to the information theoretical ones. The pairwise catalog and
 the direct groupwise measures evaluate their form rows by these kernels.
+Each form declares its parameters as ParamSpecs, checked by the one
+specificity.resolve_params that measures and estimators also use, and
+when its values are symmetric: ratio and contrast exactly when alpha ==
+beta, the others always.
 """
 
 from __future__ import annotations
@@ -16,11 +20,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 from .errors import ContractError
 from .graph import NodeId, TaxonomyView
-from .specificity import ThetaEstimator
+from .specificity import ParamSpec, ThetaEstimator, resolve_params
 
 
 class Polarity(enum.Enum):
@@ -47,9 +51,11 @@ class Commonality(enum.Enum):
 
 
 def _mica(spec, t: TaxonomyView, u: NodeId, v: NodeId):
-    """theta of both classes and of their most informative common ancestor."""
+    """theta of both classes and of their most informative common ancestor.
+    The MICA is ranked by raw values, where an undefined IC ranks first, so
+    the reads fail at u, v or the MICA, in that order, as in a score matrix."""
     theta = spec.theta
-    return theta.values((u, v, t.mica(theta, u, v)))
+    return theta.values((u, v, t.mica(theta.raw, u, v)))
 
 
 def _salience(spec, t: TaxonomyView, u: NodeId, v: NodeId):
@@ -177,21 +183,33 @@ def _contrast(f_u, f_v, f_shared, gamma, alpha, beta):
 
 @dataclass(frozen=True)
 class Form:
-    """A kernel, the flags of its values, its (name, default) parameters."""
+    """A kernel, the flags of its values, its parameters in kernel argument
+    order, and symmetric(*args): whether its values are symmetric in u and
+    v at those arguments."""
 
     kernel: Callable[..., MeasureValue]
     polarity: Polarity
     normalized: bool
-    params: tuple[tuple[str, float], ...] = ()
+    params: Mapping[str, ParamSpec] = field(default_factory=dict)
+    symmetric: Callable[..., bool] = lambda *args: True
 
+
+_WEIGHT = ParamSpec(1.0, lo=0.0)
 
 FORMS: dict[str, Form] = {
     "abstract_dist": Form(_abstract_dist, _DIST, False),
     "general_dice": Form(_general_dice, _SIM, True),
-    "sigma_alpha": Form(_sigma_alpha, _SIM, True, (("alpha", 0.0),)),
-    "sigma_beta": Form(_sigma_beta, _SIM, True, (("beta", 2.0),)),
-    "ratio": Form(_ratio, _SIM, True, (("alpha", 1.0), ("beta", 1.0))),
-    "contrast": Form(_contrast, _SIM, False, (("gamma", 1.0), ("alpha", 1.0), ("beta", 1.0))),
+    # the infinite orders of sigma_alpha are min and max
+    "sigma_alpha": Form(_sigma_alpha, _SIM, True, {"alpha": ParamSpec(0.0, infinite=True)}),
+    "sigma_beta": Form(_sigma_beta, _SIM, True, {"beta": ParamSpec(2.0, above=0.0)}),
+    # Tversky's models are symmetric exactly when alpha == beta
+    "ratio": Form(
+        _ratio, _SIM, True, {"alpha": _WEIGHT, "beta": _WEIGHT}, lambda alpha, beta: alpha == beta
+    ),
+    "contrast": Form(
+        _contrast, _SIM, False, {"gamma": _WEIGHT, "alpha": _WEIGHT, "beta": _WEIGHT},
+        lambda gamma, alpha, beta: alpha == beta,
+    ),
 }
 
 
@@ -215,7 +233,7 @@ class AbstractForm:
         values = dict(self.params)
         object.__setattr__(self, "feature", FEATURES[self.commonality.value].function)
         object.__setattr__(self, "kernel", form.kernel)
-        object.__setattr__(self, "args", tuple(values[name] for name, _ in form.params))
+        object.__setattr__(self, "args", tuple(values[name] for name in form.params))
 
     def param(self, key: str) -> float:
         return dict(self.params)[key]
@@ -233,17 +251,7 @@ def abstract_form(
     form = FORMS.get(kind)
     if form is None:
         raise ContractError(f"unknown abstract form {kind!r}; known: {', '.join(FORMS)}")
-    values = {name: float(params.pop(name, default)) for name, default in form.params}
-    if params:
-        raise ContractError(f"{kind}: unknown parameters {sorted(params)}")
-    for key, value in values.items():
-        # the infinite orders of sigma_alpha are min and max
-        if math.isnan(value) or (math.isinf(value) and kind != "sigma_alpha"):
-            raise ContractError(f"{kind}: parameter {key} must not be {value}")
-    if kind == "sigma_beta" and values["beta"] <= 0:
-        raise ContractError("sigma_beta needs beta > 0")
-    if kind in ("ratio", "contrast") and min(values.values()) < 0:
-        raise ContractError(f"{kind} model needs {', '.join(values)} >= 0")
+    values = resolve_params(kind, form.params, params)
     return AbstractForm(kind, tuple(sorted(values.items())), theta, commonality)
 
 

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import smx
 from smx.cli import main, parse_selector, resolve_measure_name, split_measure_list
+from smx.specificity import ESTIMATOR_KINDS
 
 from helpers import fuzz_tsv
 from scale_smoke import synth_graph_lines
@@ -209,6 +210,56 @@ class TestIc:
         assert code == 1
         assert err.count("\n") == 1 and "--log-base must be finite" in err
         assert out.read_text() == "old results\n"
+
+
+class TestEstimatorParameters:
+    @pytest.mark.parametrize("option", [["--log-base", "2"], ["--smooth"]])
+    @pytest.mark.parametrize("command", ["preprocess", "rel"])
+    def test_options_only_where_an_estimator_binds(
+        self, toy_file, pairs_file, capsys, option, command
+    ):
+        argv = {
+            "preprocess": ["preprocess"],
+            "rel": ["rel", "--method", "wsp", "--pairs", pairs_file],
+        }[command]
+        assert main([*argv, "--graph", toy_file, *option]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
+    @pytest.mark.parametrize("command", ["ic", "sim"])
+    def test_unknown_parameter_is_one_error_line(
+        self, toy_file, pairs_file, tmp_path, capsys, kind, command
+    ):
+        ann = tmp_path / "ann.tsv"
+        ann.write_text("g1\tE\n")
+        out = tmp_path / "out.tsv"
+        out.write_text("old results\n")
+        argv = {
+            "ic": ["ic", "--estimator", f"{kind}:foo=1"],
+            "sim": ["sim", "--measure", "lin", "--ic", f"{kind}:foo=1", "--pairs", pairs_file],
+        }[command]
+        code = main([*argv, "--graph", toy_file, "--annotations", str(ann), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: {kind}: unknown parameters ['foo']\n"
+        assert out.read_text() == "old results\n"
+
+    @pytest.mark.parametrize(
+        "estimator, code",
+        [
+            ("zhou:k=0.3", 0),
+            ("zhou:kk=0.3", 2),
+            ("zhou:k=nan", 2),
+            ("seco:k=5", 2),
+            ("depth:foo=1", 2),
+        ],
+    )
+    def test_only_zhou_takes_k(self, toy_file, pairs_file, capsys, estimator, code):
+        assert main(["ic", "--estimator", estimator, "--graph", toy_file]) == code
+        assert capsys.readouterr().err.count("error: ") == (code == 2)
+        argv = ["sim", "--measure", f"lin:ic={estimator}", "--pairs", pairs_file]
+        assert main([*argv, "--graph", toy_file]) == code
+        assert capsys.readouterr().err.count("error: ") == (code == 2)
 
 
 class TestPreprocess:

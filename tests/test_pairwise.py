@@ -570,6 +570,42 @@ class TestProperties:
                 assert a == pytest.approx(b, abs=1e-9), name
 
 
+# parameter points of the rows whose symmetry depends on their parameters,
+# symmetric non-default points among them
+SYMMETRY_GRID = (
+    [
+        ("tversky_ratio", {"alpha": a, "beta": b})
+        for a, b in (
+            (1.0, 1.0), (2.0, 2.0), (0.0, 0.0), (0.3, 0.3), (2.0, 0.5), (0.0, 1.0), (1.0, 0.0)
+        )
+    ]
+    + [
+        ("tversky_contrast", {"gamma": g, "alpha": a, "beta": b})
+        for g in (0.0, 1.0, 2.5)
+        for a, b in ((1.0, 1.0), (2.0, 2.0), (0.0, 0.0), (2.0, 0.5), (0.0, 1.0))
+    ]
+    + [("rodriguez_egenhofer", {"gamma": g}) for g in (0.0, 0.1, 0.25, 0.5, 0.75, 1.0)]
+    + [("bulskov", {"alpha": a}) for a in (0.0, 0.25, 0.5, 0.9, 1.0)]
+)
+
+
+class TestSymmetryFromForms:
+    @pytest.mark.parametrize("name, params", SYMMETRY_GRID)
+    def test_declared_exactly_when_no_swapped_pair_differs(self, name, params):
+        spec = smx.pairwise_measure(name, **params)
+        differs = False
+        for seed in range(4):
+            t, _ = random_taxonomy(random.Random(seed), max_nodes=30, multi=0.5)
+            nodes = sorted(t.class_ids)
+            differs = differs or any(
+                abs(smx.eval_pairwise(spec, t, u, v).value - smx.eval_pairwise(spec, t, v, u).value)
+                > 1e-9
+                for u in nodes
+                for v in nodes
+            )
+        assert smx.is_symmetric(spec) is not differs
+
+
 class TestFormRowOracles:
     @settings(max_examples=30, deadline=None)
     @given(
@@ -674,6 +710,32 @@ class TestScoreMatrix:
                 assert [[_cell_fields(mv) for mv in row] for row in got] == [
                     [_cell_fields(mv) for mv in row] for row in want
                 ], name
+
+    def test_infinite_theta_at_the_mica_fails_alike(self):
+        # both paths read theta(u), theta(v) and then theta at the MICA ranked
+        # by raw values, so a failing cell names the same class in each
+        def failure(fill):
+            try:
+                fill()
+            except SmxError as exc:
+                return type(exc), str(exc)
+            return None
+
+        for seed in range(40):
+            rng = random.Random(seed)
+            t, _ = random_taxonomy(rng, max_nodes=20, multi=0.6)
+            classes = sorted(t.class_ids)
+            values = (0.5, 1.0, 2.0, math.inf)
+            theta = smx.ThetaEstimator.from_table(t, {c: rng.choice(values) for c in classes})
+            for name in sorted(MEASURES):
+                if not MEASURES[name].needs_theta:
+                    continue
+                spec = smx.pairwise_measure(name, theta=theta)
+                for u in classes:
+                    for v in classes:
+                        assert failure(lambda: smx.score_matrix(spec, t, [u], [v])) == failure(
+                            lambda: smx.eval_pairwise(spec, t, u, v)
+                        ), (seed, name, t.label(u), t.label(v))
 
     def test_tied_deepest_common_ancestors_break_by_label(self):
         # a1 and a2 are both deepest common ancestors of u and v, but u lies

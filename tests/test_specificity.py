@@ -143,6 +143,22 @@ class TestBaseAndTable:
             with pytest.raises(ContractError, match="logarithm base"):
                 smx.build_estimator(kind, toy, usage=usage, base=base)
 
+    @pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
+    def test_unknown_parameter_is_rejected(self, toy, toy_graph, kind):
+        usage = smx.class_usage(toy, annotations(toy_graph, "g1\tE\n"))
+        with pytest.raises(ContractError, match=rf"{kind}: unknown parameters \['foo'\]"):
+            smx.build_estimator(kind, toy, usage=usage, foo=1.0)
+
+    def test_zhou_k_is_its_one_parameter(self, toy):
+        bound = smx.build_estimator("zhou", toy, k=0.3)
+        assert bound.params == {"k": 0.3}
+        assert bound._table == smx.zhou_ic(toy, k=0.3)._table
+        assert smx.build_estimator("seco", toy).params == {}
+        with pytest.raises(ContractError, match="parameter k must not be nan"):
+            smx.build_estimator("zhou", toy, k=math.nan)
+        with pytest.raises(UsageError, match=r"must be in \[0, 1\]"):
+            smx.build_estimator("zhou", toy, k=5.0)
+
     def test_nan_value_is_rejected_by_class(self, toy):
         table = {c: 1.0 for c in toy.class_ids}
         table[toy.node("C")] = math.nan
