@@ -18,8 +18,9 @@ lin. A line reads
 or, when the evaluation raises, `<measure> <u> <v>: <SmxError class name>`.
 
 Then come the tables of every estimator kind as build_estimator binds them,
-in the natural log and in base 2 (the extrinsic kinds on the digest's usage
-with smoothing off and on, zhou also at k = 0.3), one line per class:
+in the natural log and, for the kinds that declare a base, in base 2 (the
+extrinsic kinds on the digest's usage with smoothing off and on, zhou also
+at k = 0.3), one line per class:
 
     estimator <kind> base=<e|2.0> smooth=<0|1> [k=<k>] <class>: <float.hex>
 
@@ -66,7 +67,7 @@ from smx import (
 )
 from smx.errors import SmxError
 from smx.groupwise import STRATEGIES
-from smx.specificity import ESTIMATOR_KINDS
+from smx.specificity import ESTIMATORS
 from smx.unify import FORMS
 
 SEED = 20240210
@@ -110,14 +111,16 @@ def digest(name, text):
 def estimator_lines(t, usage):
     label, classes = t.label, t.sorted_classes()
     out = []
-    for kind in ESTIMATOR_KINDS:
-        smooths = (False, True) if kind in ("resnik", "idf") else (False,)
+    for kind, (_, specs) in ESTIMATORS.items():
+        bases = [{}, {"base": 2.0}] if "base" in specs else [{}]
+        smooths = [{}, {"smooth": 1}] if "smooth" in specs else [{}]
         extra = [{}, {"k": 0.3}] if kind == "zhou" else [{}]
-        for base in (None, 2.0):
+        for base in bases:
             for smooth in smooths:
                 for params in extra:
-                    theta = build_estimator(kind, t, usage, base, smooth, **params)
-                    name = f"estimator {kind} base={base or 'e'} smooth={int(smooth)}"
+                    theta = build_estimator(kind, t, usage, **base, **smooth, **params)
+                    name = f"estimator {kind} base={base.get('base', 'e')}"
+                    name += f" smooth={smooth.get('smooth', 0)}"
                     name += "".join(f" {key}={value}" for key, value in params.items())
                     out += [f"{name} {label(c)}: {float(theta.raw(c)).hex()}" for c in classes]
     return out

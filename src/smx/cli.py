@@ -6,7 +6,8 @@ Exit status is 0 on success, 1 on a usage error and 2 on a data or
 contract error. Results go only to the output path (or standard output);
 diagnostics go to standard error. Measure and estimator selections share
 one grammar: name[:key=value,...], for example lin:ic=seco or
-li:alpha=0.2,beta=0.6.
+li:alpha=0.2,beta=0.6. An estimator's logarithm base and smoothing are
+its parameters: --ic resnik:smooth=1,base=2.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from contextlib import contextmanager
 from . import bench as bench_mod
 from . import ingest, preprocess, relatedness, unify
 from .errors import InfinityError, SmxError, UsageError as DataUsageError
-from .graph import SemanticGraph, TaxonomyView
+from .graph import SemanticGraph
 from .groupwise import DIRECT, STRATEGIES, eval_groupwise, groupwise_measure
 from .pairwise import MEASURES, eval_pairwise, pairwise_measure
 from .specificity import ESTIMATOR_KINDS, EXTRINSIC, build_estimator, class_usage
@@ -102,27 +103,6 @@ def _float_params(params: dict[str, str], context: str) -> dict[str, float]:
 # -- shared loading steps ----------------------------------------------------
 
 
-def _log_base(args) -> float | None:
-    raw = args.log_base
-    if raw == "e":
-        return None
-    try:
-        base = float(raw)
-    except ValueError:
-        raise CommandLineError(f"--log-base must be a number or 'e', got {raw!r}") from None
-    if not (math.isfinite(base) and base > 0 and base != 1.0):
-        raise CommandLineError("--log-base must be finite, positive and not 1")
-    return base
-
-
-def _load_graph(args) -> SemanticGraph:
-    return ingest.parse_graph(args.graph)
-
-
-def _taxonomy(graph: SemanticGraph) -> TaxonomyView:
-    return preprocess.taxonomic_reduction(graph)
-
-
 def _usage_loader(args, graph, taxonomy, annotations=None):
     """A callable giving class usage, built on its first call only.
 
@@ -142,9 +122,9 @@ def _usage_loader(args, graph, taxonomy, annotations=None):
     return load
 
 
-def _estimators(args, taxonomy, usage_loader):
+def _estimators(taxonomy, usage_loader):
     """A callable binding the estimator of a selector token, once per
-    distinct token."""
+    distinct token: the one place the CLI binds a theta."""
 
     @functools.cache
     def bind(token):
@@ -159,16 +139,18 @@ def _estimators(args, taxonomy, usage_loader):
             usage = usage_loader()
             if usage is None:
                 raise DataUsageError(f"estimator {kind!r} needs --annotations")
-        return build_estimator(
-            kind,
-            taxonomy,
-            usage=usage,
-            base=_log_base(args),
-            smooth=args.smooth,
-            **params,
-        )
+        return build_estimator(kind, taxonomy, usage=usage, **params)
 
     return bind
+
+
+def _ic_token(token, measure):
+    """The estimator selector of a measure that reads theta: token, or seco
+    when none is selected."""
+    if token is None:
+        log.info("measure %s: no estimator selected, defaulting to seco", measure)
+        return "seco"
+    return token
 
 
 def _pairwise_spec(args, token, estimators, usage_loader):
@@ -180,11 +162,7 @@ def _pairwise_spec(args, token, estimators, usage_loader):
     theta = None
     usage = usage_loader() if info.needs_usage else None
     if info.needs_theta:
-        token = ic_token or getattr(args, "ic", None)
-        if token is None:
-            log.info("measure %s: no estimator selected, defaulting to seco", name)
-            token = "seco"
-        theta = estimators(token)
+        theta = estimators(_ic_token(ic_token or getattr(args, "ic", None), name))
     if info.needs_usage and usage is None:
         raise DataUsageError(f"measure {name!r} needs --annotations")
     return pairwise_measure(name, theta=theta, usage=usage, **params)
@@ -243,8 +221,8 @@ def _write_scores(path, pairs_path, resolve, score, measure=None) -> None:
 
 
 def _cmd_preprocess(args) -> int:
-    graph = _load_graph(args)
-    taxonomy = _taxonomy(graph)
+    graph = ingest.parse_graph(args.graph)
+    taxonomy = preprocess.taxonomic_reduction(graph)
     _, report = preprocess.transitive_reduction(taxonomy)
     removed = {
         (graph.node(r.subject), r.predicate, graph.node(r.object))
@@ -281,10 +259,10 @@ def _cmd_preprocess(args) -> int:
 
 
 def _cmd_ic(args) -> int:
-    graph = _load_graph(args)
-    taxonomy = _taxonomy(graph)
+    graph = ingest.parse_graph(args.graph)
+    taxonomy = preprocess.taxonomic_reduction(graph)
     usage = _usage_loader(args, graph, taxonomy)
-    estimator = _estimators(args, taxonomy, usage)(args.estimator)
+    estimator = _estimators(taxonomy, usage)(args.estimator)
     with _open_out(args.out) as out:
         for c in taxonomy.sorted_classes():
             out.write(f"{taxonomy.label(c)}\t{_fmt(estimator.raw(c))}\n")
@@ -292,10 +270,10 @@ def _cmd_ic(args) -> int:
 
 
 def _cmd_sim(args) -> int:
-    graph = _load_graph(args)
-    taxonomy = _taxonomy(graph)
+    graph = ingest.parse_graph(args.graph)
+    taxonomy = preprocess.taxonomic_reduction(graph)
     usage = _usage_loader(args, graph, taxonomy)
-    spec = _pairwise_spec(args, args.measure, _estimators(args, taxonomy, usage), usage)
+    spec = _pairwise_spec(args, args.measure, _estimators(taxonomy, usage), usage)
 
     def score(u, v):
         return eval_pairwise(spec, taxonomy, u, v, allow_unreduced=args.allow_unreduced).value
@@ -305,12 +283,12 @@ def _cmd_sim(args) -> int:
 
 
 def _cmd_groupsim(args) -> int:
-    graph = _load_graph(args)
-    taxonomy = _taxonomy(graph)
+    graph = ingest.parse_graph(args.graph)
+    taxonomy = preprocess.taxonomic_reduction(graph)
     annotations = ingest.parse_annotations(args.annotations, graph)
     reduced, _ = preprocess.reduce_annotations(taxonomy, annotations)
     usage = _usage_loader(args, graph, taxonomy, annotations)
-    estimators = _estimators(args, taxonomy, usage)
+    estimators = _estimators(taxonomy, usage)
 
     # grammar: direct name, or strategy:inner[,key=value...]
     name, _, inner_token = args.measure.partition(":")
@@ -318,7 +296,7 @@ def _cmd_groupsim(args) -> int:
     if name in DIRECT:
         if inner_token:
             raise CommandLineError(f"direct measure {name!r} takes no inner measure")
-        theta = estimators(args.ic or "seco") if DIRECT[name][0].needs_theta else None
+        theta = estimators(_ic_token(args.ic, name)) if DIRECT[name][0].needs_theta else None
         spec = groupwise_measure(name, theta=theta)
     elif name in STRATEGIES:
         if not inner_token.strip():
@@ -345,24 +323,25 @@ def _cmd_groupsim(args) -> int:
     return 0
 
 
-def _cmd_abstract(args) -> int:
-    graph = _load_graph(args)
-    taxonomy = _taxonomy(graph)
-    usage = _usage_loader(args, graph, taxonomy)
+# --theta values that name a depth estimator
+_DEPTH_THETAS = {"depth": "depth_raw", "depth_raw": "depth_raw", "depth_norm": "depth"}
 
-    theta_token = args.theta
-    family, _, rest = theta_token.partition(":")
+
+def _cmd_abstract(args) -> int:
+    graph = ingest.parse_graph(args.graph)
+    taxonomy = preprocess.taxonomic_reduction(graph)
+    estimators = _estimators(taxonomy, _usage_loader(args, graph, taxonomy))
+
+    family, _, rest = args.theta.partition(":")
     if family == "ic":
         if not rest:
             raise CommandLineError("--theta ic:<estimator> needs an estimator name")
-        theta = _estimators(args, taxonomy, usage)(rest)
-    elif family in ("depth", "depth_raw"):
-        theta = build_estimator("depth_raw", taxonomy)
-    elif family == "depth_norm":
-        theta = build_estimator("depth", taxonomy)
+        theta = estimators(rest)
+    elif args.theta in _DEPTH_THETAS:
+        theta = estimators(_DEPTH_THETAS[args.theta])
     else:
         raise CommandLineError(
-            f"--theta must be ic:<estimator>, depth or depth_norm, got {theta_token!r}"
+            f"--theta must be ic:<estimator>, depth or depth_norm, got {args.theta!r}"
         )
 
     name, raw = parse_selector(args.form)
@@ -385,7 +364,7 @@ def _cmd_rel(args) -> int:
         raise CommandLineError(
             f"unknown method {method!r}; valid: wsp, hitting, commute, simrank"
         )
-    graph = _load_graph(args)
+    graph = ingest.parse_graph(args.graph)
     scheme = relatedness.UNIFORM
     if args.weights is not None:
         scheme = ingest.parse_weight_scheme(args.weights)
@@ -411,12 +390,12 @@ def _cmd_rel(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    graph = _load_graph(args)
-    taxonomy = _taxonomy(graph)
+    graph = ingest.parse_graph(args.graph)
+    taxonomy = preprocess.taxonomic_reduction(graph)
     mapping = ingest.parse_word_mapping(args.mapping, graph)
     dataset = bench_mod.load_rated_pairs(args.dataset, kind=args.dataset_kind)
     usage = _usage_loader(args, graph, taxonomy)
-    estimators = _estimators(args, taxonomy, usage)
+    estimators = _estimators(taxonomy, usage)
     measures = []
     for token in split_measure_list(args.measures):
         spec = _pairwise_spec(args, token, estimators, usage)
@@ -438,7 +417,7 @@ def _cmd_bench(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 
-def _add_common(sub, graph=True, out=True, unreduced=False, annotations=False, estimator=True):
+def _add_common(sub, graph=True, out=True, unreduced=False, annotations=False):
     if graph:
         sub.add_argument("--graph", required=True, help="graph triple TSV")
     if annotations:
@@ -451,13 +430,6 @@ def _add_common(sub, graph=True, out=True, unreduced=False, annotations=False, e
             action="store_true",
             help="let path-based measures run on a non-reduced taxonomy",
         )
-    if estimator:
-        sub.add_argument("--log-base", default="e", help="logarithm base (default natural)")
-        sub.add_argument(
-            "--smooth",
-            action="store_true",
-            help="add-one smoothing for extrinsic information content",
-        )
 
 
 def build_parser() -> _Parser:
@@ -465,7 +437,7 @@ def build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("preprocess", help="transitive reduction and cleaning report")
-    _add_common(p, estimator=False)
+    _add_common(p)
     p.add_argument("--report", default="-", help="removed-triple report path")
     p.set_defaults(func=_cmd_preprocess)
 
@@ -474,14 +446,14 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--estimator",
         required=True,
-        help=f"one of {', '.join(ESTIMATOR_KINDS)}, e.g. zhou:k=0.6",
+        help=f"one of {', '.join(ESTIMATOR_KINDS)}, e.g. zhou:k=0.6 or seco:base=2",
     )
     p.set_defaults(func=_cmd_ic)
 
     p = subs.add_parser("sim", help="pairwise class similarity scores")
     _add_common(p, unreduced=True, annotations=True)
     p.add_argument("--measure", required=True, help="e.g. lin, li:alpha=0.2,beta=0.6")
-    p.add_argument("--ic", help="estimator for IC-based measures, e.g. seco")
+    p.add_argument("--ic", help="estimator for IC-based measures, e.g. resnik:smooth=1,base=2")
     p.add_argument("--pairs", required=True, help="classA<TAB>classB pair list")
     p.set_defaults(func=_cmd_sim)
 
@@ -501,7 +473,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_abstract)
 
     p = subs.add_parser("rel", help="graph relatedness (wsp, hitting, commute, simrank)")
-    _add_common(p, estimator=False)
+    _add_common(p)
     p.add_argument("--method", required=True, help="wsp, hitting, commute or simrank")
     p.add_argument("--weights", help="predicate weight scheme TSV")
     p.add_argument("--pairs", required=True, help="nodeA<TAB>nodeB pair list")
@@ -534,7 +506,14 @@ def main(argv=None) -> int:
     gc.disable()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader of standard output has gone: exit as SIGPIPE would, and
+        # point stdout at the null device so the flush at exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE
     except CommandLineError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -213,7 +213,7 @@ class ThetaEstimator:
         if math.isinf(val):
             raise InfiniteICError(
                 f"class {self.taxonomy.label(c)} has zero usage; "
-                "enable smoothing or exclude it"
+                "select smooth=1 or exclude it"
             )
         return val
 
@@ -413,35 +413,39 @@ def connotation_weight(estimator: ThetaEstimator, u: NodeId, v: NodeId) -> float
 # extrinsic kinds read class usage
 EXTRINSIC = ("resnik", "idf")
 
-# kind -> (build(taxonomy, usage, base, smooth, **params), its parameters)
+# every kind that takes logs declares their base (the builders also refuse
+# base 1); the extrinsic kinds declare add-one smoothing, off (0) or on (1)
+_LOG = {"base": ParamSpec(math.e, above=0)}
+_SMOOTHED_LOG = {"smooth": ParamSpec(0.0, choices=(0.0, 1.0)), **_LOG}
+
+# kind -> (build(taxonomy, usage, **params), its parameters)
 ESTIMATORS: dict[str, tuple[Callable[..., ThetaEstimator], Mapping[str, ParamSpec]]] = {
-    "depth": (lambda t, usage, base, smooth: depth_theta(t, normalized=True), {}),
-    "depth_raw": (lambda t, usage, base, smooth: depth_theta(t, normalized=False), {}),
-    "depth_nonlinear": (lambda t, usage, base, smooth: nonlinear_depth_theta(t, base), {}),
-    "seco": (lambda t, usage, base, smooth: seco_ic(t, base), {}),
-    "zhou": (lambda t, usage, base, smooth, k: zhou_ic(t, k, base), {"k": ParamSpec(0.6)}),
-    "resnik": (lambda t, usage, base, smooth: resnik_extrinsic_ic(t, usage, smooth, base), {}),
-    "resnik_intrinsic": (lambda t, usage, base, smooth: resnik_intrinsic_ic(t, base), {}),
-    "idf": (lambda t, usage, base, smooth: idf_theta(t, usage, smooth, base), {}),
-    "sanchez": (lambda t, usage, base, smooth: sanchez_leaves_ic(t, base), {}),
-    "sanchez_refined": (lambda t, usage, base, smooth: sanchez_refined_ic(t, base), {}),
+    "depth": (lambda t, u: depth_theta(t, normalized=True), {}),
+    "depth_raw": (lambda t, u: depth_theta(t, normalized=False), {}),
+    "depth_nonlinear": (lambda t, u, base: nonlinear_depth_theta(t, base), _LOG),
+    "seco": (lambda t, u, base: seco_ic(t, base), _LOG),
+    "zhou": (lambda t, u, k, base: zhou_ic(t, k, base), {"k": ParamSpec(0.6), **_LOG}),
+    "resnik": (
+        lambda t, u, smooth, base: resnik_extrinsic_ic(t, u, bool(smooth), base), _SMOOTHED_LOG
+    ),
+    "resnik_intrinsic": (lambda t, u, base: resnik_intrinsic_ic(t, base), _LOG),
+    "idf": (lambda t, u, smooth, base: idf_theta(t, u, bool(smooth), base), _SMOOTHED_LOG),
+    "sanchez": (lambda t, u, base: sanchez_leaves_ic(t, base), _LOG),
+    "sanchez_refined": (lambda t, u, base: sanchez_refined_ic(t, base), _LOG),
 }
 ESTIMATOR_KINDS = tuple(ESTIMATORS)
 
 
 def build_estimator(
-    kind: str,
-    taxonomy: TaxonomyView,
-    usage: ClassUsage | None = None,
-    base: float | None = None,
-    smooth: bool = False,
-    **params,
+    kind: str, taxonomy: TaxonomyView, usage: ClassUsage | None = None, **params
 ) -> ThetaEstimator:
     """Estimator factory used by the CLI; extrinsic kinds need usage, and
-    parameters are checked by resolve_params against the kind's."""
+    parameters are checked by resolve_params against the kind's: base, the
+    logarithm base (natural by default), for every kind that takes logs,
+    smooth (0 or 1) for the extrinsic kinds, and k for zhou."""
     if kind not in ESTIMATORS:
         raise UsageError(f"unknown estimator kind {kind!r}; known: {', '.join(ESTIMATOR_KINDS)}")
     if kind in EXTRINSIC and usage is None:
         raise UsageError(f"estimator {kind!r} needs annotations (class usage)")
     build, specs = ESTIMATORS[kind]
-    return build(taxonomy, usage, base, smooth, **resolve_params(kind, specs, params))
+    return build(taxonomy, usage, **resolve_params(kind, specs, params))

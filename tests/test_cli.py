@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import smx
 from smx.cli import main, parse_selector, resolve_measure_name, split_measure_list
-from smx.specificity import ESTIMATOR_KINDS
+from smx.specificity import ESTIMATOR_KINDS, ESTIMATORS
 
 from helpers import fuzz_tsv
 from scale_smoke import synth_graph_lines
@@ -195,54 +195,95 @@ class TestIc:
         assert code == 2
 
     @pytest.mark.parametrize("base", ["inf", "-inf", "nan", "1", "0", "-2"])
-    @pytest.mark.parametrize("command", ["ic", "sim"])
+    @pytest.mark.parametrize("command", ["ic", "sim", "abstract"])
     def test_bad_log_base_is_one_error_line(
         self, toy_file, pairs_file, tmp_path, capsys, base, command
     ):
         out = tmp_path / "out.tsv"
         out.write_text("old results\n")
+        seco = f"seco:base={base}"
         argv = {
-            "ic": ["ic", "--estimator", "seco"],
-            "sim": ["sim", "--measure", "lin", "--ic", "seco", "--pairs", pairs_file],
+            "ic": ["ic", "--estimator", seco],
+            "sim": ["sim", "--measure", "lin", "--ic", seco, "--pairs", pairs_file],
+            "abstract": ["abstract", "--form", "dice", "--theta", f"ic:{seco}",
+                         "--pairs", pairs_file],
         }[command]
-        code = main([*argv, "--graph", toy_file, f"--log-base={base}", "--out", str(out)])
+        code = main([*argv, "--graph", toy_file, "--out", str(out)])
         err = capsys.readouterr().err
-        assert code == 1
-        assert err.count("\n") == 1 and "--log-base must be finite" in err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error: ") and "base must" in err
         assert out.read_text() == "old results\n"
+
+    def test_base_and_smooth_equal_the_library_table(self, toy_file, tmp_path, capsys):
+        ann = tmp_path / "ann.tsv"
+        ann.write_text("g1\tE\ng2\tD\n")
+        argv = ["ic", "--graph", toy_file, "--annotations", str(ann)]
+        assert main([*argv, "--estimator", "resnik:smooth=1,base=2"]) == 0
+        t = smx.taxonomic_reduction(smx.parse_graph(toy_file))
+        usage = smx.class_usage(t, smx.parse_annotations(str(ann), t.graph))
+        table = smx.resnik_extrinsic_ic(t, usage, smooth=True, base=2.0)
+        assert capsys.readouterr().out == "".join(
+            f"{t.label(c)}\t{table.raw(c):.12g}\n" for c in t.sorted_classes()
+        )
 
 
 class TestEstimatorParameters:
     @pytest.mark.parametrize("option", [["--log-base", "2"], ["--smooth"]])
-    @pytest.mark.parametrize("command", ["preprocess", "rel"])
-    def test_options_only_where_an_estimator_binds(
-        self, toy_file, pairs_file, capsys, option, command
-    ):
-        argv = {
-            "preprocess": ["preprocess"],
-            "rel": ["rel", "--method", "wsp", "--pairs", pairs_file],
-        }[command]
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["preprocess"],
+            ["ic", "--estimator", "seco"],
+            ["sim", "--measure", "lin", "--pairs", "p.tsv"],
+            ["groupsim", "--measure", "simgic", "--annotations", "a.tsv", "--pairs", "p.tsv"],
+            ["abstract", "--form", "dice", "--theta", "depth", "--pairs", "p.tsv"],
+            ["rel", "--method", "wsp", "--pairs", "p.tsv"],
+            ["bench", "--mapping", "m.tsv", "--dataset", "d.tsv", "--measures", "lin"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_log_base_and_smooth_are_unrecognized(self, toy_file, capsys, option, argv):
         assert main([*argv, "--graph", toy_file, *option]) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
+    @pytest.mark.parametrize(
+        "kind, key",
+        [
+            (kind, key)
+            for kind in ESTIMATOR_KINDS
+            for key in ("foo", "base", "smooth")
+            if key not in ESTIMATORS[kind][1]
+        ],
+    )
     @pytest.mark.parametrize("command", ["ic", "sim"])
     def test_unknown_parameter_is_one_error_line(
-        self, toy_file, pairs_file, tmp_path, capsys, kind, command
+        self, toy_file, pairs_file, tmp_path, capsys, kind, key, command
     ):
         ann = tmp_path / "ann.tsv"
         ann.write_text("g1\tE\n")
         out = tmp_path / "out.tsv"
         out.write_text("old results\n")
+        selector = f"{kind}:{key}=1"
         argv = {
-            "ic": ["ic", "--estimator", f"{kind}:foo=1"],
-            "sim": ["sim", "--measure", "lin", "--ic", f"{kind}:foo=1", "--pairs", pairs_file],
+            "ic": ["ic", "--estimator", selector],
+            "sim": ["sim", "--measure", "lin", "--ic", selector, "--pairs", pairs_file],
         }[command]
         code = main([*argv, "--graph", toy_file, "--annotations", str(ann), "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 2
-        assert err == f"error: {kind}: unknown parameters ['foo']\n"
+        assert err == f"error: {kind}: unknown parameters ['{key}']\n"
         assert out.read_text() == "old results\n"
+
+    def test_inline_ic_carries_one_parameter(self, toy_file, pairs_file, tmp_path, capsys):
+        ann = tmp_path / "ann.tsv"
+        ann.write_text("g1\tE\n")
+        argv = ["sim", "--graph", toy_file, "--annotations", str(ann), "--pairs", pairs_file]
+        assert main([*argv, "--measure", "lin:ic=resnik:smooth=1"]) == 0
+        assert main([*argv, "--measure", "lin", "--ic", "resnik:smooth=1"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 4 and out[:2] == out[2:]
+        assert main([*argv, "--measure", "lin:ic=resnik:smooth=1,base=2"]) == 2
+        assert capsys.readouterr().err == "error: lin: unknown parameters ['base']\n"
 
     @pytest.mark.parametrize(
         "estimator, code",
@@ -351,6 +392,29 @@ class TestGroupsim:
         assert code == 0
         assert calls == {"parse": 1, "usage": usage_builds}
 
+    @pytest.mark.parametrize(
+        "argv, measure",
+        [
+            (["groupsim", "--measure", "simgic", "--annotations", "ann.tsv"], "simgic"),
+            (["groupsim", "--measure", "bma:lin", "--annotations", "ann.tsv"], "lin"),
+            (["sim", "--measure", "jc"], "jiang_conrath"),
+        ],
+    )
+    def test_seco_by_default_with_a_notice(
+        self, toy_file, tmp_path, capsys, caplog, monkeypatch, argv, measure
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "ann.tsv").write_text("g1\tC,D\ng2\tE\n")
+        (tmp_path / "p.tsv").write_text("g1\tg2\n" if argv[0] == "groupsim" else "E\tD\n")
+        base = [*argv, "--graph", toy_file, "--pairs", "p.tsv"]
+        with caplog.at_level("INFO", logger="smx"):
+            assert main(base) == 0
+        notice = f"measure {measure}: no estimator selected, defaulting to seco"
+        assert caplog.messages == [notice]
+        assert main([*base, "--ic", "seco"]) == 0
+        default, explicit = capsys.readouterr().out.splitlines()
+        assert default == explicit
+
     def test_direct_simui(self, toy_file, tmp_path, capsys):
         ann = tmp_path / "ann.tsv"
         ann.write_text("g1\tE\ng2\tD\n")
@@ -385,6 +449,17 @@ class TestAbstract:
         out = capsys.readouterr().out
         assert code == 0
         assert float(out.splitlines()[0].split("\t")[2]) == pytest.approx(0.4)
+
+    @pytest.mark.parametrize(
+        "alias, kind",
+        [("depth", "depth_raw"), ("depth_raw", "depth_raw"), ("depth_norm", "depth")],
+    )
+    def test_depth_aliases_name_estimators(self, toy_file, pairs_file, capsys, alias, kind):
+        argv = ["abstract", "--form", "dice", "--graph", toy_file, "--pairs", pairs_file]
+        assert main([*argv, "--theta", alias]) == 0
+        assert main([*argv, "--theta", f"ic:{kind}"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[:2] == out[2:]
 
     def test_nested_estimator_params(self, toy_file, pairs_file, capsys):
         code = main(
@@ -699,6 +774,23 @@ class TestGroupsimHashSeed:
 class TestDispatch:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 1
+
+    def test_closed_stdout_exits_quietly(self, tmp_path):
+        """A reader that stops early (smx ... | head -1) ends the command
+        with status 141, as SIGPIPE would, and no traceback."""
+        graph = tmp_path / "g.tsv"
+        graph.write_text(synth_graph_lines(10_000, random.Random(3)))
+        src = Path(smx.__file__).resolve().parent.parent
+        with subprocess.Popen(
+            [sys.executable, "-m", "smx.cli", "ic", "--estimator", "seco", "--graph", str(graph)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        ) as proc:
+            assert proc.stdout.readline()
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 141
+            err = proc.stderr.read().decode()
+        assert "Traceback" not in err and "Exception ignored" not in err
 
     def test_no_diagnostics_on_stdout(self, tmp_path, capsys):
         graph = tmp_path / "g.tsv"

@@ -140,7 +140,7 @@ class TestBaseAndTable:
         for kind in ESTIMATOR_KINDS:
             if kind.startswith("depth") and kind != "depth_nonlinear":
                 continue  # depth takes no base
-            with pytest.raises(ContractError, match="logarithm base"):
+            with pytest.raises(ContractError, match="base must"):
                 smx.build_estimator(kind, toy, usage=usage, base=base)
 
     @pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
