@@ -6,7 +6,10 @@ directory, then runs `perfbench/run.py --workload W --trace 0` N times in
 each tree: the parent's tree against the working tree of this checkout.
 Pair i runs the parent first when i is odd and the change first when it
 is even, so drift on the machine lands on both sides alike. Each tree runs
-its own perfbench and its own src/.
+its own perfbench and its own src/, both compiled to bytecode before the
+first pair: an exported tree has no __pycache__, and where bytecode is not
+written on import (PYTHONDONTWRITEBYTECODE) its every child process would
+compile smx again, which the checkout's children do not.
 
 For every end-to-end metric it prints the median and the quartiles (Q1,
 Q3) of the parent's runs and of the change's runs, the change of the
@@ -39,6 +42,12 @@ def export(rev: str, into: Path) -> None:
     """Write the tree of rev into the directory `into`."""
     archive = subprocess.run(["git", "archive", rev], cwd=ROOT, stdout=subprocess.PIPE, check=True)
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive.stdout, check=True)
+
+
+def compile_tree(tree: Path) -> None:
+    """Write the bytecode of tree's src/ and perfbench/."""
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"],
+                   cwd=tree, stdout=subprocess.DEVNULL, check=True)
 
 
 def run(tree: Path, workload: str) -> tuple[int, dict]:
@@ -79,6 +88,8 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {"parent": Path(tmp), "change": ROOT}
         export(args.parent, trees["parent"])
+        for tree in trees.values():
+            compile_tree(tree)
         for i in range(1, args.pairs + 1):
             order = ("parent", "change") if i % 2 else ("change", "parent")
             for side in order:

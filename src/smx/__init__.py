@@ -64,6 +64,7 @@ from .pairwise import (
     convert,
     eval_pairwise,
     is_symmetric,
+    pair_scorer,
     pairwise_measure,
     score_matrix,
 )

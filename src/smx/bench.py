@@ -22,7 +22,7 @@ from .pairwise import (
     PairwiseMeasureSpec,
     Polarity,
     convert,
-    eval_pairwise,
+    pair_scorer,
 )
 
 log = logging.getLogger("smx")
@@ -31,9 +31,9 @@ log = logging.getLogger("smx")
 KNOWN_DATASETS = {"rg65": 65, "mc30": 30, "wordsim353": 353, "mturk771": 771}
 
 
-def load_rated_pairs(source, kind: str | None = None, name: str | None = None) -> RatedPairSet:
+def load_rated_pairs(source, kind: str | None = None) -> RatedPairSet:
     """Parse a benchmark file; known kinds also validate the pair count."""
-    dataset = parse_rated_pairs(source, name=name or kind or "rated-pairs")
+    dataset = parse_rated_pairs(source, name=kind or "rated-pairs")
     if kind is not None:
         expected = KNOWN_DATASETS.get(kind)
         if expected is None:
@@ -74,20 +74,20 @@ def score_pairs(
             "measure %s has distance polarity; scores converted via 1/(d+1)",
             spec.name,
         )
+    scorer = pair_scorer(spec, taxonomy, allow_unreduced)
+
+    def score(ca: NodeId, cb: NodeId) -> float:
+        mv = scorer(ca, cb)
+        if to_similarity:
+            mv = convert(mv, Polarity.SIMILARITY, ConversionRule.RECIPROCAL)
+        return mv.value
 
     def best(word_a: str, word_b: str) -> float | None:
         senses_a = mapping.get(word_a)
         senses_b = mapping.get(word_b)
         if not senses_a or not senses_b:
             return None
-        scores = []
-        for ca in sorted(senses_a):
-            for cb in sorted(senses_b):
-                mv = eval_pairwise(spec, taxonomy, ca, cb, allow_unreduced)
-                if to_similarity:
-                    mv = convert(mv, Polarity.SIMILARITY, ConversionRule.RECIPROCAL)
-                scores.append(mv.value)
-        return max(scores)
+        return max(score(ca, cb) for ca in sorted(senses_a) for cb in sorted(senses_b))
 
     return [ScoredPair(a, b, rating, best(a, b)) for a, b, rating in dataset.pairs]
 

@@ -26,7 +26,7 @@ from . import ingest, preprocess, relatedness, unify
 from .errors import InfinityError, SmxError, UsageError as DataUsageError
 from .graph import SemanticGraph
 from .groupwise import DIRECT, STRATEGIES, eval_groupwise, groupwise_measure
-from .pairwise import MEASURES, eval_pairwise, pairwise_measure
+from .pairwise import MEASURES, pair_scorer, pairwise_measure
 from .specificity import ESTIMATOR_KINDS, EXTRINSIC, build_estimator, class_usage
 
 log = logging.getLogger("smx")
@@ -197,21 +197,24 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _write_scores(path, pairs_path, resolve, score, measure=None) -> None:
+def _write_scores(path, pairs_path, resolve, score, measure) -> None:
     """Write idA, idB and score(resolve(idA), resolve(idB)) for each listed
-    pair. Every pair is scored before the output is opened, so a command
-    that fails leaves no partial output and an existing file untouched.
-    When `measure` names what is scored, each score is a float, and a NaN
-    or infinite one is an InfinityError naming the measure and the pair."""
+    pair: a float, or None for "unreachable". Every pair is scored before
+    the output is opened, so a command that fails leaves no partial output
+    and an existing file untouched. A NaN or infinite score is an
+    InfinityError naming `measure` (the measure, form or method) and the
+    pair."""
     rows = []
     for a, b in ingest.parse_pairs(pairs_path):
         value = score(resolve(a), resolve(b))
-        if measure is not None:
-            if not math.isfinite(value):
-                raise InfinityError(
-                    f"{measure}: the pair ({a}, {b}) scores {value}, not a finite number"
-                )
+        if value is None:
+            value = "unreachable"
+        elif math.isfinite(value):
             value = _fmt(value)
+        else:
+            raise InfinityError(
+                f"{measure}: the pair ({a}, {b}) scores {value}, not a finite number"
+            )
         rows.append(f"{a}\t{b}\t{value}\n")
     with _open_out(path) as out:
         out.writelines(rows)
@@ -274,10 +277,8 @@ def _cmd_sim(args) -> int:
     taxonomy = preprocess.taxonomic_reduction(graph)
     usage = _usage_loader(args, graph, taxonomy)
     spec = _pairwise_spec(args, args.measure, _estimators(taxonomy, usage), usage)
-
-    def score(u, v):
-        return eval_pairwise(spec, taxonomy, u, v, allow_unreduced=args.allow_unreduced).value
-
+    scorer = pair_scorer(spec, taxonomy, args.allow_unreduced)
+    score = lambda u, v: scorer(u, v).value
     _write_scores(args.out, args.pairs, taxonomy.node, score, args.measure)
     return 0
 
@@ -370,22 +371,18 @@ def _cmd_rel(args) -> int:
         scheme = ingest.parse_weight_scheme(args.weights)
 
     if method == "wsp":
-
-        def score(u, v):
-            value = relatedness.weighted_shortest_path(graph, scheme, u, v)
-            return "unreachable" if value is None else _fmt(value)
-
+        score = functools.partial(relatedness.weighted_shortest_path, graph, scheme)
     elif method in ("hitting", "commute"):
         model = relatedness.TransitionModel.from_graph(graph, scheme)
         walk = relatedness.hitting_time if method == "hitting" else relatedness.commute_time
-        score = lambda u, v: _fmt(walk(model, u, v))
+        score = functools.partial(walk, model)
     else:
         scores = relatedness.simrank(
             graph, decay=args.decay, iterations=args.iterations, tol=1e-12
         )
-        score = lambda u, v: _fmt(scores.score(u, v))
+        score = scores.score
 
-    _write_scores(args.out, args.pairs, graph.node, score)
+    _write_scores(args.out, args.pairs, graph.node, score, method)
     return 0
 
 

@@ -5,10 +5,10 @@ an abstract form: all three are set-overlap ratios over the ancestor
 closures of the two sets (Pesquita et al. 2009), so reduced annotation
 sets are fine. STRATEGIES maps each aggregation to its value on the
 pairwise score matrix of the sets as given, which is why callers should
-reduce annotation sets first. One pairwise.score_matrix call fills the
-matrix, computing each class's anchor key and caching each theta read once
-per matrix. The direct measures sum theta over a closure with one bulk
-read, ThetaEstimator.values.
+reduce annotation sets first. One pairwise.pair_scorer fills the matrix,
+so each class's anchor key is computed and each theta read cached once per
+matrix. The direct measures sum theta over a closure with one bulk read,
+ThetaEstimator.values.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .pairwise import (
     MeasureValue,
     PairwiseMeasureSpec,
     Polarity,
-    score_matrix,
+    pair_scorer,
 )
 from .specificity import ThetaEstimator
 from .unify import FEATURES, abstract_form
@@ -102,8 +102,6 @@ def eval_groupwise(
         feature, form = direct
         return form.kernel(*feature.function(spec, taxonomy, us, vs), *form.args)
 
-    inner = spec.inner
-    matrix = [
-        [mv.value for mv in row] for row in score_matrix(inner, taxonomy, us, vs, allow_unreduced)
-    ]
+    inner, score = spec.inner, pair_scorer(spec.inner, taxonomy, allow_unreduced)
+    matrix = [[score(u, v).value for v in vs] for u in us]
     return MeasureValue(STRATEGIES[spec.name](matrix), inner.info.polarity, inner.info.normalized)

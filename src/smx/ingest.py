@@ -26,7 +26,7 @@ import io
 import math
 import os
 from dataclasses import dataclass, field
-from typing import IO, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .errors import ClassificationError, ParseError, ResolutionError
 from .graph import IS_A, NodeId, SemanticGraph, SUBCLASS_OF
@@ -215,7 +215,7 @@ def parse_graph(source) -> SemanticGraph:
     )
 
 
-def serialize_graph(graph: SemanticGraph, stream: IO[str] | None = None) -> str:
+def serialize_graph(graph: SemanticGraph) -> str:
     """Write a graph back to triple TSV, sorted for byte-stable output."""
     labels, weights = graph._labels, graph.edge_weights
     lines = []
@@ -224,10 +224,7 @@ def serialize_graph(graph: SemanticGraph, stream: IO[str] | None = None) -> str:
         if weights is not None:
             row += f"\t{weights[(s, p, o)]:g}"
         lines.append(row)
-    text = "\n".join(lines) + ("\n" if lines else "")
-    if stream is not None:
-        stream.write(text)
-    return text
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 @_names_its_file

@@ -14,8 +14,9 @@ one check that forms and estimators share. Measures that count shortest
 paths refuse a taxonomy with redundant edges because those shortcuts
 silently underestimate distances; pass allow_unreduced=True to study that
 effect.
-score_matrix scores every pair of two class lists in one call and equals
-eval_pairwise cell by cell.
+eval_pairwise scores one pair; a batch goes through one pair_scorer, which
+equals it on every pair and does per-class work once per class, and
+score_matrix scores two class lists through one scorer.
 
 Notes on the few places where published equations needed a decision:
   - slimani and wang_dca follow the equations as published even though
@@ -432,9 +433,11 @@ MEASURES: dict[str, MeasureInfo] = {
 }
 
 
-def _redundancy_error(spec, taxonomy) -> RedundancyError:
+def _refuse_unreduced(spec, taxonomy, u=None, v=None):
+    """Raise the RedundancyError of a path-based spec on a view with
+    redundant edges; bound to the spec and view, it is a refused scorer."""
     offender = next(iter(taxonomy.redundant_edges))
-    return RedundancyError(
+    raise RedundancyError(
         f"taxonomy has redundant subClassOf edges "
         f"(e.g. {taxonomy.label(offender[0])} < {taxonomy.label(offender[1])}); "
         f"run the transitive reduction first, {spec.name} would "
@@ -456,7 +459,7 @@ def eval_pairwise(
     """
     info = spec.info
     if info.path_based and not taxonomy.is_reduced and not allow_unreduced:
-        raise _redundancy_error(spec, taxonomy)
+        _refuse_unreduced(spec, taxonomy)
     taxonomy._check(u)
     taxonomy._check(v)
     feature = info.feature
@@ -465,7 +468,7 @@ def eval_pairwise(
     return spec.kernel(*feature(spec, taxonomy, u, v), *spec.args)
 
 
-# -- score matrices ------------------------------------------------------------
+# -- pair scorers and score matrices -----------------------------------------
 
 
 def _first_common(t, key):
@@ -499,7 +502,7 @@ def _matrix_depth_triple(spec, t):
 
 
 # a pair feature or anchor -> (spec, taxonomy) -> its (u, v) function for one
-# score_matrix call, equal to the scalar one on every pair
+# pair scorer, equal to the scalar one on every pair
 _BATCHED = {
     _mica: _matrix_mica,
     _depth_triple: _matrix_depth_triple,
@@ -509,18 +512,35 @@ _BATCHED = {
 }
 
 
-def _cell_scorer(spec, t):
-    """(u, v) -> eval_pairwise(spec, t, u, v) for classes already checked."""
-    info = spec.info
+def pair_scorer(
+    spec: PairwiseMeasureSpec, taxonomy: TaxonomyView, allow_unreduced: bool = False
+) -> Callable[[NodeId, NodeId], MeasureValue]:
+    """(u, v) -> eval_pairwise(spec, taxonomy, u, v, allow_unreduced), errors
+    included, for a batch of pairs. It keeps per-class work for its life: each
+    class's anchor key (theta, depth or usage count, then label) is computed
+    on first read and each theta read that succeeds is cached, at most one
+    entry per class."""
+    t, info = taxonomy, spec.info
+    if info.path_based and not t.is_reduced and not allow_unreduced:
+        return functools.partial(_refuse_unreduced, spec, t)
     if info.feature is not None:
         batched, kernel, args = _BATCHED.get(info.feature), spec.kernel, spec.args
         feature = batched(spec, t) if batched else functools.partial(info.feature, spec, t)
-        return lambda u, v: kernel(*feature(u, v), *args)
-    evaluate = info.evaluate
-    if info.anchor is not None:
-        anchor = _BATCHED[info.anchor](spec, t)
-        return lambda u, v: evaluate(spec, t, u, v, anchor(u, v))
-    return lambda u, v: evaluate(spec, t, u, v)
+        cell = lambda u, v: kernel(*feature(u, v), *args)
+    elif info.anchor is not None:
+        evaluate, anchor = info.evaluate, _BATCHED[info.anchor](spec, t)
+        cell = lambda u, v: evaluate(spec, t, u, v, anchor(u, v))
+    else:
+        cell = functools.partial(info.evaluate, spec, t)
+    classes = t.class_ids
+
+    def score(u, v):
+        if u in classes and v in classes:
+            return cell(u, v)
+        t._check(u)  # one of them is unknown: raise what eval_pairwise raises
+        t._check(v)
+
+    return score
 
 
 def score_matrix(
@@ -531,25 +551,10 @@ def score_matrix(
     allow_unreduced: bool = False,
 ) -> list[list[MeasureValue]]:
     """[[eval_pairwise(spec, taxonomy, u, v) for v in vs] for u in us] in one
-    call, raising what the first failing cell raises. Per-class work is done
-    once per call and then dropped: each class's anchor key (theta and
-    label, depth and label, usage count and label) is computed on first
-    read, and the MICA feature caches each theta read that succeeds.
-    """
-    info = spec.info
-    if info.path_based and not taxonomy.is_reduced and not allow_unreduced:
-        raise _redundancy_error(spec, taxonomy)
-    check, cell, vs = taxonomy._check, _cell_scorer(spec, taxonomy), list(vs)
-    matrix = []
-    for u in us:
-        check(u)
-        row = []
-        for v in vs:
-            if not matrix:  # the first row checks each v where eval_pairwise would
-                check(v)
-            row.append(cell(u, v))
-        matrix.append(row)
-    return matrix
+    call through one pair_scorer, raising what the first failing cell
+    raises."""
+    score, vs = pair_scorer(spec, taxonomy, allow_unreduced), list(vs)
+    return [[score(u, v) for v in vs] for u in us]
 
 
 def convert(mv: MeasureValue, target: Polarity, rule: ConversionRule) -> MeasureValue:

@@ -257,9 +257,9 @@ def _log(x: float, base: float | None) -> float:
     return math.log(x) if base is None else math.log(x, base)
 
 
-def _check_base(base: float | None) -> None:
+def _check_base(base: float | None, kind: str) -> None:
     if base is not None and not (math.isfinite(base) and base > 0 and base != 1):
-        raise ContractError(f"logarithm base must be finite, positive and not 1, got {base}")
+        raise ContractError(f"{kind}: log base must be finite, positive and not 1, got {base}")
 
 
 def _require_nondegenerate(taxonomy: TaxonomyView, kind: str) -> None:
@@ -279,7 +279,7 @@ def depth_theta(taxonomy: TaxonomyView, normalized: bool = True) -> ThetaEstimat
 
 def nonlinear_depth_theta(taxonomy: TaxonomyView, base: float | None = None) -> ThetaEstimator:
     """Log-scaled depth; depth is shifted by one so the root stays finite."""
-    _check_base(base)
+    _check_base(base, "depth_nonlinear")
     maxd = taxonomy.max_depth
     denom = _log(maxd + 1, base) if maxd else 1.0
     table = {
@@ -292,7 +292,7 @@ def nonlinear_depth_theta(taxonomy: TaxonomyView, base: float | None = None) -> 
 def seco_ic(taxonomy: TaxonomyView, base: float | None = None) -> ThetaEstimator:
     """Intrinsic IC from the inclusive descendant count:
     1 - log|D(c)| / log|C|."""
-    _check_base(base)
+    _check_base(base, "seco")
     _require_nondegenerate(taxonomy, "seco")
     log_n = _log(len(taxonomy.class_ids), base)
     counts = taxonomy.descendant_counts()
@@ -308,6 +308,7 @@ def zhou_ic(taxonomy: TaxonomyView, k: float = 0.6, base: float | None = None) -
     """
     if not 0.0 <= k <= 1.0:
         raise UsageError("zhou contribution factor k must be in [0, 1]")
+    _check_base(base, "zhou")
     _require_nondegenerate(taxonomy, "zhou")
     seco = seco_ic(taxonomy, base)
     depth_part = nonlinear_depth_theta(taxonomy, base)
@@ -320,7 +321,7 @@ def zhou_ic(taxonomy: TaxonomyView, k: float = 0.6, base: float | None = None) -
 def resnik_intrinsic_ic(taxonomy: TaxonomyView, base: float | None = None) -> ThetaEstimator:
     """Extrinsic Resnik IC under the convention that every class carries
     exactly one direct pseudo-instance, so p(c) = |D(c)| / |C|."""
-    _check_base(base)
+    _check_base(base, "resnik_intrinsic")
     _require_nondegenerate(taxonomy, "resnik_intrinsic")
     n = len(taxonomy.class_ids)
     counts = taxonomy.descendant_counts()
@@ -330,7 +331,7 @@ def resnik_intrinsic_ic(taxonomy: TaxonomyView, base: float | None = None) -> Th
 
 def sanchez_leaves_ic(taxonomy: TaxonomyView, base: float | None = None) -> ThetaEstimator:
     """Leaf-count IC: -log(|leaves subsumed by c| / |leaves|)."""
-    _check_base(base)
+    _check_base(base, "sanchez")
     n_leaves = len(taxonomy.leaves)
     counts = taxonomy.descendant_counts(taxonomy.leaves)
     table = {c: _log(n_leaves, base) - _log(counts[c], base) for c in taxonomy.class_ids}
@@ -340,7 +341,7 @@ def sanchez_leaves_ic(taxonomy: TaxonomyView, base: float | None = None) -> Thet
 def sanchez_refined_ic(taxonomy: TaxonomyView, base: float | None = None) -> ThetaEstimator:
     """Leaf-count IC corrected by the number of subsumers:
     -log((leaves(c)/|A(c)| + 1) / (|leaves| + 1))."""
-    _check_base(base)
+    _check_base(base, "sanchez_refined")
     n_leaves = len(taxonomy.leaves)
     counts = taxonomy.descendant_counts(taxonomy.leaves)
     table = {}
@@ -350,8 +351,8 @@ def sanchez_refined_ic(taxonomy: TaxonomyView, base: float | None = None) -> The
     return ThetaEstimator("sanchez_refined", taxonomy, table)
 
 
-def _extrinsic_table(taxonomy, usage, smooth, base):
-    _check_base(base)
+def _extrinsic(kind, taxonomy, usage, smooth, base):
+    _check_base(base, kind)
     total = usage.total + (len(taxonomy.class_ids) if smooth else 0)
     # smoothing adds one pseudo-instance per class: |D(c)| more for c
     pseudo = taxonomy.descendant_counts() if smooth else None
@@ -359,7 +360,7 @@ def _extrinsic_table(taxonomy, usage, smooth, base):
     for c in taxonomy.class_ids:
         count = usage.count(c) + (pseudo[c] if smooth else 0)
         table[c] = math.inf if count == 0 else _log(total, base) - _log(count, base)
-    return table
+    return ThetaEstimator(kind, taxonomy, table, {"smooth": smooth})
 
 
 def resnik_extrinsic_ic(
@@ -373,8 +374,7 @@ def resnik_extrinsic_ic(
     Smoothing adds one pseudo-instance per class before propagation, which
     keeps deep unused classes finite.
     """
-    table = _extrinsic_table(taxonomy, usage, smooth, base)
-    return ThetaEstimator("resnik", taxonomy, table, {"smooth": smooth})
+    return _extrinsic("resnik", taxonomy, usage, smooth, base)
 
 
 def idf_theta(
@@ -385,8 +385,7 @@ def idf_theta(
 ) -> ThetaEstimator:
     """Inverse document frequency, log(|I| / |I(c)|); identical to the
     extrinsic Resnik IC and kept as its own kind for that assertion."""
-    table = _extrinsic_table(taxonomy, usage, smooth, base)
-    return ThetaEstimator("idf", taxonomy, table, {"smooth": smooth})
+    return _extrinsic("idf", taxonomy, usage, smooth, base)
 
 
 def validate_monotonicity(estimator: ThetaEstimator) -> list[tuple[NodeId, NodeId]]:
@@ -413,9 +412,9 @@ def connotation_weight(estimator: ThetaEstimator, u: NodeId, v: NodeId) -> float
 # extrinsic kinds read class usage
 EXTRINSIC = ("resnik", "idf")
 
-# every kind that takes logs declares their base (the builders also refuse
-# base 1); the extrinsic kinds declare add-one smoothing, off (0) or on (1)
-_LOG = {"base": ParamSpec(math.e, above=0)}
+# every kind that takes logs declares their base, which its builder checks by
+# _check_base; the extrinsic kinds declare add-one smoothing, off (0) or on (1)
+_LOG = {"base": ParamSpec(math.e)}
 _SMOOTHED_LOG = {"smooth": ParamSpec(0.0, choices=(0.0, 1.0)), **_LOG}
 
 # kind -> (build(taxonomy, usage, **params), its parameters)

@@ -105,6 +105,22 @@ class TestSim:
         assert "redundant" in captured.err
         assert captured.out == ""
 
+    def test_unknown_class_is_named_on_a_redundant_graph(self, tmp_path, capsys):
+        # classes resolve before the measure scores, so a path measure on an
+        # unreduced view names the unknown class of the first pair
+        graph = tmp_path / "g.tsv"
+        graph.write_text(TOY + "E\tsubClassOf\troot\n")
+        pairs = tmp_path / "p.tsv"
+        pairs.write_text("E\tghost\nE\tD\n")
+        code = main(
+            ["sim", "--measure", "rada", "--graph", str(graph), "--pairs", str(pairs)]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.count("\n") == 1 and "ghost" in captured.err
+        assert "redundant" not in captured.err
+        assert captured.out == ""
+
     def test_outputs_identical_across_runs(self, toy_file, pairs_file, tmp_path):
         outputs = []
         for i in range(2):
@@ -558,6 +574,15 @@ class TestRel:
         assert code == 0
         assert out.strip() == "Cat\tMouse\t2"
 
+    def test_wsp_unreachable_pair(self, tmp_path, capsys):
+        graph = tmp_path / "g.tsv"
+        graph.write_text("a\trel\tb\t4\nc\trel\td\n")
+        pairs = tmp_path / "p.tsv"
+        pairs.write_text("a\tc\na\tb\n")
+        code = main(["rel", "--method", "wsp", "--graph", str(graph), "--pairs", str(pairs)])
+        assert code == 0
+        assert capsys.readouterr().out == "a\tc\tunreachable\na\tb\t4\n"
+
     @pytest.mark.parametrize("existing", [None, "old results\n"])
     def test_wsp_overflow_is_data_error(self, tmp_path, capsys, existing):
         graph = tmp_path / "g.tsv"
@@ -678,6 +703,25 @@ class TestBench:
         )
         assert code == 0
         assert kinds == ["seco", "zhou"]
+
+    def test_all_pairs_skipped_on_a_redundant_graph(self, tmp_path, capsys):
+        # no pair is scored, so a path measure on an unreduced view raises
+        # nothing and the report counts every pair as skipped
+        graph = tmp_path / "g.tsv"
+        graph.write_text(TOY + "E\tsubClassOf\troot\n")
+        mapping = tmp_path / "map.tsv"
+        mapping.write_text("cat\tE\n")
+        dataset = tmp_path / "ratings.tsv"
+        dataset.write_text("owl\tdog\t3.0\nbird\tfish\t1.0\n")
+        out = tmp_path / "report.csv"
+        code = main(
+            ["bench", "--graph", str(graph), "--mapping", str(mapping),
+             "--dataset", str(dataset), "--measures", "rada,wu_palmer", "--out", str(out)]
+        )
+        assert code == 0
+        assert out.read_text() == (
+            "measure,n_scored,n_skipped,pearson,spearman\nrada,0,2,,\nwu_palmer,0,2,,\n"
+        )
 
     def test_dataset_kind_validation(self, toy_file, tmp_path, capsys):
         mapping = tmp_path / "map.tsv"

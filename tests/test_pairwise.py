@@ -783,6 +783,86 @@ class TestScoreMatrix:
             assert smx.score_matrix(spec, t, [u], [v])[0][0].value == value
 
 
+def _scored(score, u, v):
+    """The fields of score(u, v), or the type and message of the SmxError it
+    raised."""
+    try:
+        return _cell_fields(score(u, v))
+    except SmxError as exc:
+        return type(exc), str(exc)
+
+
+class TestPairScorer:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        reduce=st.booleans(),
+        allow_unreduced=st.booleans(),
+        tied_theta=st.booleans(),
+        unknown=st.booleans(),
+    )
+    def test_equals_eval_pairwise_on_a_pair_list(
+        self, seed, reduce, allow_unreduced, tied_theta, unknown
+    ):
+        # one scorer per spec over a list with repeated pairs, so each pair
+        # after a failing one meets caches that earlier pairs filled
+        rng = random.Random(seed)
+        t, _ = random_taxonomy(rng, max_nodes=30, multi=0.6)
+        if reduce:
+            t, _ = smx.transitive_reduction(t)
+        classes = sorted(t.class_ids)
+        assignments = {
+            f"i{k}": frozenset(rng.sample(classes, rng.randint(1, 2)))
+            for k in range(rng.randint(1, 4))
+        }
+        usage = smx.class_usage(t, smx.AnnotationSet(assignments))
+        if tied_theta:
+            values = (0.0, 1.0, 2.0, math.inf)
+            theta = smx.ThetaEstimator.from_table(t, {c: rng.choice(values) for c in classes})
+        else:
+            theta = smx.resnik_extrinsic_ic(t, usage)
+        pool = classes + [-1] if unknown else classes
+        pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(24)]
+        configs = [(name, {}) for name in sorted(MEASURES)] + [("slimani", {"lam": 0.0})]
+        for name, params in configs:
+            info = MEASURES[name]
+            spec = smx.pairwise_measure(
+                name,
+                theta=theta if info.needs_theta else None,
+                usage=usage if info.needs_usage else None,
+                **params,
+            )
+            score = smx.pair_scorer(spec, t, allow_unreduced)
+            direct = lambda u, v: smx.eval_pairwise(spec, t, u, v, allow_unreduced)
+            for u, v in pairs:
+                assert _scored(score, u, v) == _scored(direct, u, v), (name, u, v)
+
+    def test_blocked_spec_raises_when_called(self, chain_with_skip):
+        t = chain_with_skip
+        c0, c1 = t.node("c0"), t.node("c1")
+        for name in sorted(MEASURES):
+            if not MEASURES[name].path_based:
+                continue
+            spec = smx.pairwise_measure(name, theta=smx.seco_ic(t))
+            score = smx.pair_scorer(spec, t)  # building raises nothing
+            for u, v in ((c0, c1), (c0, -1), (-1, c1)):
+                got = _scored(score, u, v)
+                assert got[0] is RedundancyError, name
+                assert got == _scored(lambda u, v: smx.eval_pairwise(spec, t, u, v), u, v)
+            assert smx.pair_scorer(spec, t, allow_unreduced=True)(c0, c1)
+
+    def test_unknown_class_is_named_as_eval_pairwise_names_it(self, toy, toy_seco):
+        e = toy.node("E")
+        for name in ("lin", "wu_palmer", "rada"):
+            spec = smx.pairwise_measure(name, theta=toy_seco)
+            score = smx.pair_scorer(spec, toy)
+            direct = lambda u, v: smx.eval_pairwise(spec, toy, u, v)
+            for u, v in ((e, -1), (-1, e), (-2, -1)):
+                assert _scored(score, u, v) == _scored(direct, u, v)
+                assert _scored(score, u, v)[0] is UnknownNodeError
+            assert score(e, e) == smx.eval_pairwise(spec, toy, e, e)
+
+
 def _plain_members(t, annotations):
     """{class: the instances with an annotated class at or below it}."""
     return {

@@ -320,7 +320,7 @@ class TestAdjacency:
         serialize = smx.ingest.serialize_graph
         monkeypatch.setattr(
             smx.ingest, "serialize_graph",
-            lambda graph, stream=None: serialized.append(graph) or serialize(graph, stream),
+            lambda graph: serialized.append(graph) or serialize(graph),
         )
         path = tmp_path / "g.tsv"
         path.write_text(self.TEXT)
