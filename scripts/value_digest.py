@@ -35,6 +35,20 @@ the DAG before and after the transitive reduction, the removed-edge report
 as `smx preprocess` writes it, and the adjacency tables and serialization
 of a weighted relational graph whose node labels are not in sorted order.
 
+The relatedness section runs on its own fixed-seed weighted relational
+graph: a directed ring with random chords under three predicates, most of
+them stated both ways, edge weights that include 0, and a separate small
+component. It prints the weighted shortest path of every pair under the
+uniform scheme and under one that costs a predicate 0, the sha256 of the
+SimRank table's bytes with its per-iteration deltas, and commute times on
+fixed pairs, both of the whole graph (a reducible walk) and of the ring
+alone (an irreducible one):
+
+    wsp <scheme> <u> <v>: <float.hex | None | SmxError class name>
+    simrank: sha256 <hex digest of the table> iterations=<k>
+    simrank delta <i>: <float.hex>
+    commute <graph> <u> <v>: <float.hex | SmxError class name>
+
 Usage: PYTHONPATH=src python scripts/value_digest.py > digest.txt
 """
 
@@ -47,10 +61,13 @@ from smx import (
     MEASURES,
     AnnotationSet,
     Commonality,
+    PredicateWeightScheme,
     SemanticGraph,
+    TransitionModel,
     abstract_form,
     build_estimator,
     class_usage,
+    commute_time,
     depth_theta,
     eval_abstract,
     eval_groupwise,
@@ -62,8 +79,10 @@ from smx import (
     parse_graph,
     seco_ic,
     serialize_graph,
+    simrank,
     taxonomic_reduction,
     transitive_reduction,
+    weighted_shortest_path,
 )
 from smx.errors import SmxError
 from smx.groupwise import STRATEGIES
@@ -166,6 +185,59 @@ def serializer_lines(graph, rng):
     ]
 
 
+def value_or_error(evaluate):
+    try:
+        value = evaluate()
+    except SmxError as exc:
+        return type(exc).__name__
+    return "None" if value is None else value.hex()
+
+
+def relatedness_lines():
+    rng = random.Random(SEED + 1)
+    ring, extra = 100, 8
+    predicates = ("partOf", "hunts", "eats")
+    weights = {(i, "partOf", (i + 1) % ring): rng.choice((0.5, 1.0, 2.5)) for i in range(ring)}
+    for _ in range(2 * ring):
+        a, b = rng.randrange(ring), rng.randrange(ring)
+        edge = (a, rng.choice(predicates), b)
+        weights.setdefault(edge, rng.choice((0.0, 0.5, 1.0, 2.5, 1e-3)))
+        if rng.random() < 0.7:
+            weights.setdefault((b, edge[1], a), weights[edge])
+    ring_weights = dict(weights)
+    for i in range(ring, ring + extra - 1):
+        weights[i, "eats", i + 1] = rng.choice((0.0, 1.0, 2.5))
+    names = [f"r{k}" for k in range(ring + extra)]
+    graph_of = lambda table, n: SemanticGraph(
+        names[:n], (), range(n), predicates, sorted(table), table
+    )
+    graph, ring_graph = graph_of(weights, ring + extra), graph_of(ring_weights, ring)
+
+    uniform = PredicateWeightScheme()
+    schemes = [
+        ("uniform", uniform),
+        ("free-partOf", PredicateWeightScheme({"partOf": 0.0, "hunts": 2.5}, default=0.75)),
+    ]
+    out = []
+    for name, scheme in schemes:
+        for u in range(graph.n_nodes):
+            for v in range(u + 1, graph.n_nodes):
+                cost = value_or_error(lambda: weighted_shortest_path(graph, scheme, u, v))
+                out.append(f"wsp {name} {names[u]} {names[v]}: {cost}")
+    scores = simrank(graph, iterations=40)
+    table = hashlib.sha256(scores.as_array().tobytes()).hexdigest()
+    out.append(f"simrank: sha256 {table} iterations={scores.iterations}")
+    out += [f"simrank delta {i}: {delta.hex()}" for i, delta in enumerate(scores.deltas)]
+    pairs = [(rng.randrange(ring), rng.randrange(ring + extra)) for _ in range(30)]
+    for name, g in (("whole", graph), ("ring", ring_graph)):
+        model = TransitionModel.from_graph(g, uniform)
+        for u, v in pairs:
+            if v < g.n_nodes:
+                time = value_or_error(lambda: commute_time(model, u, v))
+                out.append(f"commute {name} {names[u]} {names[v]}: {time}")
+    return out
+
+
 def main():
     rng = random.Random(SEED)
     graph = parse_graph(synth_graph_lines(2_000, rng).encode())
@@ -217,6 +289,7 @@ def main():
     out += estimator_lines(t, usage)
     out += symmetry_lines(theta, usage)
     out += serializer_lines(graph, rng)
+    out += relatedness_lines()
     print("\n".join(out))
 
 

@@ -2,8 +2,9 @@
 them with configured measures, and report Pearson and Spearman
 correlations against the human ratings.
 
-Pairs with an unmappable word are skipped, never zero-filled; the report
-carries the skip count so coverage differences stay visible.
+Pairs with an unmappable word, or with no sense pair on which the measure
+is defined, are skipped, never zero-filled; the report carries the skip
+count so coverage differences stay visible, and the log gives it by reason.
 """
 
 from __future__ import annotations
@@ -11,10 +12,11 @@ from __future__ import annotations
 import csv
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import IO, Mapping, Sequence
 
-from .errors import ParseError, UndefinedCorrelationError
+from .errors import InfiniteICError, ParseError, UndefinedCorrelationError, UsageError
 from .graph import NodeId, TaxonomyView
 from .ingest import RatedPairSet, parse_rated_pairs
 from .pairwise import (
@@ -52,7 +54,10 @@ class ScoredPair:
     word_a: str
     word_b: str
     rating: float
-    score: float | None  # None marks a skipped (unmappable) pair
+    score: float | None  # None marks a skipped pair
+    # why it was skipped: "unmapped", or the error that left every sense
+    # pair undefined (the first one met)
+    skipped: str | None = None
 
 
 def score_pairs(
@@ -64,9 +69,12 @@ def score_pairs(
 ) -> list[ScoredPair]:
     """Score every rated pair; the best class-pair score wins per word pair.
 
-    Distance-polarity measures are converted to similarities through the
-    reciprocal rule first, otherwise the winning class pair and the
-    correlation sign would both invert.
+    A sense pair whose measure is undefined at one of its classes (a class
+    without instances, or an infinite theta) takes no part in the best; a
+    word pair left with no defined sense pair is skipped. Any other error
+    fails the call. Distance-polarity measures are converted to
+    similarities through the reciprocal rule first, otherwise the winning
+    class pair and the correlation sign would both invert.
     """
     to_similarity = spec.info.polarity is Polarity.DISTANCE
     if to_similarity:
@@ -82,14 +90,23 @@ def score_pairs(
             mv = convert(mv, Polarity.SIMILARITY, ConversionRule.RECIPROCAL)
         return mv.value
 
-    def best(word_a: str, word_b: str) -> float | None:
+    def scored(word_a: str, word_b: str, rating: float) -> ScoredPair:
         senses_a = mapping.get(word_a)
         senses_b = mapping.get(word_b)
         if not senses_a or not senses_b:
-            return None
-        return max(score(ca, cb) for ca in sorted(senses_a) for cb in sorted(senses_b))
+            return ScoredPair(word_a, word_b, rating, None, "unmapped")
+        defined, undefined = [], None
+        for ca in sorted(senses_a):
+            for cb in sorted(senses_b):
+                try:
+                    defined.append(score(ca, cb))
+                except (UsageError, InfiniteICError) as exc:
+                    undefined = undefined or type(exc).__name__
+        if not defined:
+            return ScoredPair(word_a, word_b, rating, None, undefined)
+        return ScoredPair(word_a, word_b, rating, max(defined))
 
-    return [ScoredPair(a, b, rating, best(a, b)) for a, b, rating in dataset.pairs]
+    return [scored(a, b, rating) for a, b, rating in dataset.pairs]
 
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -158,13 +175,21 @@ def run_benchmark(
     taxonomy: TaxonomyView,
     allow_unreduced: bool = False,
 ) -> BenchmarkRun:
-    """Score the dataset under every configured measure and correlate."""
+    """Score the dataset under every configured measure and correlate.
+
+    A measure that skips pairs logs one line with the counts by reason."""
     rows = []
     for label, spec in measures:
         scored = score_pairs(dataset, mapping, spec, taxonomy, allow_unreduced=allow_unreduced)
         kept = [(p.score, p.rating) for p in scored if p.score is not None]
         n_scored = len(kept)
         n_skipped = len(scored) - n_scored
+        if n_skipped:
+            reasons = Counter(p.skipped for p in scored if p.score is None)
+            counts = ", ".join(f"{reason} {n}" for reason, n in sorted(reasons.items()))
+            log.info(
+                "measure %s: skipped %d of %d pairs (%s)", label, n_skipped, len(scored), counts
+            )
         try:
             r = pearson([s for s, _ in kept], [r for _, r in kept])
             rho = spearman([s for s, _ in kept], [r for _, r in kept])

@@ -269,15 +269,15 @@ def _eval_jaccard_ext(spec, t, u, v):
     return _sim(shared / (nu + nv - shared))
 
 
-def _least_used_ancestor(spec, t, u, v):
-    """The extensionally most informative common ancestor."""
-    return min(t.common_ancestors(u, v), key=lambda c: (spec.usage.count(c), t.label(c)))
+def _extension_counts(spec, t, u, v):
+    """|I(u)|, |I(v)| and |I(a)|, none of them 0, for a the least-used
+    (extensionally most informative) common ancestor of u and v."""
+    a = min(t.common_ancestors(u, v), key=lambda c: (spec.usage.count(c), t.label(c)))
+    return _count(spec, t, u), _count(spec, t, v), _count(spec, t, a)
 
 
-def _eval_damato_ext(spec, t, u, v, a=None):
-    nu = _count(spec, t, u)
-    nv = _count(spec, t, v)
-    na = _count(spec, t, _least_used_ancestor(spec, t, u, v) if a is None else a)
+def _eval_damato_ext(spec, t, u, v, counts=None):
+    nu, nv, na = counts or _extension_counts(spec, t, u, v)
     ratio = min(nu, nv) / na
     return _sim(ratio * (1.0 - na / spec.usage.total) * (1.0 - ratio))
 
@@ -414,7 +414,7 @@ MEASURES: dict[str, MeasureInfo] = {
     "tversky_contrast": _form_row("ancestor_counts", "contrast"),
     "jaccard_ext": MeasureInfo(SIM, True, needs_usage=True, ioi=True, evaluate=_eval_jaccard_ext),
     "damato_ext": MeasureInfo(
-        SIM, True, needs_usage=True, evaluate=_eval_damato_ext, anchor=_least_used_ancestor
+        SIM, True, needs_usage=True, evaluate=_eval_damato_ext, anchor=_extension_counts
     ),
     # hybrid
     "jc_hybrid": MeasureInfo(
@@ -501,14 +501,20 @@ def _matrix_depth_triple(spec, t):
     return triple
 
 
+def _matrix_extension_counts(spec, t):
+    usage_count, labels = spec.usage.count, t._labels
+    # the cache keeps counts only, so a zero count raises again on every call
+    count = functools.cache(lambda c: _count(spec, t, c))
+    least_used = _first_common(t, lambda c: (usage_count(c), labels[c]))
+    return lambda u, v: (count(u), count(v), count(least_used(u, v)))
+
+
 # a pair feature or anchor -> (spec, taxonomy) -> its (u, v) function for one
 # pair scorer, equal to the scalar one on every pair
 _BATCHED = {
     _mica: _matrix_mica,
     _depth_triple: _matrix_depth_triple,
-    _least_used_ancestor: lambda spec, t: _first_common(
-        t, lambda c: (spec.usage.count(c), t._labels[c])
-    ),
+    _extension_counts: _matrix_extension_counts,
 }
 
 
@@ -518,8 +524,8 @@ def pair_scorer(
     """(u, v) -> eval_pairwise(spec, taxonomy, u, v, allow_unreduced), errors
     included, for a batch of pairs. It keeps per-class work for its life: each
     class's anchor key (theta, depth or usage count, then label) is computed
-    on first read and each theta read that succeeds is cached, at most one
-    entry per class."""
+    on first read and each theta read or instance count that succeeds is
+    cached, at most one entry per class."""
     t, info = taxonomy, spec.info
     if info.path_based and not t.is_reduced and not allow_unreduced:
         return functools.partial(_refuse_unreduced, spec, t)

@@ -73,17 +73,26 @@ def weighted_shortest_path(
     the side whose heap top is smaller. mu, the least sum of a node's two
     labels over the nodes both sides have labelled, is updated whenever a
     label drops, and is final once the two heap tops sum to at least mu.
-    Costs are >= 0, so that stop is exact, and a settled node's label never
-    drops again. The searches usually meet long before either one settles
-    the other endpoint, but the worst case stays O(E log n) per query. The
-    forward search starts from min(u, v), so wsp(u, v) and wsp(v, u) are
-    the same computation, bit for bit.
+    Costs are >= 0, so that stop is exact. The searches usually meet long
+    before either one reaches the other endpoint, but the worst case stays
+    O(E log n) per query. The forward search starts from min(u, v), so
+    wsp(u, v) and wsp(v, u) are the same computation, bit for bit.
 
-    A settled node relaxes its row of the graph's neighbour table (see
-    SemanticGraph._neighbours), which lists each distinct (neighbor,
-    predicate, weight) of its out and in edges once. A reciprocal edge
-    pair under one predicate and weight is so relaxed once; its second
-    copy could never lower the label the first one set.
+    A relaxed label that lowers a node's label is first checked against
+    the other side (the meeting check above), then dropped, neither stored
+    nor pushed, when it plus the other side's heap top, as read at the start
+    of the iteration, is at least mu. That drop is exact in floats: heap
+    tops only rise, mu only falls and float addition is monotone, so the
+    dropped entry would have met the stop test before it was popped, and
+    any meeting sum through it is at least mu already. Labels are stored
+    only when pushed, so a popped entry is stale exactly when it is above
+    its node's label.
+
+    A popped entry that is not stale relaxes its node's row of the graph's
+    neighbour table (see SemanticGraph._neighbours), which lists each
+    distinct (neighbor, predicate, weight) of its out and in edges once. A
+    reciprocal edge pair under one predicate and weight is so relaxed once;
+    its second copy could never lower the label the first one set.
     """
     if not (0 <= u < graph.n_nodes and 0 <= v < graph.n_nodes):
         raise UnknownNodeError("endpoint is not a node of the graph")
@@ -94,12 +103,11 @@ def weighted_shortest_path(
     heappop, heappush, inf = heapq.heappop, heapq.heappush, math.inf
     source, target = min(u, v), max(u, v)
     dist = ({source: 0.0}, {target: 0.0})
-    done = (set(), set())
     heaps = ([(0.0, source)], [(0.0, target)])
     best = inf
     while True:
         # a stale top still bounds the live keys from below, so the stop
-        # test stays exact without purging settled entries first
+        # test stays exact without purging stale entries first
         top_f = heaps[0][0][0] if heaps[0] else inf
         top_b = heaps[1][0][0] if heaps[1] else inf
         if top_f + top_b >= best:
@@ -109,19 +117,21 @@ def weighted_shortest_path(
                     "costs more than the largest float"
                 )
             return None if best == inf else best
-        side = 0 if top_f <= top_b else 1
-        heap, mine, theirs, settled = heaps[side], dist[side], dist[1 - side], done[side]
+        if top_f <= top_b:
+            heap, mine, theirs, their_top = heaps[0], dist[0], dist[1], top_b
+        else:
+            heap, mine, theirs, their_top = heaps[1], dist[1], dist[0], top_f
         d, node = heappop(heap)
-        if node in settled:
+        if d > mine[node]:
             continue
-        settled.add(node)
         for other, predicate, weight in neighbours[node]:
             nd = d + costs[predicate] * weight
             if nd < mine.get(other, inf):
-                mine[other] = nd
                 if other in theirs and nd + theirs[other] < best:
                     best = nd + theirs[other]
-                heappush(heap, (nd, other))
+                if nd + their_top < best:
+                    mine[other] = nd
+                    heappush(heap, (nd, other))
 
 
 class TransitionModel:
@@ -374,11 +384,20 @@ _BLOCK = 1 << 18  # floats per gathered block of rows
 
 
 def _average_in_neighbors(table, slots, scale, out, spare):
-    """out[i] = scale[i] * sum of table[j] over the in-neighbors j of row i,
-    gathered one slot at a time in blocks of spare's rows."""
-    out.fill(0.0)
+    """out[i] = scale[i] * sum of table[j] over the in-neighbors j of row i.
+
+    The first slot, which covers every row with an in-neighbor, is gathered
+    straight into out and the rows past it are zeroed; the later slots are
+    added in blocks of spare's rows. Scores are >= 0, so starting from the
+    first slot's rows instead of 0 + them moves no bit."""
+    if not slots:
+        out.fill(0.0)
+        return
+    first = slots[0]
+    table.take(first, axis=0, out=out[: len(first)], mode="clip")
+    out[len(first) :] = 0.0
     rows = len(spare)
-    for slot in slots:
+    for slot in slots[1:]:
         for start in range(0, len(slot), rows):
             chunk = slot[start : start + rows]
             block = spare[: len(chunk)]

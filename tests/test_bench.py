@@ -97,6 +97,20 @@ class TestScorePairs:
         assert scored[0].score is not None
         assert scored[1].score is None
 
+    def test_undefined_sense_pairs_drop_out_of_the_best(self, toy, toy_graph):
+        # D has no instances: a sense pair at D is undefined, not a failure
+        annotations = smx.parse_annotations(stream("i1\tE\ni3\tF\ni4\tC\n"), toy_graph)
+        spec = smx.pairwise_measure("damato_ext", usage=smx.class_usage(toy, annotations))
+        dataset = smx.parse_rated_pairs(stream("mouse\trat\t3\nmole\trat\t1\nghost\trat\t2\n"))
+        mapping = smx.parse_word_mapping(
+            stream("mouse\tD;F\nmole\tD\nrat\tC\n"), toy_graph
+        ).words
+        scored = smx.score_pairs(dataset, mapping, spec, toy)
+        defined = smx.eval_pairwise(spec, toy, toy.node("F"), toy.node("C")).value
+        assert [(p.score, p.skipped) for p in scored] == [
+            (defined, None), (None, "UsageError"), (None, "unmapped")
+        ]
+
     def test_distance_measure_converted_with_notice(self, toy, toy_graph, toy_seco, caplog):
         dataset = smx.parse_rated_pairs(stream("x\ty\t3\n"))
         mapping = smx.parse_word_mapping(stream("x\tE\ny\tD\n"), toy_graph).words

@@ -723,6 +723,72 @@ class TestBench:
             "measure,n_scored,n_skipped,pearson,spearman\nrada,0,2,,\nwu_palmer,0,2,,\n"
         )
 
+    @pytest.mark.parametrize(
+        "measures, lin_row, reasons",
+        [
+            ("lin:ic=seco,damato_ext", "lin:ic=seco,3,0,0.866025,0.866025",
+             ["measure damato_ext: skipped 2 of 3 pairs (UsageError 2)"]),
+            ("lin:ic=resnik,jaccard_ext", "lin:ic=resnik,1,2,,",
+             ["measure lin:ic=resnik: skipped 2 of 3 pairs (InfiniteICError 2)",
+              "measure jaccard_ext: skipped 2 of 3 pairs (UsageError 2)"]),
+        ],
+    )
+    def test_undefined_sense_pair_is_skipped_and_counted(
+        self, toy_file, tmp_path, capsys, caplog, measures, lin_row, reasons
+    ):
+        # D has no instances, so an extensional measure or an extrinsic
+        # theta is undefined on every pair with dog, and only on those
+        (tmp_path / "ann.tsv").write_text("i1\tE\ni3\tF\n")
+        (tmp_path / "map.tsv").write_text("cat\tE\ndog\tD\nbird\tF\n")
+        (tmp_path / "ratings.tsv").write_text("cat\tdog\t3.0\ncat\tbird\t1.0\ndog\tbird\t2.0\n")
+        with caplog.at_level("INFO", logger="smx"):
+            code = main(
+                ["bench", "--graph", toy_file, "--mapping", str(tmp_path / "map.tsv"),
+                 "--dataset", str(tmp_path / "ratings.tsv"),
+                 "--annotations", str(tmp_path / "ann.tsv"), "--measures", measures]
+            )
+        assert code == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[1] == lin_row
+        assert rows[2].endswith(",1,2,,")
+        assert [m for m in caplog.messages if "skipped" in m] == reasons
+
+    def test_fully_defined_run_is_unchanged(self, toy_file, tmp_path, capsys):
+        # every sense pair is defined: the report is the one written before
+        # undefined sense pairs were skipped
+        (tmp_path / "ann.tsv").write_text("i1\tE\ni2\tD\ni3\tF\ni4\tD,E\n")
+        (tmp_path / "map.tsv").write_text("cat\tE\ndog\tD\nbird\tF;E\n")
+        (tmp_path / "ratings.tsv").write_text(
+            "cat\tdog\t3.0\ncat\tbird\t1.0\ndog\tbird\t2.0\ncat\tghost\t2.5\n"
+            "bird\tbird\t4.0\ndog\tcat\t0.5\n"
+        )
+        code = main(
+            ["bench", "--graph", toy_file, "--mapping", str(tmp_path / "map.tsv"),
+             "--dataset", str(tmp_path / "ratings.tsv"),
+             "--annotations", str(tmp_path / "ann.tsv"),
+             "--measures", "lin:ic=resnik,damato_ext,jaccard_ext,wupalmer"]
+        )
+        assert code == 0
+        assert capsys.readouterr().out == (
+            "measure,n_scored,n_skipped,pearson,spearman\n"
+            "lin:ic=resnik,5,1,0.255031,0.288675\n"
+            "damato_ext,5,1,-0.255031,-0.288675\n"
+            "jaccard_ext,5,1,0.255031,0.288675\n"
+            "wupalmer,5,1,0.255031,0.288675\n"
+        )
+
+    def test_contract_error_still_fails_the_run(self, tmp_path, capsys):
+        graph = tmp_path / "g.tsv"
+        graph.write_text(TOY + "E\tsubClassOf\troot\n")
+        (tmp_path / "map.tsv").write_text("cat\tE\ndog\tD\n")
+        (tmp_path / "ratings.tsv").write_text("cat\tdog\t3.0\n")
+        code = main(
+            ["bench", "--graph", str(graph), "--mapping", str(tmp_path / "map.tsv"),
+             "--dataset", str(tmp_path / "ratings.tsv"), "--measures", "rada"]
+        )
+        assert code == 2
+        assert "redundant" in capsys.readouterr().err
+
     def test_dataset_kind_validation(self, toy_file, tmp_path, capsys):
         mapping = tmp_path / "map.tsv"
         mapping.write_text("cat\tE\ndog\tD\n")

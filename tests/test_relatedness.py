@@ -134,6 +134,27 @@ def random_wsp_graph(rng, max_nodes=14, reciprocal=False):
     )
 
 
+def chorded_ring(rng, reciprocal=False):
+    """A few hundred nodes on an undirected ring under one predicate, plus
+    random chords under three, so most pairs lie far apart on the ring and
+    the two frontiers of a search grow large before they meet. Weights
+    include 0; with reciprocal, most chords also get their reverse under
+    the same predicate and weight."""
+    n = rng.randint(200, 400)
+    weight = lambda: rng.choice((0.0, 0.1, 0.3, 1.0, 2.7, 7.0))
+    weights = {(i, "p", (i + 1) % n): weight() for i in range(n)}
+    for _ in range(rng.randint(n // 8, n)):
+        a, b = rng.randrange(n), rng.randrange(n)
+        edge = (a, rng.choice("pqr"), b)
+        weights.setdefault(edge, weight())
+        if reciprocal and rng.random() < 0.7:
+            weights.setdefault((b, edge[1], a), weights[edge])
+    return smx.SemanticGraph(
+        labels=[f"v{i}" for i in range(n)], classes=(), instances=range(n),
+        predicates="pqr", edges=weights, edge_weights=weights,
+    )
+
+
 def ring(n, closed=True):
     edges = [(i, "next", (i + 1) % n) for i in range(n if closed else n - 1)]
     return smx.SemanticGraph(
@@ -239,6 +260,23 @@ class TestWeightedShortestPath:
                 got = smx.weighted_shortest_path(g, scheme, u, v)
                 expected = two_table_wsp(g, scheme, u, v)
                 assert (got is None and expected is None) or got == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), reciprocal=st.booleans())
+    def test_bit_identical_to_two_table_search_on_a_large_graph(self, seed, reciprocal):
+        # labels are dropped mostly once the two frontiers are far apart,
+        # which takes a larger graph than the random ones above
+        rng = random.Random(seed)
+        g = chorded_ring(rng, reciprocal)
+        scheme = smx.PredicateWeightScheme(
+            weights={p: rng.choice((0.0, 0.25, 1.0, 1.3, 4.0)) for p in "pq"},
+            default=rng.choice((0.0, 1.0, 0.7)),
+        )
+        for _ in range(25):
+            u, v = rng.randrange(g.n_nodes), rng.randrange(g.n_nodes)
+            got = smx.weighted_shortest_path(g, scheme, u, v)
+            assert got == two_table_wsp(g, scheme, u, v)
+            assert got == smx.weighted_shortest_path(g, scheme, v, u)
 
 
 class TestOverflowingCost:
