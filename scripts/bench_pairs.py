@@ -2,8 +2,9 @@
 """Measure a change against an earlier commit in alternating pairs of runs.
 
 Exports the tree of <parent-rev> with `git archive` into a temporary
-directory, then runs `perfbench/run.py --workload W --trace 0` N times in
-each tree: the parent's tree against the working tree of this checkout.
+directory, then runs `perfbench/run.py --workload W --seed S --trace 0` N
+times in each tree: the parent's tree against the working tree of this
+checkout.
 Pair i runs the parent first when i is odd and the change first when it
 is even, so drift on the machine lands on both sides alike. Each tree runs
 its own perfbench and its own src/, both compiled to bytecode before the
@@ -17,6 +18,10 @@ medians in percent, and in how many pairs the change did better, in the
 metric's direction from BENCHMARK.json.
 
     python3 scripts/bench_pairs.py HEAD --workload pairs-uniform --pairs 6
+
+--seed (default perfbench's, 20240210) sets the workload seed of both
+trees, so a claim can be checked again on a seed not used while writing
+the change.
 
 Exits 1 when a run reports a wrong output and 2 when a run cannot complete.
 """
@@ -50,10 +55,10 @@ def compile_tree(tree: Path) -> None:
                    cwd=tree, stdout=subprocess.DEVNULL, check=True)
 
 
-def run(tree: Path, workload: str) -> tuple[int, dict]:
+def run(tree: Path, workload: str, seed: int) -> tuple[int, dict]:
     """(exit status, end-to-end metrics) of one untraced run in tree."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
-            "--seed", str(DEFAULT_SEED), "--trace", "0"]
+            "--seed", str(seed), "--trace", "0"]
     proc = subprocess.run(argv, cwd=tree, stdout=subprocess.PIPE, text=True)
     lines = proc.stdout.splitlines()
     if proc.returncode not in (0, 1) or not lines:
@@ -74,6 +79,8 @@ def main() -> int:
     parser.add_argument("parent", help="the git revision to compare the working tree against")
     parser.add_argument("--workload", choices=NAMES, required=True)
     parser.add_argument("--pairs", type=int, default=5, help="alternating parent/change pairs")
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                        help="workload seed of both trees")
     args = parser.parse_args()
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
@@ -93,13 +100,14 @@ def main() -> int:
         for i in range(1, args.pairs + 1):
             order = ("parent", "change") if i % 2 else ("change", "parent")
             for side in order:
-                code, metrics = run(trees[side], args.workload)
+                code, metrics = run(trees[side], args.workload, args.seed)
                 status = max(status, code)
                 runs[side].append(metrics)
                 print(f"pair {i} {side}: " + ", ".join(f"{k} {v:.4g}" for k, v in metrics.items()),
                       file=sys.stderr, flush=True)
 
-    print(f"{args.workload}: {args.pairs} pairs, parent {args.parent} vs working tree")
+    print(f"{args.workload}: {args.pairs} pairs, seed {args.seed}, "
+          f"parent {args.parent} vs working tree")
     header = ("metric", "parent median", "[Q1, Q3]", "change median", "[Q1, Q3]", "change", "wins")
     print("{:<14} {:>13} {:>21} {:>13} {:>21} {:>8} {:>5}".format(*header))
     for metric, direction in better.items():

@@ -474,14 +474,6 @@ class TaxonomyView:
             self._paths = tables
         return tables
 
-    def _shortest_up(self, u: NodeId, a: NodeId) -> int:
-        """Shortest edge count from u up to a class a of A(u)."""
-        return self._depth[u] - self._path_tables()[u][1].get(a, self._depth[a])
-
-    def _longest_up(self, u: NodeId, a: NodeId) -> int:
-        """Longest edge count from u up to a class a of A(u)."""
-        return self._depth[u] - self._path_tables()[u][2].get(a, self._depth[a])
-
     def up_distances(self, node: NodeId) -> dict[NodeId, int]:
         """Shortest edge counts from the class up to each of its ancestors."""
         self._check(node)
@@ -540,7 +532,7 @@ class TaxonomyView:
     def longest_up_distance(self, u: NodeId, a: NodeId) -> int:
         """Longest subClassOf path length from u up to its ancestor a."""
         self._require_ancestor(u, a)
-        return self._longest_up(u, a)
+        return self._depth[u] - self._path_tables()[u][2].get(a, self._depth[a])
 
     def shortest_up_path_edges(self, u: NodeId, a: NodeId) -> list[tuple[NodeId, NodeId]]:
         """One shortest u-to-a edge chain, deterministic by label order.
@@ -550,6 +542,8 @@ class TaxonomyView:
         to a than x is."""
         self._require_ancestor(u, a)
         parents, labels, anc = self._parents, self._labels, self._anc
+        depth, tables = self._depth, self._path_tables()
+        da = depth[a]
         edges = []
         x = u
         while x != a:
@@ -557,9 +551,9 @@ class TaxonomyView:
             if len(ps) == 1:
                 step = ps[0]
             else:
-                closer = self._shortest_up(x, a) - 1
+                closer = depth[x] - tables[x][1].get(a, da) - 1
                 step = min(
-                    (p for p in ps if a in anc[p] and self._shortest_up(p, a) == closer),
+                    (p for p in ps if a in anc[p] and depth[p] - tables[p][1].get(a, da) == closer),
                     key=labels.__getitem__,
                 )
             edges.append((x, step))

@@ -7,8 +7,9 @@ sets are fine. STRATEGIES maps each aggregation to its value on the
 pairwise score matrix of the sets as given, which is why callers should
 reduce annotation sets first. One pairwise.pair_scorer fills the matrix,
 so each class's anchor key is computed and each theta read cached once per
-matrix. The direct measures sum theta over a closure with one bulk read,
-ThetaEstimator.values.
+matrix. The direct measures union the ancestor closures of each set, in
+id order, and sum theta over a closure with one bulk read,
+ThetaEstimator.sum.
 """
 
 from __future__ import annotations
@@ -92,8 +93,7 @@ def eval_groupwise(
     allow_unreduced: bool = False,
 ) -> MeasureValue:
     """Evaluate a direct or aggregated groupwise measure on two class sets."""
-    us = sorted(set(group_u))
-    vs = sorted(set(group_v))
+    us, vs = set(group_u), set(group_v)
     if not us or not vs:
         raise ContractError("groupwise measures need non-empty class sets")
 
@@ -102,6 +102,9 @@ def eval_groupwise(
         feature, form = direct
         return form.kernel(*feature.function(spec, taxonomy, us, vs), *form.args)
 
+    # in id order, as the direct features order their groups, so the sums
+    # and the first failing cell do not depend on the order of the groups
+    us, vs = sorted(us), sorted(vs)
     inner, score = spec.inner, pair_scorer(spec.inner, taxonomy, allow_unreduced)
     matrix = [[score(u, v).value for v in vs] for u in us]
     return MeasureValue(STRATEGIES[spec.name](matrix), inner.info.polarity, inner.info.normalized)

@@ -72,9 +72,11 @@ class MeasureInfo:
     symmetric: Callable[..., bool] = lambda *args: True
     # a bespoke row: evaluate(spec, taxonomy, u, v)
     evaluate: Callable[..., MeasureValue] | None = None
-    # a bespoke row scored at a constraining ancestor: the pair function that
-    # evaluate calls for it, and whose result evaluate also takes as a fifth
-    # argument to skip that call
+    # a bespoke row whose per-pair reads a pair scorer batches (the depth
+    # triple, the instance counts of u, v and a constraining ancestor, or
+    # those of u and v alone): the pair function that evaluate calls for
+    # them, and whose result evaluate also takes as a fifth argument to skip
+    # that call
     anchor: Callable | None = None
     # a form row: feature(spec, taxonomy, u, v), a FEATURES function, gives
     # (f_u, f_v, f_shared); bind maps the measure's parameters to the form's
@@ -261,9 +263,13 @@ def _eval_sanchez_dist(spec, t, u, v):
     return _dist(math.log2(1.0 + distinct / (distinct + shared)), normalized=True)
 
 
-def _eval_jaccard_ext(spec, t, u, v):
-    nu = _count(spec, t, u)
-    nv = _count(spec, t, v)
+def _instance_counts(spec, t, u, v):
+    """|I(u)| and |I(v)|, neither of them 0."""
+    return _count(spec, t, u), _count(spec, t, v)
+
+
+def _eval_jaccard_ext(spec, t, u, v, counts=None):
+    nu, nv = counts or _instance_counts(spec, t, u, v)
     # |I(u) | I(v)| by inclusion-exclusion: no union is built
     shared = spec.usage.shared(u, v)
     return _sim(shared / (nu + nv - shared))
@@ -412,7 +418,9 @@ MEASURES: dict[str, MeasureInfo] = {
     "sanchez": MeasureInfo(DIST, True, ioi=True, evaluate=_eval_sanchez_dist),
     "tversky_ratio": _form_row("ancestor_counts", "ratio", ioi=True),
     "tversky_contrast": _form_row("ancestor_counts", "contrast"),
-    "jaccard_ext": MeasureInfo(SIM, True, needs_usage=True, ioi=True, evaluate=_eval_jaccard_ext),
+    "jaccard_ext": MeasureInfo(
+        SIM, True, needs_usage=True, ioi=True, evaluate=_eval_jaccard_ext, anchor=_instance_counts
+    ),
     "damato_ext": MeasureInfo(
         SIM, True, needs_usage=True, evaluate=_eval_damato_ext, anchor=_extension_counts
     ),
@@ -471,42 +479,43 @@ def eval_pairwise(
 # -- pair scorers and score matrices -----------------------------------------
 
 
-def _first_common(t, key):
-    """(u, v) -> the common ancestor of u and v that is least under key,
-    which is read once per class per call. Every key ends in the class
-    label, so no two tie and the least does not depend on set order."""
-    anc, key = t._anc, functools.cache(key)
-    return lambda u, v: min(anc[u] & anc[v], key=key)
+# Each matrix feature takes a cell's anchor as min(A(u) & A(v), key=key),
+# the key read once per class per call. Every key ends in the class label,
+# so no two tie and the least does not depend on set order.
 
 
 def _matrix_mica(spec, t):
-    labels = t._labels
+    anc, labels = t._anc, t._labels
     # raw reads: an undefined IC ranks first, so theta(mica) raises wherever
     # t.mica does. The cache keeps values only, so a failing read fails again.
-    raw, theta = spec.theta.raw, functools.cache(spec.theta)
-    mica = _first_common(t, lambda c: (-raw(c), labels[c]))
-    return lambda u, v: (theta(u), theta(v), theta(mica(u, v)))
+    raw, theta = spec.theta.raw, functools.cache(spec.theta.value)
+    key = functools.cache(lambda c: (-raw(c), labels[c]))
+    return lambda u, v: (theta(u), theta(v), theta(min(anc[u] & anc[v], key=key)))
 
 
 def _matrix_depth_triple(spec, t):
-    depth, labels = t._depth, t._labels
-    dca = _first_common(t, lambda c: (-depth[c], labels[c]))
-    longest_up = t._longest_up
+    anc, depth, labels, tables = t._anc, t._depth, t._labels, t._path_tables()
+    key = functools.cache(lambda c: (-depth[c], labels[c]))
 
     def triple(u, v):
-        a = dca(u, v)
+        a = min(anc[u] & anc[v], key=key)
         d = depth[a]
-        return d + longest_up(u, a), d + longest_up(v, a), d
+        return d + depth[u] - tables[u][2].get(a, d), d + depth[v] - tables[v][2].get(a, d), d
 
     return triple
 
 
-def _matrix_extension_counts(spec, t):
-    usage_count, labels = spec.usage.count, t._labels
-    # the cache keeps counts only, so a zero count raises again on every call
+def _matrix_instance_counts(spec, t):
+    # a count cache keeps counts only, so a zero count raises on every call
     count = functools.cache(lambda c: _count(spec, t, c))
-    least_used = _first_common(t, lambda c: (usage_count(c), labels[c]))
-    return lambda u, v: (count(u), count(v), count(least_used(u, v)))
+    return lambda u, v: (count(u), count(v))
+
+
+def _matrix_extension_counts(spec, t):
+    anc, usage_count, labels = t._anc, spec.usage.count, t._labels
+    count = functools.cache(lambda c: _count(spec, t, c))
+    key = functools.cache(lambda c: (usage_count(c), labels[c]))
+    return lambda u, v: (count(u), count(v), count(min(anc[u] & anc[v], key=key)))
 
 
 # a pair feature or anchor -> (spec, taxonomy) -> its (u, v) function for one
@@ -514,6 +523,7 @@ def _matrix_extension_counts(spec, t):
 _BATCHED = {
     _mica: _matrix_mica,
     _depth_triple: _matrix_depth_triple,
+    _instance_counts: _matrix_instance_counts,
     _extension_counts: _matrix_extension_counts,
 }
 

@@ -3,11 +3,12 @@ information content, intrinsic and extrinsic.
 
 Every estimator precomputes an immutable per-class table at bind time, so
 evaluation is a lookup and concurrent reads are safe. `values` reads a
-collection of classes in one pass over the table in C, for the measures
-that sum theta over ancestor sets; it falls back to the per-class reads
-only to raise their error. All shipped estimators decrease monotonically
-from the leaves toward the root; is_monotone checks a table on first use
-and keeps the answer, which a racing first use computes equal.
+collection of classes in one pass over the table in C, and `sum` adds up
+such a read, for the measures that sum theta over class sets; each falls
+back to the per-class reads only to raise their error. All shipped estimators
+decrease monotonically from the leaves toward the root; is_monotone checks
+a table on first use and keeps the answer, which a racing first use
+computes equal.
 """
 
 from __future__ import annotations
@@ -231,6 +232,18 @@ class ThetaEstimator:
         if vals is None or math.inf in vals or -math.inf in vals:
             return list(map(self.value, classes))
         return vals
+
+    def sum(self, classes: Collection[NodeId]) -> float:
+        """math.fsum(self.values(classes)), summed over the table in C. A
+        missing class, an infinite value or an overflow reruns the per-class
+        reads before summing, so the error raised is the one they raise."""
+        try:
+            total = math.fsum(map(self._table.__getitem__, classes))
+            if not math.isinf(total):
+                return total
+        except (KeyError, ValueError, OverflowError):
+            pass
+        return math.fsum(list(map(self.value, classes)))
 
     def raw(self, c: NodeId) -> float:
         """Table value without the infinite-IC guard."""

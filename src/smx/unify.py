@@ -61,9 +61,9 @@ def _mica(spec, t: TaxonomyView, u: NodeId, v: NodeId):
 def _salience(spec, t: TaxonomyView, u: NodeId, v: NodeId):
     """Summed theta over A(u), A(v) and A(u) & A(v). math.fsum rounds each
     sum once, so it depends on the set alone, not on its iteration order."""
-    values = spec.theta.values
+    total = spec.theta.sum
     au, av = t.ancestors(u), t.ancestors(v)
-    return math.fsum(values(au)), math.fsum(values(av)), math.fsum(values(au & av))
+    return total(au), total(av), total(au & av)
 
 
 def _ancestor_counts(spec, t: TaxonomyView, u: NodeId, v: NodeId):
@@ -76,28 +76,42 @@ def _depth_triple(spec, t: TaxonomyView, u: NodeId, v: NodeId):
     """Longest root paths of u and v through their deepest common ancestor,
     and the depth of that ancestor."""
     a = t.deepest_common_ancestor(u, v)
-    d = t._depth[a]
-    return d + t._longest_up(u, a), d + t._longest_up(v, a), d
+    depth, tables = t._depth, t._path_tables()
+    d = depth[a]
+    return d + depth[u] - tables[u][2].get(a, d), d + depth[v] - tables[v][2].get(a, d), d
 
 
 def _ncca_mean(spec, t: TaxonomyView, u: NodeId, v: NodeId):
     """theta of both classes and mean theta over their disjoint common ancestors."""
     theta = spec.theta
     dcas = t.ncca(u, v)
-    return theta(u), theta(v), math.fsum(theta.values(dcas)) / len(dcas)
+    return theta(u), theta(v), theta.sum(dcas) / len(dcas)
+
+
+def _closures(t: TaxonomyView, us, vs):
+    """C(U) and C(V), C(U) the union of A(u) over U merged in id order, on
+    which its iteration order, and so the class a failing theta read names,
+    depends. An unknown class raises the UnknownNodeError of t.ancestors
+    for the least such id of U, else of V."""
+    us, vs = sorted(us), sorted(vs)
+    known, anc = t.class_ids.issuperset, t._anc
+    if not (known(us) and known(vs)):
+        for c in us + vs:
+            t._check(c)
+    return set().union(*map(anc.__getitem__, us)), set().union(*map(anc.__getitem__, vs))
 
 
 def _closure_counts(spec, t: TaxonomyView, us, vs):
-    """|C(U)|, |C(V)| and |C(U) & C(V)|, C(U) the union of A(u) over U."""
-    cu, cv = (set().union(*map(t.ancestors, group)) for group in (us, vs))
+    """|C(U)|, |C(V)| and |C(U) & C(V)|."""
+    cu, cv = _closures(t, us, vs)
     return len(cu), len(cv), len(cu & cv)
 
 
 def _closure_theta(spec, t: TaxonomyView, us, vs):
-    """Summed theta over C(U), C(V) and C(U) & C(V), each sum by math.fsum."""
-    values = spec.theta.values
-    cu, cv = (set().union(*map(t.ancestors, group)) for group in (us, vs))
-    return math.fsum(values(cu)), math.fsum(values(cv)), math.fsum(values(cu & cv))
+    """Summed theta over C(U), C(V) and C(U) & C(V), each by math.fsum."""
+    total = spec.theta.sum
+    cu, cv = _closures(t, us, vs)
+    return total(cu), total(cv), total(cu & cv)
 
 
 class Feature(NamedTuple):

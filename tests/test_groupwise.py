@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import smx
-from smx.errors import ContractError
+from smx.errors import ContractError, InfiniteICError, UnknownNodeError
 
 from helpers import brute_closure_map, brute_redundant_edges, random_taxonomy
 
@@ -184,3 +184,54 @@ class TestDirectOracles:
                 assert simgic.degenerate == (union_mass == 0), (left, right)
                 want = 0.0 if union_mass == 0 else math.fsum(mass[c] for c in shared) / union_mass
                 assert abs(simgic.value - want) <= 1e-12, (left, right)
+
+
+def _orders(group):
+    """The group as a set, a list and a reversed list."""
+    return set(group), list(group), list(reversed(group))
+
+
+class TestErrorNaming:
+    """An unknown class or an undefined theta raises the error of the
+    per-class reads in id order, whatever the order the groups come in."""
+
+    def test_unknown_class_names_least_id_of_u_then_v(self, toy, toy_seco):
+        lin = smx.pairwise_measure("lin", theta=toy_seco)
+        specs = [
+            smx.groupwise_measure("simui"),
+            smx.groupwise_measure("nto"),
+            smx.groupwise_measure("simgic", theta=toy_seco),
+            smx.groupwise_measure("bma", inner=lin),
+        ]
+        e, d = toy.node("E"), toy.node("D")
+        # 1016 and 1009 iterate out of id order in a small set, and -1 and
+        # -2 share a hash, so only an id-ordered check names the least id
+        for group_u, group_v, named in (
+            ([e, 1016, 1009], [d], 1009),
+            ([e], [d, 1016, 1009], 1009),
+            ([e, -2, -1], [d], -2),
+            ([e], [-1, d, -2], -2),
+            ([e, -1], [d, -3], -1),
+        ):
+            for spec in specs:
+                for us in _orders(group_u):
+                    for vs in _orders(group_v):
+                        with pytest.raises(UnknownNodeError, match=f"node {named} is not"):
+                            smx.eval_groupwise(spec, toy, us, vs)
+
+    def test_simgic_names_the_class_the_per_class_reads_name(self):
+        # 8 and 1 race for one slot of a small set, so the union of A(1)
+        # and A(8) iterates in the order the two were merged, and a set of
+        # the two iterates 8 first
+        t = smx.TaxonomyView.build(None, (0, 1, 8), ((1, 0), (8, 0)), {0: "r", 1: "x", 8: "y"})
+        theta = smx.ThetaEstimator.from_table(t, {0: 0.0, 1: math.inf, 8: math.inf})
+        spec = smx.groupwise_measure("simgic", theta=theta)
+        closure = set().union(t.ancestors(1), t.ancestors(8))
+        with pytest.raises(InfiniteICError) as want:
+            math.fsum([theta(c) for c in closure])
+        assert "class x" in str(want.value)
+        for us in _orders([8, 1]):
+            for vs in ([0], [1], [8, 0]):
+                with pytest.raises(InfiniteICError) as got:
+                    smx.eval_groupwise(spec, t, us, vs)
+                assert str(got.value) == str(want.value)

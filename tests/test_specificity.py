@@ -185,8 +185,9 @@ def _read(fill):
 
 
 class TestBulkRead:
-    """values(classes) equals one theta(c) per class, in value or in the
-    class and message of the error raised."""
+    """values(classes) equals one theta(c) per class, and sum(classes) the
+    math.fsum of those reads, in value or in the class and message of the
+    error raised."""
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -204,6 +205,8 @@ class TestBulkRead:
             for group in (picked, tuple(picked), frozenset(picked)):
                 want = _read(lambda: [theta(c) for c in group])
                 assert _read(lambda: theta.values(group)) == want
+                want = _read(lambda: math.fsum([theta(c) for c in group]))
+                assert _read(lambda: theta.sum(group)) == want
 
     def test_named_cases(self, toy):
         table = {c: 1.0 for c in toy.class_ids}
@@ -219,6 +222,29 @@ class TestBulkRead:
         ):
             with pytest.raises(error, match=text):
                 theta.values(group)
+
+    def test_sum_named_cases(self, toy):
+        table = {c: 1.0 for c in toy.class_ids}
+        table[toy.node("C")], table[toy.node("D")] = math.inf, -math.inf
+        table[toy.node("E")] = table[toy.node("F")] = 1e308
+        theta = smx.ThetaEstimator.from_table(toy, table)
+        a, c, d, e, f = (toy.node(name) for name in "ACDEF")
+        assert theta.sum(()) == 0.0
+        assert theta.sum((a, a)) == 2.0
+        for group, error, text in (
+            ((a, c), InfiniteICError, "class C"),  # an infinite sum
+            ((a, d), InfiniteICError, "class D"),
+            ((a, d, c), InfiniteICError, "class D"),  # inf + -inf
+            ((a, -1, c), UnknownNodeError, "node -1"),
+            ((e, f), OverflowError, "overflow"),
+            # every class is read before the sum, as by values
+            ((e, f, -1), UnknownNodeError, "node -1"),
+            ((e, f, c), InfiniteICError, "class C"),
+        ):
+            with pytest.raises(error, match=text):
+                math.fsum(theta.values(group))
+            with pytest.raises(error, match=text):
+                theta.sum(group)
 
 
 class TestMonotonicity:
