@@ -8,14 +8,18 @@ the transitive reduction, seco as theta (raw depth for the named forms
 whose classic reading is depth), 400 instances annotated with one to three
 classes each for the extensional measures, fixed-seed class pairs (root
 pairs included) and fixed-seed class groups (root-only groups included).
-It covers every MEASURES row at its default parameters, every named
+It covers every MEASURES row at its default parameters, jc_hybrid also at
+alpha=1, beta=0.5, predicate_weight=0.5 and under unsmoothed resnik on the
+digest's usage (undefined for the unused classes), every named
 instantiation, every form at its default parameters under both
 commonalities, the direct groupwise measures and every aggregation over
 lin. A line reads
 
     <measure> <u> <v>: <float.hex of the value> <polarity> <normalized> <degenerate>
 
-or, when the evaluation raises, `<measure> <u> <v>: <SmxError class name>`.
+or, when the evaluation raises, `<measure> <u> <v>: <SmxError class name>`,
+which a jc_hybrid line follows with the error message, so that it also
+shows the class that the error names.
 
 Then come the tables of every estimator kind as build_estimator binds them,
 in the natural log and, for the kinds that declare a base, in base 2 (the
@@ -116,7 +120,8 @@ def line(name, left, right, evaluate):
     try:
         mv = evaluate()
     except SmxError as exc:
-        return f"{name} {left} {right}: {type(exc).__name__}"
+        message = f" {exc}" if name.startswith("jc_hybrid") else ""
+        return f"{name} {left} {right}: {type(exc).__name__}{message}"
     return (
         f"{name} {left} {right}: {float(mv.value).hex()} {mv.polarity.value} "
         f"{int(mv.normalized)} {int(mv.degenerate)}"
@@ -266,6 +271,19 @@ def main():
             theta=theta if info.needs_theta else None,
             usage=usage if info.needs_usage else None,
         )
+        for u, v in pairs:
+            out.append(line(name, label(u), label(v), lambda: eval_pairwise(spec, t, u, v)))
+    resnik = build_estimator("resnik", t, usage)
+    hybrids = [
+        (
+            "jc_hybrid alpha=1.0 beta=0.5 predicate_weight=0.5",
+            pairwise_measure(
+                "jc_hybrid", theta=theta, alpha=1.0, beta=0.5, predicate_weight=0.5
+            ),
+        ),
+        ("jc_hybrid theta=resnik", pairwise_measure("jc_hybrid", theta=resnik)),
+    ]
+    for name, spec in hybrids:
         for u, v in pairs:
             out.append(line(name, label(u), label(v), lambda: eval_pairwise(spec, t, u, v)))
     forms = [(f"named:{name}", instantiate(name)) for name in NAMED]

@@ -14,6 +14,14 @@ state, so racing threads build equal ones.
 Descendant sets are not stored: the estimators need only their sizes,
 which one pass over the ancestor sets gives. Path queries are exact for
 any DAG: counts are Python ints, so no input is too large to count.
+
+Every public query checks each class it takes and raises UnknownNodeError
+for an id outside the view. The three scoring entry points,
+pairwise.eval_pairwise, the calls of a pairwise.pair_scorer and
+unify.eval_abstract, check both classes once per pair; the features and
+evaluators they call read the view's tables (_anc, _depth, ...) and its
+unchecked internal forms without checking again: _mica, _deepest and _ncca
+of a common ancestor set, _via_ancestor and _up_path.
 """
 
 from __future__ import annotations
@@ -420,18 +428,24 @@ class TaxonomyView:
         descendant is a parent of some common class, and the members are
         the common classes that are nobody's parent there.
         """
-        common = self.common_ancestors(u, v)
+        return self._ncca(self.common_ancestors(u, v))
+
+    def _ncca(self, common: frozenset) -> frozenset:
         covered = set(chain.from_iterable(map(self._parents.__getitem__, common)))
         return frozenset(a for a in common if a not in covered)
 
     def mica(self, theta: Callable[[NodeId], float], u: NodeId, v: NodeId) -> NodeId:
         """Common ancestor maximizing theta; ties go to the smallest label."""
-        common = self.common_ancestors(u, v)
+        return self._mica(theta, self.common_ancestors(u, v))
+
+    def _mica(self, theta: Callable[[NodeId], float], common: frozenset) -> NodeId:
         labels = self._labels
         return min(common, key=lambda c: (-theta(c), labels[c]))
 
     def deepest_common_ancestor(self, u: NodeId, v: NodeId) -> NodeId:
-        common = self.common_ancestors(u, v)
+        return self._deepest(self.common_ancestors(u, v))
+
+    def _deepest(self, common: frozenset) -> NodeId:
         depth, labels = self._depth, self._labels
         return min(common, key=lambda c: (-depth[c], labels[c]))
 
@@ -483,7 +497,8 @@ class TaxonomyView:
 
     def _via_ancestor(self, u: NodeId, v: NodeId, turn: int) -> int:
         """min over common ancestors a of sp(u, a) + sp(v, a), plus `turn`
-        where the path goes up from both sides and turns down at a."""
+        where the path goes up from both sides and turns down at a; 0 when
+        u == v."""
         depth, tables = self._depth, self._path_tables()
         su, sv = tables[u][1], tables[v][1]
         return depth[u] + depth[v] + min(
@@ -522,6 +537,8 @@ class TaxonomyView:
 
     def path_length_with_reversal(self, u: NodeId, v: NodeId) -> int:
         """ViaLCA path length where the up/down turn at the ancestor adds 1."""
+        self._check(u)
+        self._check(v)
         return self._via_ancestor(u, v, 1)
 
     def _require_ancestor(self, u: NodeId, a: NodeId) -> None:
@@ -541,12 +558,16 @@ class TaxonomyView:
         to the label-smallest parent below or at a that is one edge closer
         to a than x is."""
         self._require_ancestor(u, a)
+        return list(self._up_path(u, a))
+
+    def _up_path(self, u: NodeId, a: NodeId, stop=()):
+        """Yield the edges of shortest_up_path_edges(u, a), a in A(u), as they
+        are walked, ending before a class of `stop`."""
         parents, labels, anc = self._parents, self._labels, self._anc
         depth, tables = self._depth, self._path_tables()
         da = depth[a]
-        edges = []
         x = u
-        while x != a:
+        while x != a and x not in stop:
             ps = parents[x]
             if len(ps) == 1:
                 step = ps[0]
@@ -556,9 +577,8 @@ class TaxonomyView:
                     (p for p in ps if a in anc[p] and depth[p] - tables[p][1].get(a, da) == closer),
                     key=labels.__getitem__,
                 )
-            edges.append((x, step))
+            yield x, step
             x = step
-        return edges
 
     def _count_tables(self) -> dict:
         """{top: (N, L, down)}, built on the first path-count query. N and

@@ -155,6 +155,7 @@ def _dist(value, normalized=False, degenerate=False):
 
 _general_dice = FORMS["general_dice"].kernel
 _mica = FEATURES["mica_theta"].function
+_salience = FEATURES["shared_ancestor_salience"].function
 _ancestor_counts = FEATURES["ancestor_counts"].function
 _depth_triple = FEATURES["depth_triple"].function
 
@@ -171,37 +172,37 @@ def _count(spec, t, c):
 
 
 def _eval_rada(spec, t, u, v):
-    return _dist(float(t.shortest_path(u, v)))
+    return _dist(float(t._via_ancestor(u, v, 0)))
 
 
 def _eval_rada_sim(spec, t, u, v):
-    return _sim(1.0 / (t.shortest_path(u, v) + 1.0))
+    return _sim(1.0 / (t._via_ancestor(u, v, 0) + 1.0))
 
 
 def _eval_resnik_edge(spec, t, u, v):
-    return _sim(2.0 * t.max_depth - t.shortest_path(u, v), normalized=False)
+    return _sim(2.0 * t.max_depth - t._via_ancestor(u, v, 0), normalized=False)
 
 
 def _eval_leacock_chodorow(spec, t, u, v):
     if t.max_depth == 0:
         raise DegenerateTaxonomyError("leacock_chodorow needs max depth >= 1")
     # N counts the nodes on the joint path through the constraining ancestor
-    n_nodes = t.shortest_path(u, v) + 1
+    n_nodes = t._via_ancestor(u, v, 0) + 1
     return _sim(-math.log(n_nodes / (2.0 * t.max_depth)), normalized=False)
 
 
 def _eval_zhong(spec, t, u, v):
     (k,) = spec.args
-    milestone = lambda c: 0.5 * k ** (-t.depth(c))
-    a = t.deepest_common_ancestor(u, v)
+    milestone = lambda c: 0.5 * k ** (-t._depth[c])
+    a = t._deepest(t._anc[u] & t._anc[v])
     return _dist(2.0 * milestone(a) - milestone(u) - milestone(v), normalized=True)
 
 
 def _eval_li(spec, t, u, v):
     alpha, beta = spec.args
-    a = t.deepest_common_ancestor(u, v)
-    sp = t.shortest_path(u, v)
-    return _sim(math.exp(-alpha * sp) * math.tanh(beta * t.depth(a)))
+    a = t._deepest(t._anc[u] & t._anc[v])
+    sp = t._via_ancestor(u, v, 0)
+    return _sim(math.exp(-alpha * sp) * math.tanh(beta * t._depth[a]))
 
 
 def _eval_slimani(spec, t, u, v, triple=None):
@@ -214,17 +215,17 @@ def _eval_slimani(spec, t, u, v, triple=None):
 
 def _eval_shenoy(spec, t, u, v):
     (lam,) = spec.args
-    depth_sum = t.depth(u) + t.depth(v)
+    depth_sum = t._depth[u] + t._depth[v]
     if depth_sum == 0:
         return _sim(0.0, normalized=False, degenerate=True)
-    walk = t.path_length_with_reversal(u, v)
+    walk = t._via_ancestor(u, v, 1)
     value = 2.0 * t.max_depth * math.exp(-lam * walk / t.max_depth) / depth_sum
     return _sim(value, normalized=False)
 
 
 def _eval_resnik(spec, t, u, v):
     # theta at the MICA only: u or v may have an undefined (zero-usage) IC
-    return _sim(spec.theta(t.mica(spec.theta, u, v)), normalized=False)
+    return _sim(spec.theta(t._mica(spec.theta, t._anc[u] & t._anc[v])), normalized=False)
 
 
 def _eval_rel_schlicker(spec, t, u, v):
@@ -234,7 +235,7 @@ def _eval_rel_schlicker(spec, t, u, v):
 
 
 def _eval_wang_dca(spec, t, u, v):
-    dcas = t.ncca(u, v)
+    dcas = t._ncca(t._anc[u] & t._anc[v])
     stats_u = t._root_path_stats(u, dcas)
     stats_v = t._root_path_stats(v, dcas)
     depth = t._depth
@@ -278,7 +279,7 @@ def _eval_jaccard_ext(spec, t, u, v, counts=None):
 def _extension_counts(spec, t, u, v):
     """|I(u)|, |I(v)| and |I(a)|, none of them 0, for a the least-used
     (extensionally most informative) common ancestor of u and v."""
-    a = min(t.common_ancestors(u, v), key=lambda c: (spec.usage.count(c), t.label(c)))
+    a = min(t._anc[u] & t._anc[v], key=lambda c: (spec.usage.count(c), t._labels[c]))
     return _count(spec, t, u), _count(spec, t, v), _count(spec, t, a)
 
 
@@ -289,24 +290,28 @@ def _eval_damato_ext(spec, t, u, v, counts=None):
 
 
 def _eval_jc_hybrid(spec, t, u, v):
-    alpha, beta, predicate_weight = spec.args
-    theta = spec.theta
-    a = t.mica(theta, u, v)
-    mean_density = len(t.edges) / len(t.class_ids)
-    edges = set(t.shortest_up_path_edges(u, a)) | set(t.shortest_up_path_edges(v, a))
-    # theta once per class, read in order of first use along the edges, so
-    # the class an InfiniteICError names is the one an edge-by-edge read hits
-    classes = dict.fromkeys(chain.from_iterable(edges))
-    ic = dict(zip(classes, theta.values(classes)))
-    children, depth = t._children, t._depth
-    terms = []
-    for child, parent in edges:
-        density = beta + (1.0 - beta) * mean_density / len(children[parent])
-        # depth is taken one-based so the factor stays finite at the root
-        d = depth[parent] + 1
-        depth_factor = ((d + 1.0) / d) ** alpha
-        terms.append(density * depth_factor * (ic[child] - ic[parent]) * predicate_weight)
-    return _dist(math.fsum(terms))
+    alpha, beta, weight = spec.args
+    theta, ic, children, depth = spec.theta, spec.theta._table, t._children, t._depth
+    a = t._mica(theta, t._anc[u] & t._anc[v])
+    spread = (1.0 - beta) * (len(t.edges) / len(t.class_ids))  # times the mean density
+    # v's walk stops at the first class u's walk took, from where its path is
+    # u's, so the two walks give the union of the two edge sets
+    walked, terms, total = set(), [], math.nan
+    try:
+        for child, parent in chain(t._up_path(u, a), t._up_path(v, a, walked)):
+            walked.add(child)
+            density = beta + spread / len(children[parent])
+            # depth is taken one-based so the factor stays finite at the root
+            d = depth[parent] + 1
+            terms.append(density * ((d + 1.0) / d) ** alpha * (ic[child] - ic[parent]) * weight)
+        total = math.fsum(terms)
+    finally:
+        # a missing or infinite read, or an overflow: the reads of the edge
+        # set, once per class in order of first use, raise naming that class
+        if not math.isfinite(total):
+            edges = set(t._up_path(u, a)) | set(t._up_path(v, a))
+            theta.values(dict.fromkeys(chain.from_iterable(edges)))
+    return _dist(total)
 
 
 def _form_row(feature, form, bind=None, **flags) -> MeasureInfo:
@@ -493,6 +498,13 @@ def _matrix_mica(spec, t):
     return lambda u, v: (theta(u), theta(v), theta(min(anc[u] & anc[v], key=key)))
 
 
+def _matrix_salience(spec, t):
+    anc, total = t._anc, spec.theta.sum
+    # a sum cache keeps sums only, so a failing sum fails again
+    closure_sum = functools.cache(lambda c: total(anc[c]))
+    return lambda u, v: (closure_sum(u), closure_sum(v), total(anc[u] & anc[v]))
+
+
 def _matrix_depth_triple(spec, t):
     anc, depth, labels, tables = t._anc, t._depth, t._labels, t._path_tables()
     key = functools.cache(lambda c: (-depth[c], labels[c]))
@@ -522,6 +534,7 @@ def _matrix_extension_counts(spec, t):
 # pair scorer, equal to the scalar one on every pair
 _BATCHED = {
     _mica: _matrix_mica,
+    _salience: _matrix_salience,
     _depth_triple: _matrix_depth_triple,
     _instance_counts: _matrix_instance_counts,
     _extension_counts: _matrix_extension_counts,
@@ -534,8 +547,8 @@ def pair_scorer(
     """(u, v) -> eval_pairwise(spec, taxonomy, u, v, allow_unreduced), errors
     included, for a batch of pairs. It keeps per-class work for its life: each
     class's anchor key (theta, depth or usage count, then label) is computed
-    on first read and each theta read or instance count that succeeds is
-    cached, at most one entry per class."""
+    on first read and each theta read, summed theta over A(c) or instance
+    count that succeeds is cached, at most one entry per class."""
     t, info = taxonomy, spec.info
     if info.path_based and not t.is_reduced and not allow_unreduced:
         return functools.partial(_refuse_unreduced, spec, t)

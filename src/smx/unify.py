@@ -55,27 +55,27 @@ def _mica(spec, t: TaxonomyView, u: NodeId, v: NodeId):
     The MICA is ranked by raw values, where an undefined IC ranks first, so
     the reads fail at u, v or the MICA, in that order, as in a score matrix."""
     theta = spec.theta
-    return theta.values((u, v, t.mica(theta.raw, u, v)))
+    return theta.values((u, v, t._mica(theta.raw, t._anc[u] & t._anc[v])))
 
 
 def _salience(spec, t: TaxonomyView, u: NodeId, v: NodeId):
     """Summed theta over A(u), A(v) and A(u) & A(v). math.fsum rounds each
     sum once, so it depends on the set alone, not on its iteration order."""
     total = spec.theta.sum
-    au, av = t.ancestors(u), t.ancestors(v)
+    au, av = t._anc[u], t._anc[v]
     return total(au), total(av), total(au & av)
 
 
 def _ancestor_counts(spec, t: TaxonomyView, u: NodeId, v: NodeId):
     """|A(u)|, |A(v)| and |A(u) & A(v)|."""
-    au, av = t.ancestors(u), t.ancestors(v)
+    au, av = t._anc[u], t._anc[v]
     return len(au), len(av), len(au & av)
 
 
 def _depth_triple(spec, t: TaxonomyView, u: NodeId, v: NodeId):
     """Longest root paths of u and v through their deepest common ancestor,
     and the depth of that ancestor."""
-    a = t.deepest_common_ancestor(u, v)
+    a = t._deepest(t._anc[u] & t._anc[v])
     depth, tables = t._depth, t._path_tables()
     d = depth[a]
     return d + depth[u] - tables[u][2].get(a, d), d + depth[v] - tables[v][2].get(a, d), d
@@ -84,7 +84,7 @@ def _depth_triple(spec, t: TaxonomyView, u: NodeId, v: NodeId):
 def _ncca_mean(spec, t: TaxonomyView, u: NodeId, v: NodeId):
     """theta of both classes and mean theta over their disjoint common ancestors."""
     theta = spec.theta
-    dcas = t.ncca(u, v)
+    dcas = t._ncca(t._anc[u] & t._anc[v])
     return theta(u), theta(v), theta.sum(dcas) / len(dcas)
 
 
@@ -308,4 +308,6 @@ def eval_abstract(form: AbstractForm, t: TaxonomyView, u: NodeId, v: NodeId) -> 
         raise ContractError("abstract form has no bound specificity estimator")
     if not theta.is_monotone:
         raise ContractError("bound specificity estimator is not monotone")
+    t._check(u)
+    t._check(v)
     return form.kernel(*form.feature(form, t, u, v), *form.args)

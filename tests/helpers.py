@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 from smx import (
     AnnotationSet,
     ClassUsage,
+    MeasureValue,
+    Polarity,
     ReductionReport,
     SemanticGraph,
     parse_graph,
@@ -471,6 +473,28 @@ def brute_jc_hybrid(pairs, theta, u, v, alpha, beta, weight):
         d = brute_depth(pairs, parent) + 1
         total += density * ((d + 1.0) / d) ** alpha * (theta[child] - theta[parent]) * weight
     return total
+
+
+def edge_set_jc_hybrid(spec, t, u, v):
+    """jc_hybrid of classes u and v by the edge-set evaluation: the union of
+    the two shortest_up_path_edges lists up to the MICA, theta read once
+    per class in order of first use along that set, and one term per edge.
+    The library's single up-walk must equal it bit for bit, errors
+    included."""
+    alpha, beta, predicate_weight = spec.args
+    theta = spec.theta
+    a = t.mica(theta, u, v)
+    mean_density = len(t.edges) / len(t.class_ids)
+    edges = set(t.shortest_up_path_edges(u, a)) | set(t.shortest_up_path_edges(v, a))
+    classes = dict.fromkeys(c for edge in edges for c in edge)
+    ic = dict(zip(classes, theta.values(classes)))
+    terms = []
+    for child, parent in edges:
+        density = beta + (1.0 - beta) * mean_density / len(t.children(parent))
+        d = t.depth(parent) + 1
+        depth_factor = ((d + 1.0) / d) ** alpha
+        terms.append(density * depth_factor * (ic[child] - ic[parent]) * predicate_weight)
+    return MeasureValue(math.fsum(terms), Polarity.DISTANCE, False)
 
 
 def _brute_deepest_common(pairs, u, v):

@@ -273,6 +273,51 @@ class TestUpPathOracles:
                 query(e, f)
 
 
+# public pair queries with the message each gives for an unknown second
+# class; an unknown first class, or two unknown ones, gives NOT_A_CLASS
+NOT_A_CLASS = "node {} is not a class of this taxonomy"
+PAIR_QUERIES = {
+    "mica": (lambda t, u, v: t.mica(smx.seco_ic(t), u, v), NOT_A_CLASS),
+    "deepest_common_ancestor": (TaxonomyView.deepest_common_ancestor, NOT_A_CLASS),
+    "ncca": (TaxonomyView.ncca, NOT_A_CLASS),
+    "common_ancestors": (TaxonomyView.common_ancestors, NOT_A_CLASS),
+    "shortest_path via_lca": (lambda t, u, v: t.shortest_path(u, v, VIA), NOT_A_CLASS),
+    "shortest_path unconstrained": (lambda t, u, v: t.shortest_path(u, v, FREE), NOT_A_CLASS),
+    "path_length_with_reversal": (TaxonomyView.path_length_with_reversal, NOT_A_CLASS),
+    # the second class is an ancestor to find, so its label is looked up
+    "shortest_up_path_edges": (TaxonomyView.shortest_up_path_edges, "unknown class id {}"),
+    "longest_up_distance": (TaxonomyView.longest_up_distance, "unknown class id {}"),
+}
+CLASS_QUERIES = (
+    TaxonomyView.up_distances, TaxonomyView.up_path_stats, TaxonomyView.ancestors,
+    TaxonomyView.descendants, TaxonomyView.depth, TaxonomyView.parents, TaxonomyView.children,
+)
+
+
+class TestPublicChecks:
+    """Every public query checks each class it takes, although the scoring
+    entry points call the unchecked internal forms."""
+
+    @pytest.mark.parametrize("name", sorted(PAIR_QUERIES))
+    def test_pair_query_names_an_unknown_class_in_either_position(self, toy, name):
+        query, second = PAIR_QUERIES[name]
+        e = toy.node("E")
+        for u, v, message in (
+            (999, e, NOT_A_CLASS.format(999)),
+            (e, 998, second.format(998)),
+            (999, 998, NOT_A_CLASS.format(999)),
+        ):
+            with pytest.raises(UnknownNodeError) as caught:
+                query(toy, u, v)
+            assert str(caught.value) == message
+
+    @pytest.mark.parametrize("query", CLASS_QUERIES, ids=lambda q: q.__name__)
+    def test_class_query_names_an_unknown_class(self, toy, query):
+        with pytest.raises(UnknownNodeError) as caught:
+            query(toy, 999)
+        assert str(caught.value) == NOT_A_CLASS.format(999)
+
+
 class TestLabelTieBreaks:
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), multi=st.sampled_from([0.3, 0.8]))

@@ -26,6 +26,7 @@ from helpers import (
     brute_redundant_edges,
     brute_wang_dca,
     brute_wu_palmer,
+    edge_set_jc_hybrid,
     form_row_oracle,
     random_annotations,
     random_taxonomy,
@@ -265,6 +266,53 @@ class TestHybrid:
             "jc_hybrid", toy, "E", "D", toy_seco, predicate_weight=2.0
         ).value
         assert doubled == APPROX(2 * base)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        multi=st.sampled_from([0.3, 0.8]),
+        reduce=st.booleans(),
+        tied_theta=st.booleans(),
+        alpha=st.sampled_from([0.0, 1.0, 2.5]),
+        # 0.3 is no power of two, so the rounding of (1 - beta) * density shows
+        beta=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+        weight=st.sampled_from([1.0, 0.5]),
+    )
+    def test_up_walk_equals_the_edge_set_reference(
+        self, seed, multi, reduce, tied_theta, alpha, beta, weight
+    ):
+        # bit for bit, or the same error type and message, on reduced and
+        # unreduced views under seco and under tied tables with undefined
+        # entries, so that a failing read names the same class
+        rng = random.Random(seed)
+        t, _ = random_taxonomy(rng, max_nodes=30, multi=multi)
+        if reduce:
+            t, _ = smx.transitive_reduction(t)
+        classes = sorted(t.class_ids)
+        if tied_theta:
+            values = (0.0, 1.0, 2.0, math.inf)
+            theta = smx.ThetaEstimator.from_table(t, {c: rng.choice(values) for c in classes})
+        else:
+            theta = smx.seco_ic(t)
+        spec = smx.pairwise_measure(
+            "jc_hybrid", theta=theta, alpha=alpha, beta=beta, predicate_weight=weight
+        )
+        score = smx.pair_scorer(spec, t, allow_unreduced=True)
+        for _ in range(30):
+            u, v = rng.choice(classes), rng.choice(classes)
+            want = _hexed(lambda: edge_set_jc_hybrid(spec, t, u, v))
+            assert _hexed(lambda: smx.eval_pairwise(spec, t, u, v, True)) == want, (u, v)
+            assert _hexed(lambda: score(u, v)) == want, (u, v)
+
+
+def _hexed(evaluate):
+    """float.hex of the value and the flags of evaluate(), or the type and
+    message of the SmxError it raised."""
+    try:
+        mv = evaluate()
+    except SmxError as exc:
+        return type(exc), str(exc)
+    return mv.value.hex(), mv.polarity, mv.normalized, mv.degenerate
 
 
 class TestPathKernelOracles:

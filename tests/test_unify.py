@@ -1,16 +1,23 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import smx
-from smx.errors import ContractError
+from smx.errors import ContractError, UnknownNodeError
 from smx.unify import Commonality
 
 from helpers import random_taxonomy
 
 APPROX12 = lambda x: pytest.approx(x, abs=1e-12)
+
+# the canonical named instantiations; the aliases share their rows
+NAMED = (
+    "lin", "wu_palmer_tree", "faith", "jiang_conrath", "jaccard",
+    "dice", "sokal_sneath", "simpson", "ochiai",
+)
 
 
 def pairs_of(t, rng, count=12):
@@ -247,6 +254,19 @@ class TestContracts:
             assert smx.eval_abstract(form, toy, e, d).value == shared / pick(
                 toy_seco(e), toy_seco(d)
             )
+
+    @pytest.mark.parametrize("commonality", list(Commonality))
+    @pytest.mark.parametrize("name", NAMED)
+    def test_unknown_class_named_u_first(self, toy, toy_seco, name, commonality):
+        form = replace(smx.instantiate(name), commonality=commonality)
+        e = toy.node("E")
+        with pytest.raises(ContractError, match="no bound specificity estimator"):
+            smx.eval_abstract(form, toy, 999, 998)
+        form = form.with_theta(toy_seco)
+        for u, v, named in ((999, e, 999), (e, 998, 998), (999, 998, 999)):
+            with pytest.raises(UnknownNodeError) as caught:
+                smx.eval_abstract(form, toy, u, v)
+            assert str(caught.value) == f"node {named} is not a class of this taxonomy"
 
     def test_degenerate_root_pair(self, toy, toy_seco):
         form = smx.abstract_form("general_dice", theta=toy_seco)
