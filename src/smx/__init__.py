@@ -33,7 +33,6 @@ from .ingest import (
 )
 from .preprocess import (
     ReductionReport,
-    expand_annotations,
     reduce_annotations,
     taxonomic_reduction,
     transitive_reduction,
@@ -43,7 +42,6 @@ from .specificity import (
     ThetaEstimator,
     build_estimator,
     class_usage,
-    connotation_weight,
     depth_theta,
     idf_theta,
     nonlinear_depth_theta,

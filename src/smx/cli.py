@@ -194,7 +194,8 @@ def _open_out(path):
 
 
 def _fmt(value: float) -> str:
-    return f"{value:.12g}"
+    # adding 0.0 turns -0.0 into 0.0 and leaves every other value as it is
+    return f"{value + 0.0:.12g}"
 
 
 def _write_scores(path, pairs_path, resolve, score, measure) -> None:

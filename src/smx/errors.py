@@ -43,10 +43,6 @@ class ContractError(SmxError):
     """A call violates a documented precondition or invariant."""
 
 
-class OrderingError(SmxError):
-    """Two classes are not taxonomically ordered as required."""
-
-
 class UsageError(SmxError):
     """Class-usage statistics are missing or unusable."""
 

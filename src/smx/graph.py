@@ -41,10 +41,10 @@ VIRTUAL_ROOT = "__root__"
 
 
 class AncestorConstraint(enum.Enum):
-    """Whether a pairwise taxonomic path must pass through a common ancestor."""
+    """The path rule of shortest_path: VIA_LCA, a path that goes up from
+    both classes to a common ancestor, is the only one."""
 
     VIA_LCA = "via_lca"
-    UNCONSTRAINED = "unconstrained"
 
 
 class SemanticGraph:
@@ -512,28 +512,11 @@ class TaxonomyView:
         v: NodeId,
         constraint: AncestorConstraint = AncestorConstraint.VIA_LCA,
     ) -> int:
-        """Edge count of the shortest subClassOf path between two classes.
-
-        VIA_LCA takes the minimum of sp(u, a) + sp(v, a) over common
-        ancestors a. UNCONSTRAINED treats subClassOf edges as bidirectional.
-        """
+        """Edge count of the shortest subClassOf path between two classes:
+        the minimum of sp(u, a) + sp(v, a) over common ancestors a."""
         self._check(u)
         self._check(v)
-        if u == v:
-            return 0
-        if constraint is AncestorConstraint.VIA_LCA:
-            return self._via_ancestor(u, v, 0)
-        dist = {u: 0}
-        queue = deque((u,))
-        while queue:
-            x = queue.popleft()
-            for nxt in self._parents[x] + self._children[x]:
-                if nxt not in dist:
-                    if nxt == v:
-                        return dist[x] + 1
-                    dist[nxt] = dist[x] + 1
-                    queue.append(nxt)
-        raise ContractError("taxonomy is rooted, all class pairs are connected")
+        return self._via_ancestor(u, v, 0)
 
     def path_length_with_reversal(self, u: NodeId, v: NodeId) -> int:
         """ViaLCA path length where the up/down turn at the ancestor adds 1."""

@@ -216,13 +216,17 @@ def parse_graph(source) -> SemanticGraph:
 
 
 def serialize_graph(graph: SemanticGraph) -> str:
-    """Write a graph back to triple TSV, sorted for byte-stable output."""
+    """Write a graph back to triple TSV, sorted for byte-stable output.
+    A weight is written in its short %g form when that parses back to the
+    same float, else as its repr, so every weight round-trips exactly."""
     labels, weights = graph._labels, graph.edge_weights
     lines = []
     for s, p, o in graph._label_sorted_edges():
         row = f"{labels[s]}\t{p}\t{labels[o]}"
         if weights is not None:
-            row += f"\t{weights[(s, p, o)]:g}"
+            w = weights[(s, p, o)]
+            text = f"{w:g}"
+            row += "\t" + (text if float(text) == w else repr(w))
         lines.append(row)
     return "\n".join(lines) + ("\n" if lines else "")
 

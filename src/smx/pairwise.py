@@ -305,9 +305,12 @@ def _eval_jc_hybrid(spec, t, u, v):
             d = depth[parent] + 1
             terms.append(density * ((d + 1.0) / d) ** alpha * (ic[child] - ic[parent]) * weight)
         total = math.fsum(terms)
+    except OverflowError:
+        raise InfinityError(f"jc_hybrid of {t._labels[u]} and {t._labels[v]} overflows") from None
     finally:
         # a missing or infinite read, or an overflow: the reads of the edge
-        # set, once per class in order of first use, raise naming that class
+        # set, once per class in order of first use, raise naming that
+        # class; only an overflow of finite terms stays an InfinityError
         if not math.isfinite(total):
             edges = set(t._up_path(u, a)) | set(t._up_path(v, a))
             theta.values(dict.fromkeys(chain.from_iterable(edges)))

@@ -1,5 +1,5 @@
 """Graph canonicalization: taxonomic reduction, transitive reduction and
-annotation de-redundancy (the true path rule, applied in both directions).
+annotation de-redundancy (the true path rule).
 
 Everything here is a pure transformation producing new values.
 """
@@ -102,14 +102,3 @@ def reduce_annotations(
             reduced[instance] = frozenset(classes)
     report = ReductionReport(removed_annotations=removed)
     return AnnotationSet(assignments=reduced, warnings=annotations.warnings), report
-
-
-def expand_annotations(taxonomy: TaxonomyView, annotations: AnnotationSet) -> AnnotationSet:
-    """Replace each instance's classes by their inclusive ancestor closure."""
-    expanded = {}
-    for instance, classes in annotations.assignments.items():
-        closure: set[NodeId] = set()
-        for c in classes:
-            closure |= taxonomy.ancestors(c)
-        expanded[instance] = frozenset(closure)
-    return AnnotationSet(assignments=expanded, warnings=annotations.warnings)

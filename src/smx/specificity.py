@@ -23,7 +23,7 @@ from .errors import (
     ContractError,
     DegenerateTaxonomyError,
     InfiniteICError,
-    OrderingError,
+    InfinityError,
     UnknownNodeError,
     UsageError,
 )
@@ -236,14 +236,19 @@ class ThetaEstimator:
     def sum(self, classes: Collection[NodeId]) -> float:
         """math.fsum(self.values(classes)), summed over the table in C. A
         missing class, an infinite value or an overflow reruns the per-class
-        reads before summing, so the error raised is the one they raise."""
+        reads before summing, so the error raised is the one they raise; a
+        sum of finite values that overflows raises InfinityError."""
         try:
             total = math.fsum(map(self._table.__getitem__, classes))
             if not math.isinf(total):
                 return total
         except (KeyError, ValueError, OverflowError):
             pass
-        return math.fsum(list(map(self.value, classes)))
+        vals = list(map(self.value, classes))
+        try:
+            return math.fsum(vals)
+        except OverflowError:
+            raise InfinityError(f"a sum of theta over {len(vals)} classes overflows") from None
 
     def raw(self, c: NodeId) -> float:
         """Table value without the infinite-IC guard."""
@@ -409,17 +414,6 @@ def validate_monotonicity(estimator: ThetaEstimator) -> list[tuple[NodeId, NodeI
         if estimator.raw(child) < estimator.raw(parent) - 1e-12:
             bad.append((child, parent))
     return sorted(bad)
-
-
-def connotation_weight(estimator: ThetaEstimator, u: NodeId, v: NodeId) -> float:
-    """Strength of connotation of the ordered pair: theta(u) - theta(v),
-    defined only when v subsumes u."""
-    taxonomy = estimator.taxonomy
-    if v not in taxonomy.ancestors(u):
-        raise OrderingError(
-            f"{taxonomy.label(v)} does not subsume {taxonomy.label(u)}"
-        )
-    return estimator.value(u) - estimator.value(v)
 
 
 # extrinsic kinds read class usage

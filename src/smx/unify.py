@@ -249,9 +249,6 @@ class AbstractForm:
         object.__setattr__(self, "kernel", form.kernel)
         object.__setattr__(self, "args", tuple(values[name] for name in form.params))
 
-    def param(self, key: str) -> float:
-        return dict(self.params)[key]
-
     def with_theta(self, theta: ThetaEstimator) -> "AbstractForm":
         return replace(self, theta=theta)
 

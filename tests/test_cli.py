@@ -84,6 +84,17 @@ class TestSim:
         assert float(lines[0].split("\t")[2]) == pytest.approx(0.2876, abs=1e-3)
         assert float(lines[1].split("\t")[2]) == 0.0
 
+    @pytest.mark.parametrize(
+        "measure, pair",
+        [(["leacock_chodorow"], "E\tF"), (["resnik", "--ic", "sanchez_refined"], "A\tF")],
+    )
+    def test_negative_zero_prints_as_zero(self, toy_file, tmp_path, capsys, measure, pair):
+        pairs = tmp_path / "p.tsv"
+        pairs.write_text(pair + "\n")
+        code = main(["sim", "--measure", *measure, "--graph", toy_file, "--pairs", str(pairs)])
+        assert code == 0
+        assert capsys.readouterr().out == pair + "\t0\n"
+
     def test_unknown_measure_is_usage_error(self, toy_file, pairs_file, capsys):
         code = main(
             ["sim", "--measure", "nope", "--graph", toy_file, "--pairs", pairs_file]
@@ -201,6 +212,10 @@ class TestIc:
         assert float(table["root"]) == 0.0
         assert float(table["E"]) == 1.0
         assert float(table["A"]) == pytest.approx(1 - math.log(4) / math.log(7))
+
+    def test_negative_zero_prints_as_zero(self, toy_file, capsys):
+        assert main(["ic", "--estimator", "sanchez_refined", "--graph", toy_file]) == 0
+        assert "root\t0\n" in capsys.readouterr().out
 
     def test_estimator_params(self, toy_file, capsys):
         code = main(["ic", "--estimator", "zhou:k=0.6", "--graph", toy_file])
@@ -573,6 +588,24 @@ class TestRel:
         out = capsys.readouterr().out
         assert code == 0
         assert out.strip() == "Cat\tMouse\t2"
+
+    def test_wsp_on_the_preprocessed_graph_equals_the_original(self, tmp_path, capsys):
+        graph = tmp_path / "g.tsv"
+        graph.write_text(
+            "A\tsubClassOf\troot\t12345678.9\nB\tsubClassOf\troot\t0.30000000000000004\n"
+            "a\tlinks\tA\t0.123456789\nb\tlinks\tB\t5e-324\n"
+        )
+        pairs = tmp_path / "p.tsv"
+        pairs.write_text("a\tb\nA\tB\na\tA\nb\tB\n")
+        reduced = tmp_path / "reduced.tsv"
+        assert main(["preprocess", "--graph", str(graph), "--out", str(reduced)]) == 0
+        answers = []
+        for source in (graph, reduced):
+            argv = ["rel", "--method", "wsp", "--graph", str(source), "--pairs", str(pairs)]
+            assert main(argv) == 0
+            answers.append(capsys.readouterr().out)
+        assert answers[0] == answers[1]
+        assert "a\tA\t0.123456789\n" in answers[0]
 
     def test_wsp_unreachable_pair(self, tmp_path, capsys):
         graph = tmp_path / "g.tsv"

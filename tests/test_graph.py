@@ -17,7 +17,6 @@ from helpers import (
     brute_pekar_staab,
     brute_redundant_edges,
     brute_shortest_up_path,
-    brute_unconstrained,
     brute_up_distances,
     brute_up_path_stats,
     brute_up_paths,
@@ -31,7 +30,6 @@ from helpers import (
 )
 
 VIA = smx.AncestorConstraint.VIA_LCA
-FREE = smx.AncestorConstraint.UNCONSTRAINED
 
 
 def labels(t, nodes):
@@ -107,12 +105,11 @@ class TestToyQueries:
         assert toy.shortest_path(toy.node("E"), toy.node("E"), VIA) == 0
 
     def test_shortest_path_side_edge(self):
-        # W subsumes Z through a side edge, so both variants see length 1
+        # W subsumes Z through a side edge, so the path has length 1
         t = taxonomy_from_pairs(
             [("X", "root"), ("Y", "root"), ("Z", "X"), ("W", "Y"), ("Z", "W")]
         )
         z, w = t.node("Z"), t.node("W")
-        assert t.shortest_path(z, w, FREE) == 1
         assert t.shortest_path(z, w, VIA) == 1
 
 
@@ -170,9 +167,6 @@ class TestInvariants:
             assert t.shortest_path(u, v, VIA) == brute_via_lca(
                 pairs, t.label(u), t.label(v)
             )
-            assert t.shortest_path(u, v, FREE) == brute_unconstrained(
-                pairs, t.label(u), t.label(v)
-            )
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -208,17 +202,13 @@ class TestInvariants:
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
-    def test_path_constraint_ordering_and_symmetry(self, seed):
+    def test_shortest_path_symmetry(self, seed):
         rng = random.Random(seed)
         t, _ = random_taxonomy(rng, max_nodes=30)
         nodes = sorted(t.class_ids)
         for _ in range(10):
             u, v = rng.choice(nodes), rng.choice(nodes)
-            via = t.shortest_path(u, v, VIA)
-            free = t.shortest_path(u, v, FREE)
-            assert via >= free
-            assert via == t.shortest_path(v, u, VIA)
-            assert free == t.shortest_path(v, u, FREE)
+            assert t.shortest_path(u, v, VIA) == t.shortest_path(v, u, VIA)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -282,7 +272,6 @@ PAIR_QUERIES = {
     "ncca": (TaxonomyView.ncca, NOT_A_CLASS),
     "common_ancestors": (TaxonomyView.common_ancestors, NOT_A_CLASS),
     "shortest_path via_lca": (lambda t, u, v: t.shortest_path(u, v, VIA), NOT_A_CLASS),
-    "shortest_path unconstrained": (lambda t, u, v: t.shortest_path(u, v, FREE), NOT_A_CLASS),
     "path_length_with_reversal": (TaxonomyView.path_length_with_reversal, NOT_A_CLASS),
     # the second class is an ancestor to find, so its label is looked up
     "shortest_up_path_edges": (TaxonomyView.shortest_up_path_edges, "unknown class id {}"),

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import smx
-from smx.errors import ContractError, InfiniteICError, UnknownNodeError
+from smx.errors import ContractError, InfiniteICError, InfinityError, UnknownNodeError
 
 from helpers import brute_closure_map, brute_redundant_edges, random_taxonomy
 
@@ -218,6 +218,13 @@ class TestErrorNaming:
                     for vs in _orders(group_v):
                         with pytest.raises(UnknownNodeError, match=f"node {named} is not"):
                             smx.eval_groupwise(spec, toy, us, vs)
+
+    def test_simgic_overflowing_theta_sum_is_an_infinity_error(self, toy):
+        # every value is finite, but a sum over them leaves float range
+        table = {c: 0.0 if c == toy.root else 1e308 for c in toy.class_ids}
+        spec = smx.groupwise_measure("simgic", theta=smx.ThetaEstimator.from_table(toy, table))
+        with pytest.raises(InfinityError, match="overflows"):
+            ev(spec, toy, ["E"], ["F"])
 
     def test_simgic_names_the_class_the_per_class_reads_name(self):
         # 8 and 1 race for one slot of a small set, so the union of A(1)

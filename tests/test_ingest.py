@@ -115,11 +115,21 @@ class TestRoundTrip:
         }
 
     def test_weighted_round_trip(self):
-        text = "A\tsubClassOf\troot\t2.5\nB\tsubClassOf\troot\t1\n"
+        text = "A\tsubClassOf\troot\t2.5\nB\tsubClassOf\troot\t1\nC\tsubClassOf\troot\t0.001\n"
         g = smx.parse_graph(stream(text))
+        # a weight whose short form parses back exactly is written in it
+        assert smx.serialize_graph(g) == text
         again = smx.parse_graph(stream(smx.serialize_graph(g)))
         key = (again.node("A"), "subClassOf", again.node("root"))
         assert again.edge_weights[key] == 2.5
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(min_value=0.0, allow_infinity=False), min_size=1, max_size=8))
+    @example([5e-324, 0.1 + 0.2, 1.7976931348623157e308, 12345678.9, 0.123456789])
+    def test_every_weight_parses_back_to_the_same_float(self, weights):
+        text = "".join(f"n{i}\tlinks\tn{i + 1}\t{w!r}\n" for i, w in enumerate(weights))
+        g = smx.parse_graph(stream(text))
+        assert smx.parse_graph(stream(smx.serialize_graph(g))).edge_weights == g.edge_weights
 
 
 class TestAnnotations:

@@ -505,6 +505,36 @@ class TestContracts:
         with pytest.raises(ContractError, match=f"parameter {key} must not be"):
             smx.pairwise_measure(name, theta=theta, **{key: value})
 
+    @pytest.mark.parametrize(
+        "name, big", [("sim_dic", 1e308), ("jac_anc", 1e308), ("jc_hybrid", 0.9e308)]
+    )
+    def test_overflowing_theta_sum_is_an_infinity_error(self, toy, name, big):
+        # every value is finite, but a sum over them leaves float range
+        table = {c: 0.0 if c == toy.root else big for c in toy.class_ids}
+        spec = smx.pairwise_measure(name, theta=smx.ThetaEstimator.from_table(toy, table))
+        e, f = toy.node("E"), toy.node("F")
+        with pytest.raises(InfinityError, match="overflows"):
+            smx.eval_pairwise(spec, toy, e, f)
+        with pytest.raises(InfinityError, match="overflows"):
+            smx.pair_scorer(spec, toy)(e, f)
+
+    def test_jc_hybrid_huge_alpha_is_an_infinity_error(self, toy, toy_seco):
+        # ((d + 1) / d) ** alpha leaves float range
+        with pytest.raises(InfinityError, match="overflows"):
+            ev("jc_hybrid", toy, "E", "F", toy_seco, alpha=1e308)
+
+    def test_jc_hybrid_names_an_infinite_read_before_an_overflow(self, toy):
+        # E's terms overflow a partial sum of math.fsum, and F's read is infinite
+        table = {c: 0.0 for c in toy.class_ids}
+        table[toy.node("E")], table[toy.node("A")] = 0.9e308, -0.9e308
+        table[toy.node("F")] = math.inf
+        spec = smx.pairwise_measure("jc_hybrid", theta=smx.ThetaEstimator.from_table(toy, table))
+        e, f = toy.node("E"), toy.node("F")
+        with pytest.raises(InfiniteICError, match="class F "):
+            smx.eval_pairwise(spec, toy, e, f)
+        with pytest.raises(InfiniteICError, match="class F "):
+            smx.pair_scorer(spec, toy)(e, f)
+
     def test_path_measures_refuse_redundant_taxonomy(self, chain_with_skip):
         spec = smx.pairwise_measure("rada")
         c0 = chain_with_skip.node("c0")

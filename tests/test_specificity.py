@@ -10,7 +10,7 @@ from smx.errors import (
     ContractError,
     DegenerateTaxonomyError,
     InfiniteICError,
-    OrderingError,
+    InfinityError,
     SmxError,
     UnknownNodeError,
     UsageError,
@@ -236,7 +236,6 @@ class TestBulkRead:
             ((a, d), InfiniteICError, "class D"),
             ((a, d, c), InfiniteICError, "class D"),  # inf + -inf
             ((a, -1, c), UnknownNodeError, "node -1"),
-            ((e, f), OverflowError, "overflow"),
             # every class is read before the sum, as by values
             ((e, f, -1), UnknownNodeError, "node -1"),
             ((e, f, c), InfiniteICError, "class C"),
@@ -245,6 +244,9 @@ class TestBulkRead:
                 math.fsum(theta.values(group))
             with pytest.raises(error, match=text):
                 theta.sum(group)
+        # finite values whose sum leaves float range
+        with pytest.raises(InfinityError, match="overflows"):
+            theta.sum((e, f))
 
 
 class TestMonotonicity:
@@ -407,19 +409,3 @@ class TestEstimatorOracle:
             }
             for kind, table in want.items():
                 assert {c: got[kind].raw(c) for c in view.class_ids} == table, kind
-
-
-class TestConnotationWeight:
-    def test_edge_weight(self, toy, toy_seco):
-        w = smx.connotation_weight(toy_seco, toy.node("E"), toy.node("C"))
-        assert w == pytest.approx(1 - (1 - LN(2) / LN(7)), abs=1e-9)
-
-    def test_self_weight_zero(self, toy, toy_seco):
-        assert smx.connotation_weight(toy_seco, toy.node("E"), toy.node("E")) == 0.0
-
-    def test_to_root(self, toy, toy_seco):
-        assert smx.connotation_weight(toy_seco, toy.node("E"), toy.node("root")) == 1.0
-
-    def test_unordered_pair_rejected(self, toy, toy_seco):
-        with pytest.raises(OrderingError):
-            smx.connotation_weight(toy_seco, toy.node("E"), toy.node("F"))

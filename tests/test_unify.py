@@ -56,8 +56,8 @@ class TestInstantiate:
         assert dict(smx.instantiate("sokal_sneath").params) == {"beta": 0.5}
         simpson = smx.instantiate("simpson")
         assert simpson.kind == "sigma_alpha"
-        assert simpson.param("alpha") == -math.inf
-        assert smx.instantiate("ochiai").param("alpha") == 0.0
+        assert dict(simpson.params)["alpha"] == -math.inf
+        assert dict(smx.instantiate("ochiai").params)["alpha"] == 0.0
         assert smx.instantiate("lin").kind == "general_dice"
         assert smx.instantiate("jiang_conrath").kind == "abstract_dist"
 
