@@ -221,6 +221,14 @@ def _write_scores(path, pairs_path, resolve, score, measure) -> None:
         out.writelines(rows)
 
 
+def _score_classes(args, taxonomy, spec, name, allow_unreduced=False) -> int:
+    """Write the --pairs class pairs' scores under one pair_scorer of spec."""
+    scorer = pair_scorer(spec, taxonomy, allow_unreduced)
+    score = lambda u, v: scorer(u, v).value
+    _write_scores(args.out, args.pairs, taxonomy.node, score, name)
+    return 0
+
+
 # -- subcommands -------------------------------------------------------------
 
 
@@ -278,10 +286,7 @@ def _cmd_sim(args) -> int:
     taxonomy = preprocess.taxonomic_reduction(graph)
     usage = _usage_loader(args, graph, taxonomy)
     spec = _pairwise_spec(args, args.measure, _estimators(taxonomy, usage), usage)
-    scorer = pair_scorer(spec, taxonomy, args.allow_unreduced)
-    score = lambda u, v: scorer(u, v).value
-    _write_scores(args.out, args.pairs, taxonomy.node, score, args.measure)
-    return 0
+    return _score_classes(args, taxonomy, spec, args.measure, args.allow_unreduced)
 
 
 def _cmd_groupsim(args) -> int:
@@ -325,27 +330,10 @@ def _cmd_groupsim(args) -> int:
     return 0
 
 
-# --theta values that name a depth estimator
-_DEPTH_THETAS = {"depth": "depth_raw", "depth_raw": "depth_raw", "depth_norm": "depth"}
-
-
 def _cmd_abstract(args) -> int:
     graph = ingest.parse_graph(args.graph)
     taxonomy = preprocess.taxonomic_reduction(graph)
-    estimators = _estimators(taxonomy, _usage_loader(args, graph, taxonomy))
-
-    family, _, rest = args.theta.partition(":")
-    if family == "ic":
-        if not rest:
-            raise CommandLineError("--theta ic:<estimator> needs an estimator name")
-        theta = estimators(rest)
-    elif args.theta in _DEPTH_THETAS:
-        theta = estimators(_DEPTH_THETAS[args.theta])
-    else:
-        raise CommandLineError(
-            f"--theta must be ic:<estimator>, depth or depth_norm, got {args.theta!r}"
-        )
-
+    theta = _estimators(taxonomy, _usage_loader(args, graph, taxonomy))(args.ic)
     name, raw = parse_selector(args.form)
     if name.lower() in unify.FORMS:
         form = unify.abstract_form(name.lower(), **_float_params(raw, f"form {name}"))
@@ -353,11 +341,7 @@ def _cmd_abstract(args) -> int:
         form = unify.instantiate(name)
         if raw:
             raise CommandLineError(f"named form {name!r} takes no parameters")
-    form = form.with_theta(theta)
-
-    score = lambda u, v: unify.eval_abstract(form, taxonomy, u, v).value
-    _write_scores(args.out, args.pairs, taxonomy.node, score, args.form)
-    return 0
+    return _score_classes(args, taxonomy, form.with_theta(theta), args.form)
 
 
 def _cmd_rel(args) -> int:
@@ -466,7 +450,7 @@ def build_parser() -> _Parser:
     p = subs.add_parser("abstract", help="evaluate unified abstract measure forms")
     _add_common(p, annotations=True)
     p.add_argument("--form", required=True, help="dice, jaccard, simpson, sigma_beta:beta=1, ...")
-    p.add_argument("--theta", required=True, help="ic:<estimator>, depth or depth_norm")
+    p.add_argument("--ic", required=True, help="theta estimator as for sim: seco, depth_raw, ...")
     p.add_argument("--pairs", required=True, help="classA<TAB>classB pair list")
     p.set_defaults(func=_cmd_abstract)
 

@@ -514,6 +514,8 @@ class TaxonomyView:
     ) -> int:
         """Edge count of the shortest subClassOf path between two classes:
         the minimum of sp(u, a) + sp(v, a) over common ancestors a."""
+        if constraint is not AncestorConstraint.VIA_LCA:
+            raise ContractError(f"unknown path constraint {constraint!r}; the only one is VIA_LCA")
         self._check(u)
         self._check(v)
         return self._via_ancestor(u, v, 0)

@@ -16,7 +16,8 @@ silently underestimate distances; pass allow_unreduced=True to study that
 effect.
 eval_pairwise scores one pair; a batch goes through one pair_scorer, which
 equals it on every pair and does per-class work once per class, and
-score_matrix scores two class lists through one scorer.
+score_matrix scores two class lists through one scorer. A pair_scorer binds
+a theta-bound unify.AbstractForm the same way, equal to unify.eval_abstract.
 
 Notes on the few places where published equations needed a decision:
   - slimani and wang_dca follow the equations as published even though
@@ -46,7 +47,7 @@ from .errors import (
 )
 from .graph import NodeId, TaxonomyView
 from .specificity import ClassUsage, ParamSpec, ThetaEstimator, resolve_params
-from .unify import FEATURES, FORMS, MeasureValue, Polarity, abstract_form
+from .unify import FEATURES, FORMS, AbstractForm, MeasureValue, Polarity, abstract_form, check_theta
 
 
 class ConversionRule(enum.Enum):
@@ -545,19 +546,26 @@ _BATCHED = {
 
 
 def pair_scorer(
-    spec: PairwiseMeasureSpec, taxonomy: TaxonomyView, allow_unreduced: bool = False
+    spec: PairwiseMeasureSpec | AbstractForm, taxonomy: TaxonomyView, allow_unreduced: bool = False
 ) -> Callable[[NodeId, NodeId], MeasureValue]:
-    """(u, v) -> eval_pairwise(spec, taxonomy, u, v, allow_unreduced), errors
-    included, for a batch of pairs. It keeps per-class work for its life: each
-    class's anchor key (theta, depth or usage count, then label) is computed
-    on first read and each theta read, summed theta over A(c) or instance
-    count that succeeds is cached, at most one entry per class."""
-    t, info = taxonomy, spec.info
-    if info.path_based and not t.is_reduced and not allow_unreduced:
-        return functools.partial(_refuse_unreduced, spec, t)
-    if info.feature is not None:
-        batched, kernel, args = _BATCHED.get(info.feature), spec.kernel, spec.args
-        feature = batched(spec, t) if batched else functools.partial(info.feature, spec, t)
+    """(u, v) -> eval_pairwise(spec, taxonomy, u, v, allow_unreduced), or
+    eval_abstract(spec, taxonomy, u, v) for an abstract form, whose theta it
+    checks once, here; errors included. It keeps per-class work for its life:
+    each class's anchor key (theta, depth or usage count, then label) is
+    computed on first read and each theta read, summed theta over A(c) or
+    instance count that succeeds is cached, at most one entry per class."""
+    t = taxonomy
+    if isinstance(spec, AbstractForm):
+        check_theta(spec.theta)
+        info, feature = None, spec.feature
+    else:
+        info = spec.info
+        if info.path_based and not t.is_reduced and not allow_unreduced:
+            return functools.partial(_refuse_unreduced, spec, t)
+        feature = info.feature
+    if feature is not None:
+        batched, kernel, args = _BATCHED.get(feature), spec.kernel, spec.args
+        feature = batched(spec, t) if batched else functools.partial(feature, spec, t)
         cell = lambda u, v: kernel(*feature(u, v), *args)
     elif info.anchor is not None:
         evaluate, anchor = info.evaluate, _BATCHED[info.anchor](spec, t)

@@ -298,13 +298,19 @@ def instantiate(name: str) -> AbstractForm:
     return form
 
 
-def eval_abstract(form: AbstractForm, t: TaxonomyView, u: NodeId, v: NodeId) -> MeasureValue:
-    """Evaluate an abstract form on a pair of classes."""
-    theta = form.theta
+def check_theta(theta: ThetaEstimator | None) -> None:
+    """Raise ContractError unless an abstract form's theta is bound and monotone."""
     if theta is None:
         raise ContractError("abstract form has no bound specificity estimator")
     if not theta.is_monotone:
         raise ContractError("bound specificity estimator is not monotone")
+
+
+def eval_abstract(form: AbstractForm, t: TaxonomyView, u: NodeId, v: NodeId) -> MeasureValue:
+    """Evaluate an abstract form on a pair of classes."""
+    theta = form.theta  # check_theta's test inline: a call costs about 0.1 us a pair
+    if theta is None or not theta.is_monotone:
+        check_theta(theta)
     t._check(u)
     t._check(v)
     return form.kernel(*form.feature(form, t, u, v), *form.args)

@@ -236,7 +236,7 @@ class TestIc:
         argv = {
             "ic": ["ic", "--estimator", seco],
             "sim": ["sim", "--measure", "lin", "--ic", seco, "--pairs", pairs_file],
-            "abstract": ["abstract", "--form", "dice", "--theta", f"ic:{seco}",
+            "abstract": ["abstract", "--form", "dice", "--ic", seco,
                          "--pairs", pairs_file],
         }[command]
         code = main([*argv, "--graph", toy_file, "--out", str(out)])
@@ -267,7 +267,7 @@ class TestEstimatorParameters:
             ["ic", "--estimator", "seco"],
             ["sim", "--measure", "lin", "--pairs", "p.tsv"],
             ["groupsim", "--measure", "simgic", "--annotations", "a.tsv", "--pairs", "p.tsv"],
-            ["abstract", "--form", "dice", "--theta", "depth", "--pairs", "p.tsv"],
+            ["abstract", "--form", "dice", "--ic", "depth_raw", "--pairs", "p.tsv"],
             ["rel", "--method", "wsp", "--pairs", "p.tsv"],
             ["bench", "--mapping", "m.tsv", "--dataset", "d.tsv", "--measures", "lin"],
         ],
@@ -463,7 +463,7 @@ class TestGroupsim:
 class TestAbstract:
     def test_dice_with_ic(self, toy_file, pairs_file, capsys):
         code = main(
-            ["abstract", "--form", "dice", "--theta", "ic:seco",
+            ["abstract", "--form", "dice", "--ic", "seco",
              "--graph", toy_file, "--pairs", pairs_file]
         )
         out = capsys.readouterr().out
@@ -474,27 +474,16 @@ class TestAbstract:
 
     def test_depth_theta_gives_wu_palmer(self, toy_file, pairs_file, capsys):
         code = main(
-            ["abstract", "--form", "dice", "--theta", "depth",
+            ["abstract", "--form", "dice", "--ic", "depth_raw",
              "--graph", toy_file, "--pairs", pairs_file]
         )
         out = capsys.readouterr().out
         assert code == 0
         assert float(out.splitlines()[0].split("\t")[2]) == pytest.approx(0.4)
 
-    @pytest.mark.parametrize(
-        "alias, kind",
-        [("depth", "depth_raw"), ("depth_raw", "depth_raw"), ("depth_norm", "depth")],
-    )
-    def test_depth_aliases_name_estimators(self, toy_file, pairs_file, capsys, alias, kind):
-        argv = ["abstract", "--form", "dice", "--graph", toy_file, "--pairs", pairs_file]
-        assert main([*argv, "--theta", alias]) == 0
-        assert main([*argv, "--theta", f"ic:{kind}"]) == 0
-        out = capsys.readouterr().out.splitlines()
-        assert out[:2] == out[2:]
-
     def test_nested_estimator_params(self, toy_file, pairs_file, capsys):
         code = main(
-            ["abstract", "--form", "sigma_beta:beta=1", "--theta", "ic:zhou:k=0.4",
+            ["abstract", "--form", "sigma_beta:beta=1", "--ic", "zhou:k=0.4",
              "--graph", toy_file, "--pairs", pairs_file]
         )
         assert code == 0
@@ -511,9 +500,9 @@ class TestNonFiniteParameters:
             ["sim", "--measure", "tversky_ratio:alpha=nan"],
             ["sim", "--measure", "tversky_contrast:gamma=inf"],
             ["sim", "--measure", "li:beta=-inf"],
-            ["abstract", "--form", "ratio:alpha=nan", "--theta", "ic:seco"],
-            ["abstract", "--form", "sigma_alpha:alpha=nan", "--theta", "ic:seco"],
-            ["abstract", "--form", "contrast:gamma=inf", "--theta", "ic:seco"],
+            ["abstract", "--form", "ratio:alpha=nan", "--ic", "seco"],
+            ["abstract", "--form", "sigma_alpha:alpha=nan", "--ic", "seco"],
+            ["abstract", "--form", "contrast:gamma=inf", "--ic", "seco"],
         ],
     )
     def test_exit_two_and_no_out(self, toy_file, pairs_file, tmp_path, capsys, argv):
@@ -525,7 +514,7 @@ class TestNonFiniteParameters:
 
     def test_sigma_alpha_takes_the_infinite_orders(self, toy_file, pairs_file, capsys):
         code = main(
-            ["abstract", "--form", "sigma_alpha:alpha=-inf", "--theta", "ic:seco",
+            ["abstract", "--form", "sigma_alpha:alpha=-inf", "--ic", "seco",
              "--graph", toy_file, "--pairs", pairs_file]
         )
         assert code == 0
@@ -539,8 +528,8 @@ class TestNonFiniteValues:
     @pytest.mark.parametrize(
         "argv, value",
         [
-            (["abstract", "--form", "sigma_beta:beta=1e308", "--theta", "depth"], "nan"),
-            (["abstract", "--form", "contrast:gamma=1e308", "--theta", "depth"], "inf"),
+            (["abstract", "--form", "sigma_beta:beta=1e308", "--ic", "depth_raw"], "nan"),
+            (["abstract", "--form", "contrast:gamma=1e308", "--ic", "depth_raw"], "inf"),
             (["sim", "--measure", "tversky_contrast:gamma=1e308"], "inf"),
             (["groupsim", "--measure", "avg:tversky_contrast:gamma=1e308"], "inf"),
         ],
@@ -1058,7 +1047,7 @@ class TestFailedCommandOutput:
         return {
             "sim": ["sim", "--measure", "lin", *common],
             "groupsim": ["groupsim", "--measure", "simui", "--annotations", str(ann), *common],
-            "abstract": ["abstract", "--form", "dice", "--theta", "depth", *common],
+            "abstract": ["abstract", "--form", "dice", "--ic", "depth_raw", *common],
             "rel": ["rel", "--method", "wsp", *common],
         }
 

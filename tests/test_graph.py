@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import smx
 from smx.cli import main
-from smx.errors import UnknownNodeError
+from smx.errors import ContractError, UnknownNodeError
 from smx.graph import TaxonomyView
 
 from helpers import (
@@ -111,6 +111,11 @@ class TestToyQueries:
         )
         z, w = t.node("Z"), t.node("W")
         assert t.shortest_path(z, w, VIA) == 1
+
+    @pytest.mark.parametrize("constraint", ["unconstrained", None])
+    def test_shortest_path_refuses_a_constraint_other_than_via_lca(self, toy, constraint):
+        with pytest.raises(ContractError, match=f"unknown path constraint {constraint!r}"):
+            toy.shortest_path(toy.node("E"), toy.node("F"), constraint)
 
 
 class TestInvariants:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import smx
-from smx.errors import ContractError, UnknownNodeError
+from smx.errors import ContractError, SmxError, UnknownNodeError
 from smx.unify import Commonality
 
 from helpers import random_taxonomy
@@ -272,6 +272,95 @@ class TestContracts:
         form = smx.abstract_form("general_dice", theta=toy_seco)
         got = smx.eval_abstract(form, toy, toy.node("root"), toy.node("root"))
         assert got.value == 0.0 and got.degenerate
+
+
+def _outcome(call):
+    """A call's value fields, NaN made comparable, or its error's type and
+    message."""
+    try:
+        mv = call()
+    except SmxError as exc:
+        return type(exc), str(exc)
+    return ("nan" if math.isnan(mv.value) else mv.value), *mv[1:]
+
+
+def _monotone_tied_table(t, rng):
+    """A theta that grows by 0, 1 or inf from a class's largest parent
+    value down to the class: many ties, and inf below every inf class."""
+    table = {}
+    for c in sorted(t.class_ids, key=t.depth):
+        base = max((table[p] for p in t.parents(c)), default=0.0)
+        table[c] = base + rng.choice((0.0, 0.0, 1.0, math.inf))
+    return smx.ThetaEstimator.from_table(t, table)
+
+
+# every form kind at its defaults, and asymmetric and infinite parameters
+SCORED_FORMS = [(kind, {}) for kind in smx.unify.FORMS] + [
+    ("ratio", {"alpha": 0.25, "beta": 2.0}),
+    ("contrast", {"gamma": 2.0, "alpha": 0.5, "beta": 0.0}),
+    ("sigma_alpha", {"alpha": math.inf}),
+    ("sigma_alpha", {"alpha": -3.0}),
+]
+
+
+class TestPairScorer:
+    """A scorer bound to an abstract form equals eval_abstract on every pair,
+    errors included; its theta check runs once, when it is bound."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        reduce=st.booleans(),
+        theta_kind=st.sampled_from(
+            ["tied", "random", "seco", "depth_raw", "depth", "zhou", "resnik"]
+        ),
+    )
+    def test_equals_eval_abstract_errors_included(self, seed, reduce, theta_kind):
+        rng = random.Random(seed)
+        t, _ = random_taxonomy(rng, max_nodes=20, multi=0.6)
+        if reduce:
+            t, _ = smx.transitive_reduction(t)
+        classes = sorted(t.class_ids)
+        if theta_kind == "tied":
+            theta = _monotone_tied_table(t, rng)
+        elif theta_kind == "random":  # most often not monotone
+            values = (0.0, 1.0, 2.0, math.inf)
+            theta = smx.ThetaEstimator.from_table(t, {c: rng.choice(values) for c in classes})
+        elif theta_kind == "resnik":  # inf on every unused class
+            assignments = {
+                f"i{k}": frozenset(rng.sample(classes, rng.randint(1, 2)))
+                for k in range(rng.randint(1, 4))
+            }
+            theta = smx.resnik_extrinsic_ic(t, smx.class_usage(t, smx.AnnotationSet(assignments)))
+        else:
+            theta = smx.build_estimator(theta_kind, t)
+        pool = classes + [-1, max(classes) + 1]
+        pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(40)]
+        forms = [
+            replace(smx.abstract_form(kind, **params), commonality=commonality)
+            for kind, params in SCORED_FORMS
+            for commonality in Commonality
+        ] + [smx.instantiate(name) for name in NAMED]
+        for form in forms:
+            form = form.with_theta(theta)
+            try:
+                score = smx.pair_scorer(form, t)
+            except ContractError as exc:
+                bound = type(exc), str(exc)
+                score = None
+            for u, v in pairs:
+                want = _outcome(lambda: smx.eval_abstract(form, t, u, v))
+                got = bound if score is None else _outcome(lambda: score(u, v))
+                assert got == want, (form, u, v)
+
+    def test_binding_checks_theta(self, toy):
+        with pytest.raises(ContractError, match="no bound specificity estimator"):
+            smx.pair_scorer(smx.abstract_form("general_dice"), toy)
+        table = {c: 1.0 for c in toy.class_ids}
+        table[toy.node("root")] = 9.0
+        bad = smx.ThetaEstimator.from_table(toy, table)
+        with pytest.raises(ContractError, match="estimator is not monotone"):
+            smx.pair_scorer(smx.instantiate("lin").with_theta(bad), toy)
 
 
 class TestMeasureValue:
