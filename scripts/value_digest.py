@@ -53,6 +53,13 @@ alone (an irreducible one):
     simrank delta <i>: <float.hex>
     commute <graph> <u> <v>: <float.hex | SmxError class name>
 
+The last block scores jc_hybrid, jac_anc and sim_dic on 100 of the class
+pairs under a fixed-seed table theta whose values include finite ones of
+both signs near the ends of float range, where a partial sum can overflow
+although the exact sum does not, in the measure line format:
+
+    <measure> theta=near-max <u> <v>: ...
+
 Usage: PYTHONPATH=src python scripts/value_digest.py > digest.txt
 """
 
@@ -67,6 +74,7 @@ from smx import (
     Commonality,
     PredicateWeightScheme,
     SemanticGraph,
+    ThetaEstimator,
     TransitionModel,
     abstract_form,
     build_estimator,
@@ -243,6 +251,21 @@ def relatedness_lines():
     return out
 
 
+def near_max_lines(t, pairs):
+    rng = random.Random(SEED + 2)
+    values = (0.0, 0.5, -2.0, 0.9e308, -0.9e308, 1.7e308, -1.7e308)
+    weights = (6, 3, 3, 1, 1, 1, 1)
+    table = {c: rng.choices(values, weights)[0] for c in t.sorted_classes()}
+    theta = ThetaEstimator.from_table(t, table)
+    out = []
+    for name in ("jc_hybrid", "jac_anc", "sim_dic"):
+        spec = pairwise_measure(name, theta=theta)
+        for u, v in pairs[:100]:
+            evaluate = lambda: eval_pairwise(spec, t, u, v)
+            out.append(line(f"{name} theta=near-max", t.label(u), t.label(v), evaluate))
+    return out
+
+
 def main():
     rng = random.Random(SEED)
     graph = parse_graph(synth_graph_lines(2_000, rng).encode())
@@ -308,6 +331,7 @@ def main():
     out += symmetry_lines(theta, usage)
     out += serializer_lines(graph, rng)
     out += relatedness_lines()
+    out += near_max_lines(t, pairs)
     print("\n".join(out))
 
 

@@ -64,7 +64,6 @@ from .pairwise import (
     is_symmetric,
     pair_scorer,
     pairwise_measure,
-    score_matrix,
 )
 from .groupwise import GroupwiseMeasureSpec, eval_groupwise, groupwise_measure
 from .unify import (

@@ -21,7 +21,7 @@ pairwise.eval_pairwise, the calls of a pairwise.pair_scorer and
 unify.eval_abstract, check both classes once per pair; the features and
 evaluators they call read the view's tables (_anc, _depth, ...) and its
 unchecked internal forms without checking again: _mica, _deepest and _ncca
-of a common ancestor set, _via_ancestor and _up_path.
+of a common ancestor set, _via_ancestor, _up_path and _up_step.
 """
 
 from __future__ import annotations
@@ -520,12 +520,6 @@ class TaxonomyView:
         self._check(v)
         return self._via_ancestor(u, v, 0)
 
-    def path_length_with_reversal(self, u: NodeId, v: NodeId) -> int:
-        """ViaLCA path length where the up/down turn at the ancestor adds 1."""
-        self._check(u)
-        self._check(v)
-        return self._via_ancestor(u, v, 1)
-
     def _require_ancestor(self, u: NodeId, a: NodeId) -> None:
         self._check(u)
         if a not in self._anc[u]:
@@ -545,25 +539,31 @@ class TaxonomyView:
         self._require_ancestor(u, a)
         return list(self._up_path(u, a))
 
-    def _up_path(self, u: NodeId, a: NodeId, stop=()):
+    def _up_path(self, u: NodeId, a: NodeId):
         """Yield the edges of shortest_up_path_edges(u, a), a in A(u), as they
-        are walked, ending before a class of `stop`."""
-        parents, labels, anc = self._parents, self._labels, self._anc
-        depth, tables = self._depth, self._path_tables()
-        da = depth[a]
+        are walked."""
+        parents = self._parents
         x = u
-        while x != a and x not in stop:
+        while x != a:
             ps = parents[x]
-            if len(ps) == 1:
-                step = ps[0]
-            else:
-                closer = depth[x] - tables[x][1].get(a, da) - 1
-                step = min(
-                    (p for p in ps if a in anc[p] and depth[p] - tables[p][1].get(a, da) == closer),
-                    key=labels.__getitem__,
-                )
+            step = ps[0] if len(ps) == 1 else self._up_step(x, a)
             yield x, step
             x = step
+
+    def _up_step(self, x: NodeId, a: NodeId) -> NodeId:
+        """The parent that shortest_up_path_edges steps to from x, a class
+        with several parents, towards a in A(x): the label-smallest parent
+        below or at a that is one edge closer to a than x is."""
+        depth, tables, anc = self._depth, self._path_tables(), self._anc
+        da = depth[a]
+        closer = depth[x] - tables[x][1].get(a, da) - 1
+        return min(
+            (
+                p for p in self._parents[x]
+                if a in anc[p] and depth[p] - tables[p][1].get(a, da) == closer
+            ),
+            key=self._labels.__getitem__,
+        )
 
     def _count_tables(self) -> dict:
         """{top: (N, L, down)}, built on the first path-count query. N and

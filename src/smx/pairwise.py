@@ -15,9 +15,12 @@ paths refuse a taxonomy with redundant edges because those shortcuts
 silently underestimate distances; pass allow_unreduced=True to study that
 effect.
 eval_pairwise scores one pair; a batch goes through one pair_scorer, which
-equals it on every pair and does per-class work once per class, and
-score_matrix scores two class lists through one scorer. A pair_scorer binds
-a theta-bound unify.AbstractForm the same way, equal to unify.eval_abstract.
+equals it on every pair and does per-class work once per class. A
+pair_scorer binds a theta-bound unify.AbstractForm the same way, equal to
+unify.eval_abstract. jc_hybrid reads each step of its walk, and the term of
+the edge walked, from a table that the spec holds for each view it scores
+on, filled on first use: a term depends only on the edge, theta and the
+three parameters.
 
 Notes on the few places where published equations needed a decision:
   - slimani and wang_dca follow the equations as published even though
@@ -36,7 +39,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 from .errors import (
     ContractError,
@@ -46,7 +49,7 @@ from .errors import (
     UsageError,
 )
 from .graph import NodeId, TaxonomyView
-from .specificity import ClassUsage, ParamSpec, ThetaEstimator, resolve_params
+from .specificity import ClassUsage, ParamSpec, ThetaEstimator, exact_sum, resolve_params
 from .unify import FEATURES, FORMS, AbstractForm, MeasureValue, Polarity, abstract_form, check_theta
 
 
@@ -98,6 +101,9 @@ class PairwiseMeasureSpec:
     info: MeasureInfo = field(init=False, repr=False, compare=False)
     kernel: Callable[..., MeasureValue] | None = field(init=False, repr=False, compare=False)
     args: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    # jc_hybrid's edge terms: {view: table} with one table, filled on first
+    # use, for each view the spec scores on
+    terms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         info = MEASURES[self.name]
@@ -290,31 +296,62 @@ def _eval_damato_ext(spec, t, u, v, counts=None):
     return _sim(ratio * (1.0 - na / spec.usage.total) * (1.0 - ratio))
 
 
-def _eval_jc_hybrid(spec, t, u, v):
+def _jc_step(spec, t, table, x, a):
+    """(step, term) of jc_hybrid's walk at x towards a: the parent it steps
+    to, and that edge's density times depth factor times IC difference,
+    times the predicate weight. A class with one parent stores the pair in
+    table under x on first use, where the walk reads it; a class with
+    several keeps it under (x, a), read here, its step being _up_path's
+    label-ordered one. A term whose computation raises is not stored."""
+    ps = t._parents[x]
+    if len(ps) == 1:
+        key, step = x, ps[0]
+    else:
+        key = x, a
+        entry = table.get(key)
+        if entry is not None:
+            return entry
+        step = t._up_step(x, a)
     alpha, beta, weight = spec.args
-    theta, ic, children, depth = spec.theta, spec.theta._table, t._children, t._depth
-    a = t._mica(theta, t._anc[u] & t._anc[v])
+    ic = spec.theta._table
     spread = (1.0 - beta) * (len(t.edges) / len(t.class_ids))  # times the mean density
+    density = beta + spread / len(t._children[step])
+    # depth is taken one-based so the factor stays finite at the root
+    d = t._depth[step] + 1
+    term = density * ((d + 1.0) / d) ** alpha * (ic[x] - ic[step]) * weight
+    table[key] = entry = step, term
+    return entry
+
+
+def _eval_jc_hybrid(spec, t, u, v):
+    theta = spec.theta
+    a = t._mica(theta, t._anc[u] & t._anc[v])
+    table = spec.terms.get(t)
+    if table is None:
+        table = spec.terms[t] = {}
     # v's walk stops at the first class u's walk took, from where its path is
     # u's, so the two walks give the union of the two edge sets
-    walked, terms, total = set(), [], math.nan
+    walked, path = set(), []
     try:
-        for child, parent in chain(t._up_path(u, a), t._up_path(v, a, walked)):
-            walked.add(child)
-            density = beta + spread / len(children[parent])
-            # depth is taken one-based so the factor stays finite at the root
-            d = depth[parent] + 1
-            terms.append(density * ((d + 1.0) / d) ** alpha * (ic[child] - ic[parent]) * weight)
-        total = math.fsum(terms)
-    except OverflowError:
-        raise InfinityError(f"jc_hybrid of {t._labels[u]} and {t._labels[v]} overflows") from None
-    finally:
-        # a missing or infinite read, or an overflow: the reads of the edge
-        # set, once per class in order of first use, raise naming that
-        # class; only an overflow of finite terms stays an InfinityError
-        if not math.isfinite(total):
-            edges = set(t._up_path(u, a)) | set(t._up_path(v, a))
-            theta.values(dict.fromkeys(chain.from_iterable(edges)))
+        for x, stop in ((u, ()), (v, walked)):
+            while x != a and x not in stop:
+                entry = table.get(x)
+                if entry is None:  # first use, or several parents
+                    entry = _jc_step(spec, t, table, x, a)
+                step, term = entry
+                path.append(term)
+                walked.add(x)
+                x = step
+        total = exact_sum(path)
+    except (KeyError, OverflowError, ValueError):
+        total = math.nan
+    if not math.isfinite(total):
+        # a missing or infinite read, or a term or sum out of float range:
+        # the reads of the edge set, once per class in order of first use,
+        # raise naming that class; past them, every read is finite
+        edges = set(t._up_path(u, a)) | set(t._up_path(v, a))
+        theta.values(dict.fromkeys(chain.from_iterable(edges)))
+        raise InfinityError(f"jc_hybrid of {t._labels[u]} and {t._labels[v]} overflows")
     return _dist(total)
 
 
@@ -485,7 +522,7 @@ def eval_pairwise(
     return spec.kernel(*feature(spec, taxonomy, u, v), *spec.args)
 
 
-# -- pair scorers and score matrices -----------------------------------------
+# -- pair scorers ------------------------------------------------------------
 
 
 # Each matrix feature takes a cell's anchor as min(A(u) & A(v), key=key),
@@ -581,20 +618,6 @@ def pair_scorer(
         t._check(v)
 
     return score
-
-
-def score_matrix(
-    spec: PairwiseMeasureSpec,
-    taxonomy: TaxonomyView,
-    us: Iterable[NodeId],
-    vs: Iterable[NodeId],
-    allow_unreduced: bool = False,
-) -> list[list[MeasureValue]]:
-    """[[eval_pairwise(spec, taxonomy, u, v) for v in vs] for u in us] in one
-    call through one pair_scorer, raising what the first failing cell
-    raises."""
-    score, vs = pair_scorer(spec, taxonomy, allow_unreduced), list(vs)
-    return [[score(u, v) for v in vs] for u in us]
 
 
 def convert(mv: MeasureValue, target: Polarity, rule: ConversionRule) -> MeasureValue:

@@ -277,7 +277,6 @@ PAIR_QUERIES = {
     "ncca": (TaxonomyView.ncca, NOT_A_CLASS),
     "common_ancestors": (TaxonomyView.common_ancestors, NOT_A_CLASS),
     "shortest_path via_lca": (lambda t, u, v: t.shortest_path(u, v, VIA), NOT_A_CLASS),
-    "path_length_with_reversal": (TaxonomyView.path_length_with_reversal, NOT_A_CLASS),
     # the second class is an ancestor to find, so its label is looked up
     "shortest_up_path_edges": (TaxonomyView.shortest_up_path_edges, "unknown class id {}"),
     "longest_up_distance": (TaxonomyView.longest_up_distance, "unknown class id {}"),
@@ -351,8 +350,9 @@ def check_path_queries(t, pairs):
         for v in t.class_ids:
             assert t.shortest_path(u, v, VIA) == brute_via_lca(pairs, name(u), name(v))
             du, dv = up[u], up[v]
-            # the turn at a common ancestor costs 1 unless it is u or v
-            assert t.path_length_with_reversal(u, v) == min(
+            # shenoy's walk: the turn at a common ancestor costs 1 unless it
+            # is u or v
+            assert t._via_ancestor(u, v, 1) == min(
                 du[a] + dv[a] + (1 if du[a] and dv[a] else 0) for a in du.keys() & dv.keys()
             )
             for spec, oracle in ((wu_palmer, brute_wu_palmer), (pekar_staab, brute_pekar_staab)):

@@ -1,6 +1,8 @@
+import functools
 import io
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -304,6 +306,37 @@ class TestHybrid:
             assert _hexed(lambda: smx.eval_pairwise(spec, t, u, v, True)) == want, (u, v)
             assert _hexed(lambda: score(u, v)) == want, (u, v)
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), beta=st.sampled_from([0.5, 1.0]))
+    def test_one_spec_reads_each_views_own_terms(self, seed, beta):
+        # the unreduced view has more edges, so at beta < 1 every density
+        # differs between the views, and its shortcuts change the paths
+        rng = random.Random(seed)
+        t, _ = random_taxonomy(rng, max_nodes=30, multi=0.8)
+        reduced, _ = smx.transitive_reduction(t)
+        classes = sorted(t.class_ids)
+        pairs = [(rng.choice(classes), rng.choice(classes)) for _ in range(20)]
+        for views in ((reduced, t), (t, reduced)):
+            spec = smx.pairwise_measure("jc_hybrid", theta=smx.seco_ic(t), alpha=1.0, beta=beta)
+            for view in views:
+                for u, v in pairs:
+                    want = _hexed(lambda: edge_set_jc_hybrid(spec, view, u, v))
+                    got = _hexed(lambda: smx.eval_pairwise(spec, view, u, v, True))
+                    assert got == want, (u, v)
+
+    def test_a_failing_pair_fails_alike_again(self):
+        # D has no instances, so unsmoothed resnik leaves theta(D) undefined
+        t = taxonomy_from_pairs([("A", "R"), ("B", "R"), ("C", "A"), ("D", "A")])
+        b, c, d = t.node("B"), t.node("C"), t.node("D")
+        usage = smx.class_usage(t, smx.AnnotationSet({"i1": frozenset({c}), "i2": frozenset({b})}))
+        spec = smx.pairwise_measure("jc_hybrid", theta=smx.resnik_extrinsic_ic(t, usage))
+        first, again = (_hexed(lambda: smx.eval_pairwise(spec, t, d, c)) for _ in range(2))
+        assert first[0] is InfiniteICError and "class D " in first[1]
+        assert again == first
+        finite = _hexed(lambda: smx.eval_pairwise(spec, t, c, b))
+        assert finite == _hexed(lambda: edge_set_jc_hybrid(spec, t, c, b))
+        assert math.isfinite(float.fromhex(finite[0]))
+
 
 def _hexed(evaluate):
     """float.hex of the value and the flags of evaluate(), or the type and
@@ -518,6 +551,50 @@ class TestContracts:
         with pytest.raises(InfinityError, match="overflows"):
             smx.pair_scorer(spec, toy)(e, f)
 
+    def test_jc_hybrid_term_out_of_float_range_is_an_infinity_error(self):
+        # every theta read is finite, but a term or the exact sum is not
+        fork = taxonomy_from_pairs([("B", "A"), ("C", "A")])
+        chain = taxonomy_from_pairs([("B", "A"), ("C", "B")])
+        for t, values, (u, v) in (
+            (fork, (-1.7e308, 1.7e308, 1.7e308), "BA"),  # one infinite term
+            (fork, (0.0, 1.7e308, 1.7e308), "BC"),  # an exact sum out of range
+            (chain, (-1.7e308, 1.7e308, -1.7e308), "CA"),  # inf + -inf
+        ):
+            table = dict(zip(map(t.node, "ABC"), values))
+            spec = smx.pairwise_measure("jc_hybrid", theta=smx.ThetaEstimator.from_table(t, table))
+            for score in (functools.partial(smx.eval_pairwise, spec, t), smx.pair_scorer(spec, t)):
+                with pytest.raises(InfinityError) as caught:
+                    score(t.node(u), t.node(v))
+                assert str(caught.value) == f"jc_hybrid of {u} and {v} overflows"
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_near_max_tables_give_one_outcome_in_any_order(self, seed):
+        # jc_hybrid walks the path of its first class first, and jac_anc sums
+        # theta over set iteration orders; partial sums of these tables
+        # overflow in some orders only, so each must give the exact sum of
+        # its terms rounded once, or InfinityError where that is out of range
+        rng = random.Random(seed)
+        t, _ = random_taxonomy(rng, max_nodes=15, multi=0.5)
+        classes = sorted(t.class_ids)
+        values = (0.0, 1.0, -1.0, 0.9e308, -0.9e308, 1.7e308, -1.7e308)
+        theta = smx.ThetaEstimator.from_table(t, {c: rng.choice(values) for c in classes})
+        hybrid = smx.pairwise_measure("jc_hybrid", theta=theta)
+        jac_anc = smx.pairwise_measure("jac_anc", theta=theta)
+        outcome = lambda spec, u, v: _hexed(lambda: smx.eval_pairwise(spec, t, u, v, True))[0]
+        for _ in range(15):
+            u, v = rng.choice(classes), rng.choice(classes)
+            a = t.mica(theta, u, v)
+            edges = set(t.shortest_up_path_edges(u, a)) | set(t.shortest_up_path_edges(v, a))
+            # at the default parameters a term is theta(child) - theta(parent)
+            terms = [theta(x) - theta(y) for x, y in edges]
+            try:
+                want = float(sum(map(Fraction, terms))).hex()
+            except OverflowError:  # an infinite term, or an exact sum out of range
+                want = InfinityError
+            assert outcome(hybrid, u, v) == outcome(hybrid, v, u) == want, (u, v)
+            assert outcome(jac_anc, u, v) == outcome(jac_anc, v, u), (u, v)
+
     def test_jc_hybrid_huge_alpha_is_an_infinity_error(self, toy, toy_seco):
         # ((d + 1) / d) ** alpha leaves float range
         with pytest.raises(InfinityError, match="overflows"):
@@ -719,7 +796,7 @@ class TestFormRowOracles:
 
 
 def _outcome(fill):
-    """(matrix, None) or (None, the SmxError subclass fill raised)."""
+    """(result, None) or (None, the SmxError subclass fill raised)."""
     try:
         return fill(), None
     except SmxError as exc:
@@ -731,7 +808,16 @@ def _cell_fields(mv):
     return value, mv.polarity, mv.normalized, mv.degenerate
 
 
-class TestScoreMatrix:
+def _scored(score, u, v):
+    """The fields of score(u, v), or the type and message of the SmxError it
+    raised."""
+    try:
+        return _cell_fields(score(u, v))
+    except SmxError as exc:
+        return type(exc), str(exc)
+
+
+class TestPairScorer:
     @settings(max_examples=100, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -743,9 +829,10 @@ class TestScoreMatrix:
     # classes 2 and 8 are row and column classes, so their theta reads are
     # reused across rows, and lin's first undefined MICA is at row 1, column 2
     @example(seed=47, reduce=False, allow_unreduced=False, tied_theta=True, unknown=False)
-    def test_equals_eval_pairwise_cell_by_cell(
+    def test_equals_eval_pairwise_over_a_grid(
         self, seed, reduce, allow_unreduced, tied_theta, unknown
     ):
+        # one scorer per spec over every (u, v) of us x vs, row by row
         rng = random.Random(seed)
         t, _ = random_taxonomy(rng, max_nodes=30, multi=0.6)
         if reduce:
@@ -774,20 +861,10 @@ class TestScoreMatrix:
                 usage=usage if info.needs_usage else None,
                 **params,
             )
-            got, got_error = _outcome(
-                lambda: smx.score_matrix(spec, t, us, vs, allow_unreduced)
-            )
-            want, want_error = _outcome(
-                lambda: [
-                    [smx.eval_pairwise(spec, t, u, v, allow_unreduced) for v in vs]
-                    for u in us
-                ]
-            )
-            assert got_error is want_error, name
-            if want is not None:
-                assert [[_cell_fields(mv) for mv in row] for row in got] == [
-                    [_cell_fields(mv) for mv in row] for row in want
-                ], name
+            score = smx.pair_scorer(spec, t, allow_unreduced)
+            direct = lambda u, v: smx.eval_pairwise(spec, t, u, v, allow_unreduced)
+            got = [[_scored(score, u, v) for v in vs] for u in us]
+            assert got == [[_scored(direct, u, v) for v in vs] for u in us], name
 
     def test_infinite_theta_at_the_mica_fails_alike(self):
         # both paths read theta(u), theta(v) and then theta at the MICA ranked
@@ -811,7 +888,7 @@ class TestScoreMatrix:
                 spec = smx.pairwise_measure(name, theta=theta)
                 for u in classes:
                     for v in classes:
-                        assert failure(lambda: smx.score_matrix(spec, t, [u], [v])) == failure(
+                        assert failure(lambda: smx.pair_scorer(spec, t)(u, v)) == failure(
                             lambda: smx.eval_pairwise(spec, t, u, v)
                         ), (seed, name, t.label(u), t.label(v))
 
@@ -825,7 +902,8 @@ class TestScoreMatrix:
         u, v = t.node("u"), t.node("v")
         wu_palmer = smx.pairwise_measure("wu_palmer")
         assert smx.eval_pairwise(wu_palmer, t, u, v).value == 0.4
-        assert smx.score_matrix(wu_palmer, t, [u, v], [v, u])[0] == [
+        score = smx.pair_scorer(wu_palmer, t)
+        assert [score(u, v), score(u, u)] == [
             smx.eval_pairwise(wu_palmer, t, u, v),
             smx.eval_pairwise(wu_palmer, t, u, u),
         ]
@@ -836,15 +914,17 @@ class TestScoreMatrix:
         usage = smx.class_usage(t, smx.AnnotationSet({"i": frozenset({c1})}))
         wu_palmer = smx.pairwise_measure("wu_palmer")
         with pytest.raises(RedundancyError):
-            smx.score_matrix(wu_palmer, t, [c0], [c1])
-        assert smx.score_matrix(wu_palmer, t, [c0], [c1], allow_unreduced=True)
+            smx.pair_scorer(wu_palmer, t)(c0, c1)
+        assert smx.pair_scorer(wu_palmer, t, allow_unreduced=True)(c0, c1)
         with pytest.raises(UsageError):
-            smx.score_matrix(smx.pairwise_measure("jaccard_ext", usage=usage), t, [c1], [c0])
+            smx.pair_scorer(smx.pairwise_measure("jaccard_ext", usage=usage), t)(c1, c0)
         lin = smx.pairwise_measure("lin", theta=smx.resnik_extrinsic_ic(t, usage))
+        score = smx.pair_scorer(lin, t)
         with pytest.raises(InfiniteICError):
-            smx.score_matrix(lin, t, [c4], [c0])
+            score(c4, c0)
+        assert score(c1, c4)
         with pytest.raises(UnknownNodeError):
-            smx.score_matrix(lin, t, [c1], [c4, -1])
+            score(c1, -1)
 
     def test_jaccard_ext_hand_values(self):
         t = taxonomy_from_pairs([("A", "root"), ("B", "root"), ("C", "root")])
@@ -858,19 +938,8 @@ class TestScoreMatrix:
         want = {(a, b): 3 / 5, (a, c): 0.0, (a, a): 1.0, (c, c): 1.0}
         for (u, v), value in want.items():
             assert smx.eval_pairwise(spec, t, u, v).value == value
-            assert smx.score_matrix(spec, t, [u], [v])[0][0].value == value
+            assert smx.pair_scorer(spec, t)(u, v).value == value
 
-
-def _scored(score, u, v):
-    """The fields of score(u, v), or the type and message of the SmxError it
-    raised."""
-    try:
-        return _cell_fields(score(u, v))
-    except SmxError as exc:
-        return type(exc), str(exc)
-
-
-class TestPairScorer:
     @settings(max_examples=100, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -966,7 +1035,7 @@ class TestExtensionalOracles:
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), tree=st.booleans(), reduce=st.booleans())
-    def test_eval_and_matrix_match_oracle(self, seed, tree, reduce):
+    def test_eval_and_scorer_match_oracle(self, seed, tree, reduce):
         rng = random.Random(seed)
         t, _ = random_taxonomy(rng, max_nodes=30, tree=tree)
         if reduce:
@@ -994,7 +1063,8 @@ class TestExtensionalOracles:
             want, want_error = _oracle_outcome(
                 lambda: [[brute_extensional(name, t, members, total, u, v) for v in vs] for u in us]
             )
-            got, got_error = _oracle_outcome(lambda: smx.score_matrix(spec, t, us, vs))
+            score = smx.pair_scorer(spec, t)
+            got, got_error = _oracle_outcome(lambda: [[score(u, v) for v in vs] for u in us])
             assert got_error == want_error, name
             if want_error is None:
                 for got_row, want_row in zip(got, want):

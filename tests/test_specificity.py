@@ -1,6 +1,8 @@
 import io
+import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +27,7 @@ from helpers import (
     children_of,
     random_annotations,
     random_taxonomy,
+    taxonomy_from_pairs,
 )
 
 LN = math.log
@@ -186,8 +189,8 @@ def _read(fill):
 
 class TestBulkRead:
     """values(classes) equals one theta(c) per class, and sum(classes) the
-    math.fsum of those reads, in value or in the class and message of the
-    error raised."""
+    math.fsum of those reads, or their exact sum where a partial sum
+    overflows, in value or in the class and message of the error raised."""
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -247,6 +250,35 @@ class TestBulkRead:
         # finite values whose sum leaves float range
         with pytest.raises(InfinityError, match="overflows"):
             theta.sum((e, f))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_sum_near_max_is_one_outcome_in_any_order(self, seed):
+        # math.fsum raises when a partial sum overflows, even where the exact
+        # sum is in range; sum gives the exact sum rounded once in every order
+        rng = random.Random(seed)
+        t, _ = random_taxonomy(rng, max_nodes=12)
+        classes = sorted(t.class_ids)
+        values = (0.0, 1.0, -1.0, 0.9e308, -0.9e308, 1.7e308, -1.7e308)
+        table = {c: rng.choice(values) for c in classes}
+        theta = smx.ThetaEstimator.from_table(t, table)
+        for size in (2, 3, 5):
+            group = [rng.choice(classes) for _ in range(size)]
+            try:
+                want = "ok", float(sum(Fraction(table[c]) for c in group))
+            except OverflowError:
+                want = (InfinityError, f"a sum of theta over {size} classes overflows")
+            for order in itertools.permutations(group):
+                assert _read(lambda: theta.sum(order)) == want
+
+    def test_sum_near_max_named_case(self):
+        t = taxonomy_from_pairs([("B", "A"), ("C", "A")])
+        a, b, c = (t.node(name) for name in "ABC")
+        theta = smx.ThetaEstimator.from_table(t, {a: -1.7e308, b: 1.7e308, c: 1.7e308})
+        for order in itertools.permutations((a, b, c)):
+            assert theta.sum(order) == 1.7e308
+        with pytest.raises(InfinityError, match="over 2 classes overflows"):
+            theta.sum((b, c))
 
 
 class TestMonotonicity:
