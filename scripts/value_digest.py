@@ -60,14 +60,37 @@ although the exact sum does not, in the measure line format:
 
     <measure> theta=near-max <u> <v>: ...
 
+The CLI block runs `python -m smx.cli`, from the smx package this script
+imports, once per argv of a fixed list in a temporary directory. The inputs
+are the DAG, its reduction by `smx preprocess`, the DAG with one edge
+added from the root to a class below it (a cycle), the class pairs, the
+instances' annotations, instance pairs, a word mapping and rated word
+pairs, and bad inputs: a missing annotation file, an annotation file and
+pair lists that name an unknown class or instance. It covers the success
+path of every subcommand that loads a taxonomy, each of them on the cycle
+and with both bad annotation files, and the errors of an unknown
+estimator, an extrinsic estimator or a usage measure without
+--annotations and an unknown class or instance in --pairs. A line gives
+the exit status, the sha256 of the --out file (`absent` when the run
+wrote none) and of standard output, and standard error with each newline
+written as `\n`:
+
+    cli <name>: exit=<n> out=<sha256> stdout=<sha256> stderr=<text>
+
 Usage: PYTHONPATH=src python scripts/value_digest.py > digest.txt
 """
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 from scale_smoke import synth_graph_lines
 
+import smx
 from smx import (
     MEASURES,
     AnnotationSet,
@@ -266,18 +289,121 @@ def near_max_lines(t, pairs):
     return out
 
 
+def cli_run(directory, argv):
+    """One `python -m smx.cli` line; argv writes to run.out unless it names
+    its own --out."""
+    if "--out" not in argv:
+        argv = [*argv, "--out", "run.out"]
+    out = directory / argv[argv.index("--out") + 1]
+    if out.exists():
+        out.unlink()
+    src = Path(smx.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "smx.cli", *argv], cwd=directory, capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    sha = lambda data: hashlib.sha256(data).hexdigest()
+    written = sha(out.read_bytes()) if out.exists() else "absent"
+    err = proc.stderr.decode().rstrip("\n").replace("\n", "\\n")
+    return f"exit={proc.returncode} out={written} stdout={sha(proc.stdout)} stderr={err}"
+
+
+def cli_lines(graph_text, t, annotations, pairs):
+    label = t.label
+    classes = [label(c) for c in t.sorted_classes()]
+    used = sorted({label(c) for cs in annotations.assignments.values() for c in cs})
+    words = [f"w{k}" for k in range(60)]
+    files = {
+        "graph.tsv": graph_text,
+        "cycle.tsv": f"{graph_text}{label(t.root)}\tsubClassOf\t{classes[-1]}\n",
+        "pairs.tsv": "".join(f"{label(u)}\t{label(v)}\n" for u, v in pairs),
+        "used-pairs.tsv": "".join(
+            f"{used[k]}\t{used[(7 * k + 3) % len(used)]}\n" for k in range(100)
+        ),
+        "ann.tsv": "".join(
+            f"{name}\t{','.join(sorted(label(c) for c in cs))}\n"
+            for name, cs in sorted(annotations.assignments.items())
+        ),
+        "ipairs.tsv": "".join(f"i{k}\ti{(7 * k + 3) % 400}\n" for k in range(100)),
+        "map.tsv": "".join(
+            f"{w}\t{classes[37 * k % len(classes)]};{classes[11 * k % len(classes)]}\n"
+            for k, w in enumerate(words)
+        ),
+        "rated.tsv": "".join(
+            f"{w}\t{words[(7 * k + 1) % 60]}\t{13 * k % 10}\n" for k, w in enumerate(words)
+        ),
+        "ghost-ann.tsv": "i0\tc1\ni1\tc2,ghost\n",
+        "ghost-pairs.tsv": f"{classes[1]}\t{classes[2]}\n{classes[1]}\tghost\n",
+        "ghost-ipairs.tsv": "i1\ti2\nghost\ti1\n",
+    }
+    reduced, ann = ["--graph", "reduced.tsv"], ["--annotations", "ann.tsv"]
+    bases = {
+        "ic": ["ic", "--estimator", "seco", *reduced],
+        "sim": ["sim", "--measure", "lin", "--ic", "seco", *reduced, "--pairs", "pairs.tsv"],
+        "groupsim": ["groupsim", "--measure", "bma:lin", "--ic", "seco", *reduced, *ann,
+                     "--pairs", "ipairs.tsv"],
+        "abstract": ["abstract", "--form", "dice", "--ic", "seco", *reduced,
+                     "--pairs", "pairs.tsv"],
+        "bench": ["bench", *reduced, "--mapping", "map.tsv", "--dataset", "rated.tsv",
+                  "--measures", "lin:ic=seco,wupalmer,rada"],
+    }
+    ic, sim, group, abstract, bench = bases.values()
+    # argparse keeps the last value of a repeated option, so a variant is
+    # its base with options appended
+    runs = [
+        ("preprocess", ["preprocess", "--graph", "graph.tsv", "--out", "reduced.tsv"]),
+        ("preprocess cycle", ["preprocess", "--graph", "cycle.tsv"]),
+    ]
+    for command, argv in bases.items():
+        runs += [
+            (command, argv),
+            (f"{command} cycle", [*argv, "--graph", "cycle.tsv"]),
+            (f"{command} missing annotations", [*argv, "--annotations", "missing.tsv"]),
+            (f"{command} unknown annotation class", [*argv, "--annotations", "ghost-ann.tsv"]),
+        ]
+    runs += [
+        ("ic resnik", [*ic, "--estimator", "resnik:smooth=1,base=2", *ann]),
+        ("ic unknown estimator", [*ic, "--estimator", "nosuch"]),
+        ("ic resnik without annotations", [*ic, "--estimator", "resnik"]),
+        ("sim jaccard_ext", [*sim, "--measure", "jaccard_ext", *ann, "--pairs", "used-pairs.tsv"]),
+        ("sim jaccard_ext unused class", [*sim, "--measure", "jaccard_ext", *ann]),
+        ("sim jc resnik", [*sim, "--measure", "jc", "--ic", "resnik:smooth=1", *ann]),
+        ("sim jc default theta", ["sim", "--measure", "jc", *reduced, "--pairs", "pairs.tsv"]),
+        ("sim unknown estimator", [*sim, "--ic", "nosuch"]),
+        ("sim resnik without annotations", [*sim, "--ic", "resnik"]),
+        ("sim jaccard_ext without annotations", [*sim, "--measure", "jaccard_ext"]),
+        ("sim unknown class", [*sim, "--pairs", "ghost-pairs.tsv"]),
+        ("groupsim simgic resnik", [*group, "--measure", "simgic", "--ic", "resnik"]),
+        ("groupsim avg:jaccard_ext", [*group, "--measure", "avg:jaccard_ext"]),
+        ("groupsim unknown estimator", [*group, "--ic", "nosuch"]),
+        ("groupsim unknown instance", [*group, "--pairs", "ghost-ipairs.tsv"]),
+        ("abstract resnik", [*abstract, "--ic", "resnik:smooth=1", *ann]),
+        ("abstract unknown estimator", [*abstract, "--ic", "nosuch"]),
+        ("abstract resnik without annotations", [*abstract, "--ic", "resnik"]),
+        ("abstract unknown class", [*abstract, "--pairs", "ghost-pairs.tsv"]),
+        ("bench usage", [*bench, "--measures", "lin:ic=resnik:smooth=1,jaccard_ext", *ann]),
+        ("bench unknown estimator", [*bench, "--measures", "lin:ic=nosuch"]),
+        ("bench resnik without annotations", [*bench, "--measures", "lin:ic=resnik"]),
+        ("bench jaccard_ext without annotations", [*bench, "--measures", "jaccard_ext"]),
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        for name, text in files.items():
+            (directory / name).write_text(text)
+        return [f"cli {name}: {cli_run(directory, argv)}" for name, argv in runs]
+
+
 def main():
     rng = random.Random(SEED)
-    graph = parse_graph(synth_graph_lines(2_000, rng).encode())
+    graph_text = synth_graph_lines(2_000, rng)
+    graph = parse_graph(graph_text.encode())
     t, _ = transitive_reduction(taxonomic_reduction(graph))
     classes = t.sorted_classes()
     theta, depth = seco_ic(t), depth_theta(t, normalized=False)
-    usage = class_usage(
-        t,
-        AnnotationSet(
-            {f"i{k}": frozenset(rng.sample(classes, rng.randint(1, 3))) for k in range(400)}
-        ),
+    annotations = AnnotationSet(
+        {f"i{k}": frozenset(rng.sample(classes, rng.randint(1, 3))) for k in range(400)}
     )
+    usage = class_usage(t, annotations)
     pairs = [tuple(rng.sample(classes, 2)) for _ in range(300)]
     pairs += [(t.root, t.root), (t.root, classes[1]), (classes[1], classes[1])]
     groups = [frozenset(rng.sample(classes, rng.randint(1, 5))) for _ in range(60)]
@@ -332,6 +458,7 @@ def main():
     out += serializer_lines(graph, rng)
     out += relatedness_lines()
     out += near_max_lines(t, pairs)
+    out += cli_lines(graph_text, t, annotations, pairs)
     print("\n".join(out))
 
 

@@ -2,6 +2,11 @@
 
 Subcommands: preprocess, ic, sim, groupsim, abstract, rel, bench.
 
+Every subcommand but rel loads its input in one order: the graph, its
+taxonomy view and a given --annotations file, then class usage and each
+theta only when a measure or estimator needs them. rel reads a relational
+graph, which has no taxonomy.
+
 Exit status is 0 on success, 1 on a usage error and 2 on a data or
 contract error. Results go only to the output path (or standard output);
 diagnostics go to standard error. Measure and estimator selections share
@@ -24,7 +29,7 @@ from contextlib import contextmanager
 from . import bench as bench_mod
 from . import ingest, preprocess, relatedness, unify
 from .errors import InfinityError, SmxError, UsageError as DataUsageError
-from .graph import SemanticGraph
+from .graph import SUBCLASS_OF, SemanticGraph
 from .groupwise import DIRECT, STRATEGIES, eval_groupwise, groupwise_measure
 from .pairwise import MEASURES, pair_scorer, pairwise_measure
 from .specificity import ESTIMATOR_KINDS, EXTRINSIC, build_estimator, class_usage
@@ -100,48 +105,41 @@ def _float_params(params: dict[str, str], context: str) -> dict[str, float]:
     return out
 
 
-# -- shared loading steps ----------------------------------------------------
+# -- the load step ----------------------------------------------------------
 
 
-def _usage_loader(args, graph, taxonomy, annotations=None):
-    """A callable giving class usage, built on its first call only.
+def _load(args):
+    """The load step of every taxonomic subcommand: parse --graph, build
+    its taxonomy view and parse --annotations when the option is given.
 
-    That call parses --annotations unless annotations are given; the
-    callable returns None when there are none. Call it only where a measure
-    or estimator needs usage."""
-
-    @functools.cache
-    def load():
-        parsed = annotations
-        if parsed is None:
-            if not getattr(args, "annotations", None):
-                return None
-            parsed = ingest.parse_annotations(args.annotations, graph)
-        return class_usage(taxonomy, parsed)
-
-    return load
-
-
-def _estimators(taxonomy, usage_loader):
-    """A callable binding the estimator of a selector token, once per
-    distinct token: the one place the CLI binds a theta."""
+    Returns (graph, view, annotations, usage, theta). annotations is None
+    without the option. usage() builds class usage on its first call, and
+    only then, and is None without annotations; theta(token) binds the
+    estimator of a selector token once per distinct token: the one place
+    the CLI binds a theta."""
+    graph = ingest.parse_graph(args.graph)
+    taxonomy = preprocess.taxonomic_reduction(graph)
+    path = getattr(args, "annotations", None)
+    annotations = ingest.parse_annotations(path, graph) if path else None
 
     @functools.cache
-    def bind(token):
+    def usage():
+        return None if annotations is None else class_usage(taxonomy, annotations)
+
+    @functools.cache
+    def theta(token):
         kind, raw = parse_selector(token)
         if kind not in ESTIMATOR_KINDS:
             raise CommandLineError(
                 f"unknown estimator {kind!r}; valid estimators: {', '.join(ESTIMATOR_KINDS)}"
             )
         params = _float_params(raw, f"estimator {kind}")
-        usage = None
-        if kind in EXTRINSIC:
-            usage = usage_loader()
-            if usage is None:
-                raise DataUsageError(f"estimator {kind!r} needs --annotations")
-        return build_estimator(kind, taxonomy, usage=usage, **params)
+        counts = usage() if kind in EXTRINSIC else None
+        if kind in EXTRINSIC and counts is None:
+            raise DataUsageError(f"estimator {kind!r} needs --annotations")
+        return build_estimator(kind, taxonomy, usage=counts, **params)
 
-    return bind
+    return graph, taxonomy, annotations, usage, theta
 
 
 def _ic_token(token, measure):
@@ -153,19 +151,19 @@ def _ic_token(token, measure):
     return token
 
 
-def _pairwise_spec(args, token, estimators, usage_loader):
+def _pairwise_spec(args, token, theta, usage):
     name, raw = parse_selector(token)
     name = resolve_measure_name(name)
     info = MEASURES[name]
     ic_token = raw.pop("ic", None)
     params = _float_params(raw, f"measure {name}")
-    theta = None
-    usage = usage_loader() if info.needs_usage else None
-    if info.needs_theta:
-        theta = estimators(_ic_token(ic_token or getattr(args, "ic", None), name))
-    if info.needs_usage and usage is None:
+    counts = usage() if info.needs_usage else None
+    if info.needs_usage and counts is None:
         raise DataUsageError(f"measure {name!r} needs --annotations")
-    return pairwise_measure(name, theta=theta, usage=usage, **params)
+    ic = None
+    if info.needs_theta:
+        ic = theta(_ic_token(ic_token or getattr(args, "ic", None), name))
+    return pairwise_measure(name, theta=ic, usage=counts, **params)
 
 
 def _open_file(path, mode):
@@ -233,14 +231,9 @@ def _score_classes(args, taxonomy, spec, name, allow_unreduced=False) -> int:
 
 
 def _cmd_preprocess(args) -> int:
-    graph = ingest.parse_graph(args.graph)
-    taxonomy = preprocess.taxonomic_reduction(graph)
+    graph, taxonomy, *_ = _load(args)
     _, report = preprocess.transitive_reduction(taxonomy)
-    removed = {
-        (graph.node(r.subject), r.predicate, graph.node(r.object))
-        for r in report.removed_edges
-    }
-    kept = graph.edges - removed
+    kept = graph.edges - {(u, SUBCLASS_OF, p) for u, p in taxonomy.redundant_edges}
     cleaned = SemanticGraph(
         labels=graph._labels,
         classes=graph.classes,
@@ -271,10 +264,8 @@ def _cmd_preprocess(args) -> int:
 
 
 def _cmd_ic(args) -> int:
-    graph = ingest.parse_graph(args.graph)
-    taxonomy = preprocess.taxonomic_reduction(graph)
-    usage = _usage_loader(args, graph, taxonomy)
-    estimator = _estimators(taxonomy, usage)(args.estimator)
+    _, taxonomy, _, _, theta = _load(args)
+    estimator = theta(args.estimator)
     with _open_out(args.out) as out:
         for c in taxonomy.sorted_classes():
             out.write(f"{taxonomy.label(c)}\t{_fmt(estimator.raw(c))}\n")
@@ -282,20 +273,14 @@ def _cmd_ic(args) -> int:
 
 
 def _cmd_sim(args) -> int:
-    graph = ingest.parse_graph(args.graph)
-    taxonomy = preprocess.taxonomic_reduction(graph)
-    usage = _usage_loader(args, graph, taxonomy)
-    spec = _pairwise_spec(args, args.measure, _estimators(taxonomy, usage), usage)
+    _, taxonomy, _, usage, theta = _load(args)
+    spec = _pairwise_spec(args, args.measure, theta, usage)
     return _score_classes(args, taxonomy, spec, args.measure, args.allow_unreduced)
 
 
 def _cmd_groupsim(args) -> int:
-    graph = ingest.parse_graph(args.graph)
-    taxonomy = preprocess.taxonomic_reduction(graph)
-    annotations = ingest.parse_annotations(args.annotations, graph)
+    _, taxonomy, annotations, usage, theta = _load(args)
     reduced, _ = preprocess.reduce_annotations(taxonomy, annotations)
-    usage = _usage_loader(args, graph, taxonomy, annotations)
-    estimators = _estimators(taxonomy, usage)
 
     # grammar: direct name, or strategy:inner[,key=value...]
     name, _, inner_token = args.measure.partition(":")
@@ -303,14 +288,14 @@ def _cmd_groupsim(args) -> int:
     if name in DIRECT:
         if inner_token:
             raise CommandLineError(f"direct measure {name!r} takes no inner measure")
-        theta = estimators(_ic_token(args.ic, name)) if DIRECT[name][0].needs_theta else None
-        spec = groupwise_measure(name, theta=theta)
+        ic = theta(_ic_token(args.ic, name)) if DIRECT[name][0].needs_theta else None
+        spec = groupwise_measure(name, theta=ic)
     elif name in STRATEGIES:
         if not inner_token.strip():
             raise CommandLineError(
                 f"aggregation {name!r} needs an inner measure, e.g. {name}:lin"
             )
-        inner_spec = _pairwise_spec(args, inner_token, estimators, usage)
+        inner_spec = _pairwise_spec(args, inner_token, theta, usage)
         spec = groupwise_measure(name, inner=inner_spec)
     else:
         raise CommandLineError(
@@ -331,9 +316,8 @@ def _cmd_groupsim(args) -> int:
 
 
 def _cmd_abstract(args) -> int:
-    graph = ingest.parse_graph(args.graph)
-    taxonomy = preprocess.taxonomic_reduction(graph)
-    theta = _estimators(taxonomy, _usage_loader(args, graph, taxonomy))(args.ic)
+    _, taxonomy, _, _, theta = _load(args)
+    ic = theta(args.ic)
     name, raw = parse_selector(args.form)
     if name.lower() in unify.FORMS:
         form = unify.abstract_form(name.lower(), **_float_params(raw, f"form {name}"))
@@ -341,7 +325,7 @@ def _cmd_abstract(args) -> int:
         form = unify.instantiate(name)
         if raw:
             raise CommandLineError(f"named form {name!r} takes no parameters")
-    return _score_classes(args, taxonomy, form.with_theta(theta), args.form)
+    return _score_classes(args, taxonomy, form.with_theta(ic), args.form)
 
 
 def _cmd_rel(args) -> int:
@@ -372,16 +356,13 @@ def _cmd_rel(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    graph = ingest.parse_graph(args.graph)
-    taxonomy = preprocess.taxonomic_reduction(graph)
+    graph, taxonomy, _, usage, theta = _load(args)
     mapping = ingest.parse_word_mapping(args.mapping, graph)
     dataset = bench_mod.load_rated_pairs(args.dataset, kind=args.dataset_kind)
-    usage = _usage_loader(args, graph, taxonomy)
-    estimators = _estimators(taxonomy, usage)
-    measures = []
-    for token in split_measure_list(args.measures):
-        spec = _pairwise_spec(args, token, estimators, usage)
-        measures.append((token, spec))
+    measures = [
+        (token, _pairwise_spec(args, token, theta, usage))
+        for token in split_measure_list(args.measures)
+    ]
     if not measures:
         raise CommandLineError("no measures selected")
     run = bench_mod.run_benchmark(

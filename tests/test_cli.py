@@ -397,8 +397,25 @@ class TestGroupsim:
         assert code == 0
         assert float(out.strip().split("\t")[2]) == pytest.approx(0.6594, abs=1e-3)
 
-    @pytest.mark.parametrize("ic, usage_builds", [("seco", 0), ("resnik", 1)])
-    def test_annotations_read_once(self, toy_file, tmp_path, capsys, monkeypatch, ic, usage_builds):
+    @pytest.mark.parametrize(
+        "argv, usage_builds",
+        [
+            pytest.param(["groupsim", "--measure", "bma:lin", "--ic", "seco"], 0, id="seco-0"),
+            pytest.param(["groupsim", "--measure", "bma:lin", "--ic", "resnik"], 1, id="resnik-1"),
+            pytest.param(
+                ["groupsim", "--measure", "avg:jaccard_ext", "--ic", "resnik"], 1,
+                id="avg:jaccard_ext-resnik-1",
+            ),
+            pytest.param(
+                ["bench", "--mapping", "map.tsv", "--dataset", "ratings.tsv",
+                 "--measures", "lin:ic=resnik,jaccard_ext"], 1,
+                id="bench-lin:ic=resnik,jaccard_ext-1",
+            ),
+        ],
+    )
+    def test_annotations_read_once(
+        self, toy_file, tmp_path, capsys, monkeypatch, argv, usage_builds
+    ):
         calls = {"parse": 0, "usage": 0}
 
         def counted(key, fn):
@@ -412,14 +429,14 @@ class TestGroupsim:
             smx.ingest, "parse_annotations", counted("parse", smx.ingest.parse_annotations)
         )
         monkeypatch.setattr(smx.cli, "class_usage", counted("usage", smx.cli.class_usage))
-        ann = tmp_path / "ann.tsv"
-        ann.write_text("g1\tC,D\ng2\tE\n")
-        pairs = tmp_path / "ipairs.tsv"
-        pairs.write_text("g1\tg2\n")
-        code = main(
-            ["groupsim", "--measure", "bma:lin", "--ic", ic,
-             "--graph", toy_file, "--annotations", str(ann), "--pairs", str(pairs)]
-        )
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "ann.tsv").write_text("g1\tC,D\ng2\tE\n")
+        (tmp_path / "ipairs.tsv").write_text("g1\tg2\n")
+        (tmp_path / "map.tsv").write_text("cat\tE\ndog\tD\nbird\tC\n")
+        (tmp_path / "ratings.tsv").write_text("cat\tdog\t3.0\ncat\tbird\t1.0\ndog\tbird\t2.0\n")
+        if argv[0] == "groupsim":
+            argv = [*argv, "--pairs", "ipairs.tsv"]
+        code = main([*argv, "--graph", toy_file, "--annotations", "ann.tsv"])
         assert code == 0
         assert calls == {"parse": 1, "usage": usage_builds}
 
@@ -843,7 +860,13 @@ class TestDeterminism:
             "pairs.tsv": "mouse\tcat\nlynx\trodent\nfern\tmouse\nplant\tanimal\n",
             "rel_pairs.tsv": "tom\tjerry\nfern\tlynx\nmoss\tcat\nplant\tmouse\n",
             "weights.tsv": "hunts\t2\neats\t0.5\nsubClassOf\t1.25\n",
+            "ann.tsv": TestGroupsimHashSeed.ANNOTATIONS,
+            "ipairs.tsv": TestGroupsimHashSeed.PAIRS,
+            "map.tsv": "cat\tcat\nmouse\tmouse;rodent\nfern\tfern\nlynx\tlynx\n",
+            "rated.tsv": "cat\tmouse\t3\nlynx\tcat\t9\nfern\tmouse\t1\nlynx\tfern\t0.5\n",
         }
+        reduced = ["--graph", f"reduced{seed}.tsv"]
+        groupsim = ["groupsim", *reduced, "--annotations", "ann.tsv", "--pairs", "ipairs.tsv"]
         for name, text in files.items():
             (tmp_path / name).write_text(text)
         commands = [
@@ -853,6 +876,15 @@ class TestDeterminism:
              "--pairs", "pairs.tsv", "--out", f"sim{seed}.tsv"],
             ["rel", "--method", "wsp", "--graph", "g.tsv", "--weights", "weights.tsv",
              "--pairs", "rel_pairs.tsv", "--out", f"rel{seed}.tsv"],
+            ["ic", *reduced, "--estimator", "resnik:smooth=1", "--annotations", "ann.tsv",
+             "--out", f"ic{seed}.tsv"],
+            [*groupsim, "--measure", "simgic", "--ic", "resnik", "--out", f"simgic{seed}.tsv"],
+            [*groupsim, "--measure", "bma:lin", "--ic", "seco", "--out", f"bma{seed}.tsv"],
+            ["abstract", *reduced, "--form", "dice", "--ic", "seco", "--pairs", "pairs.tsv",
+             "--out", f"abstract{seed}.tsv"],
+            ["bench", *reduced, "--mapping", "map.tsv", "--dataset", "rated.tsv",
+             "--measures", "lin:ic=resnik,wupalmer,jaccard_ext", "--annotations", "ann.tsv",
+             "--out", f"bench{seed}.csv"],
         ]
         src = Path(smx.__file__).resolve().parent.parent
         env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": str(seed)}
@@ -861,8 +893,8 @@ class TestDeterminism:
                 [sys.executable, "-m", "smx.cli", *argv], cwd=tmp_path, env=env,
                 capture_output=True, check=True,
             )
-        names = ("reduced", "report", "sim", "rel")
-        return {name: (tmp_path / f"{name}{seed}.tsv").read_bytes() for name in names}
+        names = ("reduced", "report", "sim", "rel", "ic", "simgic", "bma", "abstract", "bench")
+        return {name: next(tmp_path.glob(f"{name}{seed}.*")).read_bytes() for name in names}
 
     def test_outputs_do_not_depend_on_hash_seed(self, tmp_path):
         first = self.run_all(tmp_path, 0)
@@ -870,6 +902,8 @@ class TestDeterminism:
         assert b"mouse\tsubClassOf\tmammal" in first["report"]
         assert b"inserted_root\t__root__" in first["report"]
         assert first["sim"].count(b"\n") == first["rel"].count(b"\n") == 4
+        assert first["simgic"].count(b"\n") == first["bma"].count(b"\n") == 6
+        assert first["abstract"].count(b"\n") == 4 and first["bench"].count(b"\n") == 4
 
 
 class TestGroupsimHashSeed:
@@ -1059,6 +1093,53 @@ class TestFailedCommandOutput:
             out.write_text(existing)
         assert main([*argvs[command], "--out", str(out)]) == 2
         assert "ghost" in capsys.readouterr().err
+        if existing is None:
+            assert not out.exists()
+        else:
+            assert out.read_text() == existing
+
+
+class TestBadAnnotations:
+    """A given --annotations file is read even where no measure needs
+    usage: a missing file or an unknown class is one error line, status 2,
+    and --out is left as it was."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sim", "--measure", "lin", "--pairs", "pairs.tsv"],
+            ["ic", "--estimator", "seco"],
+            ["abstract", "--form", "dice", "--ic", "seco", "--pairs", "pairs.tsv"],
+            ["bench", "--mapping", "map.tsv", "--dataset", "ratings.tsv", "--measures", "lin"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    @pytest.mark.parametrize(
+        "annotations, message",
+        [
+            ("missing.tsv", "error: cannot read missing.tsv: "),
+            ("ghost.tsv", "error: unknown class identifier 'NOPE'"),
+        ],
+        ids=["missing-file", "unknown-class"],
+    )
+    @pytest.mark.parametrize("existing", [None, "old results\n"], ids=["no-out", "old-out"])
+    def test_error_and_out_untouched(
+        self, toy_file, tmp_path, capsys, monkeypatch, argv, annotations, message, existing
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "pairs.tsv").write_text("E\tD\n")
+        (tmp_path / "ghost.tsv").write_text("g1\tC\ng2\tNOPE\n")
+        (tmp_path / "map.tsv").write_text("cat\tE\ndog\tD\nbird\tF\n")
+        (tmp_path / "ratings.tsv").write_text("cat\tdog\t3.0\ncat\tbird\t1.0\ndog\tbird\t2.0\n")
+        out = tmp_path / "out.tsv"
+        if existing is not None:
+            out.write_text(existing)
+        code = main([*argv, "--graph", toy_file, "--annotations", annotations, "--out", "out.tsv"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(message), lines
         if existing is None:
             assert not out.exists()
         else:
