@@ -23,8 +23,9 @@ class ClassificationError(SmxError):
     """A node is used both as a class and as an instance."""
 
 
-class ResolutionError(SmxError):
-    """An identifier does not resolve against the loaded graph."""
+class ResolutionError(ParseError):
+    """An identifier does not resolve against the loaded graph; one read
+    from a numbered input line names that line."""
 
 
 class UnknownNodeError(SmxError):

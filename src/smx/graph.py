@@ -1,10 +1,11 @@
 """Semantic graph data model and the taxonomic query kernel.
 
-A graph's fields and a view's derived tables (ancestor closures, depths,
-id-sorted parent and child tuples) are computed once at construction and
-never written after it, so every query below is a read-only lookup, set
-operation or pass over an ancestor set or a subgraph walk, and is safe to
-run concurrently. The exceptions are built on first use: the graph's
+A graph's fields and a view's derived tables (id-sorted parent and child
+tuples, then one parents-first class order with the ancestor closures,
+depths and redundant edges found along it) are computed once at
+construction and never written after it, so every query below is a
+read-only lookup, set operation or pass over an ancestor set or a
+subgraph walk, and is safe to run concurrently. The exceptions are built on first use: the graph's
 out/in adjacency and neighbour rows, which only relatedness reads (see
 SemanticGraph), the view's up distance tables, which the path-based
 measures read (see _path_tables, 3.8 MB by tracemalloc on the 50k-class
@@ -27,7 +28,7 @@ of a common ancestor set, _via_ancestor, _up_path and _up_step.
 from __future__ import annotations
 
 import enum
-from collections import Counter, deque
+from collections import Counter
 from itertools import chain
 from typing import Callable, Iterable, Mapping
 
@@ -199,8 +200,9 @@ class TaxonomyView:
     descendant_counts gives |D(c) & S| for every class in one pass. Parents
     and children are tuples sorted by node id. Depth is the longest edge
     path from the root, which keeps depth monotone under multiple
-    inheritance. Construct through preprocess.taxonomic_reduction rather
-    than directly.
+    inheritance. The view's order (_order) lists every class once, after
+    all of its parents; later tables are built along it. Construct through
+    preprocess.taxonomic_reduction rather than directly.
     """
 
     __slots__ = (
@@ -217,6 +219,7 @@ class TaxonomyView:
         "_by_label",
         "_parents",
         "_children",
+        "_order",
         "_anc",
         "_depth",
         "_paths",
@@ -262,56 +265,44 @@ class TaxonomyView:
             raise ContractError(f"taxonomy must have exactly one root, got: {names}")
         t.root = roots[0]
 
-        # Kahn order with every parent placed before its children.
-        indeg = {c: len(parents[c]) for c in t.class_ids}
-        ready = deque([t.root])
-        order: list[NodeId] = []
-        while ready:
-            c = ready.popleft()
-            order.append(c)
+        # Kahn order, walked as it grows: a class is reached with its last
+        # parent, when every parent's closure and depth are final. An edge is redundant when
+        # another parent of its child reaches the parent.
+        indeg = {c: len(ps) for c, ps in parents.items()}
+        anc = {t.root: frozenset((t.root,))}
+        depth = {t.root: 0}
+        order = [t.root]
+        redundant = []
+        for c in order:
             for ch in children[c]:
                 indeg[ch] -= 1
-                if indeg[ch] == 0:
-                    ready.append(ch)
-        if len(order) != len(t.class_ids):
-            leftover = set(t.class_ids) - set(order)
-            raise CycleError(t._trace_cycle(parents, leftover))
-
-        anc: dict[NodeId, frozenset] = {}
-        depth: dict[NodeId, int] = {}
-        for c in order:
-            ps = parents[c]
-            if len(ps) == 1:
-                p = ps[0]
-                anc[c] = anc[p] | {c}
-                depth[c] = depth[p] + 1
-            elif not ps:
-                anc[c] = frozenset((c,))
-                depth[c] = 0
-            else:
-                acc = {c}
+                if indeg[ch]:
+                    continue
+                order.append(ch)
+                ps = parents[ch]
+                if len(ps) == 1:
+                    anc[ch] = anc[c] | {ch}
+                    depth[ch] = depth[c] + 1
+                    continue
+                acc = {ch}
                 deepest = 0
                 for p in ps:
                     acc |= anc[p]
                     if depth[p] > deepest:
                         deepest = depth[p]
-                anc[c] = frozenset(acc)
-                depth[c] = deepest + 1
+                anc[ch] = frozenset(acc)
+                depth[ch] = deepest + 1
+                redundant += [(ch, p) for p in ps if any(q != p and p in anc[q] for q in ps)]
+        if len(order) != len(t.class_ids):
+            raise CycleError(t._trace_cycle(parents, t.class_ids - anc.keys()))
 
+        t._order = tuple(order)
         t._anc = anc
         t._depth = depth
         t._paths = t._counts = None
         t.max_depth = max(depth.values())
         t.leaves = frozenset(c for c in t.class_ids if not children[c])
-        # an edge is redundant when another parent of its child reaches the
-        # parent, so a class with one parent has none
-        t.redundant_edges = frozenset(
-            (u, p)
-            for u, ps in parents.items()
-            if len(ps) > 1
-            for p in ps
-            if any(q != p and p in anc[q] for q in ps)
-        )
+        t.redundant_edges = frozenset(redundant)
         t.is_reduced = not t.redundant_edges
         return t
 
@@ -322,6 +313,9 @@ class TaxonomyView:
         every longest root path, so A(u), D(u), depth, root and leaves are
         unchanged; only the edge set and the parent and child tuples at the
         endpoints of each dropped edge are filtered, which keeps them sorted.
+        The order stays parents-first with fewer edges, and is the one a
+        rebuild finds: a redundant parent is an ancestor of another parent,
+        so it is never the last parent of its class to be reached.
         """
         t = object.__new__(TaxonomyView)
         for slot in TaxonomyView.__slots__:
@@ -460,13 +454,14 @@ class TaxonomyView:
         on the chain, depth(top) - d(top, a) above it (a 2-hop distance
         labelling with the top as its only hub: Cohen, Halperin, Kaplan and
         Zwick, SODA 2002). A chain shares its top's tables, which omit each
-        label equal to depth(a). Tops are built in depth order from their
-        parents' tables: d(top, a) is 1 plus the least or greatest d(p, a)."""
+        label equal to depth(a). Tops are built in the view's order from
+        their parents' tables: d(top, a) is 1 plus the least or greatest
+        d(p, a)."""
         tables = self._paths
         if tables is None:
             parents, depth, anc = self._parents, self._depth, self._anc
             tables = {}
-            for c in sorted(self.class_ids, key=depth.__getitem__):
+            for c in self._order:
                 ps = parents[c]
                 if len(ps) == 1:
                     tables[c] = tables[ps[0]]
@@ -571,18 +566,16 @@ class TaxonomyView:
         up to the root; down maps a class a of A(top) to N and L of the
         paths from the top up to a, kept only where N > 1: a single path is
         a shortest one, whose length the path tables hold. Tops are built
-        in depth order from their parents' tops: a path from the top runs
+        in the view's order from their parents' tops: a path from the top runs
         one edge to a parent p, then along p's chain to p's top x, so it
         adds e + 1 edges to a path from x, e being that chain's edge count.
         Exact in Python ints."""
         counts = self._counts
         if counts is None:
             paths, parents, depth, anc = self._path_tables(), self._parents, self._depth, self._anc
-            counts = {}
-            for c in sorted(self.class_ids, key=depth.__getitem__):
+            counts = {self.root: (1, 0, {})}
+            for c in self._order:
                 ps = parents[c]
-                if not ps:
-                    counts[c] = (1, 0, {})
                 if len(ps) < 2:
                     continue
                 n_root = l_root = 0

@@ -252,7 +252,7 @@ def _class_lists(source, graph: SemanticGraph, key: str, sep: str):
                 raise ParseError("empty class identifier", lineno)
             node = index.get(token)
             if node not in class_ids:
-                raise ResolutionError(f"unknown class identifier {token!r}")
+                raise ResolutionError(f"unknown class identifier {token!r}", lineno)
             resolved.add(node)
         if name in table:
             warnings += 1
@@ -309,7 +309,10 @@ def parse_pairs(source) -> list[tuple[str, str]]:
         fields = line.split("\t")
         if len(fields) < 2:
             raise ParseError("expected two tab-separated identifiers", lineno)
-        pairs.append((fields[0].strip(), fields[1].strip()))
+        pair = fields[0].strip(), fields[1].strip()
+        if "" in pair:
+            raise ParseError("empty element identifier", lineno)
+        pairs.append(pair)
     return pairs
 
 

@@ -50,7 +50,8 @@ def transitive_reduction(taxonomy: TaxonomyView) -> tuple[TaxonomyView, Reductio
 
     Reachability is unchanged and the result is idempotent; on a DAG the
     reduction is unique. The result shares the input's ancestor closure,
-    depth and label tables, so no closure is computed again.
+    depth and label tables and its parents-first class order, so no
+    closure is computed again.
     """
     removed = sorted(
         taxonomy.redundant_edges,

@@ -167,11 +167,11 @@ def class_usage(taxonomy: TaxonomyView, annotations: AnnotationSet) -> ClassUsag
 
     I(c) is the union of the instances annotated with c and I(x) over the
     children x of c, so a leaf holds its own instances only. Walking the
-    inner classes by decreasing depth (the longest root path) puts every
-    child before its parents, so each I(c) is built once from finished
-    parts: one OR of bitsets per part rather than one insert per
-    (instance, ancestor) pair. A class with one contributing part shares
-    that part's int, and every zero-usage class holds 0.
+    inner classes in the view's order reversed puts every child before its
+    parents, so each I(c) is built once from finished parts: one OR of
+    bitsets per part rather than one insert per (instance, ancestor) pair.
+    A class with one contributing part shares that part's int, and every
+    zero-usage class holds 0.
     """
     assignments = annotations.assignments
     if not assignments:
@@ -190,8 +190,9 @@ def class_usage(taxonomy: TaxonomyView, annotations: AnnotationSet) -> ClassUsag
     for c, indices in direct.items():
         bits[c] = _to_bits(indices)
     children = taxonomy._children
-    inner = sorted(class_ids - taxonomy.leaves, key=taxonomy._depth.__getitem__, reverse=True)
-    for c in inner:
+    for c in reversed(taxonomy._order):
+        if not children[c]:
+            continue
         parts = [bits[x] for x in children[c] if bits[x]]
         if not parts:
             continue

@@ -1118,7 +1118,7 @@ class TestBadAnnotations:
         "annotations, message",
         [
             ("missing.tsv", "error: cannot read missing.tsv: "),
-            ("ghost.tsv", "error: unknown class identifier 'NOPE'"),
+            ("ghost.tsv", "error: ghost.tsv: line 2: unknown class identifier 'NOPE'"),
         ],
         ids=["missing-file", "unknown-class"],
     )

@@ -160,6 +160,33 @@ class TestInvariants:
         assert redundant == brute_redundant_edges(pairs)
 
     @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), forest=st.booleans())
+    def test_order_lists_every_class_once_parents_first(self, seed, forest):
+        rng = random.Random(seed)
+        _, pairs = random_taxonomy(rng, max_nodes=25)
+        if forest:
+            # a second tree makes two roots, so a virtual root is inserted
+            _, more = random_taxonomy(rng, max_nodes=25)
+            pairs += [("m" + c[1:], "m" + p[1:]) for c, p in more]
+        t = taxonomy_from_pairs(pairs)
+        assert (t.inserted_root is not None) == forest
+        # parsed ids follow the labels, which follow the parents-first order
+        # here; scattered ids do not
+        classes = sorted(t.class_ids)
+        ids = dict(zip(classes, rng.sample(range(10 * len(classes)), len(classes))))
+        scattered = TaxonomyView.build(
+            None,
+            ids.values(),
+            [(ids[c], ids[p]) for c, p in t.edges],
+            {ids[c]: t.label(c) for c in classes},
+        )
+        for view in (t, scattered):
+            for v in (view, smx.transitive_reduction(view)[0]):
+                position = {c: i for i, c in enumerate(v._order)}
+                assert len(position) == len(v._order) and position.keys() == v.class_ids
+                assert all(position[p] < position[c] for c, p in v.edges)
+
+    @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_depth_and_paths_match_brute_force(self, seed):
         rng = random.Random(seed)

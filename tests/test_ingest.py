@@ -202,6 +202,11 @@ class TestPairsAndWeights:
         with pytest.raises(ParseError, match="line 1"):
             smx.parse_pairs(stream("lonely\n"))
 
+    @pytest.mark.parametrize("line", ["B\t", "\tB", " \tB\textra"])
+    def test_pairs_reject_an_empty_identifier(self, line):
+        with pytest.raises(ParseError, match="^line 2: empty element identifier$"):
+            smx.parse_pairs(stream(f"a\tb\n{line}\n"))
+
     def test_weight_scheme_with_default(self):
         scheme = smx.parse_weight_scheme(stream("hunts\t5\n*\t2\n"))
         assert scheme.cost("hunts") == 5.0
@@ -287,6 +292,14 @@ class TestErrorsNameTheirFile:
             with pytest.raises(ParseError) as info:
                 parse(stream(text))
             assert str(info.value).startswith("line 2: ")
+
+    @pytest.mark.parametrize("parse", [smx.parse_annotations, smx.parse_word_mapping])
+    def test_an_unknown_class_names_its_file_and_line(self, toy_graph, tmp_path, parse):
+        path = tmp_path / "ghost.tsv"
+        path.write_text("g1\tC\ng2\tNOPE\n")
+        with pytest.raises(ResolutionError) as info:
+            parse(str(path), toy_graph)
+        assert str(info.value) == f"{path}: line 2: unknown class identifier 'NOPE'"
 
 
 class TestFuzz:

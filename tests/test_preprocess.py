@@ -48,6 +48,23 @@ class TestTaxonomicReduction:
             taxonomy_from_pairs([("A", "B"), ("B", "A")])
         assert set(err.value.cycle) >= {"A", "B"}
 
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            ([("A", "R"), ("B", "A"), ("A", "B")], "subClassOf cycle: A < B < A"),
+            (
+                [("A", "R"), ("B", "A"), ("C", "B"), ("D", "C"), ("B", "D"), ("E", "R"), ("E", "C")],
+                "subClassOf cycle: B < D < C < B",
+            ),
+        ],
+    )
+    def test_cycle_below_the_root_is_traced(self, pairs, message):
+        # the root is found, so the cycle is the set the parents-first
+        # walk never reaches
+        with pytest.raises(CycleError) as err:
+            taxonomy_from_pairs(pairs)
+        assert str(err.value) == message
+
 
 class TestTransitiveReduction:
     def test_removes_shortcut(self):
