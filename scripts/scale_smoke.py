@@ -3,9 +3,10 @@
 depth <= 15, occasional multi-inheritance) and time 100k Lin evaluations
 after precomputation. Mirrors the scale criterion in the acceptance
 suite but runnable standalone. Also prints the wall time of each build
-stage (parse, taxonomic reduction, transitive reduction, seco bind, and
-the first path query, which builds the view's up distance tables) and
-the peak resident set size of the process.
+stage (parse, taxonomic reduction, transitive reduction, seco bind, the
+first path query, which builds the view's up distance tables, and the
+first jc_hybrid call, which builds that spec's chain sums for the view)
+and the peak resident set size of the process.
 
 Usage: python scripts/scale_smoke.py [n_classes] [n_evals]
 """
@@ -74,6 +75,8 @@ def main():
     taxonomy, report = stage("transitive_reduction", transitive_reduction, taxonomy)
     theta = stage("seco_bind", seco_ic, taxonomy)
     stage("first_path_query", taxonomy.shortest_path, taxonomy.root, taxonomy.root)
+    hybrid = pairwise_measure("jc_hybrid", theta=theta)
+    stage("first_jc_hybrid", eval_pairwise, hybrid, taxonomy, taxonomy.root, taxonomy.root)
     spec = pairwise_measure("lin", theta=theta)
     print(f"built {len(taxonomy.class_ids)} classes, max depth {taxonomy.max_depth}, "
           f"{len(report.removed_edges)} redundant edges removed")

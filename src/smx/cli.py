@@ -198,14 +198,15 @@ def _fmt(value: float) -> str:
 
 def _write_scores(path, pairs_path, resolve, score, measure) -> None:
     """Write idA, idB and score(resolve(idA), resolve(idB)) for each listed
-    pair: a float, or None for "unreachable". Every pair is scored before
+    pair: a float, or None for "unreachable". Every identifier is resolved,
+    an unknown one naming its file and line, and every pair scored before
     the output is opened, so a command that fails leaves no partial output
     and an existing file untouched. A NaN or infinite score is an
     InfinityError naming `measure` (the measure, form or method) and the
     pair."""
     rows = []
-    for a, b in ingest.parse_pairs(pairs_path):
-        value = score(resolve(a), resolve(b))
+    for a, b, x, y in ingest.resolve_pairs(pairs_path, resolve):
+        value = score(x, y)
         if value is None:
             value = "unreachable"
         elif math.isfinite(value):

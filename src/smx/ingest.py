@@ -26,9 +26,9 @@ import io
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
-from .errors import ClassificationError, ParseError, ResolutionError
+from .errors import ClassificationError, ParseError, ResolutionError, UnknownNodeError
 from .graph import IS_A, NodeId, SemanticGraph, SUBCLASS_OF
 from .relatedness import PredicateWeightScheme
 
@@ -301,10 +301,7 @@ def parse_word_mapping(source, graph: SemanticGraph) -> WordMapping:
     return WordMapping(words=table, warnings=warnings)
 
 
-@_names_its_file
-def parse_pairs(source) -> list[tuple[str, str]]:
-    """Load an identifier pair list; columns after the second are ignored."""
-    pairs = []
+def _pair_lines(source) -> Iterator[tuple[int, tuple[str, str]]]:
     for lineno, line in _lines(source):
         fields = line.split("\t")
         if len(fields) < 2:
@@ -312,8 +309,28 @@ def parse_pairs(source) -> list[tuple[str, str]]:
         pair = fields[0].strip(), fields[1].strip()
         if "" in pair:
             raise ParseError("empty element identifier", lineno)
-        pairs.append(pair)
-    return pairs
+        yield lineno, pair
+
+
+@_names_its_file
+def parse_pairs(source) -> list[tuple[str, str]]:
+    """Load an identifier pair list; columns after the second are ignored."""
+    return [pair for _, pair in _pair_lines(source)]
+
+
+@_names_its_file
+def resolve_pairs(source, resolve: Callable) -> list[tuple[str, str, object, object]]:
+    """(idA, idB, resolve(idA), resolve(idB)) for each pair of the list,
+    every line parsed before the first is resolved. An identifier that
+    resolve rejects (UnknownNodeError or ResolutionError) is a
+    ResolutionError on its line."""
+    resolved = []
+    for lineno, (a, b) in list(_pair_lines(source)):
+        try:
+            resolved.append((a, b, resolve(a), resolve(b)))
+        except (UnknownNodeError, ResolutionError) as exc:
+            raise ResolutionError(str(exc), lineno) from None
+    return resolved
 
 
 @_names_its_file

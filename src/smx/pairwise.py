@@ -17,10 +17,11 @@ effect.
 eval_pairwise scores one pair; a batch goes through one pair_scorer, which
 equals it on every pair and does per-class work once per class. A
 pair_scorer binds a theta-bound unify.AbstractForm the same way, equal to
-unify.eval_abstract. jc_hybrid reads each step of its walk, and the term of
-the edge walked, from a table that the spec holds for each view it scores
-on, filled on first use: a term depends only on the edge, theta and the
-three parameters.
+unify.eval_abstract. jc_hybrid sums the terms of its walks as differences
+of exact per-class prefix sums along the view's chains, read from a table
+that the spec holds for each view it scores on, built on its first
+jc_hybrid call there: a term depends only on the edge, theta and the three
+parameters.
 
 Notes on the few places where published equations needed a decision:
   - slimani and wang_dca follow the equations as published even though
@@ -49,7 +50,7 @@ from .errors import (
     UsageError,
 )
 from .graph import NodeId, TaxonomyView
-from .specificity import ClassUsage, ParamSpec, ThetaEstimator, exact_sum, resolve_params
+from .specificity import ClassUsage, ParamSpec, ThetaEstimator, resolve_params
 from .unify import FEATURES, FORMS, AbstractForm, MeasureValue, Polarity, abstract_form, check_theta
 
 
@@ -101,8 +102,8 @@ class PairwiseMeasureSpec:
     info: MeasureInfo = field(init=False, repr=False, compare=False)
     kernel: Callable[..., MeasureValue] | None = field(init=False, repr=False, compare=False)
     args: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    # jc_hybrid's edge terms: {view: table} with one table, filled on first
-    # use, for each view the spec scores on
+    # jc_hybrid's chain sums: {view: table}, one table for each view the
+    # spec scores on, built on its first jc_hybrid call there
     terms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -296,63 +297,116 @@ def _eval_damato_ext(spec, t, u, v, counts=None):
     return _sim(ratio * (1.0 - na / spec.usage.total) * (1.0 - ratio))
 
 
-def _jc_step(spec, t, table, x, a):
-    """(step, term) of jc_hybrid's walk at x towards a: the parent it steps
-    to, and that edge's density times depth factor times IC difference,
-    times the predicate weight. A class with one parent stores the pair in
-    table under x on first use, where the walk reads it; a class with
-    several keeps it under (x, a), read here, its step being _up_path's
-    label-ordered one. A term whose computation raises is not stored."""
-    ps = t._parents[x]
-    if len(ps) == 1:
-        key, step = x, ps[0]
-    else:
-        key = x, a
-        entry = table.get(key)
-        if entry is not None:
-            return entry
-        step = t._up_step(x, a)
+def _jc_sums(spec, t):
+    """jc_hybrid's table for view t, built along the view's order:
+    (prefix, steps, step, scale). Every edge term is kept exactly, as
+    an integer multiple of 1 / scale, scale being 2**K for K the largest
+    denominator exponent among the view's terms. prefix[x] is the sum of
+    the terms from x up to its chain top (0 at a top), so a walk from x up
+    to a on x's chain sums prefix[x] - prefix[a]. A term that is not
+    finite, or whose computation raises, counts as `fault`: any sum that
+    holds one is out of float range once divided by scale, and a prefix
+    difference cancels those above a. steps[x, a] is the step of the walk
+    from x, a class with several parents, towards a and the term of that
+    edge; step(x, a) fills it."""
     alpha, beta, weight = spec.args
-    ic = spec.theta._table
+    ic, depth, children, parents = spec.theta._table, t._depth, t._children, t._parents
     spread = (1.0 - beta) * (len(t.edges) / len(t.class_ids))  # times the mean density
-    density = beta + spread / len(t._children[step])
-    # depth is taken one-based so the factor stays finite at the root
-    d = t._depth[step] + 1
-    term = density * ((d + 1.0) / d) ** alpha * (ic[x] - ic[step]) * weight
-    table[key] = entry = step, term
-    return entry
+
+    def term(x, p):
+        """The term of the edge from x to its parent p: density times depth
+        factor times IC difference, times the predicate weight; None where
+        that is not finite or its computation raises."""
+        density = beta + spread / len(children[p])
+        # depth is taken one-based so the factor stays finite at the root
+        d = depth[p] + 1
+        try:
+            value = density * ((d + 1.0) / d) ** alpha * (ic[x] - ic[p]) * weight
+        except (KeyError, OverflowError):
+            return None
+        return value if math.isfinite(value) else None
+
+    t._path_tables()  # the chain tops, which the walks read
+    # the float term of each class with one parent, replaced by its prefix
+    # below, and the bit length of the largest denominator of every term
+    prefix, bits = {}, 1
+    for x in t._order:
+        ps = parents[x]
+        for p in ps:
+            value = term(x, p)
+            if value is not None:
+                bits = max(bits, value.as_integer_ratio()[1].bit_length())
+        prefix[x] = value if len(ps) == 1 else 0
+    scale = 1 << (bits - 1)
+    # a sum of at most every edge's term, each below 2**1024 in magnitude,
+    # stays under fault / 2**1025
+    fault = scale << (1025 + len(t.edges).bit_length())
+
+    def scaled(value):
+        if value is None:
+            return fault
+        n, d = value.as_integer_ratio()
+        return n << (bits - d.bit_length())
+
+    for x, value in prefix.items():
+        ps = parents[x]
+        if len(ps) == 1:
+            prefix[x] = prefix[ps[0]] + scaled(value)
+    steps = {}
+
+    def step(x, a):
+        s = t._up_step(x, a)
+        entry = steps[x, a] = s, scaled(term(x, s))
+        return entry
+
+    return prefix, steps, step, scale
 
 
 def _eval_jc_hybrid(spec, t, u, v):
-    theta = spec.theta
-    a = t._mica(theta, t._anc[u] & t._anc[v])
-    table = spec.terms.get(t)
-    if table is None:
-        table = spec.terms[t] = {}
-    # v's walk stops at the first class u's walk took, from where its path is
-    # u's, so the two walks give the union of the two edge sets
-    walked, path = set(), []
+    theta, anc = spec.theta, t._anc
+    a = t._mica(theta, anc[u] & anc[v])
+    sums = spec.terms.get(t)
+    if sums is None:
+        sums = spec.terms[t] = _jc_sums(spec, t)
+    prefix, steps, step, scale = sums
+    tops = t._paths
+    # u's walk: each chain it enters up to the chain's top and one step on,
+    # until a's chain, where it stops at a. entered maps each chain top to
+    # the class the walk entered its chain at.
+    end = tops[a][0]
+    entered = {}
+    total = 0
+    x = u
+    while (top := tops[x][0]) != end:
+        entered[top] = x
+        s, term = steps.get((top, a)) or step(top, a)
+        total += prefix[x] + term
+        x = s
+    entered[end] = x
+    total += prefix[x] - prefix[a]
+    # v's walk, the same until it enters a chain that u's walk entered at e.
+    # There the two meet at m, the deepest class of A(x) & A(e), and u's sum
+    # holds the rest, so the total is the sum over the union of the two edge
+    # sets.
+    x = v
+    while (e := entered.get(top := tops[x][0])) is None:
+        s, term = steps.get((top, a)) or step(top, a)
+        total += prefix[x] + term
+        x = s
+    depth = t._depth
+    m = e if e in anc[x] else x if x in anc[e] else max(anc[x] & anc[e], key=depth.__getitem__)
+    total += prefix[x] - prefix[m]
     try:
-        for x, stop in ((u, ()), (v, walked)):
-            while x != a and x not in stop:
-                entry = table.get(x)
-                if entry is None:  # first use, or several parents
-                    entry = _jc_step(spec, t, table, x, a)
-                step, term = entry
-                path.append(term)
-                walked.add(x)
-                x = step
-        total = exact_sum(path)
-    except (KeyError, OverflowError, ValueError):
-        total = math.nan
-    if not math.isfinite(total):
-        # a missing or infinite read, or a term or sum out of float range:
-        # the reads of the edge set, once per class in order of first use,
-        # raise naming that class; past them, every read is finite
-        edges = set(t._up_path(u, a)) | set(t._up_path(v, a))
-        theta.values(dict.fromkeys(chain.from_iterable(edges)))
-        raise InfinityError(f"jc_hybrid of {t._labels[u]} and {t._labels[v]} overflows")
-    return _dist(total)
+        # one rounding of the exact sum, as math.fsum rounds it
+        return _dist(total / scale)
+    except OverflowError:
+        pass
+    # a term that is not finite, or an exact sum out of float range: the
+    # reads of the edge set, once per class in order of first use, raise
+    # naming an undefined class; past them, the sum overflows
+    edges = set(t._up_path(u, a)) | set(t._up_path(v, a))
+    theta.values(dict.fromkeys(chain.from_iterable(edges)))
+    raise InfinityError(f"jc_hybrid of {t._labels[u]} and {t._labels[v]} overflows")
 
 
 def _form_row(feature, form, bind=None, **flags) -> MeasureInfo:

@@ -12,17 +12,19 @@ the direct groupwise measures evaluate their form rows by these kernels.
 Each form declares its parameters as ParamSpecs, checked by the one
 specificity.resolve_params that measures and estimators also use, and
 when its values are symmetric: ratio and contrast exactly when alpha ==
-beta, the others always.
+beta, the others always. A form value that is not finite (out of float
+range, or NaN) raises InfinityError naming the form and its features.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from math import isfinite
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, NamedTuple
 
-from .errors import ContractError
+from .errors import ContractError, InfinityError
 from .graph import NodeId, TaxonomyView
 from .specificity import ParamSpec, ThetaEstimator, resolve_params
 
@@ -159,40 +161,63 @@ def _power_mean(a: float, b: float, alpha: float) -> float:
     return dominant * ((1.0 + ratio) / 2.0) ** (1.0 / alpha)
 
 
+def _not_finite(form, value, f_u, f_v, f_shared):
+    return InfinityError(
+        f"{form} of ({f_u!r}, {f_v!r}, {f_shared!r}) is {value}, not a finite number"
+    )
+
+
 def _abstract_dist(f_u, f_v, f_shared):
-    return MeasureValue(f_u + f_v - 2.0 * f_shared, _DIST, False)
+    value = f_u + f_v - 2.0 * f_shared
+    if isfinite(value):
+        return MeasureValue(value, _DIST, False)
+    raise _not_finite("abstract_dist", value, f_u, f_v, f_shared)
 
 
 def _general_dice(f_u, f_v, f_shared):
     if f_u + f_v == 0:
         return _DEGENERATE
-    return MeasureValue(2.0 * f_shared / (f_u + f_v), _SIM, True)
+    value = 2.0 * f_shared / (f_u + f_v)
+    if isfinite(value):
+        return MeasureValue(value, _SIM, True)
+    raise _not_finite("general_dice", value, f_u, f_v, f_shared)
 
 
 def _sigma_alpha(f_u, f_v, f_shared, alpha):
     den = _power_mean(f_u, f_v, alpha)
     if den == 0:
         return _DEGENERATE
-    return MeasureValue(f_shared / den, _SIM, True)
+    value = f_shared / den
+    if isfinite(value):
+        return MeasureValue(value, _SIM, True)
+    raise _not_finite("sigma_alpha", value, f_u, f_v, f_shared)
 
 
 def _sigma_beta(f_u, f_v, f_shared, beta):
     den = f_u + f_v + (beta - 2.0) * f_shared
     if den == 0:
         return _DEGENERATE
-    return MeasureValue(beta * f_shared / den, _SIM, True)
+    value = beta * f_shared / den
+    if isfinite(value):
+        return MeasureValue(value, _SIM, True)
+    raise _not_finite("sigma_beta", value, f_u, f_v, f_shared)
 
 
 def _ratio(f_u, f_v, f_shared, alpha, beta):
     den = alpha * (f_u - f_shared) + beta * (f_v - f_shared) + f_shared
     if den == 0:
         return _DEGENERATE
-    return MeasureValue(f_shared / den, _SIM, True)
+    value = f_shared / den
+    if isfinite(value):
+        return MeasureValue(value, _SIM, True)
+    raise _not_finite("ratio", value, f_u, f_v, f_shared)
 
 
 def _contrast(f_u, f_v, f_shared, gamma, alpha, beta):
     value = gamma * f_shared - alpha * (f_u - f_shared) - beta * (f_v - f_shared)
-    return MeasureValue(value, _SIM, False)
+    if isfinite(value):
+        return MeasureValue(value, _SIM, False)
+    raise _not_finite("contrast", value, f_u, f_v, f_shared)
 
 
 @dataclass(frozen=True)

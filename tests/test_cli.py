@@ -539,8 +539,9 @@ class TestNonFiniteParameters:
 
 
 class TestNonFiniteValues:
-    """A NaN or infinite score is a data error that names the measure and
-    the pair; the output is left as it was."""
+    """A NaN or infinite score is a data error, and the output is left as it
+    was. A form's value names the form and its features; any other score
+    names the measure and the pair."""
 
     @pytest.mark.parametrize(
         "argv, value",
@@ -566,7 +567,28 @@ class TestNonFiniteValues:
         code = main(argv + ["--graph", toy_file, "--pairs", str(pairs), "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
-        assert f"{argv[2]}: the pair (E, E) scores {value}, not a finite number" in err
+        form = {
+            "sigma_beta:beta=1e308": "sigma_beta of (3.0, 3.0, 3.0)",
+            "contrast:gamma=1e308": "contrast of (3.0, 3.0, 3.0)",
+            "tversky_contrast:gamma=1e308": "contrast of (4, 4, 4)",
+            "avg:tversky_contrast:gamma=1e308": "contrast of (4, 4, 4)",
+        }[argv[2]]
+        assert err == f"error: {form} is {value}, not a finite number\n"
+        assert (out.read_text() if out.exists() else None) == existing
+
+    @pytest.mark.parametrize("existing", [None, "old results\n"])
+    def test_a_score_out_of_range_names_the_measure_and_pair(
+        self, toy_file, tmp_path, capsys, existing
+    ):
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("E\tE\nE\tD\n")
+        out = tmp_path / "out.tsv"
+        if existing is not None:
+            out.write_text(existing)
+        argv = ["sim", "--measure", "shenoy:lam=-1e308", "--graph", toy_file]
+        assert main([*argv, "--pairs", str(pairs), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: shenoy:lam=-1e308: the pair (E, D) scores inf, not a finite number\n"
         assert (out.read_text() if out.exists() else None) == existing
 
     def test_ic_still_prints_undefined_ic_as_inf(self, toy_file, tmp_path, capsys):
@@ -1097,6 +1119,48 @@ class TestFailedCommandOutput:
             assert not out.exists()
         else:
             assert out.read_text() == existing
+
+
+class TestUnknownPairIdentifier:
+    """A --pairs line naming an unknown class, instance or node is one error
+    line naming the file and line, status 2, and --out is left as it was."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sim", "--measure", "lin", "--ic", "seco"], "unknown class identifier 'ghost'"),
+            (["abstract", "--form", "dice", "--ic", "seco"], "unknown class identifier 'ghost'"),
+            (["groupsim", "--measure", "bma:lin", "--ic", "seco", "--annotations", "ann.tsv"],
+             "unknown instance 'ghost'"),
+            (["rel", "--method", "wsp"], "unknown node identifier 'ghost'"),
+        ],
+        ids=["sim", "abstract", "groupsim", "rel"],
+    )
+    @pytest.mark.parametrize("existing", [None, "old results\n"], ids=["no-out", "old-out"])
+    def test_error_names_file_and_line(
+        self, toy_file, tmp_path, capsys, monkeypatch, argv, message, existing
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "ann.tsv").write_text("E\tE\nD\tD\n")
+        # E and D are classes of the toy graph and instances of ann.tsv
+        (tmp_path / "p2.tsv").write_text("E\tD\nE\tghost\n")
+        out = tmp_path / "out.tsv"
+        if existing is not None:
+            out.write_text(existing)
+        code = main([*argv, "--graph", toy_file, "--pairs", "p2.tsv", "--out", "out.tsv"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"error: p2.tsv: line 2: {message}\n"
+        assert (out.read_text() if out.exists() else None) == existing
+
+    def test_a_malformed_later_line_is_named_first(self, toy_file, tmp_path, capsys):
+        pairs = tmp_path / "p.tsv"
+        pairs.write_text("E\tD\nE\tghost\nlonely\n")
+        code = main(["sim", "--measure", "lin", "--graph", toy_file, "--pairs", str(pairs)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {pairs}: line 3: expected two tab-separated identifiers\n"
+        )
 
 
 class TestBadAnnotations:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import smx
-from smx.errors import ClassificationError, ParseError, ResolutionError, SmxError
+from smx.errors import ClassificationError, ParseError, ResolutionError, SmxError, UnknownNodeError
 
 from helpers import fuzz_tsv, random_taxonomy, record_graph, triple_tsv
 
@@ -206,6 +206,27 @@ class TestPairsAndWeights:
     def test_pairs_reject_an_empty_identifier(self, line):
         with pytest.raises(ParseError, match="^line 2: empty element identifier$"):
             smx.parse_pairs(stream(f"a\tb\n{line}\n"))
+
+    def test_resolved_pairs_name_the_line_of_an_unknown_identifier(self, tmp_path):
+        known = {"a": 1, "b": 2}
+
+        def resolve(label):
+            if label not in known:
+                raise UnknownNodeError(f"unknown class identifier {label!r}")
+            return known[label]
+
+        assert smx.ingest.resolve_pairs(stream("a\tb\n#\nb\ta\n"), resolve) == [
+            ("a", "b", 1, 2), ("b", "a", 2, 1)
+        ]
+        with pytest.raises(ResolutionError, match="^line 2: unknown class identifier 'ghost'$"):
+            smx.ingest.resolve_pairs(stream("a\tb\nb\tghost\n"), resolve)
+        path = tmp_path / "p.tsv"
+        path.write_text("a\tb\nghost\tb\n")
+        with pytest.raises(ResolutionError, match=f"^{path}: line 2: unknown class"):
+            smx.ingest.resolve_pairs(str(path), resolve)
+        # every line parses before the first identifier resolves
+        with pytest.raises(ParseError, match="^line 3: expected two tab-separated"):
+            smx.ingest.resolve_pairs(stream("a\tb\nghost\tb\nlonely\n"), resolve)
 
     def test_weight_scheme_with_default(self):
         scheme = smx.parse_weight_scheme(stream("hunts\t5\n*\t2\n"))

@@ -2,6 +2,7 @@ import functools
 import io
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -336,6 +337,144 @@ class TestHybrid:
         finite = _hexed(lambda: smx.eval_pairwise(spec, t, c, b))
         assert finite == _hexed(lambda: edge_set_jc_hybrid(spec, t, c, b))
         assert math.isfinite(float.fromhex(finite[0]))
+
+
+# A handmade view: T has two parents and tops the chain T < C1 < C2 < C3,
+# which branches below C3 into L1 (with M below it) and L2; U has two
+# parents, C3 and W, and tops its own chain U < K.
+CHAIN_VIEW = [
+    ("A", "R"), ("B", "R"), ("X", "R"), ("T", "A"), ("T", "B"), ("C1", "T"), ("C2", "C1"),
+    ("C3", "C2"), ("L1", "C3"), ("L2", "C3"), ("M", "L1"), ("W", "X"), ("U", "C3"),
+    ("U", "W"), ("K", "U"),
+]
+# theta falls from C2 to C3, so the MICA of L1 and L2 is C2, in the middle
+# of T's chain and above C3, where their walks meet
+CHAIN_THETA = {
+    "R": 0.0, "A": 1.0, "B": 1.0, "X": 1.0, "T": 2.0, "C1": 3.0, "C2": 5.0, "C3": 4.0,
+    "L1": 6.0, "L2": 6.0, "M": 7.0, "W": 2.0, "U": 6.0, "K": 8.0,
+}
+
+
+def _chain_spec(t, theta, **params):
+    table = smx.ThetaEstimator.from_table(t, {t.node(k): value for k, value in theta.items()})
+    return smx.pairwise_measure("jc_hybrid", theta=table, **params)
+
+
+class TestChainSums:
+    """jc_hybrid sums each walk as differences of per-class prefix sums
+    along the chains of the view; every value equals the edge-set reference
+    bit for bit."""
+
+    @pytest.mark.parametrize("redundant", [False, True], ids=["reduced", "unreduced"])
+    @pytest.mark.parametrize(
+        "params",
+        [{}, {"alpha": 1.0, "beta": 0.3, "predicate_weight": 0.5}],
+        ids=["default", "weighted"],
+    )
+    def test_every_pair_of_a_handmade_view(self, redundant, params):
+        # unreduced: L2 < C1 shortcuts L2 < C3 < C2 < C1 and makes L2 a top
+        t = taxonomy_from_pairs(CHAIN_VIEW + [("L2", "C1")] * redundant)
+        assert t.is_reduced is not redundant
+        spec = _chain_spec(t, CHAIN_THETA, **params)
+        node = t.node
+        cases = {
+            # walks meeting at C3, below the top T and below the MICA C2
+            ("L1", "L2"): "C2", ("M", "L2"): "C2",
+            # K's walk steps from the top U into T's chain at C3
+            ("K", "L2"): "C2",
+            # u an ancestor of v, u == v, and v on u's chain
+            ("C3", "M"): "C2", ("C3", "C3"): "C2", ("M", "M"): "M", ("M", "L1"): "L1",
+        }
+        for (u, v), mica in cases.items():
+            assert t.label(t.mica(spec.theta, node(u), node(v))) == mica, (u, v)
+        score = smx.pair_scorer(spec, t, allow_unreduced=True)
+        for u in sorted(t.class_ids):
+            for v in sorted(t.class_ids):
+                want = _hexed(lambda: edge_set_jc_hybrid(spec, t, u, v))
+                assert _hexed(lambda: smx.eval_pairwise(spec, t, u, v, True)) == want, (u, v)
+                assert _hexed(lambda: score(u, v)) == want, (u, v)
+
+    def test_a_term_out_of_range_above_the_mica_leaves_the_walk_finite(self):
+        # the term of C1 < T is 1e308 + 1.7e308, out of float range; it lies
+        # in the prefix sums of every class below C1 but on no walk to C2
+        theta = dict.fromkeys(CHAIN_THETA, 1.7e308)
+        theta.update(R=0.0, A=0.0, B=0.0, X=0.0, W=0.0, T=-1.7e308, C1=1e308)
+        t = taxonomy_from_pairs(CHAIN_VIEW)
+        spec = _chain_spec(t, theta)
+        for u, v in (("L1", "L2"), ("M", "L2"), ("K", "M")):
+            u, v = t.node(u), t.node(v)
+            assert t.label(t.mica(spec.theta, u, v)) == "C2"
+            got = smx.eval_pairwise(spec, t, u, v)
+            assert got == edge_set_jc_hybrid(spec, t, u, v) and got.value == 0.0
+        with pytest.raises(InfinityError) as caught:
+            smx.eval_pairwise(spec, t, t.node("L1"), t.node("A"))
+        assert str(caught.value) == "jc_hybrid of L1 and A overflows"
+
+    def test_an_exact_sum_that_rounds_out_of_range(self):
+        # MAX + 2**970 is a tie between MAX and 2**1024, which rounds to even:
+        # out of range; MAX + 2**969 rounds down to MAX
+        fork = taxonomy_from_pairs([("B", "A"), ("C", "A")])
+        big = sys.float_info.max
+        b, c = fork.node("B"), fork.node("C")
+        spec = _chain_spec(fork, {"A": 0.0, "B": big, "C": 2.0**969})
+        got = smx.eval_pairwise(spec, fork, b, c)
+        assert got == edge_set_jc_hybrid(spec, fork, b, c) and got.value == big
+        spec = _chain_spec(fork, {"A": 0.0, "B": big, "C": 2.0**970})
+        with pytest.raises(OverflowError):
+            edge_set_jc_hybrid(spec, fork, b, c)
+        scorers = functools.partial(smx.eval_pairwise, spec, fork), smx.pair_scorer(spec, fork)
+        for score in scorers:
+            with pytest.raises(InfinityError) as caught:
+                score(b, c)
+            assert str(caught.value) == "jc_hybrid of B and C overflows"
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        multi=st.sampled_from([0.0, 0.3, 0.8]),
+        reduce=st.booleans(),
+        alpha=st.sampled_from([0.0, 1.0, 2.5]),
+        beta=st.sampled_from([0.0, 0.3, 1.0]),
+        weight=st.sampled_from([1.0, 0.3]),
+    )
+    def test_all_pairs_equal_the_edge_set_reference(self, seed, multi, reduce, alpha, beta, weight):
+        # tied values put MICAs above where walks meet; tiny and large ones
+        # spread the terms' denominators; inf leaves a class undefined
+        rng = random.Random(seed)
+        t, _ = random_taxonomy(rng, max_nodes=16, multi=multi)
+        if reduce:
+            t, _ = smx.transitive_reduction(t)
+        classes = sorted(t.class_ids)
+        values = (0.0, 1.0, 1.0, 2.0, -1.5, 0.1, 1e-300, 3e-20, 1e20, math.inf)
+        theta = smx.ThetaEstimator.from_table(t, {c: rng.choice(values) for c in classes})
+        spec = smx.pairwise_measure(
+            "jc_hybrid", theta=theta, alpha=alpha, beta=beta, predicate_weight=weight
+        )
+        for u in classes:
+            for v in classes:
+                want = _hexed(lambda: edge_set_jc_hybrid(spec, t, u, v))
+                assert _hexed(lambda: smx.eval_pairwise(spec, t, u, v, True)) == want, (u, v)
+
+    def test_built_once_per_spec_and_view_on_first_score(self, monkeypatch):
+        builds = []
+        build = smx.pairwise._jc_sums
+        monkeypatch.setattr(
+            smx.pairwise, "_jc_sums", lambda spec, t: builds.append((spec, t)) or build(spec, t)
+        )
+        t = taxonomy_from_pairs(CHAIN_VIEW + [("L2", "C1")])
+        reduced, _ = smx.transitive_reduction(t)
+        spec = _chain_spec(t, CHAIN_THETA)
+        scorers = {view: smx.pair_scorer(spec, view, allow_unreduced=True) for view in (t, reduced)}
+        assert builds == []
+        pairs = [(u, v) for u in sorted(t.class_ids) for v in sorted(t.class_ids)]
+        for view in (t, reduced, t):
+            for u, v in pairs:
+                scorers[view](u, v)
+                smx.eval_pairwise(spec, view, u, v, True)
+        assert builds == [(spec, t), (spec, reduced)]
+        other = _chain_spec(t, CHAIN_THETA, alpha=1.0)
+        smx.eval_pairwise(other, t, *pairs[1], True)
+        assert builds == [(spec, t), (spec, reduced), (other, t)]
 
 
 def _hexed(evaluate):

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from dataclasses import replace
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import smx
-from smx.errors import ContractError, SmxError, UnknownNodeError
+from smx.errors import ContractError, InfinityError, SmxError, UnknownNodeError
 from smx.unify import Commonality
 
 from helpers import random_taxonomy
@@ -272,6 +273,42 @@ class TestContracts:
         form = smx.abstract_form("general_dice", theta=toy_seco)
         got = smx.eval_abstract(form, toy, toy.node("root"), toy.node("root"))
         assert got.value == 0.0 and got.degenerate
+
+
+class TestNonFiniteValues:
+    """A form value out of float range, or NaN, raises InfinityError naming
+    the form and its features; it is never returned as a score."""
+
+    @pytest.mark.parametrize(
+        "kind, params, features, value",
+        [
+            ("abstract_dist", {}, (1.7e308, 1.7e308, 0.0), "inf"),
+            ("general_dice", {}, (1.7e308, 1.7e308, 1.7e308), "nan"),
+            ("sigma_alpha", {"alpha": 1.0}, (1e-300, 1e-300, 1e300), "inf"),
+            ("sigma_beta", {"beta": 1e308}, (3.0, 3.0, 3.0), "nan"),
+            ("ratio", {"alpha": 2.0, "beta": 2.0}, (1.7e308, -1.7e308, 0.0), "nan"),
+            ("contrast", {"gamma": 1e308}, (3.0, 3.0, 3.0), "inf"),
+        ],
+    )
+    def test_each_form_raises(self, kind, params, features, value):
+        form = smx.abstract_form(kind, **params)
+        with pytest.raises(InfinityError) as caught:
+            form.kernel(*features, *form.args)
+        shown = ", ".join(map(repr, features))
+        assert str(caught.value) == f"{kind} of ({shown}) is {value}, not a finite number"
+
+    def test_through_a_catalog_row_and_its_scorer(self, toy):
+        # sim_dic is general_dice over summed theta: each sum is finite, but
+        # f_u + f_v and 2 f_shared are not
+        table = {c: 0.0 for c in toy.class_ids}
+        table[toy.node("A")] = 0.9e308
+        spec = smx.pairwise_measure("sim_dic", theta=smx.ThetaEstimator.from_table(toy, table))
+        e, d = toy.node("E"), toy.node("D")
+        message = "general_dice of (9e+307, 9e+307, 9e+307) is nan, not a finite number"
+        for score in (functools.partial(smx.eval_pairwise, spec, toy), smx.pair_scorer(spec, toy)):
+            with pytest.raises(InfinityError) as caught:
+                score(e, d)
+            assert str(caught.value) == message
 
 
 def _outcome(call):
