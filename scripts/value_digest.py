@@ -77,11 +77,25 @@ written as `\n`:
 
     cli <name>: exit=<n> out=<sha256> stdout=<sha256> stderr=<text>
 
+The lines fall into blocks: one per catalog row, jc_hybrid variant, named
+instantiation, form and groupwise measure, one per estimator table, and
+the `symmetric`, `serializers`, `relatedness`, `near-max` and `cli`
+blocks. tests/value_digest.json pins the sha256 of each block, and a
+tier-1 test names every block whose lines no longer hash to it. A change
+that moves values on purpose rewrites that file with --record. The digest
+prints floats exactly (float.hex), so values from libm (exp, log, tanh)
+may differ in the last bit on another platform: the hashes are pinned to
+the CPython and libm of the machine that runs tier-1, named in the file.
+
 Usage: PYTHONPATH=src python scripts/value_digest.py > digest.txt
+       PYTHONPATH=src python scripts/value_digest.py --record
 """
 
+import argparse
 import hashlib
+import json
 import os
+import platform
 import random
 import subprocess
 import sys
@@ -125,6 +139,7 @@ from smx.specificity import ESTIMATORS
 from smx.unify import FORMS
 
 SEED = 20240210
+HASHES = Path(__file__).resolve().parent.parent / "tests" / "value_digest.json"
 NAMED = (
     "lin", "wu_palmer_tree", "faith", "jiang_conrath", "jaccard",
     "dice", "sokal_sneath", "simpson", "ochiai",
@@ -163,9 +178,9 @@ def digest(name, text):
     return f"{name}: sha256 {hashlib.sha256(text.encode()).hexdigest()}"
 
 
-def estimator_lines(t, usage):
+def estimator_blocks(t, usage):
     label, classes = t.label, t.sorted_classes()
-    out = []
+    out = {}
     for kind, (_, specs) in ESTIMATORS.items():
         bases = [{}, {"base": 2.0}] if "base" in specs else [{}]
         smooths = [{}, {"smooth": 1}] if "smooth" in specs else [{}]
@@ -177,7 +192,7 @@ def estimator_lines(t, usage):
                     name = f"estimator {kind} base={base.get('base', 'e')}"
                     name += f" smooth={smooth.get('smooth', 0)}"
                     name += "".join(f" {key}={value}" for key, value in params.items())
-                    out += [f"{name} {label(c)}: {float(theta.raw(c)).hex()}" for c in classes]
+                    out[name] = [f"{name} {label(c)}: {float(theta.raw(c)).hex()}" for c in classes]
     return out
 
 
@@ -393,7 +408,8 @@ def cli_lines(graph_text, t, annotations, pairs):
         return [f"cli {name}: {cli_run(directory, argv)}" for name, argv in runs]
 
 
-def main():
+def blocks():
+    """{block name: its lines}, in the order the digest prints them."""
     rng = random.Random(SEED)
     graph_text = synth_graph_lines(2_000, rng)
     graph = parse_graph(graph_text.encode())
@@ -412,7 +428,7 @@ def main():
     group_pairs += [(len(groups) - 2, len(groups) - 2), (len(groups) - 2, len(groups) - 1)]
 
     label = t.label
-    out = []
+    out = {}
     for name in sorted(MEASURES):
         info = MEASURES[name]
         spec = pairwise_measure(
@@ -420,8 +436,9 @@ def main():
             theta=theta if info.needs_theta else None,
             usage=usage if info.needs_usage else None,
         )
-        for u, v in pairs:
-            out.append(line(name, label(u), label(v), lambda: eval_pairwise(spec, t, u, v)))
+        out[name] = [
+            line(name, label(u), label(v), lambda: eval_pairwise(spec, t, u, v)) for u, v in pairs
+        ]
     resnik = build_estimator("resnik", t, usage)
     hybrids = [
         (
@@ -433,8 +450,9 @@ def main():
         ("jc_hybrid theta=resnik", pairwise_measure("jc_hybrid", theta=resnik)),
     ]
     for name, spec in hybrids:
-        for u, v in pairs:
-            out.append(line(name, label(u), label(v), lambda: eval_pairwise(spec, t, u, v)))
+        out[name] = [
+            line(name, label(u), label(v), lambda: eval_pairwise(spec, t, u, v)) for u, v in pairs
+        ]
     forms = [(f"named:{name}", instantiate(name)) for name in NAMED]
     forms += [
         (f"form:{kind}:{commonality.value}", abstract_form(kind, commonality=commonality))
@@ -443,23 +461,49 @@ def main():
     ]
     for name, form in forms:
         form = form.with_theta(depth if form.theta_hint == "depth" else theta)
-        for u, v in pairs:
-            out.append(line(name, label(u), label(v), lambda: eval_abstract(form, t, u, v)))
+        out[name] = [
+            line(name, label(u), label(v), lambda: eval_abstract(form, t, u, v)) for u, v in pairs
+        ]
     lin = pairwise_measure("lin", theta=theta)
     specs = [(name, groupwise_measure(name, theta=theta)) for name in ("simui", "nto", "simgic")]
     specs += [(f"{name}:lin", groupwise_measure(name, inner=lin)) for name in STRATEGIES]
     for name, spec in specs:
-        for a, b in group_pairs:
-            out.append(
-                line(name, f"g{a}", f"g{b}", lambda: eval_groupwise(spec, t, groups[a], groups[b]))
-            )
-    out += estimator_lines(t, usage)
-    out += symmetry_lines(theta, usage)
-    out += serializer_lines(graph, rng)
-    out += relatedness_lines()
-    out += near_max_lines(t, pairs)
-    out += cli_lines(graph_text, t, annotations, pairs)
-    print("\n".join(out))
+        out[name] = [
+            line(name, f"g{a}", f"g{b}", lambda: eval_groupwise(spec, t, groups[a], groups[b]))
+            for a, b in group_pairs
+        ]
+    out.update(estimator_blocks(t, usage))
+    out["symmetric"] = symmetry_lines(theta, usage)
+    out["serializers"] = serializer_lines(graph, rng)
+    out["relatedness"] = relatedness_lines()
+    out["near-max"] = near_max_lines(t, pairs)
+    out["cli"] = cli_lines(graph_text, t, annotations, pairs)
+    return out
+
+
+def block_hashes(found):
+    """{block name: sha256 of its lines joined by newlines}."""
+    return {
+        name: hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        for name, lines in found.items()
+    }
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument(
+        "--record", action="store_true",
+        help=f"rewrite tests/{HASHES.name} with the block hashes instead of printing the lines",
+    )
+    record = parser.parse_args().record
+    found = blocks()
+    if not record:
+        print("\n".join(line for lines in found.values() for line in lines))
+        return
+    pinned_to = f"CPython {platform.python_version()}, {' '.join(platform.libc_ver())}"
+    hashes = {"pinned_to": pinned_to, "blocks": block_hashes(found)}
+    HASHES.write_text(json.dumps(hashes, indent=1) + "\n")
+    print(f"wrote {len(found)} block hashes to tests/{HASHES.name}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -227,7 +227,12 @@ def _eval_shenoy(spec, t, u, v):
     if depth_sum == 0:
         return _sim(0.0, normalized=False, degenerate=True)
     walk = t._via_ancestor(u, v, 1)
-    value = 2.0 * t.max_depth * math.exp(-lam * walk / t.max_depth) / depth_sum
+    try:
+        value = 2.0 * t.max_depth * math.exp(-lam * walk / t.max_depth) / depth_sum
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        raise InfinityError(f"shenoy of {t._labels[u]} and {t._labels[v]} overflows")
     return _sim(value, normalized=False)
 
 

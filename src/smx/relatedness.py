@@ -135,7 +135,9 @@ def weighted_shortest_path(
 
 
 class TransitionModel:
-    """Row-stochastic random-walk transitions over the directed graph.
+    """Row-stochastic random-walk transitions over the directed graph: a
+    step's probability is its share of the source's out-edge products
+    scheme.cost(predicate) * weight, exact where their float sum overflows.
 
     Zero-probability entries are dropped: they are not steps of the walk.
     Construction stores the reverse adjacency of the walk. When the walk is
@@ -149,20 +151,23 @@ class TransitionModel:
 
     __slots__ = ("graph", "_out_probs", "_sources", "_pi", "_fundamental")
 
-    def __init__(self, graph: SemanticGraph, out_probs):
+    def __init__(self, graph: SemanticGraph, scheme: PredicateWeightScheme = UNIFORM):
         self.graph = graph
         n = graph.n_nodes
-        self._out_probs = {node: [] for node in range(n)}
+        out_edges = graph._adjacent()[0]
+        self._out_probs = {}
         self._sources = {node: [] for node in range(n)}
-        for node, probs in out_probs.items():
-            if probs:
-                total = sum(p for _, p in probs)
-                if abs(total - 1.0) > 1e-9 or min(p for _, p in probs) < 0:
-                    raise ContractError(
-                        f"outgoing probabilities of {graph.label(node)} must be >= 0 "
-                        f"and sum to 1, got sum {total}"
-                    )
-            steps = [(k, p) for k, p in probs if p > 0]
+        for node in range(n):
+            weights: dict[NodeId, float] = {}
+            for predicate, other in out_edges[node]:
+                w = scheme.cost(predicate) * graph.weight((node, predicate, other))
+                weights[other] = weights.get(other, 0.0) + w
+            total = sum(weights.values())
+            if not math.isfinite(total):
+                shares = _exact_shares(graph, scheme, node, out_edges[node])
+            else:
+                shares = sorted((k, w / total) for k, w in weights.items()) if total else []
+            steps = [(k, p) for k, p in shares if p > 0]
             self._out_probs[node] = steps
             for k, p in steps:
                 self._sources[k].append((node, p))
@@ -176,21 +181,7 @@ class TransitionModel:
     def from_graph(
         cls, graph: SemanticGraph, scheme: PredicateWeightScheme = UNIFORM
     ) -> "TransitionModel":
-        out_edges = graph._adjacent()[0]
-        out_probs: dict[NodeId, list[tuple[NodeId, float]]] = {}
-        for node in range(graph.n_nodes):
-            weights: dict[NodeId, float] = {}
-            for predicate, other in out_edges[node]:
-                w = scheme.cost(predicate) * graph.weight((node, predicate, other))
-                weights[other] = weights.get(other, 0.0) + w
-            total = sum(weights.values())
-            if total == 0:
-                out_probs[node] = []
-            else:
-                out_probs[node] = sorted(
-                    (k, w / total) for k, w in weights.items()
-                )
-        return cls(graph, out_probs)
+        return cls(graph, scheme)
 
     def transitions(self, node: NodeId) -> list[tuple[NodeId, float]]:
         return self._out_probs[node]
@@ -224,6 +215,19 @@ class TransitionModel:
                 matrix[x, k] -= p
         fundamental = np.linalg.inv(matrix)
         return fundamental.mean(axis=0), fundamental
+
+
+def _exact_shares(graph, scheme, node, edges) -> list[tuple[NodeId, float]]:
+    """Sorted (k, share of k) over node's out edges, from the exact products
+    cost * weight, each share rounded once."""
+    from fractions import Fraction  # on this path only, as in ThetaEstimator.sum
+
+    weights: dict[NodeId, Fraction] = {}
+    for predicate, other in edges:
+        w = Fraction(scheme.cost(predicate)) * Fraction(graph.weight((node, predicate, other)))
+        weights[other] = weights.get(other, 0) + w
+    total = sum(weights.values())
+    return sorted((k, float(w / total)) for k, w in weights.items())
 
 
 def _closure(start: NodeId, adjacent, stop: NodeId | None = None) -> set:

@@ -6,10 +6,10 @@ evaluation is a lookup and concurrent reads are safe. `values` reads a
 collection of classes in one pass over the table in C, and `sum` adds up
 such a read, for the measures that sum theta over class sets; each falls
 back to the per-class reads only to raise their error. A sum's outcome does
-not depend on the order of its terms (see exact_sum). All shipped estimators
-decrease monotonically from the leaves toward the root; is_monotone checks
-a table on first use and keeps the answer, which a racing first use
-computes equal.
+not depend on the order of its terms (see ThetaEstimator.sum). All shipped
+estimators decrease monotonically from the leaves toward the root;
+is_monotone checks a table on first use and keeps the answer, which a
+racing first use computes equal.
 """
 
 from __future__ import annotations
@@ -73,24 +73,6 @@ def resolve_params(
     if given:
         raise ContractError(f"{name}: unknown parameters {sorted(given)}")
     return resolved
-
-
-def exact_sum(values: list[float]) -> float:
-    """math.fsum(values), whatever the order of the values. fsum rounds once,
-    but raises OverflowError when a partial sum of finite values overflows,
-    even where the exact sum is in range; then the same floats are summed
-    exactly as fractions and rounded once. OverflowError is left only for a
-    sum that rounds out of float range, or an infinite value after such an
-    overflow; inf + -inf, or a NaN after such an overflow, raises
-    ValueError."""
-    try:
-        return math.fsum(values)
-    except OverflowError:
-        # imported on this path only: fractions and decimal take about 3 ms
-        # of every CLI start-up
-        from fractions import Fraction
-
-        return float(sum(map(Fraction, values)))
 
 
 def _to_bits(indices: list[int]) -> int:
@@ -254,11 +236,14 @@ class ThetaEstimator:
         return vals
 
     def sum(self, classes: Collection[NodeId]) -> float:
-        """exact_sum(self.values(classes)), summed over the table in C. A
-        missing class, an infinite value or an overflow reruns the per-class
-        reads before summing, so the error raised is the one they raise; a
-        sum of finite values that rounds out of float range raises
-        InfinityError."""
+        """math.fsum(self.values(classes)), summed over the table in C, so
+        rounded once whatever the order of the terms. A missing class, an
+        infinite value or an overflow reruns the per-class reads before
+        summing, so the error raised is the one they raise. fsum raises
+        OverflowError when a partial sum of finite values overflows, even
+        where the exact sum is in range; then the same floats are summed
+        exactly as fractions and rounded once. A sum that rounds out of
+        float range raises InfinityError."""
         try:
             total = math.fsum(map(self._table.__getitem__, classes))
             if not math.isinf(total):
@@ -267,9 +252,16 @@ class ThetaEstimator:
             pass
         vals = list(map(self.value, classes))
         try:
-            return exact_sum(vals)
+            return math.fsum(vals)
         except OverflowError:
-            raise InfinityError(f"a sum of theta over {len(vals)} classes overflows") from None
+            # imported on this path only: fractions and decimal take about 3 ms
+            # of every CLI start-up
+            from fractions import Fraction
+
+            try:
+                return float(sum(map(Fraction, vals)))
+            except OverflowError:
+                raise InfinityError(f"a sum of theta over {len(vals)} classes overflows") from None
 
     def raw(self, c: NodeId) -> float:
         """Table value without the infinite-IC guard."""

@@ -144,7 +144,8 @@ _DEGENERATE = MeasureValue(0.0, _SIM, True, degenerate=True)
 
 def _power_mean(a: float, b: float, alpha: float) -> float:
     """Power mean of order alpha; the alpha = 0 case is the geometric mean
-    by continuity and the infinite orders are min and max.
+    by continuity and the infinite orders are min and max. A finite order
+    needs a and b >= 0.
 
     Factoring out the dominant operand keeps extreme orders from
     overflowing float range.
@@ -184,6 +185,11 @@ def _general_dice(f_u, f_v, f_shared):
 
 
 def _sigma_alpha(f_u, f_v, f_shared, alpha):
+    if (f_u < 0 or f_v < 0) and not math.isinf(alpha):
+        raise ContractError(
+            f"sigma_alpha of order {alpha!r} is not defined on a negative operand: "
+            f"({f_u!r}, {f_v!r}, {f_shared!r})"
+        )
     den = _power_mean(f_u, f_v, alpha)
     if den == 0:
         return _DEGENERATE

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import smx
-from smx.cli import main, parse_selector, resolve_measure_name, split_measure_list
+from smx.cli import _write_scores, main, parse_selector, resolve_measure_name, split_measure_list
+from smx.errors import InfinityError
 from smx.specificity import ESTIMATOR_KINDS, ESTIMATORS
 
 from helpers import fuzz_tsv
@@ -577,19 +578,23 @@ class TestNonFiniteValues:
         assert (out.read_text() if out.exists() else None) == existing
 
     @pytest.mark.parametrize("existing", [None, "old results\n"])
-    def test_a_score_out_of_range_names_the_measure_and_pair(
-        self, toy_file, tmp_path, capsys, existing
-    ):
+    def test_a_score_out_of_range_names_the_measure_and_pair(self, tmp_path, existing):
         pairs = tmp_path / "pairs.tsv"
         pairs.write_text("E\tE\nE\tD\n")
         out = tmp_path / "out.tsv"
         if existing is not None:
             out.write_text(existing)
-        argv = ["sim", "--measure", "shenoy:lam=-1e308", "--graph", toy_file]
-        assert main([*argv, "--pairs", str(pairs), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err == "error: shenoy:lam=-1e308: the pair (E, D) scores inf, not a finite number\n"
+        score = lambda u, v: math.inf if (u, v) == ("E", "D") else 0.5
+        with pytest.raises(InfinityError) as caught:
+            _write_scores(str(out), str(pairs), str, score, "m")
+        assert str(caught.value) == "m: the pair (E, D) scores inf, not a finite number"
         assert (out.read_text() if out.exists() else None) == existing
+
+    @pytest.mark.parametrize("lam", ["-800", "-1e308"])
+    def test_shenoy_overflow_is_one_error_line(self, toy_file, pairs_file, capsys, lam):
+        argv = ["sim", "--measure", f"shenoy:lam={lam}", "--graph", toy_file, "--pairs", pairs_file]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: shenoy of E and D overflows\n"
 
     def test_ic_still_prints_undefined_ic_as_inf(self, toy_file, tmp_path, capsys):
         ann = tmp_path / "ann.tsv"

@@ -104,6 +104,13 @@ class TestStructural:
         assert ev("shenoy", toy, "E", "D").value == APPROX(expected)
         assert ev("shenoy", toy, "root", "root").degenerate
 
+    @pytest.mark.parametrize("lam", [-800.0, -1e308])
+    def test_shenoy_overflow_names_the_pair(self, toy, lam):
+        # exp(800 * 4 / 3) overflows in math.exp; at -1e308 the exponent is inf
+        with pytest.raises(InfinityError) as caught:
+            ev("shenoy", toy, "E", "D", lam=lam)
+        assert str(caught.value) == "shenoy of E and D overflows"
+
 
 class TestInformationTheoretic:
     def test_resnik(self, toy, toy_seco):

@@ -563,6 +563,23 @@ class TestHittingTime:
         assert model.transitions(g.node("a")) == [(g.node("b"), 1.0)]
         assert smx.hitting_time(model, g.node("a"), g.node("b")) == pytest.approx(1.0)
 
+    def test_a_row_whose_weights_overflow_keeps_its_steps(self):
+        # cost 10 * weight 1e308 is inf as a float product
+        g = graph_of("a\tgoes\tb\t1e308\nb\tgoes\ta\t1\n")
+        model = smx.TransitionModel.from_graph(g, smx.PredicateWeightScheme({"goes": 10.0}))
+        a, b = g.node("a"), g.node("b")
+        assert model.transitions(a) == [(b, 1.0)]
+        assert smx.hitting_time(model, a, b) == 1.0
+
+    def test_a_row_whose_total_overflows_shares_it_exactly(self):
+        # 1e308 + 1e308 is inf as a float sum
+        g = graph_of(
+            "a\tgoes\tb\t1e308\nb\tgoes\ta\t1\na\tgoes\tc\t1e308\nc\tgoes\ta\t1\n"
+        )
+        model = smx.TransitionModel.from_graph(g)
+        assert model.transitions(g.node("a")) == [(g.node("b"), 0.5), (g.node("c"), 0.5)]
+        assert model.transitions(g.node("b")) == [(g.node("a"), 1.0)]
+
     @pytest.mark.parametrize("irreducible", [True, False])
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))

@@ -10,7 +10,7 @@ import smx
 from smx.errors import ContractError, InfinityError, SmxError, UnknownNodeError
 from smx.unify import Commonality
 
-from helpers import random_taxonomy
+from helpers import random_taxonomy, taxonomy_from_pairs
 
 APPROX12 = lambda x: pytest.approx(x, abs=1e-12)
 
@@ -309,6 +309,41 @@ class TestNonFiniteValues:
             with pytest.raises(InfinityError) as caught:
                 score(e, d)
             assert str(caught.value) == message
+
+
+class TestPowerMeanDomain:
+    """sigma_alpha at a finite order is a power mean of theta(u) and
+    theta(v), which a negative operand leaves undefined; the infinite
+    orders are min and max of any two values."""
+
+    @pytest.fixture()
+    def chain(self):
+        t = taxonomy_from_pairs([("Y", "X"), ("X", "root")])
+        table = {t.node("root"): -2.0, t.node("X"): 0.5, t.node("Y"): 1.0}
+        return t, smx.ThetaEstimator.from_table(t, table)
+
+    def scorers(self, t, form):
+        return functools.partial(smx.eval_abstract, form, t), smx.pair_scorer(form, t)
+
+    @pytest.mark.parametrize("alpha", [0.5, 3.0, 0.0, -1.0])
+    def test_a_finite_order_refuses_a_negative_operand(self, chain, alpha):
+        t, theta = chain
+        form = smx.abstract_form("sigma_alpha", alpha=alpha, theta=theta)
+        for score in self.scorers(t, form):
+            with pytest.raises(ContractError) as caught:
+                score(t.node("root"), t.node("X"))
+            assert str(caught.value) == (
+                f"sigma_alpha of order {alpha!r} is not defined on a negative operand: "
+                "(-2.0, 0.5, -2.0)"
+            )
+
+    @pytest.mark.parametrize("alpha, pick", [(-math.inf, min), (math.inf, max)])
+    def test_the_infinite_orders_keep_min_and_max(self, chain, alpha, pick):
+        t, theta = chain
+        form = smx.abstract_form("sigma_alpha", alpha=alpha, theta=theta)
+        for score in self.scorers(t, form):
+            got = score(t.node("root"), t.node("X"))
+            assert got == smx.MeasureValue(-2.0 / pick(-2.0, 0.5), smx.Polarity.SIMILARITY, True)
 
 
 def _outcome(call):
