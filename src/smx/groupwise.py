@@ -5,17 +5,18 @@ an abstract form: all three are set-overlap ratios over the ancestor
 closures of the two sets (Pesquita et al. 2009), so reduced annotation
 sets are fine. STRATEGIES maps each aggregation to its value on the
 pairwise score matrix of the sets as given, which is why callers should
-reduce annotation sets first. One pairwise.pair_scorer fills the matrix,
-so each class's anchor key is computed and each theta read cached once per
-matrix. The direct measures union the ancestor closures of each set, in
-id order, and sum theta over a closure with one bulk read,
-ThetaEstimator.sum.
+reduce annotation sets first. One pairwise.pair_scorer per spec and view
+fills every matrix, so each class's anchor key is computed and each theta
+read cached once per spec and view. The direct measures union the
+ancestor closures of each set, in id order, and sum theta over a closure
+with one bulk read, ThetaEstimator.sum.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import ContractError
@@ -37,19 +38,41 @@ DIRECT = {
 }
 
 
+def _mean(mean: float, cells: Iterable[float]) -> float:
+    """mean, the float sum of cells over their count, unless that sum
+    overflowed on finite cells: then the mean again over the cells scaled
+    by 2**-k, 2**k >= twice their count, so that no partial sum leaves
+    float range, clamped to the cells' range. A finite mean stays as the
+    plain sum gives it."""
+    if math.isfinite(mean):
+        return mean
+    cells = list(cells)
+    if not all(map(math.isfinite, cells)):
+        return mean
+    k = len(cells).bit_length() + 1
+    mean = sum(math.ldexp(c, -k) for c in cells) / len(cells) * 2.0**k
+    return min(max(mean, min(cells)), max(cells))
+
+
 def _row_max_mean(matrix) -> float:
-    return sum(map(max, matrix)) / len(matrix)
+    maxima = list(map(max, matrix))
+    return _mean(sum(maxima) / len(maxima), maxima)
+
+
+def _bma(matrix) -> float:
+    forward, backward = _row_max_mean(matrix), _row_max_mean(list(zip(*matrix)))
+    return _mean((forward + backward) / 2.0, (forward, backward))
 
 
 # aggregation -> its value on the |U| x |V| score matrix; avgmax, bmm and
 # bma take the mean best match of the rows (forward) and of the columns
 STRATEGIES = {
-    "avg": lambda m: sum(map(sum, m)) / (len(m) * len(m[0])),
+    "avg": lambda m: _mean(sum(map(sum, m)) / (len(m) * len(m[0])), itertools.chain(*m)),
     "max": lambda m: max(map(max, m)),
     "min": lambda m: min(map(min, m)),
     "avgmax": _row_max_mean,
     "bmm": lambda m: max(_row_max_mean(m), _row_max_mean(list(zip(*m)))),
-    "bma": lambda m: (_row_max_mean(m) + _row_max_mean(list(zip(*m)))) / 2.0,
+    "bma": _bma,
 }
 # strategies whose semantics invert on distances
 _SIM_ONLY = ("max", "min", "avgmax", "bmm", "bma")
@@ -60,6 +83,9 @@ class GroupwiseMeasureSpec:
     name: str
     inner: PairwiseMeasureSpec | None = None
     theta: ThetaEstimator | None = None
+    # an aggregation's pair scorers: {(view, allow_unreduced): scorer},
+    # each built on the spec's first call there
+    scorers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def groupwise_measure(
@@ -105,6 +131,9 @@ def eval_groupwise(
     # in id order, as the direct features order their groups, so the sums
     # and the first failing cell do not depend on the order of the groups
     us, vs = sorted(us), sorted(vs)
-    inner, score = spec.inner, pair_scorer(spec.inner, taxonomy, allow_unreduced)
+    inner, key = spec.inner, (taxonomy, allow_unreduced)
+    score = spec.scorers.get(key)
+    if score is None:
+        score = spec.scorers[key] = pair_scorer(inner, taxonomy, allow_unreduced)
     matrix = [[score(u, v).value for v in vs] for u in us]
     return MeasureValue(STRATEGIES[spec.name](matrix), inner.info.polarity, inner.info.normalized)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from math import isfinite
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, NamedTuple
@@ -147,8 +148,11 @@ def _power_mean(a: float, b: float, alpha: float) -> float:
     by continuity and the infinite orders are min and max. A finite order
     needs a and b >= 0.
 
-    Factoring out the dominant operand keeps extreme orders from
-    overflowing float range.
+    A finite order takes the mean as dominant * exp(e), with e =
+    log1p(expm1(alpha * log(other / dominant)) / 2) / alpha (Higham,
+    "Accuracy and Stability of Numerical Algorithms", 2002, sections 1.14
+    and 3.4): no step leaves float range, and orders near 0 keep their
+    precision.
     """
     if math.isinf(alpha):
         return min(a, b) if alpha < 0 else max(a, b)
@@ -158,8 +162,25 @@ def _power_mean(a: float, b: float, alpha: float) -> float:
     other, dominant = sorted((a, b), reverse=alpha < 0)
     if dominant == 0.0:
         return 0.0
-    ratio = (other / dominant) ** alpha  # in [0, 1]
-    return dominant * ((1.0 + ratio) / 2.0) ** (1.0 / alpha)
+    # log(other / dominant), from the two logs where the ratio leaves the
+    # normal range, and -inf at other == 0, so that alpha * log_ratio <= 0
+    ratio = other / dominant
+    if other == 0.0:
+        log_ratio = -math.inf
+    elif sys.float_info.min <= ratio < math.inf:
+        log_ratio = math.log(ratio)
+    else:
+        log_ratio = math.log(other) - math.log(dominant)
+    scaled = alpha * log_ratio
+    # below 1e-16, e equals its limit log_ratio / 2 (the geometric mean) to
+    # the last bit, while a subnormal alpha * log_ratio would lose bits
+    if abs(scaled) < 1e-16:
+        e = log_ratio / 2.0
+    else:
+        e = math.log1p(math.expm1(scaled) / 2.0) / alpha
+    if abs(e) < 700.0:
+        return dominant * math.exp(e)
+    return math.exp(e + math.log(dominant))  # exp(e) alone leaves float range
 
 
 def _not_finite(form, value, f_u, f_v, f_shared):

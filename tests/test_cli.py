@@ -398,6 +398,39 @@ class TestGroupsim:
         assert code == 0
         assert float(out.strip().split("\t")[2]) == pytest.approx(0.6594, abs=1e-3)
 
+    def test_one_pair_scorer_per_run(self, toy_file, tmp_path, capsys, monkeypatch):
+        built = []
+        real = smx.groupwise.pair_scorer
+        monkeypatch.setattr(
+            smx.groupwise, "pair_scorer", lambda *args: built.append(args) or real(*args)
+        )
+        ann = tmp_path / "ann.tsv"
+        ann.write_text("g1\tC,D\ng2\tE\ng3\tE,F\n")
+        pairs = tmp_path / "ipairs.tsv"
+        pairs.write_text("g1\tg2\ng2\tg3\ng1\tg3\ng3\tg3\n")
+        code = main(
+            ["groupsim", "--measure", "bma:lin", "--ic", "seco",
+             "--graph", toy_file, "--annotations", str(ann), "--pairs", str(pairs)]
+        )
+        assert code == 0
+        assert len(capsys.readouterr().out.splitlines()) == 4
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("strategy", ["avg", "avgmax", "bmm", "bma"])
+    def test_mean_of_near_max_cells_is_finite(self, toy_file, tmp_path, capsys, strategy):
+        # the cells are 1.2e308, 8e307, 8e307 and 1.6e308; their float sum overflows
+        ann = tmp_path / "ann.tsv"
+        ann.write_text("g1\tD,E\ng2\tD,E\n")
+        pairs = tmp_path / "ipairs.tsv"
+        pairs.write_text("g1\tg2\n")
+        code = main(
+            ["groupsim", "--measure", f"{strategy}:tversky_contrast:gamma=4e307", "--ic", "seco",
+             "--graph", toy_file, "--annotations", str(ann), "--pairs", str(pairs)]
+        )
+        assert code == 0
+        value = float(capsys.readouterr().out.split("\t")[2])
+        assert 8e307 <= value <= 1.6e308
+
     @pytest.mark.parametrize(
         "argv, usage_builds",
         [

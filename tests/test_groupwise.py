@@ -1,12 +1,21 @@
 import io
 import math
 import random
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import smx
-from smx.errors import ContractError, InfiniteICError, InfinityError, UnknownNodeError
+from smx.errors import (
+    ContractError,
+    InfiniteICError,
+    InfinityError,
+    RedundancyError,
+    UnknownNodeError,
+)
+from smx.groupwise import STRATEGIES
 
 from helpers import brute_closure_map, brute_redundant_edges, random_taxonomy
 
@@ -242,3 +251,165 @@ class TestErrorNaming:
                 with pytest.raises(InfiniteICError) as got:
                     smx.eval_groupwise(spec, t, us, vs)
                 assert str(got.value) == str(want.value)
+
+
+class TestOneScorerPerSpecAndView:
+    """An aggregated spec keeps one pair scorer per (view, allow_unreduced),
+    and its values and errors are those of a fresh spec on every call."""
+
+    @staticmethod
+    def count_scorers(monkeypatch):
+        built = []
+        real = smx.groupwise.pair_scorer
+
+        def counting(spec, taxonomy, allow_unreduced=False):
+            built.append((taxonomy, allow_unreduced))
+            return real(spec, taxonomy, allow_unreduced)
+
+        monkeypatch.setattr(smx.groupwise, "pair_scorer", counting)
+        return built
+
+    def test_one_scorer_per_view_and_flag(self, toy, toy_graph, monkeypatch):
+        built = self.count_scorers(monkeypatch)
+        other = smx.taxonomic_reduction(toy_graph)  # a second view of the same classes
+        lin = smx.pairwise_measure("lin", theta=smx.seco_ic(toy))
+        spec = smx.groupwise_measure("bma", inner=lin)
+        names = ["A", "B", "C", "D", "E", "F"]
+        rng = random.Random(7)
+        for _ in range(40):
+            for view in (toy, other):
+                for flag in (False, True):
+                    u, v = (rng.sample(names, rng.randint(1, 3)) for _ in range(2))
+                    smx.eval_groupwise(spec, view, *groups(view, u, v), allow_unreduced=flag)
+        assert len(built) == 4
+        assert set(built) == {(toy, False), (toy, True), (other, False), (other, True)}
+        # the direct measures score no pairs
+        smx.eval_groupwise(smx.groupwise_measure("simui"), toy, *groups(toy, ["E"], ["D"]))
+        assert len(built) == 4
+
+    @staticmethod
+    def outcome(spec, t, us, vs, flag):
+        try:
+            return smx.eval_groupwise(spec, t, us, vs, allow_unreduced=flag)
+        except smx.errors.SmxError as error:
+            return type(error), str(error)
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_repeated_calls_match_a_fresh_spec(self, seed):
+        # random views keep their redundant edges, so wu_palmer may refuse
+        rng = random.Random(seed)
+        t, _ = random_taxonomy(rng, max_nodes=25)
+        theta = smx.seco_ic(t)
+        inners = [
+            smx.pairwise_measure("lin", theta=theta),
+            smx.pairwise_measure("wu_palmer"),
+            smx.pairwise_measure("resnik", theta=theta),
+        ]
+        classes = sorted(t.class_ids)
+        calls = [
+            [frozenset(rng.sample(classes, rng.randint(1, min(4, len(classes))))) for _ in "uv"]
+            + [rng.random() < 0.5]
+            for _ in range(10)
+        ]
+        for inner in inners:
+            for strategy in STRATEGIES:
+                kept = smx.groupwise_measure(strategy, inner=inner)
+                for us, vs, flag in calls * 2:
+                    fresh = smx.groupwise_measure(strategy, inner=inner)
+                    assert self.outcome(kept, t, us, vs, flag) == self.outcome(
+                        fresh, t, us, vs, flag
+                    )
+
+    def test_zero_usage_class_raises_again(self, toy, toy_graph):
+        # only E and D are annotated, so F has zero usage and an undefined IC
+        ann = smx.parse_annotations(io.BytesIO(b"g1\tE\ng2\tD\n"), toy_graph)
+        theta = smx.resnik_extrinsic_ic(toy, smx.class_usage(toy, ann))
+        lin = smx.pairwise_measure("lin", theta=theta)
+        spec = smx.groupwise_measure("bma", inner=lin)
+        e, d, f = toy.node("E"), toy.node("D"), toy.node("F")
+        fresh = lambda us, vs: self.outcome(smx.groupwise_measure("bma", inner=lin), toy, us, vs, False)
+        want = fresh({e}, {d, f})
+        assert want[0] is InfiniteICError and "class F" in want[1]
+        assert isinstance(fresh({e}, {d}), smx.MeasureValue)
+        for _ in range(3):
+            assert self.outcome(spec, toy, {e}, {d, f}, False) == want
+            assert self.outcome(spec, toy, {e}, {d}, False) == fresh({e}, {d})
+
+    def test_unreduced_view_raises_again(self, chain_with_skip):
+        t = chain_with_skip
+        spec = smx.groupwise_measure("max", inner=smx.pairwise_measure("rada_sim"))
+        c0, c1, c4 = t.node("c0"), t.node("c1"), t.node("c4")
+        allowed = smx.eval_groupwise(spec, t, {c0}, {c1, c4}, allow_unreduced=True)
+        for _ in range(3):
+            with pytest.raises(RedundancyError):
+                smx.eval_groupwise(spec, t, {c0}, {c1, c4})
+            assert smx.eval_groupwise(spec, t, {c0}, {c1, c4}, allow_unreduced=True) == allowed
+
+
+NEAR_MAX = st.floats(min_value=1e307, max_value=sys.float_info.max)
+
+
+@st.composite
+def near_max_matrices(draw):
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    cell = st.one_of(NEAR_MAX, NEAR_MAX.map(lambda x: x / 3), NEAR_MAX.map(lambda x: -x))
+    return [[draw(cell) for _ in range(cols)] for _ in range(rows)]
+
+
+def _exact_strategy(name, matrix):
+    rows = [[Fraction(c) for c in row] for row in matrix]
+    cols = [list(col) for col in zip(*rows)]
+    mean = lambda xs: sum(xs) / len(xs)
+    forward, backward = mean([max(r) for r in rows]), mean([max(c) for c in cols])
+    return {
+        "avg": mean([c for row in rows for c in row]),
+        "max": max(map(max, rows)),
+        "min": min(map(min, rows)),
+        "avgmax": forward,
+        "bmm": max(forward, backward),
+        "bma": (forward + backward) / 2,
+    }[name]
+
+
+def _plain_strategy(name, m):
+    """Each aggregation as a plain float sum, which may overflow."""
+    forward = sum(map(max, m)) / len(m)
+    backward = sum(map(max, zip(*m))) / len(m[0])
+    return {
+        "avg": sum(map(sum, m)) / (len(m) * len(m[0])),
+        "max": max(map(max, m)),
+        "min": min(map(min, m)),
+        "avgmax": forward,
+        "bmm": max(forward, backward),
+        "bma": (forward + backward) / 2.0,
+    }[name]
+
+
+class TestAggregationRange:
+    """A mean of finite cells is finite, close to the exact mean and within
+    the cells' range, also where the plain float sum overflows; where the
+    plain sum is finite, the value is that sum's, to the bit."""
+
+    @pytest.mark.parametrize("name", list(STRATEGIES))
+    @settings(max_examples=60, deadline=None)
+    @given(matrix=near_max_matrices())
+    def test_near_max_cells(self, name, matrix):
+        got = STRATEGIES[name](matrix)
+        assert math.isfinite(got)
+        cells = [c for row in matrix for c in row]
+        scale = max(map(abs, cells))
+        assert abs(Fraction(got) - _exact_strategy(name, matrix)) <= Fraction(1e-14) * Fraction(scale)
+        plain = _plain_strategy(name, matrix)
+        if math.isfinite(plain):
+            assert got == plain
+        else:
+            assert min(cells) <= got <= max(cells)
+
+    @pytest.mark.parametrize("name", ["avg", "avgmax", "bmm", "bma"])
+    def test_overflowing_sum_of_the_cli_cells(self, name):
+        # the cells of avg:tversky_contrast:gamma=4e307 on {D, E} x {D, E}
+        matrix = [[1.2e308, 8e307], [8e307, 1.6e308]]
+        got = STRATEGIES[name](matrix)
+        assert 8e307 <= got <= 1.6e308
+        assert got == pytest.approx(float(_exact_strategy(name, matrix)), rel=1e-15)

@@ -1,9 +1,13 @@
 """The scripts that guard the project's values and measure its speed:
-value_digest.py against its pinned block hashes, and the pairing and
-summary code of bench_record.py, driven by a fake runner."""
+value_digest.py against its pinned block hashes, the pairing and summary
+code of bench_record.py, driven by a fake runner, and bench_compare.py on
+one paired record."""
 
 import json
 
+import pytest
+
+import bench_compare
 import bench_record
 import value_digest
 
@@ -76,3 +80,37 @@ class TestBenchRecord:
         bench_record.write_record(out, {"number": 1, "machine": "m2"}, {"b": "b2"})
         record = json.loads(out.read_text())
         assert record == {"number": 1, "machine": "m2", "workloads": {"a": "a1", "b": "b2"}}
+
+
+class TestBenchCompare:
+    def test_one_paired_record_prints_parent_change_and_wins(self, tmp_path, capsys):
+        side = lambda **values: {"metrics": {
+            name: {"value": value, "wins": 4} for name, value in values.items()
+        }}
+        record = {"workloads": {
+            "groups-skewed": {
+                "pairs": 5,
+                "parent_end_to_end": side(ops_per_s=100.0, peak_rss_mb=200.0),
+                "end_to_end": side(ops_per_s=110.0, peak_rss_mb=203.0),
+            },
+            # a workload of an older record, without paired runs, is skipped
+            "relate": {"end_to_end": side(ops_per_s=1.0)},
+        }}
+        path = tmp_path / "BENCH_1.json"
+        path.write_text(json.dumps(record))
+        assert bench_compare.main([str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split() == ["workload", "metric", "parent", "change", "change%", "wins"]
+        # in BENCHMARK.json's metric order
+        assert [line.split() for line in lines[1:]] == [
+            ["groups-skewed", "ops_per_s", "100", "110", "+10.0%", "4/5"],
+            ["groups-skewed", "peak_rss_mb", "200", "203", "+1.5%", "4/5"],
+        ]
+
+    def test_one_record_without_paired_runs_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "BENCH_1.json"
+        path.write_text(json.dumps({"workloads": {"relate": {"end_to_end": {"metrics": {}}}}}))
+        with pytest.raises(SystemExit) as caught:
+            bench_compare.main([str(path)])
+        assert caught.value.code == 2
+        assert "paired runs" in capsys.readouterr().err

@@ -1,14 +1,15 @@
+import decimal
 import functools
 import math
 import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import smx
 from smx.errors import ContractError, InfinityError, SmxError, UnknownNodeError
-from smx.unify import Commonality
+from smx.unify import Commonality, _power_mean
 
 from helpers import random_taxonomy, taxonomy_from_pairs
 
@@ -344,6 +345,52 @@ class TestPowerMeanDomain:
         for score in self.scorers(t, form):
             got = score(t.node("root"), t.node("X"))
             assert got == smx.MeasureValue(-2.0 / pick(-2.0, 0.5), smx.Polarity.SIMILARITY, True)
+
+
+def _decimal_power_mean(a, b, alpha):
+    """((a**alpha + b**alpha) / 2) ** (1 / alpha) for a, b > 0, in enough
+    digits that a**alpha keeps 50 of its own beyond 1 + alpha log a."""
+    digits = 50 + max(0, -math.floor(math.log10(abs(alpha))))
+    with decimal.localcontext(decimal.Context(prec=digits, Emax=10**7, Emin=-(10**7))):
+        order = decimal.Decimal(alpha)
+        power = lambda x: (order * decimal.Decimal(x).ln()).exp()
+        return float((((power(a) + power(b)) / 2).ln() / order).exp())
+
+
+ORDERS = st.floats(min_value=1e-300, max_value=1e3).flatmap(
+    lambda x: st.sampled_from((x, -x))
+)
+OPERANDS = st.floats(min_value=1e-300, max_value=1e300)
+
+
+class TestPowerMeanAccuracy:
+    """The power mean at a finite order against an exact decimal oracle:
+    its error grows only with the size of the log of the result's scale,
+    at most 745 for operands in [1e-300, 1e300], not with 1 / |alpha|."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=OPERANDS, b=OPERANDS, alpha=ORDERS)
+    @example(a=1.0, b=2.0, alpha=1e-12)
+    @example(a=1.0, b=2.0, alpha=1e-300)
+    @example(a=1e-300, b=1e300, alpha=-1e-3)
+    @example(a=1e-300, b=1e300, alpha=1e3)
+    def test_against_a_decimal_oracle(self, a, b, alpha):
+        got, want = _power_mean(a, b, alpha), _decimal_power_mean(a, b, alpha)
+        assert min(a, b) <= want <= max(a, b)
+        assert abs(got - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("alpha", [1e-320, 1e-300, 1e-12, 0.5, 3.0, 1e3])
+    def test_a_zero_operand(self, alpha):
+        assert _power_mean(0.0, 2.0, alpha) == pytest.approx(2.0 * 0.5 ** (1.0 / alpha), rel=1e-13)
+        assert _power_mean(2.0, 0.0, -alpha) == 0.0
+
+    def test_orders_near_zero_give_the_geometric_mean(self, toy, toy_seco):
+        # sigma_alpha at order 0 is ochiai; below 1e-16 the two agree to the ulp
+        c, d = toy.node("C"), toy.node("D")
+        zero = smx.eval_abstract(smx.abstract_form("sigma_alpha", alpha=0.0, theta=toy_seco), toy, c, d)
+        for alpha in (1e-320, -1e-320, 1e-17, 1e-12):
+            form = smx.abstract_form("sigma_alpha", alpha=alpha, theta=toy_seco)
+            assert smx.eval_abstract(form, toy, c, d).value == pytest.approx(zero.value, rel=1e-12)
 
 
 def _outcome(call):
