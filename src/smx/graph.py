@@ -30,7 +30,7 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from itertools import chain
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ContractError, CycleError, UnknownNodeError
 
@@ -201,8 +201,9 @@ class TaxonomyView:
     and children are tuples sorted by node id. Depth is the longest edge
     path from the root, which keeps depth monotone under multiple
     inheritance. The view's order (_order) lists every class once, after
-    all of its parents; later tables are built along it. Construct through
-    preprocess.taxonomic_reduction rather than directly.
+    all of its parents; later tables are built along it. Its labels are
+    any table indexable by class id, the graph's own tuple for parsed input.
+    Construct through preprocess.taxonomic_reduction rather than directly.
     """
 
     __slots__ = (
@@ -235,15 +236,15 @@ class TaxonomyView:
         graph: SemanticGraph | None,
         class_ids: Iterable[NodeId],
         up_edges: Iterable[tuple[NodeId, NodeId]],
-        labels: Mapping[NodeId, str],
+        labels: Mapping[NodeId, str] | Sequence[str],
         inserted_root: NodeId | None = None,
     ) -> "TaxonomyView":
         t = object.__new__(cls)
         t.graph = graph
         t.class_ids = frozenset(class_ids)
         t.inserted_root = inserted_root
-        t._labels = dict(labels)
-        t._by_label = {lab: nid for nid, lab in t._labels.items()}
+        t._labels = labels
+        t._by_label = {labels[c]: c for c in t.class_ids}
         t.edges = frozenset(up_edges)
         # one pass in (child, parent) order appends each class's parents
         # and children already sorted by node id
@@ -347,10 +348,9 @@ class TaxonomyView:
     # -- lookups ----------------------------------------------------------
 
     def label(self, node: NodeId) -> str:
-        try:
-            return self._labels[node]
-        except KeyError:
-            raise UnknownNodeError(f"unknown class id {node}") from None
+        if node not in self.class_ids:
+            raise UnknownNodeError(f"unknown class id {node}")
+        return self._labels[node]
 
     def node(self, label: str) -> NodeId:
         try:

@@ -39,18 +39,15 @@ DIRECT = {
 
 
 def _mean(mean: float, cells: Iterable[float]) -> float:
-    """mean, the float sum of cells over their count, unless that sum
-    overflowed on finite cells: then the mean again over the cells scaled
-    by 2**-k, 2**k >= twice their count, so that no partial sum leaves
-    float range, clamped to the cells' range. A finite mean stays as the
-    plain sum gives it."""
-    if math.isfinite(mean):
-        return mean
+    """mean, the float sum of cells over their count, clamped to the cells'
+    range, which its rounding can leave by an ulp. Where that sum overflowed
+    on finite cells, the mean is first taken again over the cells scaled by
+    2**-k, 2**k >= twice their count, so that no partial sum leaves float
+    range. A NaN or infinite mean of non-finite cells stays as it is."""
     cells = list(cells)
-    if not all(map(math.isfinite, cells)):
-        return mean
-    k = len(cells).bit_length() + 1
-    mean = sum(math.ldexp(c, -k) for c in cells) / len(cells) * 2.0**k
+    if not math.isfinite(mean) and all(map(math.isfinite, cells)):
+        k = len(cells).bit_length() + 1
+        mean = sum(math.ldexp(c, -k) for c in cells) / len(cells) * 2.0**k
     return min(max(mean, min(cells)), max(cells))
 
 

@@ -26,22 +26,21 @@ def taxonomic_reduction(graph: SemanticGraph) -> TaxonomyView:
 
     If the subClassOf subgraph has several roots, a virtual root named
     __root__ is inserted above them so the view is always singly rooted.
-    Raises CycleError on a cyclic taxonomy.
+    The view shares the graph's label tuple and class set, or copies of
+    them extended by that root. Raises CycleError on a cyclic taxonomy.
     """
     if not graph.classes:
         raise ContractError("graph contains no classes")
     up_edges = graph.edges_with(SUBCLASS_OF)
-    node_labels = graph._labels
-    labels = {c: node_labels[c] for c in graph.classes}
-    class_ids = set(graph.classes)
+    labels, class_ids = graph._labels, graph.classes
     with_parent = {child for child, _ in up_edges}
     roots = sorted(class_ids - with_parent)
     inserted = None
     if len(roots) > 1:
         inserted = graph.n_nodes
-        labels[inserted] = VIRTUAL_ROOT
-        class_ids.add(inserted)
-        up_edges = list(up_edges) + [(r, inserted) for r in roots]
+        labels = labels + (VIRTUAL_ROOT,)
+        class_ids = class_ids | {inserted}
+        up_edges = up_edges + [(r, inserted) for r in roots]
     return TaxonomyView.build(graph, class_ids, up_edges, labels, inserted_root=inserted)
 
 

@@ -629,6 +629,47 @@ class TestNonFiniteValues:
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: shenoy of E and D overflows\n"
 
+    def test_parameter_grid_exits_zero_or_two(self, toy_file, tmp_path, capsys):
+        # every usage-free catalog row and every form at extreme values of
+        # each of its parameters, and every estimator kind at extreme bases,
+        # over every pair of toy classes: a value or one error line, never
+        # a traceback
+        classes = ["root", "A", "B", "C", "D", "E", "F"]
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("".join(f"{u}\t{v}\n" for u in classes for v in classes))
+        ann = tmp_path / "ann.tsv"
+        ann.write_text("g1\tE\ng2\tD\ng3\tF\n")
+        values = ["1e308", "-1e308", "800", "-800", "-1", "0", "1e-320", "0.5", "1",
+                  "inf", "-inf", "nan"]
+
+        def at_values(name, params):
+            if not params:
+                return [name]
+            return [f"{name}:{key}={value}" for key in params for value in values]
+
+        runs = [
+            ["sim", "--measure", measure, "--ic", "seco"]
+            for name, info in smx.pairwise.MEASURES.items() if not info.needs_usage
+            for measure in at_values(name, info.params)
+        ] + [
+            ["abstract", "--form", form, "--ic", "seco"]
+            for name, spec in smx.unify.FORMS.items()
+            for form in at_values(name, spec.params)
+        ] + [
+            ["sim", "--measure", "lin", "--ic", kind + suffix, "--annotations", str(ann)]
+            for kind in ESTIMATOR_KINDS
+            for suffix in ("", ":base=2", ":base=1", ":base=-1", ":base=inf", ":k=2", ":smooth=1")
+        ]
+        assert len(runs) == 356
+        bad = []
+        for argv in runs:
+            code = main([*argv, "--graph", toy_file, "--pairs", str(pairs)])
+            err = capsys.readouterr().err
+            one_error_line = err.startswith("error: ") and err.count("\n") == 1
+            if code not in (0, 2) or (code == 2 and not one_error_line):
+                bad.append((argv, code, err))
+        assert bad == []
+
     def test_ic_still_prints_undefined_ic_as_inf(self, toy_file, tmp_path, capsys):
         ann = tmp_path / "ann.tsv"
         ann.write_text("g1\tE\n")

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 import smx
 from smx.cli import main
 from smx.errors import ContractError, UnknownNodeError
-from smx.graph import TaxonomyView
+from smx.graph import VIRTUAL_ROOT, TaxonomyView
 
 from helpers import (
     brute_ancestors,
@@ -336,6 +336,38 @@ class TestPublicChecks:
         with pytest.raises(UnknownNodeError) as caught:
             query(toy, 999)
         assert str(caught.value) == NOT_A_CLASS.format(999)
+
+
+class TestSharedLabels:
+    """A parsed view keeps the graph's own label tuple and class set."""
+
+    def test_single_root_view_shares_the_graph_tables(self, toy_graph, toy):
+        assert toy.inserted_root is None
+        assert toy._labels is toy_graph._labels
+        assert toy.class_ids is toy_graph.classes
+
+    def test_forest_view_extends_the_graph_labels_by_the_virtual_root(self):
+        graph = smx.parse_graph(b"A\tsubClassOf\tr1\nB\tsubClassOf\tr2\n")
+        t = smx.taxonomic_reduction(graph)
+        assert t._labels == graph._labels + (VIRTUAL_ROOT,)
+        assert t.class_ids == graph.classes | {graph.n_nodes}
+        assert t.label(t.root) == VIRTUAL_ROOT
+        assert t.node(VIRTUAL_ROOT) == t.root == graph.n_nodes
+
+    def test_instance_and_negative_ids_are_not_classes(self):
+        graph = smx.parse_graph(b"A\tsubClassOf\tr\ni\tisA\tA\n")
+        t = smx.taxonomic_reduction(graph)
+        instance = graph.node("i")
+        assert instance in graph.instances and graph._labels[-1] == "r"
+        for node in (instance, -1):
+            with pytest.raises(UnknownNodeError) as caught:
+                t.label(node)
+            assert str(caught.value) == f"unknown class id {node}"
+        with pytest.raises(UnknownNodeError) as caught:
+            t.shortest_up_path_edges(graph.node("A"), instance)
+        assert str(caught.value) == f"unknown class id {instance}"
+        with pytest.raises(UnknownNodeError):
+            t.node("i")
 
 
 class TestLabelTieBreaks:

@@ -5,7 +5,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import smx
 from smx.errors import (
@@ -373,38 +373,53 @@ def _exact_strategy(name, matrix):
 
 
 def _plain_strategy(name, m):
-    """Each aggregation as a plain float sum, which may overflow."""
-    forward = sum(map(max, m)) / len(m)
-    backward = sum(map(max, zip(*m))) / len(m[0])
+    """Each aggregation as a plain float sum, which may overflow, and
+    whether each mean it takes lies within the range of the values it
+    averages, which one rounding can leave by an ulp."""
+
+    def mean(values, total):
+        value = total / len(values)
+        return value, min(values) <= value <= max(values)
+
+    cells = [c for row in m for c in row]
+    rows, cols = list(map(max, m)), list(map(max, zip(*m)))
+    forward, forward_in = mean(rows, sum(rows))
+    backward, backward_in = mean(cols, sum(cols))
+    halfway, halfway_in = mean((forward, backward), forward + backward)
     return {
-        "avg": sum(map(sum, m)) / (len(m) * len(m[0])),
-        "max": max(map(max, m)),
-        "min": min(map(min, m)),
-        "avgmax": forward,
-        "bmm": max(forward, backward),
-        "bma": (forward + backward) / 2.0,
+        "avg": mean(cells, sum(map(sum, m))),
+        "max": (max(cells), True),
+        "min": (min(cells), True),
+        "avgmax": (forward, forward_in),
+        "bmm": (max(forward, backward), forward_in and backward_in),
+        "bma": (halfway, forward_in and backward_in and halfway_in),
     }[name]
 
 
 class TestAggregationRange:
     """A mean of finite cells is finite, close to the exact mean and within
-    the cells' range, also where the plain float sum overflows; where the
-    plain sum is finite, the value is that sum's, to the bit."""
+    the cells' range, also where the plain float sum overflows or rounds
+    out of that range; where the plain sum is finite and each of its means
+    lies within the range of what it averages, the value is that sum's, to
+    the bit."""
 
     @pytest.mark.parametrize("name", list(STRATEGIES))
     @settings(max_examples=60, deadline=None)
     @given(matrix=near_max_matrices())
+    # equal cells whose plain mean reads 0.10000000000000002 under avg, and
+    # under avgmax and bmm on the column
+    @example(matrix=[[0.1, 0.1, 0.1]])
+    @example(matrix=[[0.1], [0.1], [0.1]])
     def test_near_max_cells(self, name, matrix):
         got = STRATEGIES[name](matrix)
         assert math.isfinite(got)
         cells = [c for row in matrix for c in row]
         scale = max(map(abs, cells))
         assert abs(Fraction(got) - _exact_strategy(name, matrix)) <= Fraction(1e-14) * Fraction(scale)
-        plain = _plain_strategy(name, matrix)
-        if math.isfinite(plain):
+        plain, in_range = _plain_strategy(name, matrix)
+        if math.isfinite(plain) and in_range:
             assert got == plain
-        else:
-            assert min(cells) <= got <= max(cells)
+        assert min(cells) <= got <= max(cells)
 
     @pytest.mark.parametrize("name", ["avg", "avgmax", "bmm", "bma"])
     def test_overflowing_sum_of_the_cli_cells(self, name):

@@ -129,7 +129,7 @@ class TestTransitiveReduction:
             t.graph,
             t.class_ids,
             t.edges - t.redundant_edges,
-            {c: t.label(c) for c in t.class_ids},
+            t._labels,
             inserted_root=t.inserted_root,
         )
         assert (t.inserted_root is not None) == forest

@@ -2,6 +2,7 @@ import decimal
 import functools
 import math
 import random
+import sys
 from dataclasses import replace
 
 import pytest
@@ -391,6 +392,54 @@ class TestPowerMeanAccuracy:
         for alpha in (1e-320, -1e-320, 1e-17, 1e-12):
             form = smx.abstract_form("sigma_alpha", alpha=alpha, theta=toy_seco)
             assert smx.eval_abstract(form, toy, c, d).value == pytest.approx(zero.value, rel=1e-12)
+
+
+# operands over the whole finite float range: negative, signed zero,
+# subnormal, near +-max and ordinary values
+_EDGES = (0.0, 5e-324, 1e-310, 1.0, 0.5, 3.0, 1e300, 8.98846567431158e307, sys.float_info.max)
+ANY_OPERAND = st.one_of(
+    st.sampled_from(_EDGES + tuple(-x for x in _EDGES)),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def _legal_extremes(kind, key):
+    """The extreme values that the form's parameter `key` admits."""
+    candidates = (
+        -math.inf, -sys.float_info.max, -800.0, -1.0, -1e-320, 0.0, 5e-324, 1e-320,
+        0.5, 1.0, 2.0, 800.0, 1e308, sys.float_info.max, math.inf,
+    )
+    legal = []
+    for x in candidates:
+        try:
+            smx.abstract_form(kind, **{key: x})
+        except ContractError:
+            continue
+        legal.append(x)
+    return legal
+
+
+class TestFormDomain:
+    """Every form kernel, at its parameters' legal extremes and on operands
+    from the whole finite float range, returns a finite value or raises an
+    SmxError: never TypeError, ValueError, ZeroDivisionError or
+    OverflowError."""
+
+    @pytest.mark.parametrize("kind", list(smx.unify.FORMS))
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_finite_value_or_smx_error(self, kind, data):
+        params = {
+            key: data.draw(st.sampled_from(_legal_extremes(kind, key)), label=key)
+            for key in smx.unify.FORMS[kind].params
+        }
+        form = smx.abstract_form(kind, **params)
+        features = data.draw(st.tuples(ANY_OPERAND, ANY_OPERAND, ANY_OPERAND), label="features")
+        try:
+            got = form.kernel(*features, *form.args)
+        except SmxError:
+            return
+        assert isinstance(got, smx.MeasureValue) and math.isfinite(got.value)
 
 
 def _outcome(call):
