@@ -25,7 +25,6 @@ from .ingest import (
     WordMapping,
     parse_annotations,
     parse_graph,
-    parse_pairs,
     parse_rated_pairs,
     parse_weight_scheme,
     parse_word_mapping,

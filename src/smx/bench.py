@@ -109,13 +109,24 @@ def score_pairs(
     return [scored(a, b, rating) for a, b, rating in dataset.pairs]
 
 
+def _scaled(xs: Sequence[float]) -> list[float]:
+    """xs divided by the power of two just above its largest magnitude.
+    The division is exact, and it keeps the correlation's sums of products
+    from overflowing or underflowing wherever the inputs lie."""
+    shift = math.frexp(max(map(abs, xs)))[1]
+    return [math.ldexp(x, -shift) for x in xs]
+
+
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Sample Pearson correlation coefficient."""
+    """Sample Pearson correlation coefficient. Each series is scaled by a
+    power of two first, which leaves the result of in-range series
+    bit-identical and keeps it right at the edges of float range."""
     if len(xs) != len(ys):
         raise UndefinedCorrelationError("series lengths differ")
     n = len(xs)
     if n < 2:
         raise UndefinedCorrelationError("need at least two points")
+    xs, ys = _scaled(xs), _scaled(ys)
     mean_x = sum(xs) / n
     mean_y = sum(ys) / n
     sxy = sxx = syy = 0.0

@@ -30,7 +30,7 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from itertools import chain
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 from .errors import ContractError, CycleError, UnknownNodeError
 
@@ -386,12 +386,15 @@ class TaxonomyView:
                     stack.append(ch)
         return frozenset(seen)
 
-    def descendant_counts(self, among: Iterable[NodeId] | None = None) -> Counter:
+    def descendant_counts(self, among: Collection[NodeId] | None = None) -> Counter:
         """|D(c) & S| for every class c, S being `among` (default: all
         classes), in one pass over A(u) for u in S: c is counted once for
         each u in S that it subsumes. A class subsuming no member reads 0."""
-        members = self.class_ids if among is None else among
-        return Counter(chain.from_iterable(map(self._anc.__getitem__, members)))
+        if among is None:
+            among = self.class_ids
+        elif not self.class_ids.issuperset(among):
+            self._check(next(c for c in among if c not in self.class_ids))
+        return Counter(chain.from_iterable(map(self._anc.__getitem__, among)))
 
     def depth(self, node: NodeId) -> int:
         """Longest subClassOf edge path from the root down to the class."""

@@ -313,17 +313,11 @@ def _pair_lines(source) -> Iterator[tuple[int, tuple[str, str]]]:
 
 
 @_names_its_file
-def parse_pairs(source) -> list[tuple[str, str]]:
-    """Load an identifier pair list; columns after the second are ignored."""
-    return [pair for _, pair in _pair_lines(source)]
-
-
-@_names_its_file
 def resolve_pairs(source, resolve: Callable) -> list[tuple[str, str, object, object]]:
     """(idA, idB, resolve(idA), resolve(idB)) for each pair of the list,
-    every line parsed before the first is resolved. An identifier that
-    resolve rejects (UnknownNodeError or ResolutionError) is a
-    ResolutionError on its line."""
+    columns after the second ignored; every line is parsed before the
+    first is resolved. An identifier that resolve rejects (UnknownNodeError
+    or ResolutionError) is a ResolutionError on its line."""
     resolved = []
     for lineno, (a, b) in list(_pair_lines(source)):
         try:

@@ -32,11 +32,6 @@ from .graph import NodeId, TaxonomyView
 from .ingest import AnnotationSet
 
 
-_EMPTY: frozenset = frozenset()
-# the set bit positions of each byte value, lowest first
-_BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
-
-
 @dataclass(frozen=True)
 class ParamSpec:
     """A numeric parameter: its default and the values it admits."""
@@ -87,29 +82,15 @@ class ClassUsage:
     """Per-class propagated instance sets: an instance counts for a class
     when one of its annotated classes is a descendant of it.
 
-    Each I(c) is held as an int bitset over `names`, the sorted names of
-    the instances that have a class, bit i standing for names[i]; the
-    counts are taken once, at build time. `shared(u, v)` is one AND and a
-    popcount. `instances(c)` and `members` decode the bits on each access.
-    Two usages are equal when their totals and per-class sets are.
+    Each I(c) is held as an int bitset, bit i standing for the i-th
+    instance of the annotation set in its own order; the counts are taken
+    once, at build time. `shared(u, v)` is one AND and a popcount.
     """
 
-    __slots__ = ("names", "total", "_bits", "_counts")
+    __slots__ = ("total", "_bits", "_counts")
 
-    def __init__(self, members: Mapping[NodeId, frozenset[str]], total: int):
-        names = tuple(sorted(set().union(*members.values())))
-        index = {name: i for i, name in enumerate(names)}
-        bits = {c: _to_bits([index[n] for n in s]) if s else 0 for c, s in members.items()}
-        self._store(names, bits, total)
-
-    @classmethod
-    def _from_bits(cls, names, bits, total):
-        usage = cls.__new__(cls)
-        usage._store(names, bits, total)
-        return usage
-
-    def _store(self, names, bits, total):
-        self.names, self.total, self._bits = names, total, bits
+    def __init__(self, bits: dict[NodeId, int], total: int):
+        self.total, self._bits = total, bits
         self._counts = {c: b.bit_count() for c, b in bits.items() if b}
 
     def count(self, c: NodeId) -> int:
@@ -120,54 +101,30 @@ class ClassUsage:
         bits = self._bits
         return (bits.get(u, 0) & bits.get(v, 0)).bit_count()
 
-    def instances(self, c: NodeId) -> frozenset[str]:
-        bits = self._bits.get(c, 0)
-        if not bits:
-            return _EMPTY
-        names = self.names
-        raw = bits.to_bytes((bits.bit_length() + 7) >> 3, "little")
-        return frozenset(
-            names[j << 3 | i] for j, byte in enumerate(raw) if byte for i in _BYTE_BITS[byte]
-        )
-
-    @property
-    def members(self) -> dict[NodeId, frozenset[str]]:
-        return {c: self.instances(c) for c in self._bits}
-
-    def __eq__(self, other):
-        if not isinstance(other, ClassUsage):
-            return NotImplemented
-        # equal names give every instance the same bit in both
-        return (self.total, self.names, self._bits) == (other.total, other.names, other._bits)
-
-    def __repr__(self):
-        return f"ClassUsage(members={self.members!r}, total={self.total!r})"
-
 
 def class_usage(taxonomy: TaxonomyView, annotations: AnnotationSet) -> ClassUsage:
     """Propagate annotations through the taxonomy and count class usage.
 
     I(c) is the union of the instances annotated with c and I(x) over the
-    children x of c, so a leaf holds its own instances only. Walking the
-    inner classes in the view's order reversed puts every child before its
-    parents, so each I(c) is built once from finished parts: one OR of
-    bitsets per part rather than one insert per (instance, ancestor) pair.
-    A class with one contributing part shares that part's int, and every
-    zero-usage class holds 0.
+    children x of c, so a leaf holds its own instances only; bit i stands
+    for the i-th instance of `annotations`, so nothing is sorted or named.
+    Walking the inner classes in the view's order reversed puts every child
+    before its parents, so each I(c) is built once from finished parts: one
+    OR of bitsets per part rather than one insert per (instance, ancestor)
+    pair. A class with one contributing part shares that part's int, and
+    every zero-usage class holds 0.
     """
     assignments = annotations.assignments
     if not assignments:
         raise UsageError("empty annotation set: extrinsic estimators are undefined")
     class_ids = taxonomy.class_ids
-    names = tuple(sorted(instance for instance, classes in assignments.items() if classes))
-    index = {name: i for i, name in enumerate(names)}
     direct: dict[NodeId, list[int]] = {}
-    for instance, classes in assignments.items():
+    for i, classes in enumerate(assignments.values()):
         if not class_ids.issuperset(classes):
             c = next(c for c in classes if c not in class_ids)
             raise UnknownNodeError(f"annotation class {c} is not in the taxonomy")
         for c in classes:
-            direct.setdefault(c, []).append(index[instance])
+            direct.setdefault(c, []).append(i)
     bits = dict.fromkeys(class_ids, 0)
     for c, indices in direct.items():
         bits[c] = _to_bits(indices)
@@ -181,7 +138,7 @@ def class_usage(taxonomy: TaxonomyView, annotations: AnnotationSet) -> ClassUsag
         if bits[c]:
             parts.append(bits[c])
         bits[c] = functools.reduce(operator.or_, parts)
-    return ClassUsage._from_bits(names, bits, len(assignments))
+    return ClassUsage(bits, len(assignments))
 
 
 class ThetaEstimator:

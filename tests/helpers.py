@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from smx import (
     AnnotationSet,
-    ClassUsage,
     MeasureValue,
     Polarity,
     ReductionReport,
@@ -343,8 +342,8 @@ def random_annotations(rng: random.Random, taxonomy, max_instances=8):
 
 
 def brute_class_usage(taxonomy, annotations):
-    """Class usage by adding each instance to every ancestor of each of
-    its classes."""
+    """{class: frozenset of instance names}: class usage by adding each
+    instance to every ancestor of each of its classes."""
     if not annotations.assignments:
         raise UsageError("empty annotation set: extrinsic estimators are undefined")
     members = {c: set() for c in taxonomy.class_ids}
@@ -356,10 +355,7 @@ def brute_class_usage(taxonomy, annotations):
             closure |= taxonomy.ancestors(c)
         for a in closure:
             members[a].add(instance)
-    return ClassUsage(
-        members={c: frozenset(s) for c, s in members.items()},
-        total=len(annotations.assignments),
-    )
+    return {c: frozenset(s) for c, s in members.items()}
 
 
 def brute_reduce_annotations(taxonomy, annotations):

@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import smx
 from smx.errors import ParseError, UndefinedCorrelationError
@@ -42,6 +43,32 @@ class TestCorrelations:
         assert smx.spearman([1, 1, 2], [1, 2, 3]) == pytest.approx(
             smx.pearson([1.5, 1.5, 3], [1, 2, 3])
         )
+
+    def test_pearson_at_the_edges_of_float_range(self):
+        # the sums of products would overflow or underflow unscaled
+        assert smx.pearson([1e300, 2e300, 3e300], [1, 2, 3]) == pytest.approx(1.0)
+        assert smx.pearson([1e200, -1e200, 0], [1, 2, 3]) == pytest.approx(-0.5)
+        assert smx.pearson([1e-200, 2e-200, 3e-200], [1, 2, 3]) == pytest.approx(1.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        xs=st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=12),
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(-900, 900),
+    )
+    def test_pearson_invariant_under_power_of_two_scaling(self, xs, seed, k):
+        rng = random.Random(seed)
+        ys = [rng.uniform(-5, 5) for _ in xs]
+        scaled = [math.ldexp(x, k) for x in xs]
+        assume(all(x == 0 or abs(x) >= 2.0**-1022 for x in xs + scaled))
+        assume(all(math.isfinite(x) for x in scaled))
+        try:
+            want = smx.pearson(xs, ys)
+        except UndefinedCorrelationError:
+            with pytest.raises(UndefinedCorrelationError):
+                smx.pearson(scaled, ys)
+        else:
+            assert smx.pearson(scaled, ys) == want
 
     def test_constant_series_undefined(self):
         with pytest.raises(UndefinedCorrelationError):

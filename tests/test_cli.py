@@ -863,6 +863,27 @@ class TestBench:
             "measure,n_scored,n_skipped,pearson,spearman\nrada,0,2,,\nwu_palmer,0,2,,\n"
         )
 
+    def test_correlations_at_the_edges_of_float_range(self, tmp_path, capsys):
+        # li:alpha=400 scores underflow their squared deviations unscaled;
+        # gamma=1e300 scales alpha=0,beta=0 by 1e300, so pearson is equal
+        mapping = tmp_path / "map.tsv"
+        mapping.write_text("w_e\tE\nw_d\tD\nw_f\tF\nw_c\tC\nw_a\tA\n")
+        dataset = tmp_path / "ratings.tsv"
+        dataset.write_text(
+            "w_e\tw_d\t1.0\nw_e\tw_c\t3.0\nw_e\tw_f\t0.5\nw_d\tw_c\t2.0\nw_a\tw_f\t0.2\n"
+        )
+        code = main(
+            ["bench", "--graph", smx.toy_taxonomy_path(), "--mapping", str(mapping),
+             "--dataset", str(dataset),
+             "--measures", "li:alpha=400,tversky_contrast:gamma=1e300,"
+             "tversky_contrast:alpha=0,beta=0"]
+        )
+        assert code == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        li, scaled, plain = (row.rsplit(",", 2) for row in rows)
+        assert li == ["li:alpha=400,5,0", "0.805256", "0.707107"]
+        assert scaled[1:] == plain[1:] == ["0.943829", "0.948683"]
+
     @pytest.mark.parametrize(
         "measures, lin_row, reasons",
         [

@@ -337,6 +337,21 @@ class TestPublicChecks:
             query(toy, 999)
         assert str(caught.value) == NOT_A_CLASS.format(999)
 
+    def test_descendant_counts_names_an_unknown_class(self, toy):
+        e = toy.node("E")
+        for among, unknown in (([-1], -1), ([e, 999], 999), ({e, toy.node("D"), -1}, -1)):
+            with pytest.raises(UnknownNodeError) as caught:
+                toy.descendant_counts(among)
+            assert str(caught.value) == NOT_A_CLASS.format(unknown)
+        assert toy.descendant_counts([e])[toy.root] == 1
+
+    def test_several_roots_name_each_root(self):
+        # build inserts no virtual root: two parentless classes are an error
+        labels = {0: "r1", 1: "r2", 2: "A"}
+        with pytest.raises(ContractError) as caught:
+            TaxonomyView.build(None, labels, [(2, 0)], labels)
+        assert str(caught.value) == "taxonomy must have exactly one root, got: r1, r2"
+
 
 class TestSharedLabels:
     """A parsed view keeps the graph's own label tuple and class set."""

@@ -195,17 +195,17 @@ class TestWordMapping:
 
 class TestPairsAndWeights:
     def test_pairs_keep_two_columns_and_ignore_the_rest(self):
-        pairs = smx.parse_pairs(stream("# header\na\t b\textra\tcols\nc\td\n"))
-        assert pairs == [("a", "b"), ("c", "d")]
+        pairs = smx.ingest.resolve_pairs(stream("# header\na\t b\textra\tcols\nc\td\n"), str)
+        assert pairs == [("a", "b", "a", "b"), ("c", "d", "c", "d")]
 
     def test_pairs_need_two_columns(self):
         with pytest.raises(ParseError, match="line 1"):
-            smx.parse_pairs(stream("lonely\n"))
+            smx.ingest.resolve_pairs(stream("lonely\n"), str)
 
     @pytest.mark.parametrize("line", ["B\t", "\tB", " \tB\textra"])
     def test_pairs_reject_an_empty_identifier(self, line):
         with pytest.raises(ParseError, match="^line 2: empty element identifier$"):
-            smx.parse_pairs(stream(f"a\tb\n{line}\n"))
+            smx.ingest.resolve_pairs(stream(f"a\tb\n{line}\n"), str)
 
     def test_resolved_pairs_name_the_line_of_an_unknown_identifier(self, tmp_path):
         known = {"a": 1, "b": 2}
@@ -294,7 +294,7 @@ def _toy_parsers(toy_graph):
     """Every path-reading parser, each with one input whose line 2 is bad."""
     return [
         (smx.parse_graph, "A\tsubClassOf\troot\nB\tsubClassOf\n"),
-        (smx.parse_pairs, "E\tD\nlonely\n"),
+        (lambda src: smx.ingest.resolve_pairs(src, str), "E\tD\nlonely\n"),
         (smx.parse_weight_scheme, "hunts\t5\nhunts\theavy\n"),
         (smx.parse_rated_pairs, "a\tb\t1\nc\td\thigh\n"),
         (lambda src: smx.parse_annotations(src, toy_graph), "g1\tE\ng2\n"),
