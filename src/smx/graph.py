@@ -30,7 +30,7 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from itertools import chain
-from typing import Callable, Collection, Iterable, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Mapping
 
 from .errors import ContractError, CycleError, UnknownNodeError
 
@@ -182,9 +182,6 @@ class SemanticGraph:
     def in_edges(self, node: NodeId) -> tuple[tuple[str, NodeId], ...]:
         return self._adjacent()[1][self._known(node)]
 
-    def edges_with(self, predicate: str) -> list[tuple[NodeId, NodeId]]:
-        return [(s, o) for (s, p, o) in self.edges if p == predicate]
-
     def weight(self, edge: tuple[NodeId, str, NodeId]) -> float:
         if self.edge_weights is None:
             return 1.0
@@ -201,13 +198,12 @@ class TaxonomyView:
     and children are tuples sorted by node id. Depth is the longest edge
     path from the root, which keeps depth monotone under multiple
     inheritance. The view's order (_order) lists every class once, after
-    all of its parents; later tables are built along it. Its labels are
-    any table indexable by class id, the graph's own tuple for parsed input.
-    Construct through preprocess.taxonomic_reduction rather than directly.
+    all of its parents; later tables are built along it. Its label tuple
+    and class set are the graph's own, extended by __root__ in a forest.
+    Construct through build (or preprocess.taxonomic_reduction).
     """
 
     __slots__ = (
-        "graph",
         "class_ids",
         "edges",
         "root",
@@ -231,40 +227,45 @@ class TaxonomyView:
         raise ContractError("use TaxonomyView.build or preprocess.taxonomic_reduction")
 
     @classmethod
-    def build(
-        cls,
-        graph: SemanticGraph | None,
-        class_ids: Iterable[NodeId],
-        up_edges: Iterable[tuple[NodeId, NodeId]],
-        labels: Mapping[NodeId, str] | Sequence[str],
-        inserted_root: NodeId | None = None,
-    ) -> "TaxonomyView":
+    def build(cls, graph: SemanticGraph) -> "TaxonomyView":
+        """The view of the graph's classes and subClassOf edges. Several
+        parentless classes get one parent, a virtual root __root__ with id
+        graph.n_nodes. Raises CycleError on a cyclic taxonomy and
+        ContractError on a graph without classes."""
+        if not graph.classes:
+            raise ContractError("graph contains no classes")
         t = object.__new__(cls)
-        t.graph = graph
-        t.class_ids = frozenset(class_ids)
-        t.inserted_root = inserted_root
-        t._labels = labels
-        t._by_label = {labels[c]: c for c in t.class_ids}
-        t.edges = frozenset(up_edges)
+        t.class_ids = graph.classes
+        t._labels = graph._labels
+        up_edges = [(s, o) for s, p, o in graph.edges if p == SUBCLASS_OF]
         # one pass in (child, parent) order appends each class's parents
         # and children already sorted by node id
         parents: dict[NodeId, list] = {c: [] for c in t.class_ids}
         children: dict[NodeId, list] = {c: [] for c in t.class_ids}
-        for child, parent in sorted(t.edges):
+        for child, parent in sorted(up_edges):
             if child == parent:
                 raise CycleError([t._labels[child], t._labels[child]])
             parents[child].append(parent)
             children[parent].append(child)
+        roots = sorted(c for c, ps in parents.items() if not ps)
+        if not roots:
+            raise CycleError(t._trace_cycle(parents, set(t.class_ids)))
+        t.inserted_root = None
+        if len(roots) > 1:
+            t.inserted_root = root = graph.n_nodes
+            t._labels += (VIRTUAL_ROOT,)
+            t.class_ids |= {root}
+            up_edges += [(r, root) for r in roots]
+            parents[root] = []
+            children[root] = roots
+            for r in roots:
+                parents[r].append(root)
+            roots = [root]
+        t.root = roots[0]
+        t.edges = frozenset(up_edges)
+        t._by_label = {t._labels[c]: c for c in t.class_ids}
         t._parents = parents = {c: tuple(v) for c, v in parents.items()}
         t._children = children = {c: tuple(v) for c, v in children.items()}
-
-        roots = sorted(c for c in t.class_ids if not parents[c])
-        if len(roots) != 1:
-            if not roots:
-                raise CycleError(t._trace_cycle(parents, set(t.class_ids)))
-            names = ", ".join(t._labels[r] for r in roots)
-            raise ContractError(f"taxonomy must have exactly one root, got: {names}")
-        t.root = roots[0]
 
         # Kahn order, walked as it grows: a class is reached with its last
         # parent, when every parent's closure and depth are final. An edge is redundant when

@@ -9,8 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .errors import ContractError, UnknownNodeError
-from .graph import NodeId, SUBCLASS_OF, SemanticGraph, TaxonomyView, VIRTUAL_ROOT
+from .errors import UnknownNodeError
+from .graph import NodeId, SUBCLASS_OF, SemanticGraph, TaxonomyView
 from .ingest import AnnotationSet, TripleRecord
 
 
@@ -22,26 +22,10 @@ class ReductionReport:
 
 
 def taxonomic_reduction(graph: SemanticGraph) -> TaxonomyView:
-    """Build the taxonomy view: classes plus subClassOf edges only.
-
-    If the subClassOf subgraph has several roots, a virtual root named
-    __root__ is inserted above them so the view is always singly rooted.
-    The view shares the graph's label tuple and class set, or copies of
-    them extended by that root. Raises CycleError on a cyclic taxonomy.
-    """
-    if not graph.classes:
-        raise ContractError("graph contains no classes")
-    up_edges = graph.edges_with(SUBCLASS_OF)
-    labels, class_ids = graph._labels, graph.classes
-    with_parent = {child for child, _ in up_edges}
-    roots = sorted(class_ids - with_parent)
-    inserted = None
-    if len(roots) > 1:
-        inserted = graph.n_nodes
-        labels = labels + (VIRTUAL_ROOT,)
-        class_ids = class_ids | {inserted}
-        up_edges = up_edges + [(r, inserted) for r in roots]
-    return TaxonomyView.build(graph, class_ids, up_edges, labels, inserted_root=inserted)
+    """The taxonomy view of the graph: its classes plus subClassOf edges
+    only, singly rooted under __root__ when it has several roots (see
+    TaxonomyView.build)."""
+    return TaxonomyView.build(graph)
 
 
 def transitive_reduction(taxonomy: TaxonomyView) -> tuple[TaxonomyView, ReductionReport]:

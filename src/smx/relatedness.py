@@ -184,7 +184,10 @@ class TransitionModel:
         return cls(graph, scheme)
 
     def transitions(self, node: NodeId) -> list[tuple[NodeId, float]]:
-        return self._out_probs[node]
+        try:
+            return self._out_probs[node]
+        except KeyError:
+            raise UnknownNodeError("endpoint is not a node of the graph") from None
 
     @property
     def irreducible(self) -> bool:
@@ -314,6 +317,9 @@ class SimRankScores:
         self.iterations = len(deltas)
 
     def score(self, u: NodeId, v: NodeId) -> float:
+        n = len(self._matrix)
+        if not (0 <= u < n and 0 <= v < n):
+            raise UnknownNodeError("endpoint is not a node of the graph")
         return float(self._matrix[u, v])
 
     def as_array(self) -> np.ndarray:

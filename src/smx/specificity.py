@@ -150,12 +150,11 @@ class ThetaEstimator:
     MICA is taken in.
     """
 
-    __slots__ = ("kind", "taxonomy", "params", "_table", "_monotone")
+    __slots__ = ("kind", "taxonomy", "_table", "_monotone")
 
-    def __init__(self, kind, taxonomy, table, params=()):
+    def __init__(self, kind, taxonomy, table):
         self.kind = kind
         self.taxonomy = taxonomy
-        self.params = dict(params)
         self._table = dict(table)
         self._monotone = None
         # the sum is NaN for a NaN value, or for +inf and -inf together
@@ -260,9 +259,9 @@ def depth_theta(taxonomy: TaxonomyView, normalized: bool = True) -> ThetaEstimat
     maxd = taxonomy.max_depth
     if normalized:
         table = {c: (taxonomy.depth(c) / maxd if maxd else 0.0) for c in taxonomy.class_ids}
-        return ThetaEstimator("depth", taxonomy, table, {"normalized": True})
+        return ThetaEstimator("depth", taxonomy, table)
     table = {c: float(taxonomy.depth(c)) for c in taxonomy.class_ids}
-    return ThetaEstimator("depth_raw", taxonomy, table, {"normalized": False})
+    return ThetaEstimator("depth_raw", taxonomy, table)
 
 
 def nonlinear_depth_theta(taxonomy: TaxonomyView, base: float | None = None) -> ThetaEstimator:
@@ -303,7 +302,7 @@ def zhou_ic(taxonomy: TaxonomyView, k: float = 0.6, base: float | None = None) -
     table = {
         c: k * seco.raw(c) + (1.0 - k) * depth_part.raw(c) for c in taxonomy.class_ids
     }
-    return ThetaEstimator("zhou", taxonomy, table, {"k": k})
+    return ThetaEstimator("zhou", taxonomy, table)
 
 
 def resnik_intrinsic_ic(taxonomy: TaxonomyView, base: float | None = None) -> ThetaEstimator:
@@ -348,7 +347,7 @@ def _extrinsic(kind, taxonomy, usage, smooth, base):
     for c in taxonomy.class_ids:
         count = usage.count(c) + (pseudo[c] if smooth else 0)
         table[c] = math.inf if count == 0 else _log(total, base) - _log(count, base)
-    return ThetaEstimator(kind, taxonomy, table, {"smooth": smooth})
+    return ThetaEstimator(kind, taxonomy, table)
 
 
 def resnik_extrinsic_ic(

@@ -33,13 +33,32 @@ from smx.graph import IS_A, SUBCLASS_OF, TaxonomyView
 from smx.ingest import read_triples
 
 
-def taxonomy_from_lines(lines):
-    return taxonomic_reduction(parse_graph("\n".join(lines).encode()))
+def graph_from_pairs(pairs):
+    """The parsed graph of (child, parent) label pairs."""
+    return parse_graph("\n".join(f"{c}\tsubClassOf\t{p}" for c, p in pairs).encode())
 
 
 def taxonomy_from_pairs(pairs):
     """pairs of (child, parent) labels."""
-    return taxonomy_from_lines([f"{c}\tsubClassOf\t{p}" for c, p in pairs])
+    return taxonomic_reduction(graph_from_pairs(pairs))
+
+
+def view_of(labels, class_ids, edges):
+    """The view of a SemanticGraph whose classes are class_ids, class c
+    labelled labels[c], with the subClassOf edges (child, parent). Every
+    other id below the largest class id is an instance, so the class ids
+    can be chosen freely, where a parsed graph numbers them in label order."""
+    classes = set(class_ids)
+    n = max(classes) + 1
+    names = [labels[i] if i in classes else f"#{i}" for i in range(n)]
+    graph = SemanticGraph(
+        names,
+        classes,
+        set(range(n)) - classes,
+        [SUBCLASS_OF],
+        [(child, SUBCLASS_OF, parent) for child, parent in edges],
+    )
+    return TaxonomyView.build(graph)
 
 
 def random_taxonomy(rng: random.Random, max_nodes=50, tree=False, multi=0.3):
@@ -72,7 +91,7 @@ def relabelled(t, pairs, rng: random.Random):
     classes = sorted(t.class_ids)
     names = [t.label(c) for c in classes]
     rename = dict(zip(names, rng.sample(names, len(names))))
-    view = TaxonomyView.build(None, classes, t.edges, {c: rename[t.label(c)] for c in classes})
+    view = view_of({c: rename[t.label(c)] for c in classes}, classes, t.edges)
     return view, [(rename[child], rename[parent]) for child, parent in pairs]
 
 

@@ -251,8 +251,9 @@ class TestIc:
         ann.write_text("g1\tE\ng2\tD\n")
         argv = ["ic", "--graph", toy_file, "--annotations", str(ann)]
         assert main([*argv, "--estimator", "resnik:smooth=1,base=2"]) == 0
-        t = smx.taxonomic_reduction(smx.parse_graph(toy_file))
-        usage = smx.class_usage(t, smx.parse_annotations(str(ann), t.graph))
+        graph = smx.parse_graph(toy_file)
+        t = smx.taxonomic_reduction(graph)
+        usage = smx.class_usage(t, smx.parse_annotations(str(ann), graph))
         table = smx.resnik_extrinsic_ic(t, usage, smooth=True, base=2.0)
         assert capsys.readouterr().out == "".join(
             f"{t.label(c)}\t{table.raw(c):.12g}\n" for c in t.sorted_classes()

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import smx
 from smx.cli import main
-from smx.errors import ContractError, UnknownNodeError
+from smx.errors import ContractError, CycleError, UnknownNodeError
 from smx.graph import VIRTUAL_ROOT, TaxonomyView
 
 from helpers import (
@@ -23,10 +23,12 @@ from helpers import (
     brute_via_lca,
     brute_wu_palmer,
     children_of,
+    graph_from_pairs,
     parents_of,
     random_taxonomy,
     relabelled,
     taxonomy_from_pairs,
+    view_of,
 )
 
 VIA = smx.AncestorConstraint.VIA_LCA
@@ -138,15 +140,8 @@ class TestInvariants:
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), tree=st.booleans())
-    def test_build_from_shuffled_repeated_edges_matches_brute_force(self, seed, tree):
-        rng = random.Random(seed)
-        t, pairs = random_taxonomy(rng, max_nodes=25, tree=tree)
-        edges = sorted(t.edges)
-        edges += rng.choices(edges, k=rng.randint(1, len(edges)))
-        rng.shuffle(edges)
-        view = smx.TaxonomyView.build(
-            t.graph, t.class_ids, edges, {c: t.label(c) for c in t.class_ids}
-        )
+    def test_build_matches_brute_force(self, seed, tree):
+        view, pairs = random_taxonomy(random.Random(seed), max_nodes=25, tree=tree)
         ids = lambda names: sorted(map(view.node, names))
         parents, children = parents_of(pairs), children_of(pairs)
         assert sorted(view._anc) == sorted(view._depth) == ids(parents)
@@ -174,11 +169,10 @@ class TestInvariants:
         # here; scattered ids do not
         classes = sorted(t.class_ids)
         ids = dict(zip(classes, rng.sample(range(10 * len(classes)), len(classes))))
-        scattered = TaxonomyView.build(
-            None,
+        scattered = view_of(
+            {ids[c]: t.label(c) for c in classes},
             ids.values(),
             [(ids[c], ids[p]) for c, p in t.edges],
-            {ids[c]: t.label(c) for c in classes},
         )
         for view in (t, scattered):
             for v in (view, smx.transitive_reduction(view)[0]):
@@ -345,13 +339,6 @@ class TestPublicChecks:
             assert str(caught.value) == NOT_A_CLASS.format(unknown)
         assert toy.descendant_counts([e])[toy.root] == 1
 
-    def test_several_roots_name_each_root(self):
-        # build inserts no virtual root: two parentless classes are an error
-        labels = {0: "r1", 1: "r2", 2: "A"}
-        with pytest.raises(ContractError) as caught:
-            TaxonomyView.build(None, labels, [(2, 0)], labels)
-        assert str(caught.value) == "taxonomy must have exactly one root, got: r1, r2"
-
 
 class TestSharedLabels:
     """A parsed view keeps the graph's own label tuple and class set."""
@@ -383,6 +370,54 @@ class TestSharedLabels:
         assert str(caught.value) == f"unknown class id {instance}"
         with pytest.raises(UnknownNodeError):
             t.node("i")
+
+
+class TestBuild:
+    """TaxonomyView.build finds the parentless classes of the graph once and
+    inserts __root__ above them when there are several."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), trees=st.integers(2, 4))
+    def test_forest_roots_are_the_children_of_the_virtual_root(self, seed, trees):
+        rng = random.Random(seed)
+        pairs = []
+        for prefix in "nmpq"[:trees]:
+            _, more = random_taxonomy(rng, max_nodes=10)
+            pairs += [(prefix + c[1:], prefix + p[1:]) for c, p in more]
+        graph = graph_from_pairs(pairs)
+        t = TaxonomyView.build(graph)
+        roots = sorted(graph.node(name) for name, ps in parents_of(pairs).items() if not ps)
+        assert len(roots) == trees and t.root == t.inserted_root == graph.n_nodes
+        assert t.children(t.root) == tuple(roots)
+        for r in roots:
+            assert t.parents(r) == (t.root,)
+        up = {(graph.node(c), graph.node(p)) for c, p in pairs}
+        assert t.edges == up | {(r, t.root) for r in roots}
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("A\tsubClassOf\tr1\nB\tsubClassOf\tr2\nC\tsubClassOf\tD\nD\tsubClassOf\tC\n",
+             "subClassOf cycle: C < D < C"),
+            ("A\tsubClassOf\tr1\nB\tsubClassOf\tr2\nD\tsubClassOf\tr1\nD\tsubClassOf\tC\n"
+             "C\tsubClassOf\tX\nX\tsubClassOf\tC\n",
+             "subClassOf cycle: C < X < C"),
+        ],
+    )
+    def test_forest_with_a_cyclic_component_is_traced(self, text, message):
+        # the roots of the forest are found, so __root__ is inserted and the
+        # cycle is the set the parents-first walk never reaches
+        with pytest.raises(CycleError) as caught:
+            TaxonomyView.build(smx.parse_graph(text.encode()))
+        assert str(caught.value) == message
+
+    def test_graph_without_classes_is_refused(self):
+        graph = smx.parse_graph(b"a\tpartOf\tb\n")
+        assert not graph.classes and graph.instances
+        for build in (TaxonomyView.build, smx.taxonomic_reduction):
+            with pytest.raises(ContractError) as caught:
+                build(graph)
+            assert str(caught.value) == "graph contains no classes"
 
 
 class TestLabelTieBreaks:

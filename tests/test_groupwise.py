@@ -17,7 +17,7 @@ from smx.errors import (
 )
 from smx.groupwise import STRATEGIES
 
-from helpers import brute_closure_map, brute_redundant_edges, random_taxonomy
+from helpers import brute_closure_map, brute_redundant_edges, random_taxonomy, view_of
 
 APPROX = lambda x: pytest.approx(x, abs=1e-9)
 
@@ -239,7 +239,7 @@ class TestErrorNaming:
         # 8 and 1 race for one slot of a small set, so the union of A(1)
         # and A(8) iterates in the order the two were merged, and a set of
         # the two iterates 8 first
-        t = smx.TaxonomyView.build(None, (0, 1, 8), ((1, 0), (8, 0)), {0: "r", 1: "x", 8: "y"})
+        t = view_of({0: "r", 1: "x", 8: "y"}, (0, 1, 8), ((1, 0), (8, 0)))
         theta = smx.ThetaEstimator.from_table(t, {0: 0.0, 1: math.inf, 8: math.inf})
         spec = smx.groupwise_measure("simgic", theta=theta)
         closure = set().union(t.ancestors(1), t.ancestors(8))

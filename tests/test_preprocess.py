@@ -14,6 +14,7 @@ from helpers import (
     random_annotations,
     random_taxonomy,
     taxonomy_from_pairs,
+    view_of,
 )
 
 
@@ -125,12 +126,11 @@ class TestTransitiveReduction:
         sample = [(rng.choice(classes), rng.choice(classes)) for _ in range(10)]
 
         reduced, _ = smx.transitive_reduction(t)
-        rebuilt = smx.TaxonomyView.build(
-            t.graph,
-            t.class_ids,
-            t.edges - t.redundant_edges,
+        # the graph's classes and kept edges, so a forest gets its __root__ again
+        rebuilt = view_of(
             t._labels,
-            inserted_root=t.inserted_root,
+            t.class_ids - {t.inserted_root},
+            [(c, p) for c, p in t.edges - t.redundant_edges if p != t.inserted_root],
         )
         assert (t.inserted_root is not None) == forest
         for slot in smx.TaxonomyView.__slots__:

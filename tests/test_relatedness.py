@@ -22,6 +22,7 @@ from helpers import (
     brute_unconstrained,
     dense_hitting_time,
     dense_simrank,
+    graph_from_pairs,
     random_taxonomy,
     two_table_wsp,
     unidirectional_wsp,
@@ -198,8 +199,8 @@ class TestWeightedShortestPath:
     @given(seed=st.integers(0, 2**32 - 1))
     def test_symmetry_triangle_and_bfs_oracle(self, seed):
         rng = random.Random(seed)
-        t, pairs = random_taxonomy(rng, max_nodes=30)
-        g = t.graph
+        _, pairs = random_taxonomy(rng, max_nodes=30)
+        g = graph_from_pairs(pairs)
         scheme = smx.PredicateWeightScheme()
         nodes = sorted(g.classes)
         chosen = [rng.choice(nodes) for _ in range(3)]
@@ -615,6 +616,25 @@ class TestHittingTime:
         exact = smx.hitting_time(model, u, v)
         simulated = monte_carlo_hitting(model, u, v, rng, walks=6000)
         assert simulated == pytest.approx(exact, rel=0.05)
+
+
+class TestUnknownEndpoints:
+    @pytest.mark.parametrize("node", [-1, 2], ids=["negative", "n_nodes"])
+    def test_every_query_names_the_endpoint(self, node):
+        g = graph_of("a\tgoes\tb\nb\tgoes\ta\n")
+        model = smx.TransitionModel.from_graph(g)
+        scores = smx.simrank(g, iterations=5)
+        queries = [
+            model.transitions,
+            lambda x: scores.score(x, 0),
+            lambda x: scores.score(0, x),
+            lambda x: smx.hitting_time(model, x, 0),
+            lambda x: smx.weighted_shortest_path(g, smx.PredicateWeightScheme(), 0, x),
+        ]
+        for query in queries:
+            with pytest.raises(UnknownNodeError) as caught:
+                query(node)
+            assert str(caught.value) == "endpoint is not a node of the graph"
 
 
 class TestSimRank:

@@ -154,9 +154,7 @@ class TestBaseAndTable:
 
     def test_zhou_k_is_its_one_parameter(self, toy):
         bound = smx.build_estimator("zhou", toy, k=0.3)
-        assert bound.params == {"k": 0.3}
         assert bound._table == smx.zhou_ic(toy, k=0.3)._table
-        assert smx.build_estimator("seco", toy).params == {}
         with pytest.raises(ContractError, match="parameter k must not be nan"):
             smx.build_estimator("zhou", toy, k=math.nan)
         with pytest.raises(UsageError, match=r"must be in \[0, 1\]"):
