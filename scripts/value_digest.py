@@ -108,7 +108,6 @@ import smx
 from smx import (
     MEASURES,
     AnnotationSet,
-    Commonality,
     PredicateWeightScheme,
     SemanticGraph,
     ThetaEstimator,
@@ -455,9 +454,9 @@ def blocks():
         ]
     forms = [(f"named:{name}", instantiate(name)) for name in NAMED]
     forms += [
-        (f"form:{kind}:{commonality.value}", abstract_form(kind, commonality=commonality))
+        (f"form:{kind}:{feature}", abstract_form(kind, feature=feature))
         for kind in FORMS
-        for commonality in Commonality
+        for feature in ("mica_theta", "shared_ancestor_salience")
     ]
     for name, form in forms:
         form = form.with_theta(depth if form.theta_hint == "depth" else theta)

@@ -58,20 +58,16 @@ from .pairwise import (
     MeasureValue,
     PairwiseMeasureSpec,
     Polarity,
+    abstract_form,
     convert,
+    eval_abstract,
     eval_pairwise,
+    instantiate,
     is_symmetric,
     pair_scorer,
     pairwise_measure,
 )
 from .groupwise import GroupwiseMeasureSpec, eval_groupwise, groupwise_measure
-from .unify import (
-    AbstractForm,
-    Commonality,
-    abstract_form,
-    eval_abstract,
-    instantiate,
-)
 from .relatedness import (
     PredicateWeightScheme,
     SimRankScores,

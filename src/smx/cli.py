@@ -31,7 +31,7 @@ from . import ingest, preprocess, relatedness, unify
 from .errors import InfinityError, SmxError, UsageError as DataUsageError
 from .graph import SUBCLASS_OF, SemanticGraph
 from .groupwise import DIRECT, STRATEGIES, eval_groupwise, groupwise_measure
-from .pairwise import MEASURES, pair_scorer, pairwise_measure
+from .pairwise import MEASURES, abstract_form, instantiate, pair_scorer, pairwise_measure
 from .specificity import ESTIMATOR_KINDS, EXTRINSIC, build_estimator, class_usage
 
 log = logging.getLogger("smx")
@@ -321,9 +321,9 @@ def _cmd_abstract(args) -> int:
     ic = theta(args.ic)
     name, raw = parse_selector(args.form)
     if name.lower() in unify.FORMS:
-        form = unify.abstract_form(name.lower(), **_float_params(raw, f"form {name}"))
+        form = abstract_form(name.lower(), **_float_params(raw, f"form {name}"))
     else:
-        form = unify.instantiate(name)
+        form = instantiate(name)
         if raw:
             raise CommandLineError(f"named form {name!r} takes no parameters")
     return _score_classes(args, taxonomy, form.with_theta(ic), args.form)

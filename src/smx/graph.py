@@ -17,9 +17,9 @@ which one pass over the ancestor sets gives. Path queries are exact for
 any DAG: counts are Python ints, so no input is too large to count.
 
 Every public query checks each class it takes and raises UnknownNodeError
-for an id outside the view. The three scoring entry points,
-pairwise.eval_pairwise, the calls of a pairwise.pair_scorer and
-unify.eval_abstract, check both classes once per pair; the features and
+for an id outside the view. The two scoring entry points,
+pairwise.eval_pairwise (eval_abstract) and the calls of a
+pairwise.pair_scorer, check both classes once per pair; the features and
 evaluators they call read the view's tables (_anc, _depth, ...) and its
 unchecked internal forms without checking again: _mica, _deepest and _ncca
 of a common ancestor set, _via_ancestor, _up_path and _up_step.
@@ -230,8 +230,8 @@ class TaxonomyView:
     def build(cls, graph: SemanticGraph) -> "TaxonomyView":
         """The view of the graph's classes and subClassOf edges. Several
         parentless classes get one parent, a virtual root __root__ with id
-        graph.n_nodes. Raises CycleError on a cyclic taxonomy and
-        ContractError on a graph without classes."""
+        graph.n_nodes. Raises CycleError on a cyclic taxonomy and ContractError
+        on a graph without classes or, with several roots, a __root__ node."""
         if not graph.classes:
             raise ContractError("graph contains no classes")
         t = object.__new__(cls)
@@ -252,6 +252,8 @@ class TaxonomyView:
             raise CycleError(t._trace_cycle(parents, set(t.class_ids)))
         t.inserted_root = None
         if len(roots) > 1:
+            if VIRTUAL_ROOT in graph._index:
+                raise ContractError(f"virtual root label {VIRTUAL_ROOT} already names a graph node")
             t.inserted_root = root = graph.n_nodes
             t._labels += (VIRTUAL_ROOT,)
             t.class_ids |= {root}

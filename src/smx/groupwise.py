@@ -25,10 +25,11 @@ from .pairwise import (
     MeasureValue,
     PairwiseMeasureSpec,
     Polarity,
+    abstract_form,
     pair_scorer,
 )
 from .specificity import ThetaEstimator
-from .unify import FEATURES, abstract_form
+from .unify import FEATURES
 
 # direct measure -> (group feature, the form with its parameters)
 DIRECT = {

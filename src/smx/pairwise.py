@@ -14,10 +14,11 @@ one check that forms and estimators share. Measures that count shortest
 paths refuse a taxonomy with redundant edges because those shortcuts
 silently underestimate distances; pass allow_unreduced=True to study that
 effect.
-eval_pairwise scores one pair; a batch goes through one pair_scorer, which
-equals it on every pair and does per-class work once per class. A
-pair_scorer binds a theta-bound unify.AbstractForm the same way, equal to
-unify.eval_abstract. jc_hybrid sums the terms of its walks as differences
+abstract_form assembles a form row from a form and a pair FEATURES key,
+and instantiate names one: an abstract form, whose theta must be
+monotone. eval_pairwise (eval_abstract) scores one pair; a batch goes
+through one pair_scorer, which equals it on every pair and does per-class
+work once per class. jc_hybrid sums the terms of its walks as differences
 of exact per-class prefix sums along the view's chains, read from a table
 that the spec holds for each view it scores on, built on its first
 jc_hybrid call there: a term depends only on the edge, theta and the three
@@ -38,7 +39,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain
 from typing import Callable, Mapping
 
@@ -51,7 +52,7 @@ from .errors import (
 )
 from .graph import NodeId, TaxonomyView
 from .specificity import ClassUsage, ParamSpec, ThetaEstimator, resolve_params
-from .unify import FEATURES, FORMS, AbstractForm, MeasureValue, Polarity, abstract_form, check_theta
+from .unify import FEATURES, FORMS, MeasureValue, Polarity
 
 
 class ConversionRule(enum.Enum):
@@ -75,6 +76,8 @@ class MeasureInfo:
     # symmetric(*args): whether the values are symmetric in u and v at the
     # spec's args; a form row's is its form's
     symmetric: Callable[..., bool] = lambda *args: True
+    # an abstract form that reads theta: the theta must be bound and monotone
+    monotone: bool = False
     # a bespoke row: evaluate(spec, taxonomy, u, v)
     evaluate: Callable[..., MeasureValue] | None = None
     # a bespoke row whose per-pair reads a pair scorer batches (the depth
@@ -96,6 +99,10 @@ class PairwiseMeasureSpec:
     params: tuple[tuple[str, float], ...] = ()
     theta: ThetaEstimator | None = None
     usage: ClassUsage | None = None
+    # an abstract form: its FEATURES key, its name being its FORMS kind, and
+    # the estimator family of its classic reading (see _NAMED)
+    feature: str | None = None
+    theta_hint: str | None = None
     # dispatch resolved once here, so evaluation looks nothing up: a form
     # row's kernel and its arguments, or a bespoke row's parameters in
     # catalog order
@@ -107,16 +114,23 @@ class PairwiseMeasureSpec:
     terms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        info = MEASURES[self.name]
+        if self.feature is None:
+            info = MEASURES[self.name]
+        else:
+            info = _form_row(self.feature, self.name, monotone=FEATURES[self.feature].needs_theta)
         values = dict(self.params)
         if info.form is None:
             kernel, args = None, tuple(values[key] for key in info.params)
         else:
-            form = abstract_form(info.form, **info.bind(values))
-            kernel, args = form.kernel, form.args
+            form = FORMS[info.form]
+            bound = resolve_params(info.form, form.params, info.bind(values))
+            kernel, args = form.kernel, tuple(bound.values())
         object.__setattr__(self, "info", info)
         object.__setattr__(self, "kernel", kernel)
         object.__setattr__(self, "args", args)
+
+    def with_theta(self, theta: ThetaEstimator) -> "PairwiseMeasureSpec":
+        return replace(self, theta=theta)
 
 
 def pairwise_measure(
@@ -419,7 +433,7 @@ def _form_row(feature, form, bind=None, **flags) -> MeasureInfo:
     taking polarity, normalization and symmetry from the form, needs_theta
     from the feature. bind maps the row's parameters to the form's; a row
     without it takes the form's parameters and passes them on."""
-    function, needs_theta = FEATURES[feature]
+    function, needs_theta, _ = FEATURES[feature]
     shape = FORMS[form]
     if bind is None:
         bind, flags["params"] = (lambda p: p), shape.params
@@ -546,6 +560,66 @@ MEASURES: dict[str, MeasureInfo] = {
 }
 
 
+# -- abstract forms ----------------------------------------------------------
+
+
+def abstract_form(
+    kind: str,
+    theta: ThetaEstimator | None = None,
+    feature: str = "mica_theta",
+    **params: float,
+) -> PairwiseMeasureSpec:
+    """FORMS[kind] applied to the pair feature FEATURES[feature], as a spec."""
+    form = FORMS.get(kind)
+    if form is None:
+        raise ContractError(f"unknown abstract form {kind!r}; known: {', '.join(FORMS)}")
+    if feature not in FEATURES or FEATURES[feature].group:
+        known = ", ".join(key for key, f in FEATURES.items() if not f.group)
+        raise ContractError(f"{feature!r} is not a pair feature; known: {known}")
+    values = resolve_params(kind, form.params, params)
+    return PairwiseMeasureSpec(kind, tuple(sorted(values.items())), theta, feature=feature)
+
+
+def _named(kind: str, theta_hint: str | None = None, **params: float) -> PairwiseMeasureSpec:
+    return replace(abstract_form(kind, **params), theta_hint=theta_hint)
+
+
+# The theta_hint records the estimator family the classic reading uses: raw
+# depth for the tree form of Wu and Palmer, an IC for Lin, Faith and the
+# Jiang and Conrath distance.
+_NAMED = {
+    "lin": _named("general_dice", "ic"),
+    "wu_palmer_tree": _named("general_dice", "depth"),
+    "faith": _named("ratio", "ic", alpha=1.0, beta=1.0),
+    "jiang_conrath": _named("abstract_dist", "ic"),
+    "jaccard": _named("sigma_beta", beta=1.0),
+    "dice": _named("sigma_beta", beta=2.0),
+    "sokal_sneath": _named("sigma_beta", beta=0.5),
+    "simpson": _named("sigma_alpha", alpha=-math.inf),
+    "ochiai": _named("sigma_alpha", alpha=0.0),
+}
+# aliases share their canonical row, theta_hint included
+_NAMED["wupalmertree"] = _NAMED["wu_palmer_tree"]
+_NAMED["jiangconrathdist"] = _NAMED["jiang_conrath"]
+_NAMED["sokalsneath"] = _NAMED["sokal_sneath"]
+
+
+def instantiate(name: str) -> PairwiseMeasureSpec:
+    """Named concrete bindings; the theta slot stays open for the caller."""
+    form = _NAMED.get(name.lower())
+    if form is None:
+        raise ContractError(f"unknown instantiation {name!r}; known: {', '.join(sorted(_NAMED))}")
+    return form
+
+
+def check_theta(theta: ThetaEstimator | None) -> None:
+    """Raise ContractError unless an abstract form's theta is bound and monotone."""
+    if theta is None:
+        raise ContractError("abstract form has no bound specificity estimator")
+    if not theta.is_monotone:
+        raise ContractError("bound specificity estimator is not monotone")
+
+
 def _refuse_unreduced(spec, taxonomy, u=None, v=None):
     """Raise the RedundancyError of a path-based spec on a view with
     redundant edges; bound to the spec and view, it is a refused scorer."""
@@ -565,12 +639,16 @@ def eval_pairwise(
     v: NodeId,
     allow_unreduced: bool = False,
 ) -> MeasureValue:
-    """Evaluate one measure on a pair of classes.
+    """Evaluate one measure or abstract form on a pair of classes.
 
-    Path-based measures raise RedundancyError on a taxonomy that still
-    carries redundant subClassOf edges unless allow_unreduced is set.
+    An abstract form checks its theta first (check_theta). Path-based
+    measures raise RedundancyError on a taxonomy that still carries
+    redundant subClassOf edges unless allow_unreduced is set.
     """
     info = spec.info
+    # check_theta's test inline: a call costs about 0.1 us a pair
+    if info.monotone and (spec.theta is None or not spec.theta.is_monotone):
+        check_theta(spec.theta)
     if info.path_based and not taxonomy.is_reduced and not allow_unreduced:
         _refuse_unreduced(spec, taxonomy)
     taxonomy._check(u)
@@ -579,6 +657,9 @@ def eval_pairwise(
     if feature is None:
         return info.evaluate(spec, taxonomy, u, v)
     return spec.kernel(*feature(spec, taxonomy, u, v), *spec.args)
+
+
+eval_abstract = eval_pairwise  # an abstract form is a spec: one entry point
 
 
 # -- pair scorers ------------------------------------------------------------
@@ -642,23 +723,20 @@ _BATCHED = {
 
 
 def pair_scorer(
-    spec: PairwiseMeasureSpec | AbstractForm, taxonomy: TaxonomyView, allow_unreduced: bool = False
+    spec: PairwiseMeasureSpec, taxonomy: TaxonomyView, allow_unreduced: bool = False
 ) -> Callable[[NodeId, NodeId], MeasureValue]:
-    """(u, v) -> eval_pairwise(spec, taxonomy, u, v, allow_unreduced), or
-    eval_abstract(spec, taxonomy, u, v) for an abstract form, whose theta it
-    checks once, here; errors included. It keeps per-class work for its life:
-    each class's anchor key (theta, depth or usage count, then label) is
-    computed on first read and each theta read, summed theta over A(c) or
-    instance count that succeeds is cached, at most one entry per class."""
-    t = taxonomy
-    if isinstance(spec, AbstractForm):
+    """(u, v) -> eval_pairwise(spec, taxonomy, u, v, allow_unreduced), errors
+    included, except that an abstract form's theta is checked once, here.
+    It keeps per-class work for its life: each class's anchor key (theta,
+    depth or usage count, then label) is computed on first read and each
+    theta read, summed theta over A(c) or instance count that succeeds is
+    cached, at most one entry per class."""
+    t, info = taxonomy, spec.info
+    if info.monotone:
         check_theta(spec.theta)
-        info, feature = None, spec.feature
-    else:
-        info = spec.info
-        if info.path_based and not t.is_reduced and not allow_unreduced:
-            return functools.partial(_refuse_unreduced, spec, t)
-        feature = info.feature
+    if info.path_based and not t.is_reduced and not allow_unreduced:
+        return functools.partial(_refuse_unreduced, spec, t)
+    feature = info.feature
     if feature is not None:
         batched, kernel, args = _BATCHED.get(feature), spec.kernel, spec.args
         feature = batched(spec, t) if batched else functools.partial(feature, spec, t)

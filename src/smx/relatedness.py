@@ -140,6 +140,7 @@ class TransitionModel:
     scheme.cost(predicate) * weight, exact where their float sum overflows.
 
     Zero-probability entries are dropped: they are not steps of the walk.
+    Each node's steps are a tuple, so no caller can change the walk.
     Construction stores the reverse adjacency of the walk. When the walk is
     irreducible (at least two nodes, strongly connected) it also stores the
     stationary vector pi and a fundamental matrix (see _factorize): one
@@ -167,7 +168,7 @@ class TransitionModel:
                 shares = _exact_shares(graph, scheme, node, out_edges[node])
             else:
                 shares = sorted((k, w / total) for k, w in weights.items()) if total else []
-            steps = [(k, p) for k, p in shares if p > 0]
+            steps = tuple((k, p) for k, p in shares if p > 0)
             self._out_probs[node] = steps
             for k, p in steps:
                 self._sources[k].append((node, p))
@@ -183,7 +184,7 @@ class TransitionModel:
     ) -> "TransitionModel":
         return cls(graph, scheme)
 
-    def transitions(self, node: NodeId) -> list[tuple[NodeId, float]]:
+    def transitions(self, node: NodeId) -> tuple[tuple[NodeId, float], ...]:
         try:
             return self._out_probs[node]
         except KeyError:

@@ -1,14 +1,14 @@
-"""Abstract measure forms, the one table of features they apply to, and
-named instantiations.
+"""Abstract measure forms and the one table of features they apply to.
 
 Each form is one kernel over a feature triple (f(U), f(V), f(U and V)).
 FEATURES holds every feature, called as feature(spec, taxonomy, u, v),
-over two classes (the two Commonality rules: theta at the MICA or summed
-over shared ancestors; ancestor counts; the depth triple; the NCCA mean)
-or over the ancestor closures of two class sets. With theta = raw depth
-the forms collapse to the classic structural measures on trees, with
-theta = IC to the information theoretical ones. The pairwise catalog and
-the direct groupwise measures evaluate their form rows by these kernels.
+over two classes (theta at the MICA or summed over shared ancestors;
+ancestor counts; the depth triple; the NCCA mean) or over the ancestor
+closures of two class sets. With theta = raw depth the forms collapse to
+the classic structural measures on trees, with theta = IC to the
+information theoretical ones. A pairwise form row, from the catalog or
+assembled by pairwise.abstract_form, and the direct groupwise measures
+evaluate by these kernels.
 Each form declares its parameters as ParamSpecs, checked by the one
 specificity.resolve_params that measures and estimators also use, and
 when its values are symmetric: ratio and contrast exactly when alpha ==
@@ -22,12 +22,12 @@ import enum
 import math
 import sys
 from math import isfinite
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, NamedTuple
 
 from .errors import ContractError, InfinityError
 from .graph import NodeId, TaxonomyView
-from .specificity import ParamSpec, ThetaEstimator, resolve_params
+from .specificity import ParamSpec
 
 
 class Polarity(enum.Enum):
@@ -43,11 +43,6 @@ class MeasureValue(NamedTuple):
     polarity: Polarity
     normalized: bool
     degenerate: bool = False
-
-
-class Commonality(enum.Enum):
-    MICA_THETA = "mica_theta"
-    SHARED_ANCESTOR_SALIENCE = "shared_ancestor_salience"
 
 
 # -- features: (f_u, f_v, f_shared) of two classes or two class sets --------
@@ -118,22 +113,23 @@ def _closure_theta(spec, t: TaxonomyView, us, vs):
 
 
 class Feature(NamedTuple):
-    """A feature function and whether it reads spec.theta."""
+    """A feature function, whether it reads spec.theta and whether it takes two class sets."""
 
     function: Callable
     needs_theta: bool
+    group: bool = False
 
 
 FEATURES: dict[str, Feature] = {
-    # pair features; the first two are the Commonality rules
+    # pair features
     "mica_theta": Feature(_mica, True),
     "shared_ancestor_salience": Feature(_salience, True),
     "ancestor_counts": Feature(_ancestor_counts, False),
     "depth_triple": Feature(_depth_triple, False),
     "ncca_mean": Feature(_ncca_mean, True),
     # group features over the ancestor closures of two class sets
-    "closure_counts": Feature(_closure_counts, False),
-    "closure_theta": Feature(_closure_theta, True),
+    "closure_counts": Feature(_closure_counts, False, group=True),
+    "closure_theta": Feature(_closure_theta, True, group=True),
 }
 
 
@@ -277,92 +273,3 @@ FORMS: dict[str, Form] = {
         lambda gamma, alpha, beta: alpha == beta,
     ),
 }
-
-
-# -- abstract forms ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AbstractForm:
-    kind: str
-    params: tuple[tuple[str, float], ...] = ()
-    theta: ThetaEstimator | None = None
-    commonality: Commonality = Commonality.MICA_THETA
-    theta_hint: str | None = None
-    # dispatch resolved once here, so evaluation looks nothing up
-    feature: Callable = field(init=False, repr=False, compare=False)
-    kernel: Callable[..., MeasureValue] = field(init=False, repr=False, compare=False)
-    args: tuple[float, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        form = FORMS[self.kind]
-        values = dict(self.params)
-        object.__setattr__(self, "feature", FEATURES[self.commonality.value].function)
-        object.__setattr__(self, "kernel", form.kernel)
-        object.__setattr__(self, "args", tuple(values[name] for name in form.params))
-
-    def with_theta(self, theta: ThetaEstimator) -> "AbstractForm":
-        return replace(self, theta=theta)
-
-
-def abstract_form(
-    kind: str,
-    theta: ThetaEstimator | None = None,
-    commonality: Commonality = Commonality.MICA_THETA,
-    **params: float,
-) -> AbstractForm:
-    form = FORMS.get(kind)
-    if form is None:
-        raise ContractError(f"unknown abstract form {kind!r}; known: {', '.join(FORMS)}")
-    values = resolve_params(kind, form.params, params)
-    return AbstractForm(kind, tuple(sorted(values.items())), theta, commonality)
-
-
-def _named(kind: str, theta_hint: str | None = None, **params: float) -> AbstractForm:
-    return replace(abstract_form(kind, **params), theta_hint=theta_hint)
-
-
-# The theta_hint records the estimator family the classic reading uses: raw
-# depth for the tree form of Wu and Palmer, an IC for Lin, Faith and the
-# Jiang and Conrath distance.
-_NAMED = {
-    "lin": _named("general_dice", "ic"),
-    "wu_palmer_tree": _named("general_dice", "depth"),
-    "faith": _named("ratio", "ic", alpha=1.0, beta=1.0),
-    "jiang_conrath": _named("abstract_dist", "ic"),
-    "jaccard": _named("sigma_beta", beta=1.0),
-    "dice": _named("sigma_beta", beta=2.0),
-    "sokal_sneath": _named("sigma_beta", beta=0.5),
-    "simpson": _named("sigma_alpha", alpha=-math.inf),
-    "ochiai": _named("sigma_alpha", alpha=0.0),
-}
-# aliases share their canonical row, theta_hint included
-_NAMED["wupalmertree"] = _NAMED["wu_palmer_tree"]
-_NAMED["jiangconrathdist"] = _NAMED["jiang_conrath"]
-_NAMED["sokalsneath"] = _NAMED["sokal_sneath"]
-
-
-def instantiate(name: str) -> AbstractForm:
-    """Named concrete bindings; the theta slot stays open for the caller."""
-    form = _NAMED.get(name.lower())
-    if form is None:
-        raise ContractError(f"unknown instantiation {name!r}; known: {', '.join(sorted(_NAMED))}")
-    return form
-
-
-def check_theta(theta: ThetaEstimator | None) -> None:
-    """Raise ContractError unless an abstract form's theta is bound and monotone."""
-    if theta is None:
-        raise ContractError("abstract form has no bound specificity estimator")
-    if not theta.is_monotone:
-        raise ContractError("bound specificity estimator is not monotone")
-
-
-def eval_abstract(form: AbstractForm, t: TaxonomyView, u: NodeId, v: NodeId) -> MeasureValue:
-    """Evaluate an abstract form on a pair of classes."""
-    theta = form.theta  # check_theta's test inline: a call costs about 0.1 us a pair
-    if theta is None or not theta.is_monotone:
-        check_theta(theta)
-    t._check(u)
-    t._check(v)
-    return form.kernel(*form.feature(form, t, u, v), *form.args)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 import smx
 from smx.cli import main
 from smx.errors import ContractError, CycleError, UnknownNodeError
-from smx.graph import VIRTUAL_ROOT, TaxonomyView
+from smx.graph import SUBCLASS_OF, VIRTUAL_ROOT, SemanticGraph, TaxonomyView
 
 from helpers import (
     brute_ancestors,
@@ -410,6 +410,19 @@ class TestBuild:
         with pytest.raises(CycleError) as caught:
             TaxonomyView.build(smx.parse_graph(text.encode()))
         assert str(caught.value) == message
+
+    def test_a_forest_with_a_class_labelled_like_the_virtual_root_is_refused(self):
+        graph = SemanticGraph(
+            [VIRTUAL_ROOT, "a", "b"], [0, 1, 2], [], [SUBCLASS_OF], [(1, SUBCLASS_OF, 0)]
+        )
+        for build in (TaxonomyView.build, smx.taxonomic_reduction):
+            with pytest.raises(ContractError) as caught:
+                build(graph)
+            assert str(caught.value) == "virtual root label __root__ already names a graph node"
+        # one root needs no virtual root, so the label is the graph's own
+        graph = SemanticGraph([VIRTUAL_ROOT, "a"], [0, 1], [], [SUBCLASS_OF], [(1, SUBCLASS_OF, 0)])
+        t = TaxonomyView.build(graph)
+        assert t.inserted_root is None and t.node(VIRTUAL_ROOT) == t.root == 0
 
     def test_graph_without_classes_is_refused(self):
         graph = smx.parse_graph(b"a\tpartOf\tb\n")

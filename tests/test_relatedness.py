@@ -563,7 +563,7 @@ class TestHittingTime:
         # the weight-0 edge into sink c is no step of the walk
         g = graph_of("a\tgoes\tb\t1\na\tgoes\tc\t0\nb\tgoes\ta\t1\n")
         model = smx.TransitionModel.from_graph(g)
-        assert model.transitions(g.node("a")) == [(g.node("b"), 1.0)]
+        assert model.transitions(g.node("a")) == ((g.node("b"), 1.0),)
         assert smx.hitting_time(model, g.node("a"), g.node("b")) == pytest.approx(1.0)
 
     def test_a_row_whose_weights_overflow_keeps_its_steps(self):
@@ -571,7 +571,7 @@ class TestHittingTime:
         g = graph_of("a\tgoes\tb\t1e308\nb\tgoes\ta\t1\n")
         model = smx.TransitionModel.from_graph(g, smx.PredicateWeightScheme({"goes": 10.0}))
         a, b = g.node("a"), g.node("b")
-        assert model.transitions(a) == [(b, 1.0)]
+        assert model.transitions(a) == ((b, 1.0),)
         assert smx.hitting_time(model, a, b) == 1.0
 
     def test_a_row_whose_total_overflows_shares_it_exactly(self):
@@ -580,8 +580,19 @@ class TestHittingTime:
             "a\tgoes\tb\t1e308\nb\tgoes\ta\t1\na\tgoes\tc\t1e308\nc\tgoes\ta\t1\n"
         )
         model = smx.TransitionModel.from_graph(g)
-        assert model.transitions(g.node("a")) == [(g.node("b"), 0.5), (g.node("c"), 0.5)]
-        assert model.transitions(g.node("b")) == [(g.node("a"), 1.0)]
+        assert model.transitions(g.node("a")) == ((g.node("b"), 0.5), (g.node("c"), 0.5))
+        assert model.transitions(g.node("b")) == ((g.node("a"), 1.0),)
+
+    def test_a_caller_cannot_change_a_row(self):
+        # reducible, with sink b: hitting_time solves over the rows it reads
+        g = graph_of("a\tgoes\tb\na\tgoes\tc\nc\tgoes\ta\n")
+        model = smx.TransitionModel.from_graph(g)
+        a, b, c = g.node("a"), g.node("b"), g.node("c")
+        assert not model.irreducible
+        with pytest.raises(AttributeError):
+            model.transitions(a).append((a, 5.0))
+        assert model.transitions(a) == ((b, 0.5), (c, 0.5))
+        assert smx.hitting_time(model, a, b) == pytest.approx(3.0)
 
     @pytest.mark.parametrize("irreducible", [True, False])
     @settings(max_examples=25, deadline=None)

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import smx
 from smx.errors import ContractError, InfinityError, SmxError, UnknownNodeError
-from smx.unify import Commonality, _power_mean
+from smx.unify import _power_mean
 
 from helpers import random_taxonomy, taxonomy_from_pairs
 
@@ -21,6 +21,8 @@ NAMED = (
     "lin", "wu_palmer_tree", "faith", "jiang_conrath", "jaccard",
     "dice", "sokal_sneath", "simpson", "ochiai",
 )
+# the pair features that read theta at the MICA or summed over A(u) & A(v)
+THETA_FEATURES = ("mica_theta", "shared_ancestor_salience")
 
 
 def pairs_of(t, rng, count=12):
@@ -54,15 +56,15 @@ class TestToyValues:
 class TestInstantiate:
     def test_named_parameter_bindings(self):
         assert dict(smx.instantiate("dice").params) == {"beta": 2.0}
-        assert smx.instantiate("dice").kind == "sigma_beta"
+        assert smx.instantiate("dice").name == "sigma_beta"
         assert dict(smx.instantiate("jaccard").params) == {"beta": 1.0}
         assert dict(smx.instantiate("sokal_sneath").params) == {"beta": 0.5}
         simpson = smx.instantiate("simpson")
-        assert simpson.kind == "sigma_alpha"
+        assert simpson.name == "sigma_alpha"
         assert dict(simpson.params)["alpha"] == -math.inf
         assert dict(smx.instantiate("ochiai").params)["alpha"] == 0.0
-        assert smx.instantiate("lin").kind == "general_dice"
-        assert smx.instantiate("jiang_conrath").kind == "abstract_dist"
+        assert smx.instantiate("lin").name == "general_dice"
+        assert smx.instantiate("jiang_conrath").name == "abstract_dist"
 
     def test_aliases_match_their_canonical_rows(self):
         hints = {
@@ -176,7 +178,7 @@ class TestEquivalences:
         dice = smx.abstract_form(
             "general_dice",
             theta=toy_seco,
-            commonality=Commonality.SHARED_ANCESTOR_SALIENCE,
+            feature="shared_ancestor_salience",
         )
         sim_dic = smx.pairwise_measure("sim_dic", theta=toy_seco)
         assert smx.eval_abstract(dice, toy, e, d).value == APPROX12(
@@ -186,7 +188,7 @@ class TestEquivalences:
             "sigma_beta",
             beta=1.0,
             theta=toy_seco,
-            commonality=Commonality.SHARED_ANCESTOR_SALIENCE,
+            feature="shared_ancestor_salience",
         )
         jac_anc = smx.pairwise_measure("jac_anc", theta=toy_seco)
         assert smx.eval_abstract(jac, toy, e, d).value == APPROX12(
@@ -258,10 +260,10 @@ class TestContracts:
                 toy_seco(e), toy_seco(d)
             )
 
-    @pytest.mark.parametrize("commonality", list(Commonality))
+    @pytest.mark.parametrize("feature", THETA_FEATURES)
     @pytest.mark.parametrize("name", NAMED)
-    def test_unknown_class_named_u_first(self, toy, toy_seco, name, commonality):
-        form = replace(smx.instantiate(name), commonality=commonality)
+    def test_unknown_class_named_u_first(self, toy, toy_seco, name, feature):
+        form = replace(smx.instantiate(name), feature=feature)
         e = toy.node("E")
         with pytest.raises(ContractError, match="no bound specificity estimator"):
             smx.eval_abstract(form, toy, 999, 998)
@@ -505,9 +507,9 @@ class TestPairScorer:
         pool = classes + [-1, max(classes) + 1]
         pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(40)]
         forms = [
-            replace(smx.abstract_form(kind, **params), commonality=commonality)
+            replace(smx.abstract_form(kind, **params), feature=feature)
             for kind, params in SCORED_FORMS
-            for commonality in Commonality
+            for feature in THETA_FEATURES
         ] + [smx.instantiate(name) for name in NAMED]
         for form in forms:
             form = form.with_theta(theta)
@@ -529,6 +531,60 @@ class TestPairScorer:
         bad = smx.ThetaEstimator.from_table(toy, table)
         with pytest.raises(ContractError, match="estimator is not monotone"):
             smx.pair_scorer(smx.instantiate("lin").with_theta(bad), toy)
+
+
+class TestFormIsASpec:
+    """An abstract form is a PairwiseMeasureSpec over a form row: one entry
+    point scores it, and the form decides its flags."""
+
+    def test_theta_errors_are_the_same_through_every_entry_point(self, toy):
+        table = {c: 1.0 for c in toy.class_ids}
+        table[toy.node("root")] = 9.0
+        bad = smx.ThetaEstimator.from_table(toy, table)
+        e, d = toy.node("E"), toy.node("D")
+        for theta, message in (
+            (None, "abstract form has no bound specificity estimator"),
+            (bad, "bound specificity estimator is not monotone"),
+        ):
+            form = smx.abstract_form("general_dice", theta=theta)
+            assert isinstance(form, smx.PairwiseMeasureSpec)
+            for score in (
+                lambda: smx.eval_pairwise(form, toy, e, d),
+                lambda: smx.eval_abstract(form, toy, e, d),
+                lambda: smx.pair_scorer(form, toy),
+            ):
+                with pytest.raises(ContractError) as caught:
+                    score()
+                assert str(caught.value) == message
+
+    @pytest.mark.parametrize("feature", ["nope", "closure_theta", "closure_counts"])
+    def test_a_feature_that_is_no_pair_feature_is_refused(self, feature):
+        with pytest.raises(ContractError) as caught:
+            smx.abstract_form("general_dice", feature=feature)
+        assert str(caught.value) == (
+            f"{feature!r} is not a pair feature; known: mica_theta, "
+            "shared_ancestor_salience, ancestor_counts, depth_triple, ncca_mean"
+        )
+
+    def test_symmetry_follows_the_form(self):
+        assert not smx.is_symmetric(smx.abstract_form("ratio", alpha=0.25, beta=2.0))
+        assert smx.is_symmetric(smx.abstract_form("ratio", alpha=2.0, beta=2.0))
+        assert not smx.is_symmetric(smx.abstract_form("contrast", alpha=0.0))
+        assert smx.is_symmetric(smx.instantiate("simpson"))
+
+    def test_a_form_over_a_feature_without_theta_equals_its_catalog_row(self, toy):
+        # neither reads theta, so neither needs one
+        rows = (
+            (smx.abstract_form("general_dice", feature="depth_triple"), "wu_palmer"),
+            (smx.abstract_form("sigma_beta", beta=1.0, feature="ancestor_counts"), "cmatch"),
+        )
+        for form, name in rows:
+            spec = smx.pairwise_measure(name)
+            score = smx.pair_scorer(form, toy)
+            for u in sorted(toy.class_ids):
+                for v in sorted(toy.class_ids):
+                    want = smx.eval_pairwise(spec, toy, u, v)
+                    assert smx.eval_abstract(form, toy, u, v) == score(u, v) == want
 
 
 class TestMeasureValue:
