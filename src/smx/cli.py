@@ -12,7 +12,9 @@ contract error. Results go only to the output path (or standard output);
 diagnostics go to standard error. Measure and estimator selections share
 one grammar: name[:key=value,...], for example lin:ic=seco or
 li:alpha=0.2,beta=0.6. An estimator's logarithm base and smoothing are
-its parameters: --ic resnik:smooth=1,base=2.
+its parameters: --ic resnik:smooth=1,base=2. A pair measure (sim
+--measure, an aggregation's inner measure, bench --measures, abstract
+--form) is a catalog row, an abstract form or a named form, in that order.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from . import ingest, preprocess, relatedness, unify
 from .errors import InfinityError, SmxError, UsageError as DataUsageError
 from .graph import SUBCLASS_OF, SemanticGraph
 from .groupwise import DIRECT, STRATEGIES, eval_groupwise, groupwise_measure
-from .pairwise import MEASURES, abstract_form, instantiate, pair_scorer, pairwise_measure
+from .pairwise import _NAMED, MEASURES, abstract_form, instantiate, pair_scorer, pairwise_measure
 from .specificity import ESTIMATOR_KINDS, EXTRINSIC, build_estimator, class_usage
 
 log = logging.getLogger("smx")
@@ -48,18 +50,17 @@ class _Parser(argparse.ArgumentParser):
 
 # -- selection grammar -------------------------------------------------------
 
-_MEASURE_ALIASES = {name.replace("_", ""): name for name in MEASURES}
-_MEASURE_ALIASES.update({name: name for name in MEASURES})
-_MEASURE_ALIASES.update({"jc": "jiang_conrath", "lc": "leacock_chodorow"})
+# a name without underscores -> the catalog row, form kind or named form, in that order
+_MEASURE_ALIASES = dict(jc="jiang_conrath", jiangconrathdist="jiang_conrath", lc="leacock_chodorow")
+for _name in (*MEASURES, *unify.FORMS, *_NAMED):
+    _MEASURE_ALIASES.setdefault(_name.replace("_", ""), _name)
 
 
 def resolve_measure_name(name: str) -> str:
-    key = name.lower()
-    resolved = _MEASURE_ALIASES.get(key) or _MEASURE_ALIASES.get(key.replace("_", ""))
+    resolved = _MEASURE_ALIASES.get(name.lower().replace("_", ""))
     if resolved is None:
-        raise CommandLineError(
-            f"unknown measure {name!r}; valid measures: {', '.join(sorted(MEASURES))}"
-        )
+        valid = ", ".join(sorted(set(_MEASURE_ALIASES.values())))
+        raise CommandLineError(f"unknown measure {name!r}; valid measures: {valid}")
     return resolved
 
 
@@ -115,8 +116,8 @@ def _load(args):
     Returns (graph, view, annotations, usage, theta). annotations is None
     without the option. usage() builds class usage on its first call, and
     only then, and is None without annotations; theta(token) binds the
-    estimator of a selector token once per distinct token: the one place
-    the CLI binds a theta."""
+    estimator of a selector token once per distinct token, the one place
+    the CLI binds a theta, and theta(token, bind=False) checks its kind."""
     graph = ingest.parse_graph(args.graph)
     taxonomy = preprocess.taxonomic_reduction(graph)
     path = getattr(args, "annotations", None)
@@ -127,43 +128,52 @@ def _load(args):
         return None if annotations is None else class_usage(taxonomy, annotations)
 
     @functools.cache
-    def theta(token):
+    def theta(token, bind=True):
         kind, raw = parse_selector(token)
         if kind not in ESTIMATOR_KINDS:
             raise CommandLineError(
                 f"unknown estimator {kind!r}; valid estimators: {', '.join(ESTIMATOR_KINDS)}"
             )
+        if not bind:
+            return None
         params = _float_params(raw, f"estimator {kind}")
         counts = usage() if kind in EXTRINSIC else None
         if kind in EXTRINSIC and counts is None:
             raise DataUsageError(f"estimator {kind!r} needs --annotations")
         return build_estimator(kind, taxonomy, usage=counts, **params)
 
+    if getattr(args, "ic", None) is not None:
+        theta(args.ic, bind=False)
     return graph, taxonomy, annotations, usage, theta
 
 
-def _ic_token(token, measure):
-    """The estimator selector of a measure that reads theta: token, or seco
-    when none is selected."""
-    if token is None:
+def _bind(theta, token, needs_theta, measure):
+    """The theta of a measure: its token's, or seco's if it reads theta and
+    selects none; None if it reads no theta, after checking a given token."""
+    if token is None and needs_theta:
         log.info("measure %s: no estimator selected, defaulting to seco", measure)
-        return "seco"
-    return token
+        token = "seco"
+    return None if token is None else theta(token, bind=needs_theta)
 
 
 def _pairwise_spec(args, token, theta, usage):
-    name, raw = parse_selector(token)
-    name = resolve_measure_name(name)
-    info = MEASURES[name]
-    ic_token = raw.pop("ic", None)
+    """The spec of a pair selection token, bound to its theta and usage."""
+    typed, raw = parse_selector(token)
+    name = resolve_measure_name(typed)
+    ic_token = raw.pop("ic", None) or getattr(args, "ic", None)
+    if name not in MEASURES and name not in unify.FORMS and raw:
+        raise CommandLineError(f"named form {typed!r} takes no parameters")
     params = _float_params(raw, f"measure {name}")
+    if name in MEASURES:
+        info = MEASURES[name]
+        make = lambda ic, counts: pairwise_measure(name, theta=ic, usage=counts, **params)
+    else:
+        form = abstract_form(name, **params) if name in unify.FORMS else instantiate(name)
+        info, make = form.info, lambda ic, counts: form.with_theta(ic)
     counts = usage() if info.needs_usage else None
     if info.needs_usage and counts is None:
         raise DataUsageError(f"measure {name!r} needs --annotations")
-    ic = None
-    if info.needs_theta:
-        ic = theta(_ic_token(ic_token or getattr(args, "ic", None), name))
-    return pairwise_measure(name, theta=ic, usage=counts, **params)
+    return make(_bind(theta, ic_token, info.needs_theta, name), counts)
 
 
 def _open_file(path, mode):
@@ -220,14 +230,6 @@ def _write_scores(path, pairs_path, resolve, score, measure) -> None:
         out.writelines(rows)
 
 
-def _score_classes(args, taxonomy, spec, name, allow_unreduced=False) -> int:
-    """Write the --pairs class pairs' scores under one pair_scorer of spec."""
-    scorer = pair_scorer(spec, taxonomy, allow_unreduced)
-    score = lambda u, v: scorer(u, v).value
-    _write_scores(args.out, args.pairs, taxonomy.node, score, name)
-    return 0
-
-
 # -- subcommands -------------------------------------------------------------
 
 
@@ -276,7 +278,10 @@ def _cmd_ic(args) -> int:
 def _cmd_sim(args) -> int:
     _, taxonomy, _, usage, theta = _load(args)
     spec = _pairwise_spec(args, args.measure, theta, usage)
-    return _score_classes(args, taxonomy, spec, args.measure, args.allow_unreduced)
+    scorer = pair_scorer(spec, taxonomy, args.allow_unreduced)
+    score = lambda u, v: scorer(u, v).value
+    _write_scores(args.out, args.pairs, taxonomy.node, score, args.measure)
+    return 0
 
 
 def _cmd_groupsim(args) -> int:
@@ -289,7 +294,7 @@ def _cmd_groupsim(args) -> int:
     if name in DIRECT:
         if inner_token:
             raise CommandLineError(f"direct measure {name!r} takes no inner measure")
-        ic = theta(_ic_token(args.ic, name)) if DIRECT[name][0].needs_theta else None
+        ic = _bind(theta, args.ic, DIRECT[name].info.needs_theta, name)
         spec = groupwise_measure(name, theta=ic)
     elif name in STRATEGIES:
         if not inner_token.strip():
@@ -314,19 +319,6 @@ def _cmd_groupsim(args) -> int:
 
     _write_scores(args.out, args.pairs, classes_of, score, args.measure)
     return 0
-
-
-def _cmd_abstract(args) -> int:
-    _, taxonomy, _, _, theta = _load(args)
-    ic = theta(args.ic)
-    name, raw = parse_selector(args.form)
-    if name.lower() in unify.FORMS:
-        form = abstract_form(name.lower(), **_float_params(raw, f"form {name}"))
-    else:
-        form = instantiate(name)
-        if raw:
-            raise CommandLineError(f"named form {name!r} takes no parameters")
-    return _score_classes(args, taxonomy, form.with_theta(ic), args.form)
 
 
 def _cmd_rel(args) -> int:
@@ -416,7 +408,7 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("sim", help="pairwise class similarity scores")
     _add_common(p, unreduced=True, annotations=True)
-    p.add_argument("--measure", required=True, help="e.g. lin, li:alpha=0.2,beta=0.6")
+    p.add_argument("--measure", required=True, help="measure or form: lin, li:alpha=0.2, dice, ...")
     p.add_argument("--ic", help="estimator for IC-based measures, e.g. resnik:smooth=1,base=2")
     p.add_argument("--pairs", required=True, help="classA<TAB>classB pair list")
     p.set_defaults(func=_cmd_sim)
@@ -424,17 +416,18 @@ def build_parser() -> _Parser:
     p = subs.add_parser("groupsim", help="similarity between annotated instances")
     _add_common(p, unreduced=True)
     p.add_argument("--annotations", required=True, help="instance annotation TSV")
-    p.add_argument("--measure", required=True, help="simui, nto, simgic or bma:lin style")
+    p.add_argument("--measure", required=True, help="simui, nto, simgic, bma:lin, avg:dice, ...")
     p.add_argument("--ic", help="estimator for IC-based parts, e.g. seco")
     p.add_argument("--pairs", required=True, help="instanceA<TAB>instanceB pair list")
     p.set_defaults(func=_cmd_groupsim)
 
     p = subs.add_parser("abstract", help="evaluate unified abstract measure forms")
     _add_common(p, annotations=True)
-    p.add_argument("--form", required=True, help="dice, jaccard, simpson, sigma_beta:beta=1, ...")
+    p.add_argument("--form", dest="measure", metavar="FORM", required=True,
+                   help="dice, jaccard, simpson, sigma_beta:beta=1, ...")
     p.add_argument("--ic", required=True, help="theta estimator as for sim: seco, depth_raw, ...")
     p.add_argument("--pairs", required=True, help="classA<TAB>classB pair list")
-    p.set_defaults(func=_cmd_abstract)
+    p.set_defaults(func=_cmd_sim, allow_unreduced=False)
 
     p = subs.add_parser("rel", help="graph relatedness (wsp, hitting, commute, simrank)")
     _add_common(p)
@@ -454,7 +447,7 @@ def build_parser() -> _Parser:
         choices=sorted(bench_mod.KNOWN_DATASETS),
         help="validate the pair count of a known benchmark",
     )
-    p.add_argument("--measures", required=True, help="e.g. lin:ic=seco,wupalmer,rada")
+    p.add_argument("--measures", required=True, help="e.g. lin:ic=seco,wupalmer,dice")
     p.set_defaults(func=_cmd_bench)
     return parser
 

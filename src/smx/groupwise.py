@@ -1,7 +1,7 @@
 """Similarity between two sets of classes.
 
-DIRECT maps each direct measure to a group feature of unify.FEATURES and
-an abstract form: all three are set-overlap ratios over the ancestor
+DIRECT maps each direct measure to its form spec over a group feature of
+unify.FEATURES: all three are set-overlap ratios over the ancestor
 closures of the two sets (Pesquita et al. 2009), so reduced annotation
 sets are fine. STRATEGIES maps each aggregation to its value on the
 pairwise score matrix of the sets as given, which is why callers should
@@ -25,17 +25,15 @@ from .pairwise import (
     MeasureValue,
     PairwiseMeasureSpec,
     Polarity,
-    abstract_form,
     pair_scorer,
 )
 from .specificity import ThetaEstimator
-from .unify import FEATURES
 
-# direct measure -> (group feature, the form with its parameters)
+# direct measure -> its form, with its parameters, over the group feature it reads
 DIRECT = {
-    "simui": (FEATURES["closure_counts"], abstract_form("sigma_beta", beta=1.0)),
-    "nto": (FEATURES["closure_counts"], abstract_form("sigma_alpha", alpha=-math.inf)),
-    "simgic": (FEATURES["closure_theta"], abstract_form("sigma_beta", beta=1.0)),
+    "simui": PairwiseMeasureSpec("sigma_beta", (("beta", 1.0),), feature="closure_counts"),
+    "nto": PairwiseMeasureSpec("sigma_alpha", (("alpha", -math.inf),), feature="closure_counts"),
+    "simgic": PairwiseMeasureSpec("sigma_beta", (("beta", 1.0),), feature="closure_theta"),
 }
 
 
@@ -92,7 +90,7 @@ def groupwise_measure(
     theta: ThetaEstimator | None = None,
 ) -> GroupwiseMeasureSpec:
     if name in DIRECT:
-        if DIRECT[name][0].needs_theta and theta is None:
+        if DIRECT[name].info.needs_theta and theta is None:
             raise ContractError(f"{name} needs a specificity estimator")
         return GroupwiseMeasureSpec(name=name, theta=theta)
     if name in STRATEGIES:
@@ -121,10 +119,9 @@ def eval_groupwise(
     if not us or not vs:
         raise ContractError("groupwise measures need non-empty class sets")
 
-    direct = DIRECT.get(spec.name)
-    if direct is not None:
-        feature, form = direct
-        return form.kernel(*feature.function(spec, taxonomy, us, vs), *form.args)
+    form = DIRECT.get(spec.name)
+    if form is not None:
+        return form.kernel(*form.info.feature(spec, taxonomy, us, vs), *form.args)
 
     # in id order, as the direct features order their groups, so the sums
     # and the first failing cell do not depend on the order of the groups

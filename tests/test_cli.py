@@ -12,7 +12,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import smx
-from smx.cli import _write_scores, main, parse_selector, resolve_measure_name, split_measure_list
+from smx.cli import (
+    _fmt, _write_scores, main, parse_selector, resolve_measure_name, split_measure_list,
+)
 from smx.errors import InfinityError
 from smx.specificity import ESTIMATOR_KINDS, ESTIMATORS
 
@@ -70,6 +72,14 @@ class TestGrammar:
     def test_alias_resolution(self):
         assert resolve_measure_name("wupalmer") == "wu_palmer"
         assert resolve_measure_name("lin") == "lin"
+        # catalog rows, form kinds and named forms, any case, underscores optional
+        for name in (*smx.pairwise.MEASURES, *smx.unify.FORMS, "wu_palmer_tree", "sokal_sneath"):
+            assert resolve_measure_name(name) == name
+            assert resolve_measure_name(name.upper().replace("_", "")) == name
+        assert resolve_measure_name("wupalmertree") == "wu_palmer_tree"
+        assert resolve_measure_name("jiangconrathdist") == "jiang_conrath"
+        assert resolve_measure_name("jc") == "jiang_conrath"
+        assert resolve_measure_name("lc") == "leacock_chodorow"
 
 
 class TestSim:
@@ -540,6 +550,198 @@ class TestAbstract:
         )
         assert code == 0
         assert capsys.readouterr().out.count("\n") == 2
+
+
+class TestPairSelection:
+    """One resolver for every pair selection: a catalog row, a unify.FORMS
+    kind with its parameters or a named form, in that order, under sim,
+    the groupsim aggregations, bench and abstract."""
+
+    CLASSES = ["root", "A", "B", "C", "D", "E", "F"]
+
+    @pytest.fixture()
+    def all_pairs(self, tmp_path):
+        path = tmp_path / "all.tsv"
+        path.write_text("".join(f"{u}\t{v}\n" for u in self.CLASSES for v in self.CLASSES))
+        return str(path)
+
+    def run(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize(
+        "name", [*smx.unify.FORMS, *smx.pairwise._NAMED, "LIN", "Sigma_Beta", "sigmabeta", "jc"]
+    )
+    def test_sim_writes_what_abstract_writes(self, toy_file, all_pairs, capsys, name):
+        common = ["--ic", "seco", "--graph", toy_file, "--pairs", all_pairs]
+        sim = self.run(capsys, ["sim", "--measure", name, *common])
+        abstract = self.run(capsys, ["abstract", "--form", name, *common])
+        assert sim[0] == 0
+        assert sim == abstract
+        assert sim[1].count("\n") == len(self.CLASSES) ** 2
+
+    @pytest.mark.parametrize("estimator", ["zhou:k=0.4", "resnik_intrinsic:base=0.5"])
+    @pytest.mark.parametrize("name", ["lin", "faith", "jiang_conrath", "jc", "jiangconrathdist"])
+    def test_named_forms_that_restate_a_row_score_as_the_row(
+        self, toy_file, all_pairs, capsys, name, estimator
+    ):
+        # the catalog row answers them: same kernel, feature and values, and
+        # like the row they take a theta that is not monotone (base 0.5)
+        common = ["--ic", estimator, "--graph", toy_file, "--pairs", all_pairs]
+        catalog = {"jc": "jiang_conrath", "jiangconrathdist": "jiang_conrath"}.get(name, name)
+        abstract = self.run(capsys, ["abstract", "--form", name, *common])
+        assert abstract[0] == 0
+        assert abstract == self.run(capsys, ["sim", "--measure", catalog, *common])
+
+    @pytest.mark.parametrize("name", ["dice", "general_dice", "sigma_beta:beta=1"])
+    def test_other_forms_need_a_monotone_theta(self, toy_file, pairs_file, capsys, name):
+        argv = ["--ic", "resnik_intrinsic:base=0.5", "--graph", toy_file, "--pairs", pairs_file]
+        for command in (["abstract", "--form"], ["sim", "--measure"]):
+            assert main([*command, name, *argv]) == 2
+            assert capsys.readouterr().err == "error: bound specificity estimator is not monotone\n"
+
+    def test_unknown_name_lists_every_canonical_name_once(
+        self, toy_file, pairs_file, tmp_path, capsys
+    ):
+        (tmp_path / "ann.tsv").write_text("g1\tE\n")
+        (tmp_path / "m.tsv").write_text("cat\tE\ndog\tD\n")
+        (tmp_path / "d.tsv").write_text("cat\tdog\t1\n")
+        pairs = ["--pairs", pairs_file]
+        for argv in (
+            ["abstract", "--form", "nope", "--ic", "seco", *pairs],
+            ["sim", "--measure", "nope", *pairs],
+            ["groupsim", "--measure", "avg:nope", "--annotations", str(tmp_path / "ann.tsv"),
+             *pairs],
+            ["bench", "--mapping", str(tmp_path / "m.tsv"), "--dataset", str(tmp_path / "d.tsv"),
+             "--measures", "lin,nope"],
+        ):
+            code = main([*argv, "--graph", toy_file])
+            err = capsys.readouterr().err
+            assert code == 1, argv
+            head, _, listed = err.partition("; valid measures: ")
+            assert head == "usage error: unknown measure 'nope'", argv
+            names = listed.rstrip("\n").split(", ")
+            canonical = {
+                *smx.pairwise.MEASURES, *smx.unify.FORMS,
+                "wu_palmer_tree", "jaccard", "dice", "sokal_sneath", "simpson", "ochiai",
+            }
+            assert names == sorted(canonical), argv
+
+    def test_named_form_takes_no_parameters(self, toy_file, pairs_file, capsys):
+        argv = ["--ic", "seco", "--graph", toy_file, "--pairs", pairs_file]
+        for command in (["abstract", "--form"], ["sim", "--measure"]):
+            assert main([*command, "Dice:beta=2", *argv]) == 1
+            assert capsys.readouterr().err == "usage error: named form 'Dice' takes no parameters\n"
+
+    def test_inline_estimator_selects_a_forms_theta(self, toy_file, all_pairs, capsys, caplog):
+        common = ["--graph", toy_file, "--pairs", all_pairs]
+        inline = self.run(capsys, ["sim", "--measure", "dice:ic=depth_raw", *common])
+        option = self.run(capsys, ["sim", "--measure", "dice", "--ic", "depth_raw", *common])
+        assert inline[0] == 0 and inline == option
+        with caplog.at_level("INFO", logger="smx"):
+            defaulted = self.run(capsys, ["sim", "--measure", "sigma_beta:beta=2", *common])
+        assert caplog.messages == ["measure sigma_beta: no estimator selected, defaulting to seco"]
+        seco = self.run(capsys, ["sim", "--measure", "dice", "--ic", "seco", *common])
+        assert defaulted[1] == seco[1]
+
+    def test_groupsim_aggregates_a_form(self, toy_file, tmp_path, capsys, toy):
+        ann = tmp_path / "ann.tsv"
+        ann.write_text("g1\tC,D\ng2\tE\ng3\tE,F\n")
+        pairs = tmp_path / "ipairs.tsv"
+        pairs.write_text("g1\tg2\ng2\tg3\ng1\tg3\n")
+        code = main(
+            ["groupsim", "--measure", "avg:sigma_beta:beta=1", "--ic", "seco", "--graph",
+             toy_file, "--annotations", str(ann), "--pairs", str(pairs)]
+        )
+        assert code == 0
+        inner = smx.abstract_form("sigma_beta", smx.seco_ic(toy), beta=1.0)
+        spec = smx.groupwise_measure("avg", inner=inner)
+        groups = {"g1": ["C", "D"], "g2": ["E"], "g3": ["E", "F"]}
+        score = lambda a, b: smx.eval_groupwise(
+            spec, toy, map(toy.node, groups[a]), map(toy.node, groups[b])
+        ).value
+        listed = (("g1", "g2"), ("g2", "g3"), ("g1", "g3"))
+        expected = "".join(f"{a}\t{b}\t{_fmt(score(a, b))}\n" for a, b in listed)
+        assert capsys.readouterr().out == expected
+
+    def test_bench_takes_forms(self, toy_file, tmp_path, capsys):
+        mapping = tmp_path / "map.tsv"
+        mapping.write_text("cat\tE\ndog\tD\nbird\tF\nowl\tC\n")
+        dataset = tmp_path / "ratings.tsv"
+        dataset.write_text("cat\tdog\t3.0\ncat\tbird\t1.0\ndog\tbird\t2.0\nowl\tcat\t4.0\n")
+        common = ["bench", "--graph", toy_file, "--mapping", str(mapping),
+                  "--dataset", str(dataset)]
+        both = self.run(capsys, [*common, "--measures", "jaccard,lin:ic=seco"])
+        lin = self.run(capsys, [*common, "--measures", "lin:ic=seco"])
+        assert both[0] == lin[0] == 0
+        rows = both[1].splitlines()
+        assert [row.split(",")[0] for row in rows] == ["measure", "jaccard", "lin:ic=seco"]
+        assert rows[1].split(",")[1:3] == ["4", "0"]
+        assert rows[2] == lin[1].splitlines()[1]
+
+
+class TestEstimatorKindCheck:
+    """The kind of every given estimator selector is checked, even for a
+    measure that reads no theta, but no estimator is built for it."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sim", "--measure", "rada", "--ic", "nosuch"],
+            ["sim", "--measure", "rada:ic=nosuch"],
+            ["groupsim", "--measure", "simui", "--ic", "nosuch"],
+            ["sim", "--measure", "lin:ic=seco", "--ic", "nosuch"],
+            ["abstract", "--form", "dice:ic=seco", "--ic", "nosuch"],
+            ["bench", "--mapping", "m.tsv", "--dataset", "d.tsv", "--measures", "rada:ic=nosuch"],
+        ],
+    )
+    def test_unknown_kind_is_usage_error(self, toy_file, tmp_path, capsys, monkeypatch, argv):
+        (tmp_path / "ann.tsv").write_text("g1\tE\n")
+        (tmp_path / "pairs.tsv").write_text("E\tD\n")
+        (tmp_path / "m.tsv").write_text("cat\tE\ndog\tD\n")
+        (tmp_path / "d.tsv").write_text("cat\tdog\t1\n")
+        monkeypatch.chdir(tmp_path)
+        extra = ["--annotations", "ann.tsv"] if argv[0] == "groupsim" else []
+        extra += [] if argv[0] == "bench" else ["--pairs", "pairs.tsv"]
+        out = tmp_path / "out.tsv"
+        code = main([*argv, *extra, "--graph", toy_file, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        valid = ", ".join(ESTIMATOR_KINDS)
+        assert captured.err == (
+            f"usage error: unknown estimator 'nosuch'; valid estimators: {valid}\n"
+        )
+        assert not out.exists()
+
+    def test_no_estimator_is_built_for_a_measure_that_reads_none(
+        self, toy_file, pairs_file, capsys, monkeypatch
+    ):
+        built = []
+        monkeypatch.setattr(smx.cli, "build_estimator", lambda *args, **kw: built.append(args))
+        # resnik needs annotations, which are not given: binding it would fail
+        for argv in (["--measure", "rada", "--ic", "resnik:smooth=1"],
+                     ["--measure", "rada:ic=zhou"]):
+            assert main(["sim", *argv, "--graph", toy_file, "--pairs", pairs_file]) == 0
+        assert built == []
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            # a given --ic is checked in the load step, before the measure resolves
+            (["sim", "--measure", "nope", "--ic", "nosuch"], "unknown estimator 'nosuch'"),
+            (["groupsim", "--measure", "max:rada", "--ic", "nosuch"], "unknown estimator 'nosuch'"),
+            (["abstract", "--form", "nope", "--ic", "nosuch"], "unknown estimator 'nosuch'"),
+            # the form resolves, and its parameters are read, before its theta is bound
+            (["abstract", "--form", "nope", "--ic", "resnik"], "unknown measure 'nope'"),
+            (["abstract", "--form", "dice:beta=2", "--ic", "seco:bad=1"],
+             "named form 'dice' takes no parameters"),
+        ],
+    )
+    def test_order_of_two_faults(self, toy_file, pairs_file, capsys, argv, error):
+        extra = ["--annotations", pairs_file] if argv[0] == "groupsim" else []
+        assert main([*argv, *extra, "--graph", toy_file, "--pairs", pairs_file]) == 1
+        assert capsys.readouterr().err.startswith(f"usage error: {error}")
 
 
 class TestNonFiniteParameters:

@@ -16,6 +16,7 @@ from smx.errors import (
     UnknownNodeError,
 )
 from smx.groupwise import STRATEGIES
+from smx.unify import FEATURES
 
 from helpers import brute_closure_map, brute_redundant_edges, random_taxonomy, view_of
 
@@ -32,6 +33,15 @@ def ev(spec, t, u_names, v_names):
 
 
 class TestDirect:
+    def test_rows_name_the_group_feature_they_read(self):
+        # simui and nto count the closures; simgic sums theta over them
+        reads = {"simui": "closure_counts", "nto": "closure_counts", "simgic": "closure_theta"}
+        for name, key in reads.items():
+            form = smx.groupwise.DIRECT[name]
+            assert form.feature == key and f"feature='{key}'" in repr(form)
+            assert form.info.feature is FEATURES[key].function
+            assert form.info.needs_theta is (key == "closure_theta")
+
     def test_simui(self, toy):
         spec = smx.groupwise_measure("simui")
         assert ev(spec, toy, ["E"], ["D"]).value == APPROX(0.4)

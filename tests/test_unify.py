@@ -10,9 +10,10 @@ from hypothesis import example, given, settings, strategies as st
 
 import smx
 from smx.errors import ContractError, InfinityError, SmxError, UnknownNodeError
+from smx.specificity import ESTIMATOR_KINDS, EXTRINSIC, build_estimator
 from smx.unify import _power_mean
 
-from helpers import random_taxonomy, taxonomy_from_pairs
+from helpers import random_annotations, random_taxonomy, taxonomy_from_pairs
 
 APPROX12 = lambda x: pytest.approx(x, abs=1e-12)
 
@@ -137,6 +138,38 @@ class TestEquivalences:
                 )
                 <= 1e-12
             )
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_named_forms_that_restate_a_row_equal_it(self, seed):
+        # lin, faith and jiang_conrath as named forms score every pair as
+        # their catalog rows do, under every shipped estimator, which is why
+        # the CLI lets the catalog row answer them
+        rng = random.Random(seed)
+        t, _ = random_taxonomy(rng, max_nodes=15)
+        usage = smx.class_usage(t, random_annotations(rng, t))
+        classes = sorted(t.class_ids)
+
+        def outcome(score, u, v):
+            try:
+                return score(u, v)
+            except SmxError as exc:
+                return type(exc), str(exc)
+
+        for kind in ESTIMATOR_KINDS:
+            smooth = {"smooth": 1.0} if kind in EXTRINSIC else {}
+            theta = build_estimator(kind, t, usage=usage, **smooth)
+            for name in ("lin", "faith", "jiang_conrath"):
+                named = smx.instantiate(name).with_theta(theta)
+                row = smx.pairwise_measure(name, theta=theta)
+                scorers = [smx.pair_scorer(spec, t) for spec in (named, row)]
+                for u in classes:
+                    for v in classes:
+                        expected = outcome(functools.partial(smx.eval_pairwise, row, t), u, v)
+                        assert outcome(functools.partial(smx.eval_pairwise, named, t), u, v) == (
+                            expected
+                        ), (kind, name)
+                        assert outcome(scorers[0], u, v) == outcome(scorers[1], u, v)
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
