@@ -31,10 +31,10 @@ from contextlib import contextmanager
 from . import bench as bench_mod
 from . import ingest, preprocess, relatedness, unify
 from .errors import InfinityError, SmxError, UsageError as DataUsageError
-from .graph import SUBCLASS_OF, SemanticGraph
+from .graph import SUBCLASS_OF
 from .groupwise import DIRECT, STRATEGIES, eval_groupwise, groupwise_measure
 from .pairwise import _NAMED, MEASURES, abstract_form, instantiate, pair_scorer, pairwise_measure
-from .specificity import ESTIMATOR_KINDS, EXTRINSIC, build_estimator, class_usage
+from .specificity import ESTIMATORS, EXTRINSIC, build_estimator, class_usage, resolve_params
 
 log = logging.getLogger("smx")
 
@@ -130,9 +130,9 @@ def _load(args):
     @functools.cache
     def theta(token, bind=True):
         kind, raw = parse_selector(token)
-        if kind not in ESTIMATOR_KINDS:
+        if kind not in ESTIMATORS:
             raise CommandLineError(
-                f"unknown estimator {kind!r}; valid estimators: {', '.join(ESTIMATOR_KINDS)}"
+                f"unknown estimator {kind!r}; valid estimators: {', '.join(ESTIMATORS)}"
             )
         if not bind:
             return None
@@ -140,6 +140,8 @@ def _load(args):
         counts = usage() if kind in EXTRINSIC else None
         if kind in EXTRINSIC and counts is None:
             raise DataUsageError(f"estimator {kind!r} needs --annotations")
+        # checked against the kind's table first, as a measure's parameters are
+        params = resolve_params(kind, ESTIMATORS[kind][1], params)
         return build_estimator(kind, taxonomy, usage=counts, **params)
 
     if getattr(args, "ic", None) is not None:
@@ -161,14 +163,17 @@ def _pairwise_spec(args, token, theta, usage):
     typed, raw = parse_selector(token)
     name = resolve_measure_name(typed)
     ic_token = raw.pop("ic", None) or getattr(args, "ic", None)
-    if name not in MEASURES and name not in unify.FORMS and raw:
+    declared = MEASURES.get(name) or unify.FORMS.get(name)
+    if declared is None and raw:
         raise CommandLineError(f"named form {typed!r} takes no parameters")
     params = _float_params(raw, f"measure {name}")
+    # a key named like a keyword of the constructor is an unknown parameter too
+    checked = lambda: resolve_params(name, declared.params, params)
     if name in MEASURES:
         info = MEASURES[name]
-        make = lambda ic, counts: pairwise_measure(name, theta=ic, usage=counts, **params)
+        make = lambda ic, counts: pairwise_measure(name, theta=ic, usage=counts, **checked())
     else:
-        form = abstract_form(name, **params) if name in unify.FORMS else instantiate(name)
+        form = abstract_form(name, **checked()) if name in unify.FORMS else instantiate(name)
         info, make = form.info, lambda ic, counts: form.with_theta(ic)
     counts = usage() if info.needs_usage else None
     if info.needs_usage and counts is None:
@@ -234,26 +239,16 @@ def _write_scores(path, pairs_path, resolve, score, measure) -> None:
 
 
 def _cmd_preprocess(args) -> int:
+    """Write the loaded graph minus the subClassOf edges its view found
+    redundant, and the report of the transitive reduction."""
     graph, taxonomy, *_ = _load(args)
     _, report = preprocess.transitive_reduction(taxonomy)
-    kept = graph.edges - {(u, SUBCLASS_OF, p) for u, p in taxonomy.redundant_edges}
-    cleaned = SemanticGraph(
-        labels=graph._labels,
-        classes=graph.classes,
-        instances=graph.instances,
-        predicates=graph.predicates,
-        edges=kept,
-        edge_weights=(
-            {e: w for e, w in graph.edge_weights.items() if e in kept}
-            if graph.edge_weights is not None
-            else None
-        ),
-    )
+    redundant = {(u, SUBCLASS_OF, p) for u, p in taxonomy.redundant_edges}
     # --report is checked before --out is opened, so whichever output cannot
     # be written, the other is left as it was
     _check_writable(args.report)
     with _open_out(args.out) as out, _open_out(args.report) as report_out:
-        out.write(ingest.serialize_graph(cleaned))
+        out.write(ingest.serialize_graph(graph, without=redundant))
         for record in report.removed_edges:
             report_out.write(f"removed\t{record.subject}\t{record.predicate}\t{record.object}\n")
         if report.inserted_root:
@@ -402,7 +397,7 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--estimator",
         required=True,
-        help=f"one of {', '.join(ESTIMATOR_KINDS)}, e.g. zhou:k=0.6 or seco:base=2",
+        help=f"one of {', '.join(ESTIMATORS)}, e.g. zhou:k=0.6 or seco:base=2",
     )
     p.set_defaults(func=_cmd_ic)
 

@@ -7,9 +7,9 @@ sets are fine. STRATEGIES maps each aggregation to its value on the
 pairwise score matrix of the sets as given, which is why callers should
 reduce annotation sets first. One pairwise.pair_scorer per spec and view
 fills every matrix, so each class's anchor key is computed and each theta
-read cached once per spec and view. The direct measures union the
-ancestor closures of each set, in id order, and sum theta over a closure
-with one bulk read, ThetaEstimator.sum.
+read cached once per spec and view. The direct measures take any theta,
+monotone or not, union the ancestor closures of each set, in id order,
+and sum theta over a closure with one bulk read, ThetaEstimator.sum.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ import io
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Collection, Iterator, Mapping
 
 from .errors import ClassificationError, ParseError, ResolutionError, UnknownNodeError
 from .graph import IS_A, NodeId, SemanticGraph, SUBCLASS_OF
@@ -215,13 +215,16 @@ def parse_graph(source) -> SemanticGraph:
     )
 
 
-def serialize_graph(graph: SemanticGraph) -> str:
-    """Write a graph back to triple TSV, sorted for byte-stable output.
-    A weight is written in its short %g form when that parses back to the
-    same float, else as its repr, so every weight round-trips exactly."""
+def serialize_graph(graph: SemanticGraph, without: Collection = frozenset()) -> str:
+    """Write a graph, minus the (subject, predicate, object) id triples in
+    `without`, back to triple TSV, sorted for byte-stable output. A weight
+    is written in its short %g form when that parses back to the same
+    float, else as its repr, so every weight round-trips exactly."""
     labels, weights = graph._labels, graph.edge_weights
     lines = []
     for s, p, o in graph._label_sorted_edges():
+        if (s, p, o) in without:
+            continue
         row = f"{labels[s]}\t{p}\t{labels[o]}"
         if weights is not None:
             w = weights[(s, p, o)]

@@ -76,7 +76,7 @@ class MeasureInfo:
     # symmetric(*args): whether the values are symmetric in u and v at the
     # spec's args; a form row's is its form's
     symmetric: Callable[..., bool] = lambda *args: True
-    # an abstract form that reads theta: the theta must be bound and monotone
+    # a form over a pair feature that reads theta: theta must be bound and monotone
     monotone: bool = False
     # a bespoke row: evaluate(spec, taxonomy, u, v)
     evaluate: Callable[..., MeasureValue] | None = None
@@ -117,7 +117,8 @@ class PairwiseMeasureSpec:
         if self.feature is None:
             info = MEASURES[self.name]
         else:
-            info = _form_row(self.feature, self.name, monotone=FEATURES[self.feature].needs_theta)
+            _, reads_theta, group = FEATURES[self.feature]
+            info = _form_row(self.feature, self.name, monotone=reads_theta and not group)
         values = dict(self.params)
         if info.form is None:
             kernel, args = None, tuple(values[key] for key in info.params)

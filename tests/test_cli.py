@@ -362,6 +362,37 @@ class TestPreprocess:
         assert "E\tsubClassOf\troot" not in reduced
         assert "g1\tisA\tE" in reduced  # non-taxonomic edges survive
 
+    # weighted (one weight written as its repr, one line unweighted), with
+    # instances, a relational edge, three redundant edges and two roots
+    WEIGHTED_FOREST = (
+        "i1\tlikes\ti2\t7\nC\tsubClassOf\tR1\nB\tsubClassOf\tA\t2\n"
+        "A\tsubClassOf\tR1\t1.5\nC\tsubClassOf\tB\t0.30000000000000004\n"
+        "B\tsubClassOf\tR1\t0.25\ni1\tisA\tC\t0.5\nD\tsubClassOf\tR2\t3\n"
+        "C\tsubClassOf\tA\t4\ni1\tisA\tD\n"
+    )
+
+    def test_writes_the_loaded_graph_minus_the_redundant_edges(self, tmp_path, caplog):
+        graph = tmp_path / "g.tsv"
+        graph.write_text(self.WEIGHTED_FOREST)
+        out, report = tmp_path / "reduced.tsv", tmp_path / "report.tsv"
+        argv = ["preprocess", "--graph", str(graph), "--out", str(out), "--report", str(report)]
+        with caplog.at_level("INFO", logger="smx"):
+            assert main(argv) == 0
+        g = smx.parse_graph(str(graph))
+        redundant = smx.taxonomic_reduction(g).redundant_edges
+        kept = g.edges - {(u, "subClassOf", p) for u, p in redundant}
+        rebuilt = smx.SemanticGraph(
+            g._labels, g.classes, g.instances, g.predicates, kept,
+            {e: w for e, w in g.edge_weights.items() if e in kept},
+        )
+        assert out.read_text() == smx.serialize_graph(rebuilt)
+        assert "C\tsubClassOf\tB\t0.30000000000000004\n" in out.read_text()
+        assert report.read_text() == (
+            "removed\tB\tsubClassOf\tR1\nremoved\tC\tsubClassOf\tA\n"
+            "removed\tC\tsubClassOf\tR1\ninserted_root\t__root__\n"
+        )
+        assert caplog.messages == ["removed 3 redundant edges, inserted __root__"]
+
     def test_byte_order_mark_makes_no_phantom_class(self, tmp_path, capsys):
         graph = tmp_path / "g.tsv"
         graph.write_bytes(b"\xef\xbb\xbfA\tsubClassOf\troot\nA2\tsubClassOf\tA\n")
@@ -408,6 +439,29 @@ class TestGroupsim:
         out = capsys.readouterr().out
         assert code == 0
         assert float(out.strip().split("\t")[2]) == pytest.approx(0.6594, abs=1e-3)
+
+    def test_direct_measure_takes_any_theta(self, toy_file, tmp_path, capsys, toy):
+        # a base below 1 makes resnik_intrinsic decrease with specificity
+        ann = tmp_path / "ann.tsv"
+        ann.write_text("g1\tC,D\ng2\tE\ng3\tE,F\n")
+        pairs = tmp_path / "ipairs.tsv"
+        pairs.write_text("g1\tg2\ng2\tg3\ng1\tg3\n")
+        code = main(
+            ["groupsim", "--measure", "simgic", "--ic", "resnik_intrinsic:base=0.5",
+             "--graph", toy_file, "--annotations", str(ann), "--pairs", str(pairs)]
+        )
+        assert code == 0
+        theta = smx.build_estimator("resnik_intrinsic", toy, base=0.5)
+        assert not theta.is_monotone
+        assert not smx.groupwise.DIRECT["simgic"].info.monotone
+        spec = smx.groupwise_measure("simgic", theta=theta)
+        groups = {"g1": ["C", "D"], "g2": ["E"], "g3": ["E", "F"]}
+        score = lambda a, b: smx.eval_groupwise(
+            spec, toy, map(toy.node, groups[a]), map(toy.node, groups[b])
+        ).value
+        listed = (("g1", "g2"), ("g2", "g3"), ("g1", "g3"))
+        expected = "".join(f"{a}\t{b}\t{_fmt(score(a, b))}\n" for a, b in listed)
+        assert capsys.readouterr().out == expected
 
     def test_one_pair_scorer_per_run(self, toy_file, tmp_path, capsys, monkeypatch):
         built = []
@@ -742,6 +796,34 @@ class TestEstimatorKindCheck:
         extra = ["--annotations", pairs_file] if argv[0] == "groupsim" else []
         assert main([*argv, *extra, "--graph", toy_file, "--pairs", pairs_file]) == 1
         assert capsys.readouterr().err.startswith(f"usage error: {error}")
+
+
+class TestUnknownSelectorParameter:
+    """A selector's keys are checked against its declaring table, so a key
+    named like a keyword of the constructor it reaches is an unknown
+    parameter too: one line, status 2."""
+
+    @pytest.mark.parametrize(
+        "argv, name, key",
+        [
+            (["sim", "--measure", "rada:usage=1"], "rada", "usage"),
+            (["sim", "--measure", "sigma_beta:kind=1"], "sigma_beta", "kind"),
+            (["sim", "--measure", "sigma_beta:theta=1", "--ic", "seco"], "sigma_beta", "theta"),
+            (["ic", "--estimator", "seco:taxonomy=1"], "seco", "taxonomy"),
+            (["ic", "--estimator", "seco:usage=1"], "seco", "usage"),
+            (["ic", "--estimator", "seco:kind=1"], "seco", "kind"),
+            (["sim", "--measure", "lin", "--ic", "seco:taxonomy=2"], "seco", "taxonomy"),
+            (["sim", "--measure", "lin:ic=seco:usage=1"], "seco", "usage"),
+            (["sim", "--measure", "rada:theta=1"], "rada", "theta"),
+            (["sim", "--measure", "lin:name=1,ic=seco"], "lin", "name"),
+            (["sim", "--measure", "sigma_beta:feature=1"], "sigma_beta", "feature"),
+            (["abstract", "--form", "sigma_beta:kind=1", "--ic", "seco"], "sigma_beta", "kind"),
+        ],
+    )
+    def test_is_one_line_data_error(self, toy_file, pairs_file, capsys, argv, name, key):
+        extra = [] if argv[0] == "ic" else ["--pairs", pairs_file]
+        assert main([*argv, *extra, "--graph", toy_file]) == 2
+        assert capsys.readouterr().err == f"error: {name}: unknown parameters [{key!r}]\n"
 
 
 class TestNonFiniteParameters:

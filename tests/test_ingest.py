@@ -114,6 +114,31 @@ class TestRoundTrip:
             g.label(c) for c in g.classes
         }
 
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_without_writes_what_the_graph_without_those_edges_writes(self, seed, weighted):
+        # ids in shuffled label order, so id order is not label order
+        labels = ["root", "A", "B", "C", "x", "y"]
+        random.Random(seed).shuffle(labels)
+        n = labels.index
+        edges = [
+            (n("A"), "subClassOf", n("root")), (n("B"), "subClassOf", n("root")),
+            (n("C"), "subClassOf", n("A")), (n("C"), "subClassOf", n("B")),
+            (n("C"), "subClassOf", n("root")), (n("x"), "isA", n("C")),
+            (n("x"), "near", n("y")),
+        ]
+        weights = {e: 0.1 * (i + 1) for i, e in enumerate(edges)} if weighted else None
+        build = lambda kept, w: smx.SemanticGraph(
+            labels, map(n, ["root", "A", "B", "C"]), [n("x"), n("y")],
+            ["subClassOf", "isA", "near"], kept, w,
+        )
+        g = build(edges, weights)
+        # a triple the graph does not hold is passed over
+        without = {edges[4], edges[6], (n("y"), "near", n("x"))}
+        kept = [e for e in edges if e not in without]
+        rebuilt = build(kept, None if weights is None else {e: weights[e] for e in kept})
+        assert smx.serialize_graph(g, without=without) == smx.serialize_graph(rebuilt)
+
     def test_weighted_round_trip(self):
         text = "A\tsubClassOf\troot\t2.5\nB\tsubClassOf\troot\t1\nC\tsubClassOf\troot\t0.001\n"
         g = smx.parse_graph(stream(text))

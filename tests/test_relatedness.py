@@ -359,7 +359,7 @@ class TestAdjacency:
         serialize = smx.ingest.serialize_graph
         monkeypatch.setattr(
             smx.ingest, "serialize_graph",
-            lambda graph: serialized.append(graph) or serialize(graph),
+            lambda graph, **kw: serialized.append(graph) or serialize(graph, **kw),
         )
         path = tmp_path / "g.tsv"
         path.write_text(self.TEXT)
