@@ -27,13 +27,14 @@ import math
 import os
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 
 from . import bench as bench_mod
 from . import ingest, preprocess, relatedness, unify
 from .errors import InfinityError, SmxError, UsageError as DataUsageError
 from .graph import SUBCLASS_OF
 from .groupwise import DIRECT, STRATEGIES, eval_groupwise, groupwise_measure
-from .pairwise import _NAMED, MEASURES, abstract_form, instantiate, pair_scorer, pairwise_measure
+from .pairwise import _NAMED, MEASURES, PairwiseMeasureSpec, instantiate, pair_scorer
 from .specificity import ESTIMATORS, EXTRINSIC, build_estimator, class_usage, resolve_params
 
 log = logging.getLogger("smx")
@@ -163,22 +164,19 @@ def _pairwise_spec(args, token, theta, usage):
     typed, raw = parse_selector(token)
     name = resolve_measure_name(typed)
     ic_token = raw.pop("ic", None) or getattr(args, "ic", None)
-    declared = MEASURES.get(name) or unify.FORMS.get(name)
-    if declared is None and raw:
+    if name in MEASURES or name in unify.FORMS:
+        params = tuple(_float_params(raw, f"measure {name}").items())
+        feature = None if name in MEASURES else "mica_theta"
+        spec = PairwiseMeasureSpec(name, params, feature=feature)
+    elif raw:
         raise CommandLineError(f"named form {typed!r} takes no parameters")
-    params = _float_params(raw, f"measure {name}")
-    # a key named like a keyword of the constructor is an unknown parameter too
-    checked = lambda: resolve_params(name, declared.params, params)
-    if name in MEASURES:
-        info = MEASURES[name]
-        make = lambda ic, counts: pairwise_measure(name, theta=ic, usage=counts, **checked())
     else:
-        form = abstract_form(name, **checked()) if name in unify.FORMS else instantiate(name)
-        info, make = form.info, lambda ic, counts: form.with_theta(ic)
+        spec = instantiate(name)
+    info = spec.info
     counts = usage() if info.needs_usage else None
     if info.needs_usage and counts is None:
         raise DataUsageError(f"measure {name!r} needs --annotations")
-    return make(_bind(theta, ic_token, info.needs_theta, name), counts)
+    return replace(spec, theta=_bind(theta, ic_token, info.needs_theta, name), usage=counts)
 
 
 def _open_file(path, mode):

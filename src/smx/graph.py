@@ -94,13 +94,18 @@ class SemanticGraph:
             raise ContractError("duplicate node identifiers")
         self.classes = frozenset(classes)
         self.instances = frozenset(instances)
+        n = len(self._labels)
+        for ids in (self.classes, self.instances):
+            if ids and not (0 <= min(ids) and max(ids) < n):
+                bad = min(i for i in self.classes | self.instances if not 0 <= i < n)
+                kind = "class" if bad in self.classes else "instance"
+                raise ContractError(f"{kind} id {bad} is not a declared node")
         overlap = self.classes & self.instances
         if overlap:
             names = ", ".join(sorted(self._labels[i] for i in overlap))
             raise ContractError(f"nodes are both class and instance: {names}")
         self.predicates = frozenset(predicates)
         self.edges = frozenset(edges)
-        n = len(self._labels)
         for s, p, o in self.edges:
             if not (0 <= s < n and 0 <= o < n):
                 raise ContractError("edge endpoint is not a declared node")

@@ -10,6 +10,8 @@ fills every matrix, so each class's anchor key is computed and each theta
 read cached once per spec and view. The direct measures take any theta,
 monotone or not, union the ancestor closures of each set, in id order,
 and sum theta over a closure with one bulk read, ThetaEstimator.sum.
+A GroupwiseMeasureSpec checks itself when built; groupwise_measure is
+another name for it.
 """
 
 from __future__ import annotations
@@ -83,28 +85,25 @@ class GroupwiseMeasureSpec:
     # each built on the spec's first call there
     scorers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-
-def groupwise_measure(
-    name: str,
-    inner: PairwiseMeasureSpec | None = None,
-    theta: ThetaEstimator | None = None,
-) -> GroupwiseMeasureSpec:
-    if name in DIRECT:
-        if DIRECT[name].info.needs_theta and theta is None:
-            raise ContractError(f"{name} needs a specificity estimator")
-        return GroupwiseMeasureSpec(name=name, theta=theta)
-    if name in STRATEGIES:
-        if inner is None:
-            raise ContractError(f"aggregation {name!r} needs an inner pairwise measure")
-        if name in _SIM_ONLY and inner.info.polarity is not Polarity.SIMILARITY:
+    def __post_init__(self):
+        if self.name in DIRECT:
+            if DIRECT[self.name].info.needs_theta and self.theta is None:
+                raise ContractError(f"{self.name} needs a specificity estimator")
+        elif self.name in STRATEGIES:
+            if self.inner is None:
+                raise ContractError(f"aggregation {self.name!r} needs an inner pairwise measure")
+            if self.name in _SIM_ONLY and self.inner.info.polarity is not Polarity.SIMILARITY:
+                raise ContractError(
+                    f"aggregation {self.name!r} needs a similarity-polarity inner measure"
+                )
+        else:
             raise ContractError(
-                f"aggregation {name!r} needs a similarity-polarity inner measure"
+                f"unknown groupwise measure {self.name!r}; "
+                f"known: {', '.join((*DIRECT, *STRATEGIES))}"
             )
-        return GroupwiseMeasureSpec(name=name, inner=inner)
-    raise ContractError(
-        f"unknown groupwise measure {name!r}; "
-        f"known: {', '.join((*DIRECT, *STRATEGIES))}"
-    )
+
+
+groupwise_measure = GroupwiseMeasureSpec  # a spec checks itself: one constructor
 
 
 def eval_groupwise(

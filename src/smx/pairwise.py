@@ -9,11 +9,11 @@ NCCA mean), taking polarity, normalization and symmetry from the form
 (ratio and contrast are symmetric exactly when alpha == beta at the bound
 arguments) and needs_theta from the feature; a row without a bind takes
 the form's parameters too. The sixteen rows no form fits name a bespoke
-evaluator. Every parameter is checked by specificity.resolve_params, the
-one check that forms and estimators share. Measures that count shortest
-paths refuse a taxonomy with redundant edges because those shortcuts
-silently underestimate distances; pass allow_unreduced=True to study that
-effect.
+evaluator. A PairwiseMeasureSpec checks its name and parameters when
+built, the latter by specificity.resolve_params, the one check that forms
+and estimators share. Measures that count shortest paths refuse a taxonomy
+with redundant edges because those shortcuts silently underestimate
+distances; pass allow_unreduced=True to study that effect.
 abstract_form assembles a form row from a form and a pair FEATURES key,
 and instantiate names one: an abstract form, whose theta must be
 monotone. eval_pairwise (eval_abstract) scores one pair; a batch goes
@@ -115,17 +115,25 @@ class PairwiseMeasureSpec:
 
     def __post_init__(self):
         if self.feature is None:
-            info = MEASURES[self.name]
+            info = MEASURES.get(self.name)
+            if info is None:
+                known = ", ".join(sorted(MEASURES))
+                raise ContractError(f"unknown measure {self.name!r}; known measures: {known}")
+        elif self.name not in FORMS:
+            raise ContractError(f"unknown abstract form {self.name!r}; known: {', '.join(FORMS)}")
+        elif self.feature not in FEATURES:
+            raise ContractError(f"unknown feature {self.feature!r}; known: {', '.join(FEATURES)}")
         else:
             _, reads_theta, group = FEATURES[self.feature]
             info = _form_row(self.feature, self.name, monotone=reads_theta and not group)
-        values = dict(self.params)
+        values = resolve_params(self.name, info.params, dict(self.params))
         if info.form is None:
-            kernel, args = None, tuple(values[key] for key in info.params)
+            kernel, args = None, tuple(values.values())
         else:
             form = FORMS[info.form]
             bound = resolve_params(info.form, form.params, info.bind(values))
             kernel, args = form.kernel, tuple(bound.values())
+        object.__setattr__(self, "params", tuple(sorted(values.items())))
         object.__setattr__(self, "info", info)
         object.__setattr__(self, "kernel", kernel)
         object.__setattr__(self, "args", args)
@@ -140,21 +148,14 @@ def pairwise_measure(
     usage: ClassUsage | None = None,
     **params: float,
 ) -> PairwiseMeasureSpec:
-    """Validated constructor for a measure spec; unknown names and
-    out-of-range parameters fail here, not at evaluation time."""
-    info = MEASURES.get(name)
-    if info is None:
-        raise ContractError(
-            f"unknown measure {name!r}; known measures: {', '.join(sorted(MEASURES))}"
-        )
-    resolved = resolve_params(name, info.params, params)
-    if info.needs_theta and theta is None:
+    """A catalog row's spec, which checks the name and parameters itself;
+    here a row that reads theta or class usage must also be given it."""
+    spec = PairwiseMeasureSpec(name, tuple(params.items()), theta, usage)
+    if spec.info.needs_theta and theta is None:
         raise ContractError(f"measure {name!r} needs a specificity estimator")
-    if info.needs_usage and usage is None:
+    if spec.info.needs_usage and usage is None:
         raise ContractError(f"measure {name!r} needs class usage statistics")
-    return PairwiseMeasureSpec(
-        name=name, params=tuple(sorted(resolved.items())), theta=theta, usage=usage
-    )
+    return spec
 
 
 def is_symmetric(spec: PairwiseMeasureSpec) -> bool:
@@ -571,14 +572,10 @@ def abstract_form(
     **params: float,
 ) -> PairwiseMeasureSpec:
     """FORMS[kind] applied to the pair feature FEATURES[feature], as a spec."""
-    form = FORMS.get(kind)
-    if form is None:
-        raise ContractError(f"unknown abstract form {kind!r}; known: {', '.join(FORMS)}")
     if feature not in FEATURES or FEATURES[feature].group:
         known = ", ".join(key for key, f in FEATURES.items() if not f.group)
         raise ContractError(f"{feature!r} is not a pair feature; known: {known}")
-    values = resolve_params(kind, form.params, params)
-    return PairwiseMeasureSpec(kind, tuple(sorted(values.items())), theta, feature=feature)
+    return PairwiseMeasureSpec(kind, tuple(params.items()), theta, feature=feature)
 
 
 def _named(kind: str, theta_hint: str | None = None, **params: float) -> PairwiseMeasureSpec:

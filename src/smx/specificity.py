@@ -237,6 +237,9 @@ class ThetaEstimator:
         missing = taxonomy.class_ids - set(table)
         if missing:
             raise UsageError(f"table misses {len(missing)} classes")
+        extra = table.keys() - taxonomy.class_ids
+        if extra:
+            raise ContractError(f"table has {len(extra)} ids that are not classes")
         return cls(kind, taxonomy, table)
 
 

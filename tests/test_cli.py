@@ -345,6 +345,23 @@ class TestEstimatorParameters:
         assert main([*argv, "--graph", toy_file]) == code
         assert capsys.readouterr().err.count("error: ") == (code == 2)
 
+    def test_a_bad_parameter_is_refused_before_the_seco_notice(self, toy_file, pairs_file):
+        src = Path(smx.__file__).resolve().parent.parent
+        run = subprocess.run(
+            [sys.executable, "-m", "smx.cli", "sim", "--measure", "lin:name=1",
+             "--graph", toy_file, "--pairs", pairs_file],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+        )
+        assert run.returncode == 2
+        assert run.stderr == "error: lin: unknown parameters ['name']\n"
+
+    def test_an_unknown_parameter_is_named_before_missing_annotations(
+        self, toy_file, pairs_file, capsys
+    ):
+        argv = ["sim", "--measure", "jaccard_ext:bogus=1", "--graph", toy_file]
+        assert main([*argv, "--pairs", pairs_file]) == 2
+        assert capsys.readouterr().err == "error: jaccard_ext: unknown parameters ['bogus']\n"
+
 
 class TestPreprocess:
     def test_reduction_report(self, tmp_path, capsys):

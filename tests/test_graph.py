@@ -424,6 +424,14 @@ class TestBuild:
         t = TaxonomyView.build(graph)
         assert t.inserted_root is None and t.node(VIRTUAL_ROOT) == t.root == 0
 
+    @pytest.mark.parametrize("bad", [-1, 2])  # below 0, and n for the two labels
+    @pytest.mark.parametrize("kind", ["class", "instance"])
+    def test_a_node_id_outside_the_labels_is_refused(self, kind, bad):
+        classes, instances = ([0, bad], [1]) if kind == "class" else ([0], [1, bad])
+        with pytest.raises(ContractError) as caught:
+            SemanticGraph(["a", "b"], classes, instances, [SUBCLASS_OF], [])
+        assert str(caught.value) == f"{kind} id {bad} is not a declared node"
+
     def test_graph_without_classes_is_refused(self):
         graph = smx.parse_graph(b"a\tpartOf\tb\n")
         assert not graph.classes and graph.instances

@@ -675,6 +675,37 @@ class TestContracts:
         with pytest.raises(ContractError):
             smx.pairwise_measure("lin")  # missing estimator
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: smx.PairwiseMeasureSpec("zhong", (("k", 0.5),)),
+             "zhong: parameter k must be > 1.0"),
+            (lambda: smx.PairwiseMeasureSpec("bulskov", (("alpha", 7.0),)),
+             "bulskov: parameter alpha must be <= 1.0"),
+            (lambda: smx.PairwiseMeasureSpec("rada", (("bogus", 1.0),)),
+             "rada: unknown parameters ['bogus']"),
+            (lambda: smx.PairwiseMeasureSpec("lin", (("bogus", 1.0),)),
+             "lin: unknown parameters ['bogus']"),
+            (lambda: smx.PairwiseMeasureSpec("nope"), "unknown measure 'nope'; known measures: "),
+            (lambda: smx.PairwiseMeasureSpec("nope", feature="mica_theta"),
+             "unknown abstract form 'nope'; known: "),
+            (lambda: smx.PairwiseMeasureSpec("ratio", feature="nope"),
+             "unknown feature 'nope'; known: "),
+            (lambda: smx.GroupwiseMeasureSpec("max", inner=smx.pairwise_measure("rada")),
+             "aggregation 'max' needs a similarity-polarity inner measure"),
+            (lambda: smx.GroupwiseMeasureSpec("nosuch"), "unknown groupwise measure 'nosuch'; "),
+            (lambda: smx.GroupwiseMeasureSpec("simgic"), "simgic needs a specificity estimator"),
+        ],
+    )
+    def test_a_spec_built_directly_checks_itself(self, build, message):
+        with pytest.raises(ContractError) as caught:
+            build()
+        assert str(caught.value).startswith(message)
+
+    def test_a_spec_built_directly_resolves_its_defaults(self):
+        assert smx.PairwiseMeasureSpec("li") == smx.pairwise_measure("li")
+        assert smx.PairwiseMeasureSpec("li").args == (0.2, 0.6)
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
         "name, key", [(name, key) for name in sorted(MEASURES) for key in MEASURES[name].params]

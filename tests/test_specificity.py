@@ -168,6 +168,12 @@ class TestBaseAndTable:
         with pytest.raises(ContractError, match="class C is NaN"):
             smx.ThetaEstimator("custom", toy, table)
 
+    def test_ids_that_are_not_classes_are_refused(self, toy):
+        table = {c: 1.0 for c in toy.class_ids}
+        with pytest.raises(ContractError) as caught:
+            smx.ThetaEstimator.from_table(toy, {**table, -1: 0.5, 99: 0.1})
+        assert str(caught.value) == "table has 2 ids that are not classes"
+
     def test_infinite_values_stay_allowed(self, toy):
         table = {c: 1.0 for c in toy.class_ids}
         table[toy.node("C")], table[toy.node("D")] = math.inf, -math.inf
